@@ -20,10 +20,12 @@ from .errors import (
 from .feasibility import (
     BranchLabel,
     FeasibilityReport,
+    Route,
     branch_of,
     branch_partition,
     classify,
     kadison_ab,
+    route,
 )
 from .schurhorn import (
     finite_projection,
@@ -69,7 +71,6 @@ from .sispectral import (
 from .summable import (
     DecouplingPlan,
     decouple,
-    positions_proper,
     proper_subspec,
     rank_one,
     split_small_large,
@@ -82,7 +83,6 @@ from .tetris import (
     block_sort,
     coupling,
     interleave_split_fin,
-    interleave_split_inf,
     min_s,
     nonsummable_construct,
     positions,

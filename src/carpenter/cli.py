@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarpenterError, InfeasibleDiagonalError, MajorizationError, SpecError
-from .feasibility import branch_of, branch_partition, classify
+from .feasibility import route
 from .schurhorn import schur_horn_unitary
 from .selector import carpenter, carpenter_field, necessity_oracle, verify_projection
 from .seqcore import CellField, DiagonalSpec, ProjectionRep, dumps_canonical, fmt_rat, rat
@@ -68,21 +68,17 @@ def _load_spec(path: str) -> DiagonalSpec:
     return DiagonalSpec.from_json_dict(_load_json(path))
 
 
-def _load_rep(path: str) -> ProjectionRep:
-    doc = _load_json(path)
-    if "projection" in doc:
-        doc = doc["projection"]
-    return ProjectionRep.from_json_dict(doc)
-
-
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
-    report = classify(spec)
-    doc = report.to_json_dict()
-    if report.feasible:
-        doc["branch"] = list(branch_of(spec).path)
+    try:
+        r = route(spec)
+    except InfeasibleDiagonalError as e:
+        _emit(dumps_canonical(e.report.to_json_dict()), args.out)
+        return 2
+    doc = r.report.to_json_dict()
+    doc["branch"] = list(r.label.path)
     _emit(dumps_canonical(doc), args.out)
-    return 0 if report.feasible else 2
+    return 0
 
 
 def _cmd_construct(args) -> int:
@@ -122,8 +118,7 @@ def _cmd_field(args) -> int:
     doc = _load_json(args.input)
     items = doc["cells"] if isinstance(doc, dict) else doc
     field = CellField.from_json_list(items)
-    labels = branch_partition(field)  # raises naming the first infeasible cell
-    result = carpenter_field(field, args.vectors)
+    result = carpenter_field(field, args.vectors)  # raises naming the first infeasible cell
     os.makedirs(args.out, exist_ok=True)
     files = {}
     for cell in result.cells:
@@ -133,7 +128,7 @@ def _cmd_field(args) -> int:
             fh.write(dumps_canonical(cell.to_json_dict()) + "\n")
     with open(os.path.join(args.out, "partition.json"), "w") as fh:
         fh.write(
-            dumps_canonical({c: list(l.path) for c, l in labels.items()}) + "\n"
+            dumps_canonical({c.cell_id: list(c.label.path) for c in result.cells}) + "\n"
         )
     manifest = {
         "vectors": args.vectors,

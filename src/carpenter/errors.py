@@ -18,7 +18,14 @@ class OutOfRangeError(CarpenterError, IndexError):
 
 
 class InfeasibleDiagonalError(CarpenterError, ValueError):
-    """The integrality obstruction rules out a projection with this diagonal."""
+    """The integrality obstruction rules out a projection with this diagonal.
+
+    ``report`` holds the feasibility report when the router raised it.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class ConstructionError(CarpenterError, RuntimeError):

@@ -1,25 +1,32 @@
-"""Feasibility of a prescribed diagonal, and branch bookkeeping.
+"""Feasibility of a prescribed diagonal, and the one routing decision.
 
 For entries d_i in [0,1] put a = sum of the entries <= 1/2 and
 b = sum of (1 - d_i) over entries > 1/2 (entries equal to 1/2 always count
 toward a).  A projection with diagonal (d_i) exists iff a or b is infinite,
 or both are finite and a - b is an integer.  Everything here is computed in
 exact rational arithmetic; divergent sums come back as INF.
+
+``route`` is the single decision tree: it classifies a spec once, and each
+leaf carries both the branch label and the constructor that builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
-from .errors import InfeasibleDiagonalError
-from .seqcore import HALF, INF, CellField, DiagonalSpec, fmt_rat
+from .errors import InfeasibleDiagonalError, UnsupportedStructureError
+from .seqcore import HALF, INF, CellField, DiagonalSpec, ProjectionRep, fmt_rat
 
 __all__ = [
     "FeasibilityReport",
     "BranchLabel",
+    "Route",
     "kadison_ab",
     "classify",
+    "route",
     "branch_of",
     "branch_partition",
 ]
@@ -97,50 +104,104 @@ class BranchLabel:
         return "/".join(self.path)
 
 
-def _summable_proper_route(proper: DiagonalSpec) -> list[str]:
-    """Route labels for an all-proper summable spec (every entry in (0,1))."""
-    half = proper.half_classes()
-    n_large = half.count(False)
-    if n_large == INF:
-        n_small = half.count(True)
-        if n_small == INF:  # unreachable with closed tails; kept for clarity
-            return ["X'", "X_N(N=inf)", "decouple"]
-        if n_small >= 2:
-            return ["X'", f"X_N(N={n_small})", "decouple"]
-        return ["X'", f"X_N(N={n_small})", "complement-tetris"]
-    # finitely many large entries: work with the complement
-    if n_large >= 2:
-        return ["X\\X'", "complement", f"X_N(N={n_large})", "decouple"]
-    return ["X\\X'", f"X_N(N={n_large})", "tetris"]
+@dataclass(frozen=True)
+class Route:
+    """A spec's leaf of the decision tree: its case report, the label naming
+    the leaf, and the leaf's constructor ``build(m=16, trace=None)``.
+
+    ``build`` records ``branch``, ``report`` and ``settled_prefix`` (None =
+    fully settled) in a passed trace dict, so every traced label is the route
+    actually taken.
+    """
+
+    report: FeasibilityReport
+    label: BranchLabel
+    build: Callable[..., ProjectionRep]
 
 
-def branch_of(spec: DiagonalSpec) -> BranchLabel:
-    """Label the branch the constructor will follow; exact and deterministic.
+def route(spec: DiagonalSpec) -> Route:
+    """Classify ``spec`` once and pick the constructor that applies; exact.
 
-    Raises InfeasibleDiagonalError on infeasible specs.
+    Raises InfeasibleDiagonalError (carrying the report) on infeasible specs
+    and UnsupportedStructureError where no constructor applies.
     """
     report = classify(spec)
     if not report.feasible:
         raise InfeasibleDiagonalError(
-            f"a - b = {fmt_rat(report.a - report.b)} is not an integer"
+            f"no projection with this diagonal: a = {report.a}, b = {report.b}, "
+            f"a - b = {fmt_rat(report.a - report.b)} is not an integer",
+            report,
         )
-    if report.case == "nonsummable_a":
-        k = spec.half_classes().count(False)
-        assert k != INF, "divergent small sum forces finitely many large entries"
-        route = "tetris" if k == 0 else f"residue-split(k={k})"
-        return BranchLabel(("NonsummableA", "S_infty", f"X_k(k={k})", route))
-    if report.case == "nonsummable_b":
-        sub = branch_of(spec.complement())
-        return BranchLabel(("NonsummableB", "S_finite", "complement") + sub.path[2:])
-    proper = spec.proper_classes()
-    n_proper = proper.count(True)
-    if n_proper != INF:
-        return BranchLabel(("Summable", f"X_{{k1..kn}}(n={n_proper})", "finite-schur-horn"))
-    # strip the finitely many 0/1 entries, then route the proper subsequence
-    from .summable import proper_subspec  # deferred: avoids import cycle at load
+    from . import summable, tetris  # deferred: both constructor modules import this one
 
-    sub, _, _ = proper_subspec(spec)
-    return BranchLabel(("Summable", "proper-infinite") + tuple(_summable_proper_route(sub)))
+    if report.case != "summable":
+        # stream on the side whose small-entry mass diverges
+        flip = report.case == "nonsummable_b"
+        work = spec.complement() if flip else spec
+        k = work.half_classes().count(False)
+        if k == INF:
+            raise UnsupportedStructureError(
+                "divergent small-entry mass with infinitely many entries > 1/2: "
+                "not expressible with the supported tails"
+            )
+        if k == 0:
+            path, build = ("X_k(k=0)", "tetris"), partial(tetris._direct_fill, work)
+        else:
+            path = (f"X_k(k={k})", f"residue-split(k={k})")
+            build = partial(tetris._residue_split_fill, work, k)
+        if flip:
+            path = ("NonsummableB", "S_finite", "complement") + path
+            build = partial(tetris._on_complement, build)
+        else:
+            path = ("NonsummableA", "S_infty") + path
+    else:
+        prop = spec.proper_classes()
+        n_proper = prop.count(True)
+        if n_proper != INF:
+            path = ("Summable", f"X_{{k1..kn}}(n={n_proper})", "finite-schur-horn")
+            build = lambda m, trace: summable._finite_schur_horn(spec, prop)
+        else:
+            # strip the finitely many 0/1 entries, then route the proper subsequence
+            sub, emb, improper = summable.proper_subspec(spec)
+            half = sub.half_classes()
+            n_small, n_large = half.count(True), half.count(False)
+            if n_large == INF and n_small == INF:
+                raise UnsupportedStructureError(
+                    "both threshold classes infinite with convergent sums: "
+                    "not expressible with the supported tails"
+                )
+            if n_large == INF and n_small >= 2:
+                leaf = ("X'", f"X_N(N={n_small})", "decouple")
+                fill = lambda m, trace: summable.summable_construct2(sub, m, trace)
+            elif n_large == INF:
+                leaf = ("X'", f"X_N(N={n_small})", "complement-tetris")
+                fill = lambda m, trace: summable._tetris_complete_route(
+                    sub.complement(), trace
+                ).complementary()
+            elif n_large >= 2:
+                leaf = ("X\\X'", "complement", f"X_N(N={n_large})", "decouple")
+                fill = lambda m, trace: summable.summable_construct2(
+                    sub.complement(), m, trace
+                ).complementary()
+            else:
+                leaf = ("X\\X'", f"X_N(N={n_large})", "tetris")
+                fill = lambda m, trace: summable._tetris_complete_route(sub, trace)
+            path = ("Summable", "proper-infinite") + leaf
+            build = lambda m, trace: summable.embed_with_improper(fill(m, trace), emb, improper)
+
+    def run(m: int = 16, trace: dict | None = None) -> ProjectionRep:
+        if trace is not None:
+            trace["branch"] = list(path)
+            trace["report"] = report.to_json_dict()
+            trace["settled_prefix"] = None
+        return build(m, trace)
+
+    return Route(report, BranchLabel(path), run)
+
+
+def branch_of(spec: DiagonalSpec) -> BranchLabel:
+    """Label of the branch the constructor follows; see :func:`route`."""
+    return route(spec).label
 
 
 def branch_partition(field: CellField) -> dict[str, BranchLabel]:
@@ -148,7 +209,7 @@ def branch_partition(field: CellField) -> dict[str, BranchLabel]:
     out: dict[str, BranchLabel] = {}
     for cell_id, spec in field.cells:
         try:
-            out[cell_id] = branch_of(spec)
+            out[cell_id] = route(spec).label
         except InfeasibleDiagonalError as e:
             raise InfeasibleDiagonalError(f"cell {cell_id!r}: {e}") from None
     return out

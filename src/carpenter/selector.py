@@ -1,9 +1,10 @@
 """Top-level selection, verification and randomized cross-checks.
 
-``carpenter`` looks at a diagonal spec, decides which constructor applies and
-runs it; ``carpenter_field`` does the same for every cell of a finite field,
-deterministically.  ``verify_projection`` re-derives the numerical evidence
-that a representation really is a projection with the requested diagonal.
+``carpenter`` runs the constructor that :func:`carpenter.feasibility.route`
+picks for a diagonal spec; ``carpenter_field`` does the same for every cell of
+a finite field, deterministically.  ``verify_projection`` re-derives the
+numerical evidence that a representation really is a projection with the
+requested diagonal.
 ``necessity_oracle`` samples random finite projections and conjugates to
 confirm that their diagonals always pass the integrality test.
 """
@@ -15,16 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleDiagonalError, SpecError
-from .feasibility import BranchLabel, FeasibilityReport, branch_of, classify
+from .errors import InfeasibleDiagonalError
+from .feasibility import BranchLabel, route
 from .seqcore import (
     CellField,
     DiagonalSpec,
     ProjectionRep,
     conjugate_by_permutation,  # re-exported: permutations commute with selection
 )
-from .summable import summable_construct
-from .tetris import nonsummable_construct
 
 __all__ = [
     "carpenter",
@@ -48,18 +47,7 @@ def carpenter(spec: DiagonalSpec, m: int = 16, trace: dict | None = None) -> Pro
     A passed ``trace`` dict collects the branch label, the case report, the
     construction bookkeeping, and ``settled_prefix`` (None = fully settled).
     """
-    report = classify(spec)
-    if not report.feasible:
-        a, b = report.a, report.b
-        raise InfeasibleDiagonalError(
-            f"no projection with this diagonal: a = {a}, b = {b}, a - b not an integer"
-        )
-    label = branch_of(spec)
-    if trace is not None:
-        trace["branch"] = list(label.path)
-    if report.case == "summable":
-        return summable_construct(spec, m, trace)
-    return nonsummable_construct(spec, m, trace)
+    return route(spec).build(m, trace)
 
 
 @dataclass(frozen=True)
@@ -177,13 +165,12 @@ def carpenter_field(field: CellField, m: int = 16) -> ProjectionField:
     out = []
     for cell_id, spec in field.cells:
         try:
-            trace: dict = {}
-            rep = carpenter(spec, m, trace)
+            r = route(spec)
         except InfeasibleDiagonalError as e:
             raise InfeasibleDiagonalError(f"cell {cell_id!r}: {e}") from None
-        out.append(
-            FieldCell(cell_id, branch_of(spec), rep, trace.get("settled_prefix"))
-        )
+        trace: dict = {}
+        rep = r.build(m, trace)
+        out.append(FieldCell(cell_id, r.label, rep, trace["settled_prefix"]))
     return ProjectionField(tuple(out))
 
 
@@ -241,19 +228,3 @@ def necessity_oracle(dim: int, trials: int, seed: int = 1729, tol: float = 1e-9)
         if dist > tol:
             violations += 1
     return NecessityReport(dim, trials, tol, violations, worst)
-
-
-def feasibility_of_diagonal(values, tol: float = 1e-9) -> FeasibilityReport:
-    """Classify a finite float diagonal after exact conversion (testing aid).
-
-    Roundoff excursions outside [0,1] up to ``tol`` are clamped; larger ones
-    are rejected.
-    """
-    slack = Fraction(tol).limit_denominator(10**12)
-    xs = []
-    for v in values:
-        q = Fraction(float(v))
-        if q < -slack or q > 1 + slack:
-            raise SpecError(f"diagonal entry {float(v)} outside [0,1]")
-        xs.append(min(max(q, Fraction(0)), Fraction(1)))
-    return classify(DiagonalSpec(tuple(xs)))

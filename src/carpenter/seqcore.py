@@ -35,10 +35,6 @@ __all__ = [
     "fmt_rat",
     "TailRule",
     "DiagonalSpec",
-    "entry",
-    "tail_sum",
-    "drop_at",
-    "from_index",
     "SqrtTail",
     "SparseVector",
     "ProjectionRep",
@@ -243,6 +239,20 @@ class TailRule:
         # geometric kinds: only the very first entry can hit 0 or 1 (c == 1)
         return ((1,) if self.c == 1 else ()), True
 
+    # -- serialization
+
+    def to_json_dict(self) -> dict:
+        d: dict = {"kind": self.kind}
+        if self.c is not None:
+            d["c"] = fmt_rat(self.c)
+        if self.r is not None:
+            d["r"] = fmt_rat(self.r)
+        return d
+
+    @classmethod
+    def from_json_dict(cls, d: Mapping) -> "TailRule":
+        return cls(d["kind"], *(rat(d[k]) for k in ("c", "r") if k in d))
+
 
 # ---------------------------------------------------------------------------
 # prescribed diagonals
@@ -356,17 +366,11 @@ class DiagonalSpec:
     # -- serialization
 
     def to_json_dict(self) -> dict:
-        tail: dict = {"kind": self.tail.kind}
-        if self.tail.c is not None:
-            tail["c"] = fmt_rat(self.tail.c)
-        if self.tail.r is not None:
-            tail["r"] = fmt_rat(self.tail.r)
-        return {"prefix": [fmt_rat(x) for x in self.prefix], "tail": tail}
+        return {"prefix": [fmt_rat(x) for x in self.prefix], "tail": self.tail.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "DiagonalSpec":
-        t = d.get("tail", {"kind": ZERO_KIND})
-        tail = TailRule(t["kind"], *(rat(t[k]) for k in ("c", "r") if k in t))
+        tail = TailRule.from_json_dict(d.get("tail", {"kind": ZERO_KIND}))
         return cls(tuple(rat(x) for x in d.get("prefix", ())), tail)
 
 
@@ -435,25 +439,6 @@ class TwoClassIndex:
     def rest_start(self) -> int:
         """First global index from which the tail has no exceptions left."""
         return self.p + (self.exc[-1] + 1 if self.exc else 1)
-
-
-# module-level operation aliases (the op names used throughout)
-
-
-def entry(spec: DiagonalSpec, i: int) -> Fraction:
-    return spec.entry(i)
-
-
-def tail_sum(spec: DiagonalSpec, i: int):
-    return spec.tail_sum(i)
-
-
-def drop_at(spec: DiagonalSpec, s: int) -> DiagonalSpec:
-    return spec.drop_at(s)
-
-
-def from_index(spec: DiagonalSpec, s: int) -> DiagonalSpec:
-    return spec.from_index(s)
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +664,7 @@ class SparseVector:
         d: dict = {"support": [[i, v] for i, v in self.support]}
         if self.sqrt_tail is not None:
             t = self.sqrt_tail
-            rule: dict = {"kind": t.rule.kind, "c": fmt_rat(t.rule.c), "r": fmt_rat(t.rule.r)}
-            d["sqrtTail"] = {"start": t.start, "stride": t.stride, "rule": rule}
+            d["sqrtTail"] = {"start": t.start, "stride": t.stride, "rule": t.rule.to_json_dict()}
         else:
             d["sqrtTail"] = None
         if self.squares is not None:
@@ -692,11 +676,8 @@ class SparseVector:
         tail = None
         td = d.get("sqrtTail")
         if td is not None:
-            rule = td["rule"]
             tail = SqrtTail(
-                int(td["start"]),
-                TailRule(rule["kind"], rat(rule["c"]), rat(rule["r"])),
-                int(td.get("stride", 1)),
+                int(td["start"]), TailRule.from_json_dict(td["rule"]), int(td.get("stride", 1))
             )
         sqs = d.get("squares")
         return cls(
@@ -822,10 +803,6 @@ class PermutationWindow:
     def __post_init__(self):
         if sorted(self.window) != list(range(1, len(self.window) + 1)):
             raise SpecError(f"window is not a bijection of 1..{len(self.window)}")
-
-    @classmethod
-    def identity(cls, m: int = 0) -> "PermutationWindow":
-        return cls(tuple(range(1, m + 1)))
 
     @property
     def size(self) -> int:

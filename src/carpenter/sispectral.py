@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ExactnessError, InfeasibleDiagonalError, SpecError
-from .feasibility import FeasibilityReport, branch_of, classify
+from .feasibility import FeasibilityReport, classify, route
 from .seqcore import DiagonalSpec, ProjectionRep, TailRule, fmt_rat, rat
-from .selector import carpenter, verify_projection
+from .selector import verify_projection
 
 __all__ = [
     "SpectralFiber",
@@ -80,12 +80,7 @@ class SpectralSamples:
         for f in self.fibers:
             fd: dict = {"xi": list(f.xi), "values": [fmt_rat(v) for v in f.values]}
             if f.tail.kind != "zero":
-                td: dict = {"kind": f.tail.kind}
-                if f.tail.c is not None:
-                    td["c"] = fmt_rat(f.tail.c)
-                if f.tail.r is not None:
-                    td["r"] = fmt_rat(f.tail.r)
-                fd["tail"] = td
+                fd["tail"] = f.tail.to_json_dict()
             out["fibers"].append(fd)
         return out
 
@@ -98,10 +93,7 @@ class SpectralSamples:
             xi = tuple(float(x) for x in (fd["xi"] if isinstance(fd["xi"], Sequence) else [fd["xi"]]))
             vals = tuple(rat(v) for v in fd["values"])
             td = fd.get("tail")
-            if td is None:
-                tail = TailRule.zero()
-            else:
-                tail = TailRule(td["kind"], *(rat(td[k]) for k in ("c", "r") if k in td))
+            tail = TailRule.zero() if td is None else TailRule.from_json_dict(td)
             fibers.append(SpectralFiber(xi, vals, tail))
         return cls(d, window, tuple(fibers))
 
@@ -167,24 +159,20 @@ def synthesize_range(samples: SpectralSamples, m: int = 16, tol: float = 1e-9) -
     out = []
     for f in samples.fibers:
         spec = f.spec()
-        report = classify(spec)
-        if not report.feasible:
-            raise InfeasibleDiagonalError(
-                f"fiber xi = {f.label()}: a = {report.a}, b = {report.b}, "
-                "a - b is not an integer"
-            )
+        try:
+            r = route(spec)
+        except InfeasibleDiagonalError as e:
+            raise InfeasibleDiagonalError(f"fiber xi = {f.label()}: {e}") from None
         trace: dict = {}
-        rep = carpenter(spec, m, trace)
+        rep = r.build(m, trace)
         dim = max(m, len(samples.window))
-        ver = verify_projection(rep, spec, dim, tol, trace.get("settled_prefix"))
+        ver = verify_projection(rep, spec, dim, tol, trace["settled_prefix"])
         if not ver.passed:
             raise InfeasibleDiagonalError(
                 f"fiber xi = {f.label()}: construction failed verification "
                 f"({ver.to_json_dict()})"
             )
-        out.append(
-            RangeFiber(f.xi, rep, tuple(branch_of(spec).path), trace.get("settled_prefix"))
-        )
+        out.append(RangeFiber(f.xi, rep, r.label.path, trace["settled_prefix"]))
     return RangeFunctionFile(samples.d, samples.window, tuple(out))
 
 

@@ -17,12 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ConstructionError,
-    InfeasibleDiagonalError,
-    UnsupportedStructureError,
-)
-from .feasibility import classify
+from .errors import ConstructionError, UnsupportedStructureError
+from .feasibility import route
 from .seqcore import (
     GEOMETRIC,
     INF,
@@ -47,8 +43,6 @@ from .tetris import (
 )
 
 __all__ = [
-    "ProperMaps",
-    "positions_proper",
     "rank_one",
     "split_small_large",
     "proper_subspec",
@@ -59,32 +53,6 @@ __all__ = [
     "summable_construct",
     "embed_with_improper",
 ]
-
-
-@dataclass
-class ProperMaps:
-    """1-based lookups: Pro(n) = n-th entry in (0,1), pro(n) = n-th entry in {0,1}."""
-
-    spec: DiagonalSpec
-
-    def __post_init__(self):
-        self._cls = self.spec.proper_classes()
-
-    def Pro(self, n: int) -> int:
-        return self._cls.nth(n, True)
-
-    def pro(self, n: int) -> int:
-        return self._cls.nth(n, False)
-
-    def count_proper(self):
-        return self._cls.count(True)
-
-    def count_improper(self):
-        return self._cls.count(False)
-
-
-def positions_proper(spec: DiagonalSpec) -> ProperMaps:
-    return ProperMaps(spec)
 
 
 def rank_one(spec: DiagonalSpec) -> ProjectionRep:
@@ -461,77 +429,40 @@ def embed_with_improper(rep: ProjectionRep, emb, improper) -> ProjectionRep:
     return ProjectionRep(rep.form, tuple(vecs) + tuple(SparseVector.basis(j) for j in extras))
 
 
-def _all_proper_construct(sub: DiagonalSpec, m: int, trace: dict | None) -> ProjectionRep:
-    half = sub.half_classes()
-    n_large = half.count(False)
-    if n_large == INF:
-        n_small = half.count(True)
-        if n_small == INF:
-            raise UnsupportedStructureError(
-                "both threshold classes infinite with convergent sums: "
-                "not expressible with the supported tails"
-            )
-        if n_small >= 2:
-            if trace is not None:
-                trace["route"] = f"decouple(N={n_small})"
-            return summable_construct2(sub, m, trace)
-        if trace is not None:
-            trace["route"] = f"complement-tetris(N={n_small})"
-        return _tetris_complete_route(sub.complement(), trace).complementary()
-    if n_large >= 2:
-        if trace is not None:
-            trace["route"] = f"complement-decouple(N={n_large})"
-        return summable_construct2(sub.complement(), m, trace).complementary()
-    if trace is not None:
-        trace["route"] = f"tetris(N={n_large})"
-    return _tetris_complete_route(sub, trace)
-
-
 def summable_construct(spec: DiagonalSpec, m: int = 0, trace: dict | None = None) -> ProjectionRep:
     """Projection for a feasible diagonal with convergent defect sums.
 
     The construction always completes: the returned representation settles
     every diagonal entry, so the ``m`` argument only shapes traces.  Raises
-    InfeasibleDiagonalError when a - b is not an integer.
+    InfeasibleDiagonalError when a - b is not an integer.  The branch comes
+    from :func:`carpenter.feasibility.route`.
     """
-    report = classify(spec)
-    if not report.feasible:
-        raise InfeasibleDiagonalError(
-            f"a - b = {fmt_rat(report.a - report.b)} is not an integer"
-        )
-    if report.case != "summable":
-        raise ConstructionError(f"not a summable-case diagonal (case {report.case})")
-    if trace is not None:
-        trace["report"] = report.to_json_dict()
-        trace["settled_prefix"] = None
+    r = route(spec)
+    if r.report.case != "summable":
+        raise ConstructionError(f"not a summable-case diagonal (case {r.report.case})")
+    return r.build(m, trace)
 
-    prop = spec.proper_classes()
+
+def _finite_schur_horn(spec: DiagonalSpec, prop) -> ProjectionRep:
+    """Finitely many proper entries (``prop`` = the spec's proper classes):
+    a finite projection on them, basis vectors for the 0/1 entries."""
     n_proper = prop.count(True)
-    if n_proper != INF:
-        proper_idx = [prop.nth(i, True) for i in range(1, n_proper + 1)]
-        fvals = [spec.entry(i) for i in proper_idx]
-        shift = (proper_idx[-1] - n_proper) if proper_idx else 0
-        emb = ListShiftEmbedding(tuple(proper_idx), shift)
-        t = spec.tail
-        ones_infinite = t.kind == CONSTANT and t.c == 1
-        if ones_infinite:
-            rng, _ = finite_projection_pair([1 - v for v in fvals])
-            zeros = _improper_positions(spec, 0)
-            rep = ProjectionRep.coframe(
-                tuple(v.remap(emb) for v in rng)
-                + tuple(SparseVector.basis(j) for j in zeros)
-            )
-        else:
-            rng, _ = finite_projection_pair(fvals)
-            ones = _improper_positions(spec, 1)
-            rep = ProjectionRep.frame(
-                tuple(v.remap(emb) for v in rng)
-                + tuple(SparseVector.basis(j) for j in ones)
-            )
-        if trace is not None:
-            trace["route"] = f"finite-schur-horn(n={n_proper})"
-        return rep
-
-    sub, emb, improper = proper_subspec(spec)
-    inner = _all_proper_construct(sub, m, trace)
-    return embed_with_improper(inner, emb, improper)
+    proper_idx = [prop.nth(i, True) for i in range(1, n_proper + 1)]
+    fvals = [spec.entry(i) for i in proper_idx]
+    shift = (proper_idx[-1] - n_proper) if proper_idx else 0
+    emb = ListShiftEmbedding(tuple(proper_idx), shift)
+    t = spec.tail
+    ones_infinite = t.kind == CONSTANT and t.c == 1
+    if ones_infinite:
+        rng, _ = finite_projection_pair([1 - v for v in fvals])
+        zeros = _improper_positions(spec, 0)
+        return ProjectionRep.coframe(
+            tuple(v.remap(emb) for v in rng)
+            + tuple(SparseVector.basis(j) for j in zeros)
+        )
+    rng, _ = finite_projection_pair(fvals)
+    ones = _improper_positions(spec, 1)
+    return ProjectionRep.frame(
+        tuple(v.remap(emb) for v in rng)
+        + tuple(SparseVector.basis(j) for j in ones)
+    )

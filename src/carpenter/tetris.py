@@ -10,24 +10,24 @@ are floating point.
 
 Block sorting rearranges each between-integers block of the sequence in
 decreasing order, which establishes the ordering hypothesis the fill needs;
-the interleave splits decompose a sequence with several large entries into
-subsequences with at most one, routed through disjoint subspaces.
+the residue-class split decomposes a sequence with finitely many large
+entries into subsequences with at most one, routed through disjoint
+subspaces.  (The closed tails never give divergent small mass together with
+infinitely many large entries, so no split for that case is needed.)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .errors import ConstructionError, OutOfRangeError, SpecError, UnsupportedStructureError
-from .feasibility import branch_of, classify
+from .errors import ConstructionError, OutOfRangeError
+from .feasibility import route
 from .seqcore import (
     CONSTANT,
     GEOMETRIC,
     INF,
-    ONE_MINUS_GEOMETRIC,
     ZERO_KIND,
     AffineEmbedding,
     DiagonalSpec,
@@ -51,9 +51,6 @@ __all__ = [
     "PositionMaps",
     "positions",
     "interleave_split_fin",
-    "InfiniteSplit",
-    "interleave_split_inf",
-    "dyadic_class",
     "nonsummable_construct",
 ]
 
@@ -416,19 +413,6 @@ def _window_from_pairs(pairs: dict[int, int]) -> PermutationWindow:
     return PermutationWindow(tuple(images))
 
 
-def _largest_closed_prefix(pairs: dict[int, int], limit: int) -> PermutationWindow:
-    """Largest w <= limit for which slots 1..w map onto originals 1..w exactly."""
-    for w in range(limit, 0, -1):
-        if all(s in pairs for s in range(1, w + 1)):
-            origs = sorted(pairs[s] for s in range(1, w + 1))
-            if origs == list(range(1, w + 1)):
-                images = [0] * w
-                for s in range(1, w + 1):
-                    images[pairs[s] - 1] = s
-                return PermutationWindow(tuple(images))
-    return PermutationWindow(())
-
-
 def interleave_split_fin(
     spec: DiagonalSpec, k: int
 ) -> tuple[list[DiagonalSpec], PermutationWindow]:
@@ -475,80 +459,8 @@ def interleave_split_fin(
     return subs, _window_from_pairs(pairs)
 
 
-def dyadic_class(t: int) -> tuple[int, int]:
-    """Write t = 2**(i-1) * m with m odd; returns (m, i)."""
-    if t < 1:
-        raise OutOfRangeError(f"index {t} < 1")
-    v = (t & -t).bit_length() - 1
-    return t >> v, v + 1
-
-
-@dataclass(frozen=True)
-class InfiniteSplit:
-    """Windowed decomposition into infinitely many subsequences (odd labels).
-
-    ``subseq_values[m]`` lists the materialized entries of subsequence m;
-    ``slot_map`` sends each dyadic slot 2**(i-1)*m <= window to the original
-    index it draws from; ``intervals`` are the between-integers blocks of the
-    small subsequence that were consumed.
-    """
-
-    window: int
-    subseq_values: dict[int, list[Fraction]]
-    slot_map: dict[int, int]
-    intervals: dict[int, tuple[int, int]]
-    permutation: PermutationWindow
-
-
-def interleave_split_inf(spec: DiagonalSpec, window: int) -> InfiniteSplit:
-    """Dyadic split for sequences with unbounded small mass and many large entries.
-
-    Subsequence m (odd) starts with the ((m+1)/2)-th large entry and then runs
-    through the blocks of the small subsequence whose ordinal lies in
-    {m, 2m, 4m, ...}.  Only the slots up to ``window`` are materialized; the
-    closed tails supported here never provide infinitely many large entries,
-    so this split exists for window-level analysis and tests.
-    """
-    pm = positions(spec)
-    cls = spec.half_classes()
-    small = _subsample_spec(spec, cls, True, 1, 1)
-    if small.total() != INF:
-        raise UnsupportedStructureError("small-entry mass must diverge")
-    table = MinSTable(small)
-    values: dict[int, list[Fraction]] = {}
-    slot_map: dict[int, int] = {}
-    intervals: dict[int, tuple[int, int]] = {}
-    for m in range(1, window + 1, 2):
-        need = 0
-        while 2**need * m <= window:
-            need += 1  # number of slots this subsequence owns inside the window
-        try:
-            first = pm.Pos((m + 1) // 2)
-        except OutOfRangeError:
-            raise OutOfRangeError(
-                f"window {window} needs large entry #{(m + 1) // 2}, which does not exist"
-            ) from None
-        vals = [spec.entry(first)]
-        slot_map[m] = first
-        got, n, i = 1, m, 2
-        while got < need:
-            lo, hi = table.get(n - 1), table.get(n)
-            intervals[n] = (lo, hi)
-            for o in range(lo + 1, hi + 1):
-                src = pm.pos(o)
-                vals.append(spec.entry(src))
-                if got < need:
-                    slot_map[2 ** (i - 1) * m] = src
-                    i += 1
-                got += 1
-            n *= 2
-        values[m] = vals
-    perm = _largest_closed_prefix(slot_map, window)
-    return InfiniteSplit(window, values, slot_map, intervals, perm)
-
-
 # ---------------------------------------------------------------------------
-# dispatcher for divergent threshold sums
+# constructors for divergent threshold sums
 
 
 def _settled_through(settled: int | None, perm: PermutationWindow) -> int | None:
@@ -568,33 +480,27 @@ def nonsummable_construct(spec: DiagonalSpec, m: int, trace: dict | None = None)
     the co-mass b (entries near 1), the construction runs on 1 - f and the
     complement representation is returned.  ``trace``, when a dict is passed,
     collects the branch label, per-part fill data and the settled prefix.
+    The branch comes from :func:`carpenter.feasibility.route`.
     """
-    report = classify(spec)
-    label = branch_of(spec)
+    r = route(spec)
+    if r.report.case == "summable":
+        raise ConstructionError(f"not a divergent-sum diagonal (case {r.report.case})")
+    return r.build(m, trace)
+
+
+def _direct_fill(spec: DiagonalSpec, m: int, trace: dict | None) -> ProjectionRep:
+    """Divergent small mass, no entry > 1/2: sort blockwise, fill, undo the sort."""
+    g, perm = block_sort(spec)
+    out = tetris_vectors(g, m)
+    rep = conjugate_by_permutation(out.frame(), perm.inverse())
     if trace is not None:
-        trace["branch"] = list(label.path)
-        trace["report"] = report.to_json_dict()
-    if report.case == "nonsummable_b":
-        sub: dict = {}
-        rep = nonsummable_construct(spec.complement(), m, sub)
-        if trace is not None:
-            trace["complement_of"] = sub
-            trace["settled_prefix"] = sub.get("settled_prefix")
-        return rep.complementary()
-    if report.case != "nonsummable_a":
-        raise ConstructionError(f"not a divergent-sum diagonal (case {report.case})")
+        trace["parts"] = [_part_trace(None, perm, out)]
+        trace["settled_prefix"] = _settled_through(out.settled_prefix, perm.inverse())
+    return rep
 
-    k = spec.half_classes().count(False)
-    if k == 0:
-        g, perm = block_sort(spec)
-        out = tetris_vectors(g, m)
-        rep = conjugate_by_permutation(out.frame(), perm.inverse())
-        settled = _settled_through(out.settled_prefix, perm.inverse())
-        if trace is not None:
-            trace["parts"] = [_part_trace(None, perm, out)]
-            trace["settled_prefix"] = settled
-        return rep
 
+def _residue_split_fill(spec: DiagonalSpec, k: int, m: int, trace: dict | None) -> ProjectionRep:
+    """Divergent small mass, k entries > 1/2: fill k residue-class subsequences."""
     subs, beta = interleave_split_fin(spec, k)
     vectors: list[SparseVector] = []
     parts = []
@@ -621,6 +527,19 @@ def nonsummable_construct(spec: DiagonalSpec, m: int, trace: dict | None = None)
         trace["beta"] = list(beta.window)
         trace["settled_prefix"] = settled
     return rep
+
+
+def _on_complement(fill, m: int, trace: dict | None) -> ProjectionRep:
+    """Complement of ``fill``'s output, where ``fill`` builds for 1 - f.
+
+    The fill's bookkeeping nests under ``complement_of``.
+    """
+    sub = None if trace is None else {}
+    rep = fill(m, sub)
+    if trace is not None:
+        trace["complement_of"] = sub
+        trace["settled_prefix"] = sub["settled_prefix"]
+    return rep.complementary()
 
 
 def _part_trace(label, perm: PermutationWindow, out: TetrisOutput) -> dict:

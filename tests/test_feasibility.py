@@ -12,6 +12,7 @@ from carpenter.feasibility import (
     classify,
     kadison_ab,
 )
+from carpenter.selector import carpenter, verify_projection
 from carpenter.seqcore import INF, CellField, DiagonalSpec, TailRule
 
 
@@ -77,19 +78,37 @@ def test_branch_of_infeasible_raises():
 
 
 def test_branch_labels_cover_the_route_table():
+    # two inputs per route; each label must be the route carpenter takes
     cases = [
         (spec(tail=TailRule.constant("2/5")), "NonsummableA/S_infty/X_k(k=0)/tetris"),
+        (spec("1/3", "1/4", tail=TailRule.constant("1/3")), "NonsummableA/S_infty/X_k(k=0)/tetris"),
         (
             spec("3/4", "2/3", tail=TailRule.constant("2/5")),
+            "NonsummableA/S_infty/X_k(k=2)/residue-split(k=2)",
+        ),
+        (
+            spec("3/4", "1/10", "5/8", tail=TailRule.constant("1/2")),
             "NonsummableA/S_infty/X_k(k=2)/residue-split(k=2)",
         ),
         (
             spec(tail=TailRule.constant("3/5")),
             "NonsummableB/S_finite/complement/X_k(k=0)/tetris",
         ),
+        (
+            spec("7/10", tail=TailRule.constant("4/5")),
+            "NonsummableB/S_finite/complement/X_k(k=0)/tetris",
+        ),
         (spec(*["2/5"] * 5), "Summable/X_{k1..kn}(n=5)/finite-schur-horn"),
         (
+            spec("1/3", "2/3", "1/4", "1/4", "1/2", "1"),
+            "Summable/X_{k1..kn}(n=5)/finite-schur-horn",
+        ),
+        (
             spec("3/10", "1/5", tail=TailRule.one_minus_geometric("1/4", "1/2")),
+            "Summable/proper-infinite/X'/X_N(N=2)/decouple",
+        ),
+        (
+            spec("1/5", "3/10", tail=TailRule.one_minus_geometric("1/4", "1/2")),
             "Summable/proper-infinite/X'/X_N(N=2)/decouple",
         ),
         (
@@ -97,16 +116,35 @@ def test_branch_labels_cover_the_route_table():
             "Summable/proper-infinite/X'/X_N(N=1)/complement-tetris",
         ),
         (
+            spec("1/4", "7/8", tail=TailRule.one_minus_geometric("1/16", "1/2")),
+            "Summable/proper-infinite/X'/X_N(N=1)/complement-tetris",
+        ),
+        (
             spec("3/4", "7/8", "3/16", "1/16", tail=TailRule.geometric("1/16", "1/2")),
+            "Summable/proper-infinite/X\\X'/complement/X_N(N=2)/decouple",
+        ),
+        (
+            spec("7/8", "3/4", "1/16", "3/16", tail=TailRule.geometric("1/16", "1/2")),
             "Summable/proper-infinite/X\\X'/complement/X_N(N=2)/decouple",
         ),
         (
             spec("3/4", "1/8", tail=TailRule.geometric("1/16", "1/2")),
             "Summable/proper-infinite/X\\X'/X_N(N=1)/tetris",
         ),
+        (
+            spec("1/8", "3/4", tail=TailRule.geometric("1/16", "1/2")),
+            "Summable/proper-infinite/X\\X'/X_N(N=1)/tetris",
+        ),
     ]
     for s, want in cases:
         assert "/".join(branch_of(s).path) == want
+        trace = {}
+        rep = carpenter(s, 6, trace)
+        assert trace["branch"] == list(branch_of(s).path)
+        assert "route" not in trace  # the branch label is the one record of the route
+        settled = trace["settled_prefix"]
+        report = verify_projection(rep, s, m=max(6, settled or 0), settled=settled)
+        assert report.passed, f"{want}: {report.to_json_dict()}"
 
 
 def test_branch_label_str():

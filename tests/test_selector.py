@@ -3,12 +3,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from carpenter.errors import InfeasibleDiagonalError, SpecError
+from carpenter.errors import InfeasibleDiagonalError
 from carpenter.seqcore import CellField, DiagonalSpec, SparseVector, TailRule, dumps_canonical
 from carpenter.selector import (
     carpenter,
     carpenter_field,
-    feasibility_of_diagonal,
     necessity_oracle,
     verify_projection,
 )
@@ -52,10 +51,13 @@ BRANCH_BATTERY = [
 ]
 
 
-def test_carpenter_every_branch_verifies():
+def test_carpenter_every_branch_verifies(classify_calls):
+    # the battery covers all three cases and every summable leaf
     for s, want in BRANCH_BATTERY:
         trace = {}
+        del classify_calls[:]
         rep = carpenter(s, m=6, trace=trace)
+        assert len(classify_calls) == 1, f"{want}: classified {len(classify_calls)} times"
         assert "/".join(trace["branch"]) == want
         report = verify_projection(rep, s, m=6)
         assert report.passed, f"{want}: {report.to_json_dict()}"
@@ -110,7 +112,7 @@ def test_verify_projection_respects_explicit_settled():
     assert r.settled == 3 and r.passed
 
 
-def test_carpenter_field_runs_all_cells():
+def test_carpenter_field_runs_all_cells(classify_calls):
     field = CellField(
         (
             ("a", spec(tail=TailRule.constant("2/5"))),
@@ -119,6 +121,7 @@ def test_carpenter_field_runs_all_cells():
         )
     )
     out = carpenter_field(field, m=4)
+    assert len(classify_calls) == 3  # once per cell
     assert [c.cell_id for c in out.cells] == ["a", "b", "c"]
     assert out.cell("b").label.path[0] == "NonsummableB"
     groups = out.by_branch()
@@ -147,20 +150,3 @@ def test_necessity_oracle_is_deterministic():
     a = necessity_oracle(3, 100, seed=5).to_json_dict()
     b = necessity_oracle(3, 100, seed=5).to_json_dict()
     assert a == b
-
-
-def test_feasibility_of_diagonal_floats():
-    r = feasibility_of_diagonal([0.5, 0.5, 1.0 + 1e-13])
-    assert r.verdict == "feasible"
-    r2 = feasibility_of_diagonal([0.25])
-    assert r2.verdict == "infeasible"
-    with pytest.raises(SpecError):
-        feasibility_of_diagonal([1.5])
-
-
-def test_feasibility_of_diagonal_exactness():
-    # float 0.3 + float 0.7 = 1 - 2**-54 exactly, so the defect difference
-    # misses the integers by one ulp and the verdict must say so
-    r = feasibility_of_diagonal([0.3, 0.7])
-    assert r.verdict == "infeasible"
-    assert feasibility_of_diagonal([0.25, 0.75]).verdict == "feasible"

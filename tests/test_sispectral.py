@@ -74,7 +74,7 @@ def test_check_spectral_mixed_verdicts():
     assert out[1][0].xi == (0.5,)
 
 
-def test_synthesize_and_extract_round_trip_finite():
+def test_synthesize_and_extract_round_trip_finite(classify_calls):
     samples = SpectralSamples(
         1,
         W4,
@@ -86,6 +86,7 @@ def test_synthesize_and_extract_round_trip_finite():
         ),
     )
     rf = synthesize_range(samples, m=8)
+    assert len(classify_calls) == 4  # once per fiber
     assert rf.window == W4
     assert len(rf.fibers) == 4
     back = extract_spectral(rf)

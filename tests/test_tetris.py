@@ -10,9 +10,7 @@ from carpenter.tetris import (
     MinSTable,
     block_sort,
     coupling,
-    dyadic_class,
     interleave_split_fin,
-    interleave_split_inf,
     min_s,
     nonsummable_construct,
     positions,
@@ -291,43 +289,6 @@ def test_interleave_split_covers_value_multiset():
         m = (slot - 1) % k + 1
         i = (slot - 1) // k + 1
         assert parts[m - 1].entry(i) == s.entry(orig)
-
-
-def test_dyadic_class_values():
-    assert [dyadic_class(t) for t in (1, 2, 3, 4, 5, 6, 8, 12)] == [
-        (1, 1),
-        (1, 2),
-        (3, 1),
-        (1, 3),
-        (5, 1),
-        (3, 2),
-        (1, 4),
-        (3, 3),
-    ]
-
-
-def test_interleave_split_inf_window_structure():
-    # six large entries up front feed the odd subsequence leads; the constant
-    # small tail (positions 7, 8, ...) fills the remaining dyadic slots
-    s = spec(*["3/4"] * 6, tail=TailRule.constant("2/5"))
-    split = interleave_split_inf(s, 12)
-    assert sorted(split.slot_map) == list(range(1, 13))
-    assert split.slot_map == {
-        1: 1, 3: 2, 5: 3, 7: 4, 9: 5, 11: 6,  # slot m <- large #(m+1)/2
-        2: 7, 4: 8, 8: 9,  # subsequence 1 walks small block 1
-        6: 12, 12: 13,  # subsequence 3 walks small block 3
-        10: 17,  # subsequence 5 walks small block 5
-    }
-    sources = list(split.slot_map.values())
-    assert len(set(sources)) == len(sources)
-    assert set(split.subseq_values) == {1, 3, 5, 7, 9, 11}
-    assert split.subseq_values[1] == [F(3, 4), F(2, 5), F(2, 5), F(2, 5)]
-    # intervals are blocks of the small subsequence between boundary indices
-    assert split.intervals[1] == (0, 3)
-    assert split.intervals[3] == (5, 8)
-    perm = split.permutation
-    seen = {perm.apply(i) for i in range(1, perm.size + 1)}
-    assert seen == set(range(1, perm.size + 1))
 
 
 # ---------------------------------------------------------------------------
