@@ -22,7 +22,6 @@ from .feasibility import (
     FeasibilityReport,
     Route,
     branch_of,
-    branch_partition,
     classify,
     kadison_ab,
     route,

@@ -102,9 +102,10 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     rep_doc = _load_json(args.rep)
     settled = args.settled
-    if settled is None and isinstance(rep_doc, dict):
-        settled = rep_doc.get("settled")
-    rep = ProjectionRep.from_json_dict(rep_doc.get("projection", rep_doc))
+    if isinstance(rep_doc, dict):  # a construct output, or a bare projection
+        settled = rep_doc.get("settled") if settled is None else settled
+        rep_doc = rep_doc.get("projection", rep_doc)
+    rep = ProjectionRep.from_json_dict(rep_doc)
     report = verify_projection(rep, spec, args.dim, args.tol, settled)
     _emit(dumps_canonical(report.to_json_dict()), args.out)
     return 0 if report.passed else 1

@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import InfeasibleDiagonalError, UnsupportedStructureError
-from .seqcore import HALF, INF, CellField, DiagonalSpec, ProjectionRep, fmt_rat
+from .seqcore import HALF, INF, DiagonalSpec, ProjectionRep, fmt_rat
 
 __all__ = [
     "FeasibilityReport",
@@ -28,7 +28,6 @@ __all__ = [
     "classify",
     "route",
     "branch_of",
-    "branch_partition",
 ]
 
 
@@ -110,8 +109,9 @@ class Route:
     the leaf, and the leaf's constructor ``build(m=16, trace=None)``.
 
     ``build`` records ``branch``, ``report`` and ``settled_prefix`` (None =
-    fully settled) in a passed trace dict, so every traced label is the route
-    actually taken.
+    fully settled) in the trace dict, so every traced label is the route
+    actually taken; it makes the dict when the caller passes none, so the
+    leaf constructors always have one to fill.
     """
 
     report: FeasibilityReport
@@ -175,7 +175,7 @@ def route(spec: DiagonalSpec) -> Route:
                 fill = lambda m, trace: summable.summable_construct2(sub, m, trace)
             elif n_large == INF:
                 leaf = ("X'", f"X_N(N={n_small})", "complement-tetris")
-                fill = lambda m, trace: summable._tetris_complete_route(
+                fill = lambda m, trace: tetris._finite_mass_fill(
                     sub.complement(), trace
                 ).complementary()
             elif n_large >= 2:
@@ -185,15 +185,16 @@ def route(spec: DiagonalSpec) -> Route:
                 ).complementary()
             else:
                 leaf = ("X\\X'", f"X_N(N={n_large})", "tetris")
-                fill = lambda m, trace: summable._tetris_complete_route(sub, trace)
+                fill = lambda m, trace: tetris._finite_mass_fill(sub, trace)
             path = ("Summable", "proper-infinite") + leaf
             build = lambda m, trace: summable.embed_with_improper(fill(m, trace), emb, improper)
 
     def run(m: int = 16, trace: dict | None = None) -> ProjectionRep:
-        if trace is not None:
-            trace["branch"] = list(path)
-            trace["report"] = report.to_json_dict()
-            trace["settled_prefix"] = None
+        if trace is None:
+            trace = {}  # the leaves always record; the caller just does not see it
+        trace["branch"] = list(path)
+        trace["report"] = report.to_json_dict()
+        trace["settled_prefix"] = None
         return build(m, trace)
 
     return Route(report, BranchLabel(path), run)
@@ -202,14 +203,3 @@ def route(spec: DiagonalSpec) -> Route:
 def branch_of(spec: DiagonalSpec) -> BranchLabel:
     """Label of the branch the constructor follows; see :func:`route`."""
     return route(spec).label
-
-
-def branch_partition(field: CellField) -> dict[str, BranchLabel]:
-    """Branch label per cell; raises on the first infeasible cell, naming it."""
-    out: dict[str, BranchLabel] = {}
-    for cell_id, spec in field.cells:
-        try:
-            out[cell_id] = route(spec).label
-        except InfeasibleDiagonalError as e:
-            raise InfeasibleDiagonalError(f"cell {cell_id!r}: {e}") from None
-    return out

@@ -16,11 +16,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConstructionError,
     ExactnessError,
     OutOfRangeError,
     PartitionError,
@@ -62,14 +63,23 @@ ONE_MINUS_GEOMETRIC = "one_minus_geometric"
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction; SpecError otherwise."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise SpecError(f"not an exact rational: {x!r} (floats must be converted explicitly)")
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    hint = " (floats must be converted explicitly)" if isinstance(x, float) else ""
+    raise SpecError(f"not an exact rational: {x!r}{hint}")
+
+
+def _json_object(d, what: str) -> Mapping:
+    """``d`` itself when it is a JSON object; SpecError otherwise."""
+    if not isinstance(d, Mapping):
+        raise SpecError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d
 
 
 def fmt_rat(q: Fraction) -> str:
@@ -251,6 +261,7 @@ class TailRule:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "TailRule":
+        d = _json_object(d, "tail")
         return cls(d["kind"], *(rat(d[k]) for k in ("c", "r") if k in d))
 
 
@@ -336,18 +347,35 @@ class DiagonalSpec:
             return DiagonalSpec(self.prefix[s - 1 :], self.tail)
         return DiagonalSpec((), self.tail.reindexed(s - p))
 
-    def drop_at(self, s: int) -> "DiagonalSpec":
-        """Remove entry s.  Only prefix entries (or zero-tail entries) drop."""
-        p = len(self.prefix)
-        if s < 1:
-            raise OutOfRangeError(f"index {s} < 1")
-        if s <= p:
-            return DiagonalSpec(self.prefix[: s - 1] + self.prefix[s:], self.tail)
-        if self.tail.kind == ZERO_KIND or (self.tail.kind == CONSTANT and self.tail.c == 0):
-            return self
-        raise UnsupportedStructureError(
-            f"cannot drop index {s} inside a non-zero tail (prefix length {p})"
-        )
+    def subsequence(
+        self, classes: "TwoClassIndex", a_flag: bool, o0: int = 1, step: int = 1
+    ) -> "DiagonalSpec":
+        """Spec of the entries at class positions with ordinals o0, o0+step, ...
+
+        Finite classes are padded with a zero tail.  For infinite classes the
+        eventual arithmetic structure of the positions turns the source tail
+        into a closed tail of the subsequence (constant stays constant,
+        geometric gets ratio r**step).
+        """
+        t = self.tail
+        rest = classes.rest_start()
+        vals: list[Fraction] = []
+        o = o0
+        while True:
+            try:
+                pos = classes.nth(o, a_flag)
+            except OutOfRangeError:
+                return DiagonalSpec(tuple(vals), TailRule.zero())
+            if pos >= rest and a_flag == classes.rest_a:
+                break
+            vals.append(self.entry(pos))
+            o += step
+        off0 = pos - len(self.prefix)  # tail offset of the first closed-form source entry
+        if t.kind in (CONSTANT, ZERO_KIND):
+            tail = t
+        else:
+            tail = TailRule(t.kind, t.c * t.r ** (off0 - 1), t.r**step)
+        return DiagonalSpec(tuple(vals), tail)
 
     # -- classification plumbing
 
@@ -370,8 +398,12 @@ class DiagonalSpec:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "DiagonalSpec":
+        d = _json_object(d, "diagonal spec")
         tail = TailRule.from_json_dict(d.get("tail", {"kind": ZERO_KIND}))
-        return cls(tuple(rat(x) for x in d.get("prefix", ())), tail)
+        prefix = d.get("prefix", ())
+        if not isinstance(prefix, (list, tuple)):
+            raise SpecError(f"prefix must be a list, got {type(prefix).__name__}")
+        return cls(tuple(rat(x) for x in prefix), tail)
 
 
 class TwoClassIndex:
@@ -421,20 +453,6 @@ class TwoClassIndex:
                 if skipped == k:
                     return self.p + j
         return self.p + self.exc[-1] + (k - skipped)
-
-    def members_upto(self, m: int, a: bool = True) -> list[int]:
-        """All class members among global indices 1..m."""
-        out, n = [], 1
-        while True:
-            try:
-                i = self.nth(n, a)
-            except OutOfRangeError:
-                break
-            if i > m:
-                break
-            out.append(i)
-            n += 1
-        return out
 
     def rest_start(self) -> int:
         """First global index from which the tail has no exceptions left."""
@@ -568,12 +586,6 @@ class SparseVector:
             s += self.sqrt_tail.mass()
         return s
 
-    def max_index(self) -> int | None:
-        """Largest touched index, or None for an infinite tail."""
-        if self.sqrt_tail is not None:
-            return None
-        return self.support[-1][0] if self.support else 0
-
     # -- products
 
     def inner(self, other: "SparseVector") -> float:
@@ -673,6 +685,7 @@ class SparseVector:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SparseVector":
+        d = _json_object(d, "vector")
         tail = None
         td = d.get("sqrtTail")
         if td is not None:
@@ -778,6 +791,7 @@ class ProjectionRep:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ProjectionRep":
+        d = _json_object(d, "projection")
         return cls(d["form"], tuple(SparseVector.from_json_dict(v) for v in d["vectors"]))
 
 
@@ -830,6 +844,48 @@ class PermutationWindow:
         while w and w[-1] == len(w):
             w.pop()
         return PermutationWindow(tuple(w))
+
+    @classmethod
+    def from_layout(
+        cls,
+        fixed: Mapping[int, int],
+        groups: Sequence[tuple[int, int, Callable[[int], int]]],
+        rest: int,
+    ) -> "PermutationWindow":
+        """Permutation (original -> slot) of subsequences laid out on slots.
+
+        ``fixed`` maps finitely many slots to the original index they hold.
+        A group ``(first, stride, source)`` puts original index ``source(i)``
+        on slot ``first + (i-1)*stride``.  Each group is walked until, from its
+        second member on, it falls back onto the identity at or past ``rest``;
+        then every group is extended through the displaced range, beyond which
+        the permutation is the identity.
+        """
+        pairs = dict(fixed)  # slot -> original index
+        nexts = []
+        for first, stride, source in groups:
+            i = 1
+            while True:
+                slot, src = first + (i - 1) * stride, source(i)
+                pairs[slot] = src
+                i += 1
+                if i > 2 and src == slot and src >= rest:
+                    break
+            nexts.append(i)
+        reach = lambda: max((max(s, o) for s, o in pairs.items() if s != o), default=0)
+        w = reach()
+        for (first, stride, source), i in zip(groups, nexts):
+            while first + (i - 1) * stride <= w:
+                pairs[first + (i - 1) * stride] = source(i)
+                i += 1
+        w = reach()
+        images = [0] * w
+        for s, o in pairs.items():
+            if o <= w:
+                images[o - 1] = s
+        if sorted(images) != list(range(1, w + 1)):
+            raise ConstructionError("internal: index reassignment does not close into a window")
+        return cls(tuple(images))
 
 
 def conjugate_by_permutation(rep: ProjectionRep, perm: PermutationWindow) -> ProjectionRep:

@@ -20,27 +20,18 @@ import numpy as np
 from .errors import ConstructionError, UnsupportedStructureError
 from .feasibility import route
 from .seqcore import (
-    GEOMETRIC,
-    INF,
     CONSTANT,
-    ZERO_KIND,
+    INF,
     DiagonalSpec,
     ListShiftEmbedding,
     PermutationWindow,
     ProjectionRep,
     SparseVector,
-    SqrtTail,
     conjugate_by_permutation,
     fmt_rat,
 )
 from .schurhorn import finite_projection_pair, majorizes, schur_horn_unitary
-from .tetris import (
-    _subsample_spec,
-    _window_from_pairs,
-    block_sort,
-    positions,
-    tetris_vectors,
-)
+from .tetris import positions, tetris_vectors
 
 __all__ = [
     "rank_one",
@@ -59,18 +50,7 @@ def rank_one(spec: DiagonalSpec) -> ProjectionRep:
     """The rank-one projection onto the vector with squares f_i (needs sum f = 1)."""
     if spec.total() != 1:
         raise ConstructionError(f"total mass {fmt_rat(spec.total())} != 1")
-    p = len(spec.prefix)
-    entries = [(i, spec.entry(i), 1) for i in range(1, p + 1)]
-    t = spec.tail
-    tail = None
-    if t.kind == GEOMETRIC:
-        tail = SqrtTail(p + 1, t, 1)
-    elif not (t.kind == ZERO_KIND or (t.kind == CONSTANT and t.c == 0)):
-        raise ConstructionError(f"tail {t.kind!r} cannot have total mass 1")
-    v = SparseVector.from_exact(entries, tail)
-    if v.exact_norm_sq() != 1:
-        raise ConstructionError("internal: rank-one vector is not unit")
-    return ProjectionRep.frame((v,))
+    return tetris_vectors(spec, 1).frame()  # the fill's one vector absorbs everything
 
 
 def split_small_large(spec: DiagonalSpec):
@@ -79,8 +59,8 @@ def split_small_large(spec: DiagonalSpec):
     Finite classes come back zero-padded; use the maps for the true counts.
     """
     cls = spec.half_classes()
-    small = _subsample_spec(spec, cls, True, 1, 1)
-    large = _subsample_spec(spec, cls, False, 1, 1)
+    small = spec.subsequence(cls, True)
+    large = spec.subsequence(cls, False)
     return small, large, positions(spec)
 
 
@@ -96,7 +76,7 @@ def proper_subspec(spec: DiagonalSpec):
     if t == INF:
         raise UnsupportedStructureError("infinitely many 0/1 entries")
     improper = tuple((cls.nth(n, False), int(spec.entry(cls.nth(n, False)))) for n in range(1, t + 1))
-    sub = _subsample_spec(spec, cls, True, 1, 1)
+    sub = spec.subsequence(cls, True)
     rest = cls.rest_start()
     j0 = rest - 1 - t  # proper entries strictly before the exception-free tail
     head = tuple(cls.nth(i, True) for i in range(1, j0 + 1))
@@ -188,7 +168,7 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     pm = positions(spec)
     a = [pm.small_value(i) for i in range(1, n + 1)]
 
-    large = _subsample_spec(spec, cls, False, 1, 1)  # b_i = large.entry(i)
+    large = spec.subsequence(cls, False)  # b_i = large.entry(i)
     large_c = large.complement()  # entries 1 - b_i, geometric tail, summable
 
     i1 = 1 if a[0] >= a[1] else 2
@@ -335,69 +315,14 @@ def summable_construct2(spec: DiagonalSpec, m: int = 0, trace: dict | None = Non
     u3 = schur_horn_unitary([float(x) for x in current], [float(x) for x in target])
     corr = conjugate_on_coords(pre, coords, u3)
 
-    rest = spec.half_classes().rest_start()
-    pairs: dict[int, int] = {}
-    for j, src in enumerate(plan.group1_src, start=1):
-        pairs[j] = src
-    for j, src in enumerate(plan.group2_src, start=1):
-        pairs[n1 + j] = src
-    j = 1
-    while True:
-        slot = n1 + l2 + j
-        src = plan.group3_src(j)
-        pairs[slot] = src
-        if j >= 2 and src == slot and src >= rest:
-            break
-        j += 1
-    w_lim = max((max(s, o) for s, o in pairs.items() if s != o), default=0)
-    while n1 + l2 + j <= w_lim:
-        j += 1
-        pairs[n1 + l2 + j] = plan.group3_src(j)
-    beta = _window_from_pairs(pairs)
+    fixed = dict(enumerate(plan.group1_src + plan.group2_src, start=1))
+    beta = PermutationWindow.from_layout(
+        fixed, [(n1 + l2 + 1, 1, plan.group3_src)], spec.half_classes().rest_start()
+    )
     rep = conjugate_by_permutation(corr, beta)
     if trace is not None:
         trace["plan"] = plan.to_json_dict()
         trace["beta"] = list(beta.window)
-        trace["settled_prefix"] = None
-    return rep
-
-
-def _tetris_complete_route(spec: DiagonalSpec, trace: dict | None = None) -> ProjectionRep:
-    """Finite-total construction: sort blockwise, fill, undo the permutations.
-
-    At most one entry may exceed 1/2; if it sits beyond position 1 it is
-    swapped there first (the fill needs the large entry in front).
-    """
-    total = spec.total()
-    if total == INF or Fraction(total).denominator != 1:
-        raise ConstructionError(f"total mass {fmt_rat(total)} is not a natural number")
-    n_total = int(total)
-    cls = spec.half_classes()
-    k = cls.count(False)
-    if k == INF or k > 1:
-        raise ConstructionError(f"at most one entry > 1/2 allowed, found {k}")
-    swap = PermutationWindow(())
-    work = spec
-    if k == 1 and cls.nth(1, False) != 1:
-        j = cls.nth(1, False)
-        p = len(spec.prefix)
-        if j > p:  # large entry inside the tail: materialize up to it first
-            work = DiagonalSpec(
-                tuple(spec.entries_through(j)), spec.tail.reindexed(j - p + 1)
-            )
-        head = list(range(1, j + 1))
-        head[0], head[j - 1] = j, 1
-        swap = PermutationWindow(tuple(head))
-        pfx = list(work.prefix)
-        pfx[0], pfx[j - 1] = pfx[j - 1], pfx[0]
-        work = DiagonalSpec(tuple(pfx), work.tail)
-    g, rho = block_sort(work)
-    out = tetris_vectors(g, n_total)
-    rep = conjugate_by_permutation(out.frame(), rho.inverse().compose(swap))
-    if trace is not None:
-        trace["min_s"] = {str(k): v for k, v in out.min_s.items()}
-        trace["sigma"] = [fmt_rat(s) for s in out.sigma]
-        trace["a"] = [fmt_rat(x) for x in out.a_coef]
         trace["settled_prefix"] = None
     return rep
 

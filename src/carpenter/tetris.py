@@ -35,7 +35,6 @@ from .seqcore import (
     ProjectionRep,
     SparseVector,
     SqrtTail,
-    TailRule,
     conjugate_by_permutation,
     fmt_rat,
 )
@@ -364,55 +363,6 @@ def positions(spec: DiagonalSpec) -> PositionMaps:
     return PositionMaps(spec)
 
 
-def _subsample_spec(spec: DiagonalSpec, classes, a_flag: bool, o0: int, step: int) -> DiagonalSpec:
-    """Spec of the entries at class positions with ordinals o0, o0+step, ...
-
-    Finite classes are padded with a zero tail.  For infinite classes the
-    eventual arithmetic structure of the positions turns the source tail into
-    a closed tail of the subsequence (constant stays constant, geometric gets
-    ratio r**step).
-    """
-    t = spec.tail
-    p = len(spec.prefix)
-    rest = classes.rest_start()
-    vals: list[Fraction] = []
-    o = o0
-    while True:
-        try:
-            pos = classes.nth(o, a_flag)
-        except OutOfRangeError:
-            return DiagonalSpec(tuple(vals), TailRule.zero())
-        if pos >= rest and a_flag == classes.rest_a:
-            break
-        vals.append(spec.entry(pos))
-        o += step
-    off0 = pos - p  # tail offset of the first closed-form source entry
-    if t.kind == CONSTANT:
-        tail = TailRule.constant(t.c)
-    elif t.kind == ZERO_KIND:
-        tail = TailRule.zero()
-    else:
-        tail = TailRule(t.kind, t.c * t.r ** (off0 - 1), t.r**step)
-    return DiagonalSpec(tuple(vals), tail)
-
-
-def _window_from_pairs(pairs: dict[int, int]) -> PermutationWindow:
-    """Permutation (original -> slot) from a slot -> original map.
-
-    The map must cover every slot up to the largest displaced index; beyond
-    that the permutation is the identity.
-    """
-    displaced = [max(s, o) for s, o in pairs.items() if s != o]
-    w = max(displaced, default=0)
-    images = [0] * w
-    for s, o in pairs.items():
-        if o <= w:
-            images[o - 1] = s
-    if sorted(images) != list(range(1, w + 1)):
-        raise ConstructionError("internal: index reassignment does not close into a window")
-    return PermutationWindow(tuple(images))
-
-
 def interleave_split_fin(
     spec: DiagonalSpec, k: int
 ) -> tuple[list[DiagonalSpec], PermutationWindow]:
@@ -430,33 +380,14 @@ def interleave_split_fin(
         raise ConstructionError("splitting needs infinitely many entries <= 1/2")
     cls = spec.half_classes()
     subs = []
-    rest = cls.rest_start()
-
-    def slot_source(m: int, i: int) -> int:
-        return pm.Pos(m) if i == 1 else pm.pos((i - 2) * k + m)
-
-    pairs: dict[int, int] = {}  # slot -> original index
-    nexts: dict[int, int] = {}
     for m in range(1, k + 1):
-        sub = _subsample_spec(spec, cls, True, m, k)
+        sub = spec.subsequence(cls, True, m, k)
         subs.append(DiagonalSpec((pm.large_value(m),) + sub.prefix, sub.tail))
-        i = 1
-        while True:
-            slot = (i - 1) * k + m
-            src = slot_source(m, i)
-            pairs[slot] = src
-            if i >= 2 and src == slot and src >= rest:
-                break
-            i += 1
-        nexts[m] = i + 1
-    # extend every subsequence through the displaced range so the window closes
-    w = max((max(s, o) for s, o in pairs.items() if s != o), default=0)
-    for m in range(1, k + 1):
-        i = nexts[m]
-        while (i - 1) * k + m <= w:
-            pairs[(i - 1) * k + m] = slot_source(m, i)
-            i += 1
-    return subs, _window_from_pairs(pairs)
+    groups = [
+        (m, k, lambda i, m=m: pm.Pos(m) if i == 1 else pm.pos((i - 2) * k + m))
+        for m in range(1, k + 1)
+    ]
+    return subs, PermutationWindow.from_layout({}, groups, cls.rest_start())
 
 
 # ---------------------------------------------------------------------------
@@ -488,62 +419,17 @@ def nonsummable_construct(spec: DiagonalSpec, m: int, trace: dict | None = None)
     return r.build(m, trace)
 
 
-def _direct_fill(spec: DiagonalSpec, m: int, trace: dict | None) -> ProjectionRep:
-    """Divergent small mass, no entry > 1/2: sort blockwise, fill, undo the sort."""
+def _sorted_fill(spec: DiagonalSpec, m: int, label) -> tuple[ProjectionRep, dict, int | None]:
+    """Sort blockwise, stream m fill vectors, undo the sort.
+
+    Returns the representation, the part's bookkeeping (tagged ``label``) and
+    the settled prefix in the spec's own indices (None = complete).
+    """
     g, perm = block_sort(spec)
     out = tetris_vectors(g, m)
-    rep = conjugate_by_permutation(out.frame(), perm.inverse())
-    if trace is not None:
-        trace["parts"] = [_part_trace(None, perm, out)]
-        trace["settled_prefix"] = _settled_through(out.settled_prefix, perm.inverse())
-    return rep
-
-
-def _residue_split_fill(spec: DiagonalSpec, k: int, m: int, trace: dict | None) -> ProjectionRep:
-    """Divergent small mass, k entries > 1/2: fill k residue-class subsequences."""
-    subs, beta = interleave_split_fin(spec, k)
-    vectors: list[SparseVector] = []
-    parts = []
-    slot_settled = []
-    for idx, subspec in enumerate(subs, start=1):
-        g, perm = block_sort(subspec)
-        out = tetris_vectors(g, m)
-        local = conjugate_by_permutation(out.frame(), perm.inverse())
-        emb = AffineEmbedding(k, idx)
-        vectors.extend(v.remap(emb) for v in local.vectors)
-        local_settled = _settled_through(out.settled_prefix, perm.inverse())
-        slot_settled.append(local_settled * k + idx if local_settled is not None else None)
-        parts.append(_part_trace(idx, perm, out))
-    assembled = ProjectionRep.frame(vectors)
-    rep = conjugate_by_permutation(assembled, beta)
-    # a part with settled_prefix None is finished and does not constrain the rest
-    finite = [s for s in slot_settled if s is not None]
-    if finite:
-        settled = _settled_through(min(finite) - 1, beta)
-    else:
-        settled = None
-    if trace is not None:
-        trace["parts"] = parts
-        trace["beta"] = list(beta.window)
-        trace["settled_prefix"] = settled
-    return rep
-
-
-def _on_complement(fill, m: int, trace: dict | None) -> ProjectionRep:
-    """Complement of ``fill``'s output, where ``fill`` builds for 1 - f.
-
-    The fill's bookkeeping nests under ``complement_of``.
-    """
-    sub = None if trace is None else {}
-    rep = fill(m, sub)
-    if trace is not None:
-        trace["complement_of"] = sub
-        trace["settled_prefix"] = sub["settled_prefix"]
-    return rep.complementary()
-
-
-def _part_trace(label, perm: PermutationWindow, out: TetrisOutput) -> dict:
-    return {
+    inv = perm.inverse()
+    rep = conjugate_by_permutation(out.frame(), inv)
+    part = {
         "part": label,
         "block_permutation": list(perm.window),
         "min_s": {str(n): v for n, v in out.min_s.items()},
@@ -551,3 +437,75 @@ def _part_trace(label, perm: PermutationWindow, out: TetrisOutput) -> dict:
         "a": [fmt_rat(a) for a in out.a_coef],
         "settled_prefix": out.settled_prefix,
     }
+    return rep, part, _settled_through(out.settled_prefix, inv)
+
+
+def _direct_fill(spec: DiagonalSpec, m: int, trace: dict) -> ProjectionRep:
+    """Divergent small mass, no entry > 1/2: one sorted fill."""
+    rep, part, settled = _sorted_fill(spec, m, None)
+    trace["parts"] = [part]
+    trace["settled_prefix"] = settled
+    return rep
+
+
+def _residue_split_fill(spec: DiagonalSpec, k: int, m: int, trace: dict) -> ProjectionRep:
+    """Divergent small mass, k entries > 1/2: fill k residue-class subsequences."""
+    subs, beta = interleave_split_fin(spec, k)
+    vectors: list[SparseVector] = []
+    parts = []
+    slot_settled = []
+    for idx, subspec in enumerate(subs, start=1):
+        local, part, local_settled = _sorted_fill(subspec, m, idx)
+        emb = AffineEmbedding(k, idx)
+        vectors.extend(v.remap(emb) for v in local.vectors)
+        parts.append(part)
+        # a finished part (settled None) does not constrain the rest
+        if local_settled is not None:
+            slot_settled.append(local_settled * k + idx)
+    trace["parts"] = parts
+    trace["beta"] = list(beta.window)
+    trace["settled_prefix"] = (
+        _settled_through(min(slot_settled) - 1, beta) if slot_settled else None
+    )
+    return conjugate_by_permutation(ProjectionRep.frame(vectors), beta)
+
+
+def _finite_mass_fill(spec: DiagonalSpec, trace: dict) -> ProjectionRep:
+    """Finite total mass N, at most one entry > 1/2: a complete sorted fill.
+
+    A large entry beyond position 1 is swapped there first (the fill needs
+    the large entry in front), and the swap is undone after the sort.
+    """
+    total = spec.total()
+    if total == INF or Fraction(total).denominator != 1:
+        raise ConstructionError(f"total mass {fmt_rat(total)} is not a natural number")
+    cls = spec.half_classes()
+    k = cls.count(False)
+    if k == INF or k > 1:
+        raise ConstructionError(f"at most one entry > 1/2 allowed, found {k}")
+    swap = None
+    if k == 1 and cls.nth(1, False) != 1:
+        j = cls.nth(1, False)
+        p = len(spec.prefix)
+        if j > p:  # large entry inside the tail: materialize up to it first
+            spec = DiagonalSpec(tuple(spec.entries_through(j)), spec.tail.reindexed(j - p + 1))
+        head = list(range(1, j + 1))
+        head[0], head[j - 1] = j, 1
+        swap = PermutationWindow(tuple(head))
+        pfx = list(spec.prefix)
+        pfx[0], pfx[j - 1] = pfx[j - 1], pfx[0]
+        spec = DiagonalSpec(tuple(pfx), spec.tail)
+    rep, part, _ = _sorted_fill(spec, int(total), None)
+    trace["parts"] = [part]
+    return rep if swap is None else conjugate_by_permutation(rep, swap)
+
+
+def _on_complement(fill, m: int, trace: dict) -> ProjectionRep:
+    """Complement of ``fill``'s output, where ``fill`` builds for 1 - f.
+
+    The fill's bookkeeping nests under ``complement_of``.
+    """
+    sub = trace["complement_of"] = {}
+    rep = fill(m, sub)
+    trace["settled_prefix"] = sub["settled_prefix"]
+    return rep.complementary()

@@ -169,3 +169,14 @@ def test_bad_input_files(tmp_path, capsys):
     assert code == 2 and "bad input" in err
     code, _, err = run(capsys, ["check", "--spec", str(tmp_path / "missing.json")])
     assert code == 2
+    # malformed documents: bad rationals, a zero denominator, a bool, non-objects
+    for i, doc in enumerate(
+        ({"prefix": ["abc"]}, {"prefix": ["1/0"]}, {"prefix": [True]}, [1, 2], {"prefix": 5})
+    ):
+        bad = write_json(tmp_path / f"bad{i}.json", doc)
+        code, _, err = run(capsys, ["check", "--spec", bad])
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err, (doc, err)
+    good = write_json(tmp_path / "good.json", CONST_25)
+    rep = write_json(tmp_path / "rep.json", [1, 2])
+    code, _, err = run(capsys, ["verify", "--spec", good, "--rep", rep])
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err

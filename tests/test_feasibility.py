@@ -8,12 +8,11 @@ from carpenter.feasibility import (
     BranchLabel,
     FeasibilityReport,
     branch_of,
-    branch_partition,
     classify,
     kadison_ab,
 )
 from carpenter.selector import carpenter, verify_projection
-from carpenter.seqcore import INF, CellField, DiagonalSpec, TailRule
+from carpenter.seqcore import INF, DiagonalSpec, TailRule
 
 
 def spec(*values, tail=None):
@@ -142,6 +141,11 @@ def test_branch_labels_cover_the_route_table():
         rep = carpenter(s, 6, trace)
         assert trace["branch"] == list(branch_of(s).path)
         assert "route" not in trace  # the branch label is the one record of the route
+        if want.endswith("tetris") or "residue-split" in want:
+            # every tetris leaf records its fills under parts[], never at the top level
+            node = trace["complement_of"] if want.startswith("NonsummableB") else trace
+            assert node["parts"], want
+            assert "min_s" not in trace, want
         settled = trace["settled_prefix"]
         report = verify_projection(rep, s, m=max(6, settled or 0), settled=settled)
         assert report.passed, f"{want}: {report.to_json_dict()}"
@@ -151,30 +155,6 @@ def test_branch_label_str():
     lbl = branch_of(spec(tail=TailRule.constant("2/5")))
     assert isinstance(lbl, BranchLabel)
     assert str(lbl) == "/".join(lbl.path)
-
-
-def test_branch_partition_labels_every_cell():
-    field = CellField(
-        (
-            ("lo", spec(tail=TailRule.constant("2/5"))),
-            ("hi", spec(tail=TailRule.constant("3/5"))),
-            ("fin", spec(*["2/5"] * 5)),
-        )
-    )
-    labels = branch_partition(field)
-    assert set(labels) == {"lo", "hi", "fin"}
-    assert labels["hi"].path[0] == "NonsummableB"
-
-
-def test_branch_partition_reports_offending_cell():
-    field = CellField(
-        (
-            ("good", spec(tail=TailRule.constant("2/5"))),
-            ("bad", spec("1/4")),
-        )
-    )
-    with pytest.raises(InfeasibleDiagonalError, match="bad"):
-        branch_partition(field)
 
 
 def test_summable_route_depends_on_improper_entries_only_through_removal():

@@ -1,0 +1,135 @@
+"""Same-output guard: a seeded corpus of specs that reaches every route leaf.
+
+The generator draws prefixes of small and large entries (and a few 0/1
+entries) in front of each tail kind, then appends the entry that makes
+a - b an integer, so most specs are feasible.  Every spec must build and
+verify at its reported settled prefix, and the label histogram is pinned.
+The tetris leaves (residue splits and streamed or finite-mass fills) emit
+pure-Python floats, so their canonical outputs are pinned bit for bit by a
+sha256 digest; the numpy-based leaves (Schur-Horn, decouple) are checked by
+verification only.
+"""
+
+import hashlib
+import random
+from collections import Counter
+from fractions import Fraction as F
+
+from carpenter.errors import InfeasibleDiagonalError
+from carpenter.feasibility import kadison_ab, route
+from carpenter.selector import verify_projection
+from carpenter.seqcore import INF, DiagonalSpec, TailRule, dumps_canonical
+
+SEED = 20261018
+COUNT = 400
+
+
+def _small(rng):
+    d = rng.choice((8, 9, 16, 97))
+    return F(rng.randint(1, d // 2), d)
+
+
+def _large(rng):
+    d = rng.choice((8, 9, 16, 97))
+    return F(rng.randint(d // 2 + 1, d - 1), d)
+
+
+def _random_spec(rng):
+    style = rng.randrange(6)
+    vals = [_small(rng) for _ in range(rng.randint(0, 4))]
+    vals += [_large(rng) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(vals)
+    if style == 0:  # divergent small mass
+        tail = TailRule.constant(_small(rng))
+    elif style == 1:  # divergent large co-mass
+        tail = TailRule.constant(_large(rng))
+    elif style == 2:  # finitely many proper entries
+        vals += [F(rng.randint(0, 1)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(vals)
+        vals = vals or [F(1, 2), F(1, 2)]
+        tail = TailRule.zero() if rng.random() < 0.8 else TailRule.constant(1)
+    else:  # geometric kinds: finitely many large (or small) entries
+        kind = TailRule.geometric if style < 5 else TailRule.one_minus_geometric
+        c = rng.choice((F(1), F(3, 4), F(1, 2), F(1, 4), F(1, 8)))
+        tail = kind(c, rng.choice((F(1, 2), F(1, 3), F(3, 4))))
+        if rng.random() < 0.3:
+            vals.insert(rng.randrange(len(vals) + 1), F(rng.randint(0, 1)))
+    if rng.random() < 0.9:
+        a, b = kadison_ab(DiagonalSpec(tuple(vals), tail))
+        if INF not in (a, b) and (a - b).denominator != 1:
+            vals.append(1 - ((a - b) - (a - b).__floor__()))
+    return DiagonalSpec(tuple(vals), tail)
+
+
+def _is_tetris_leaf(path):
+    return path[-1] in ("tetris", "complement-tetris") or path[-1].startswith("residue-split")
+
+
+# Recorded before the fills and slot layouts were merged into one path each;
+# a change to these values is a change of behaviour.
+HISTOGRAM = {
+    "NonsummableA/S_infty/X_k(k=0)/tetris": 24,
+    "NonsummableA/S_infty/X_k(k=1)/residue-split(k=1)": 13,
+    "NonsummableA/S_infty/X_k(k=2)/residue-split(k=2)": 10,
+    "NonsummableA/S_infty/X_k(k=3)/residue-split(k=3)": 16,
+    "NonsummableB/S_finite/complement/X_k(k=0)/tetris": 19,
+    "NonsummableB/S_finite/complement/X_k(k=1)/residue-split(k=1)": 14,
+    "NonsummableB/S_finite/complement/X_k(k=2)/residue-split(k=2)": 12,
+    "NonsummableB/S_finite/complement/X_k(k=3)/residue-split(k=3)": 10,
+    "NonsummableB/S_finite/complement/X_k(k=4)/residue-split(k=4)": 13,
+    "Summable/X_{k1..kn}(n=0)/finite-schur-horn": 3,
+    "Summable/X_{k1..kn}(n=2)/finite-schur-horn": 3,
+    "Summable/X_{k1..kn}(n=3)/finite-schur-horn": 7,
+    "Summable/X_{k1..kn}(n=4)/finite-schur-horn": 9,
+    "Summable/X_{k1..kn}(n=5)/finite-schur-horn": 13,
+    "Summable/X_{k1..kn}(n=6)/finite-schur-horn": 10,
+    "Summable/X_{k1..kn}(n=7)/finite-schur-horn": 9,
+    "Summable/X_{k1..kn}(n=8)/finite-schur-horn": 3,
+    "Summable/proper-infinite/X'/X_N(N=0)/complement-tetris": 1,
+    "Summable/proper-infinite/X'/X_N(N=1)/complement-tetris": 7,
+    "Summable/proper-infinite/X'/X_N(N=2)/decouple": 11,
+    "Summable/proper-infinite/X'/X_N(N=3)/decouple": 10,
+    "Summable/proper-infinite/X'/X_N(N=4)/decouple": 12,
+    "Summable/proper-infinite/X'/X_N(N=5)/decouple": 6,
+    "Summable/proper-infinite/X'/X_N(N=6)/decouple": 2,
+    "Summable/proper-infinite/X'/X_N(N=7)/decouple": 1,
+    "Summable/proper-infinite/X\\X'/X_N(N=0)/tetris": 12,
+    "Summable/proper-infinite/X\\X'/X_N(N=1)/tetris": 31,
+    "Summable/proper-infinite/X\\X'/complement/X_N(N=2)/decouple": 20,
+    "Summable/proper-infinite/X\\X'/complement/X_N(N=3)/decouple": 35,
+    "Summable/proper-infinite/X\\X'/complement/X_N(N=4)/decouple": 26,
+    "Summable/proper-infinite/X\\X'/complement/X_N(N=5)/decouple": 5,
+    "Summable/proper-infinite/X\\X'/complement/X_N(N=6)/decouple": 1,
+    "infeasible": 32,
+}
+TETRIS_DIGEST = "1299ac83d43158372dc3b10cb87957cae7d4b6ec44a7a0875cac4e5b26b7dff8"
+
+
+def test_route_corpus_labels_verification_and_tetris_outputs():
+    rng = random.Random(SEED)
+    hist = Counter()
+    digest = hashlib.sha256()
+    for _ in range(COUNT):
+        s = _random_spec(rng)
+        m = rng.randint(1, 9)
+        try:
+            r = route(s)
+        except InfeasibleDiagonalError:
+            hist["infeasible"] += 1
+            continue
+        hist["/".join(r.label.path)] += 1
+        trace = {}
+        rep = r.build(m, trace)
+        settled = trace["settled_prefix"]
+        report = verify_projection(rep, s, max(m, settled or 0, 6), settled=settled)
+        assert report.passed, (s.to_json_dict(), report.to_json_dict())
+        if _is_tetris_leaf(r.label.path):
+            doc = {
+                "branch": trace["branch"],
+                "settled_prefix": settled,
+                "beta": trace.get("complement_of", trace).get("beta"),
+                "projection": rep.to_json_dict(),
+            }
+            digest.update(dumps_canonical(doc).encode())
+    assert dict(sorted(hist.items())) == HISTOGRAM
+    assert digest.hexdigest() == TETRIS_DIGEST

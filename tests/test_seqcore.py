@@ -8,7 +8,6 @@ from carpenter.errors import (
     OutOfRangeError,
     PartitionError,
     SpecError,
-    UnsupportedStructureError,
 )
 from carpenter.seqcore import (
     INF,
@@ -117,16 +116,6 @@ def test_spec_complement_and_from_index():
         assert t.entry(i) == s.entry(i + 2)
 
 
-def test_spec_drop_at():
-    s = DiagonalSpec.of("1/4", "3/4", "1/8", tail=TailRule.zero())
-    d = s.drop_at(2)
-    assert [d.entry(i) for i in range(1, 4)] == [F(1, 4), F(1, 8), F(0)]
-    assert s.drop_at(7) is s  # dropping a zero-tail entry changes nothing
-    t = DiagonalSpec.of("1/4", tail=TailRule.constant("1/16"))
-    with pytest.raises(UnsupportedStructureError):
-        t.drop_at(5)
-
-
 def test_half_classes_counts_and_positions():
     # entries: 3/4, 1/4, 2/3, then constant 1/5 tail -> larges at 1, 3 only
     s = DiagonalSpec.of("3/4", "1/4", "2/3", tail=TailRule.constant("1/5"))
@@ -137,7 +126,6 @@ def test_half_classes_counts_and_positions():
     assert idx.nth(2, False) == 3
     assert idx.nth(1, True) == 2
     assert idx.nth(2, True) == 4
-    assert idx.members_upto(10, False) == [1, 3]
     with pytest.raises(OutOfRangeError):
         idx.nth(3, False)
 
@@ -154,7 +142,6 @@ def test_proper_classes():
     idx = s.proper_classes()
     assert idx.count(False) == 2  # improper entries 0 and 1
     assert idx.nth(1, True) == 3
-    assert idx.members_upto(5, False) == [1, 2]
 
 
 def test_spec_json_round_trip():
