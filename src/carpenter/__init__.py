@@ -13,7 +13,6 @@ from .errors import (
     InfeasibleDiagonalError,
     MajorizationError,
     OutOfRangeError,
-    PartitionError,
     SpecError,
     UnsupportedStructureError,
 )
@@ -29,7 +28,6 @@ from .feasibility import (
 from .schurhorn import (
     finite_projection,
     finite_projection_pair,
-    intertwining_unitary,
     majorizes,
     schur_horn_unitary,
 )
@@ -44,10 +42,9 @@ from .selector import (
 )
 from .seqcore import (
     INF,
-    AffineEmbedding,
     CellField,
     DiagonalSpec,
-    ListShiftEmbedding,
+    IndexMap,
     PermutationWindow,
     ProjectionRep,
     SparseVector,
@@ -56,7 +53,6 @@ from .seqcore import (
     conjugate_by_permutation,
     diag_of,
     dumps_canonical,
-    glue,
     rat,
 )
 from .sispectral import (
@@ -84,7 +80,6 @@ from .tetris import (
     interleave_split_fin,
     min_s,
     nonsummable_construct,
-    positions,
     sort_desc_window,
     tetris_vectors,
 )

@@ -36,9 +36,5 @@ class MajorizationError(CarpenterError, ValueError):
     """Target diagonal is not majorized by the requested spectrum."""
 
 
-class PartitionError(CarpenterError, ValueError):
-    """Cell sets passed to glue are not a partition of the field."""
-
-
 class ExactnessError(CarpenterError, ValueError):
     """Exact rational data was requested but only floating point is available."""

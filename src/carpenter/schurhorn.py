@@ -22,7 +22,6 @@ __all__ = [
     "schur_horn_unitary",
     "finite_projection",
     "finite_projection_pair",
-    "intertwining_unitary",
 ]
 
 
@@ -157,26 +156,3 @@ def finite_projection(f) -> ProjectionRep:
     """Rank-sum(f) projection on len(f) coordinates with diagonal exactly f."""
     rng, _ = finite_projection_pair(f)
     return ProjectionRep.frame(tuple(rng))
-
-
-def intertwining_unitary(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthogonal U with U^T P U = Q for two projections of equal rank.
-
-    Both matrices are diagonalized; matching the eigenbases ordered by
-    eigenvalue gives the conjugation.  When P and Q coincide the result is the
-    identity up to roundoff.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise SpecError(f"need square matrices of equal size, got {p.shape} and {q.shape}")
-    for name, mat in (("first", p), ("second", q)):
-        if np.abs(mat - mat.T).max() > tol or np.abs(mat @ mat - mat).max() > tol:
-            raise SpecError(f"{name} argument is not a projection (tolerance {tol})")
-    rp = int(round(np.trace(p)))
-    rq = int(round(np.trace(q)))
-    if rp != rq:
-        raise SpecError(f"rank mismatch: {rp} vs {rq}")
-    _, bp = np.linalg.eigh(p)
-    _, bq = np.linalg.eigh(q)
-    return bp @ bq.T

@@ -57,8 +57,8 @@ class VerificationReport:
     ``gram_max_err``: worst deviation of the vector Gram matrix from identity;
     ``diag_max_err``: worst settled diagonal deviation; ``idempotency_err``:
     max norm of V^T (G - I) V, which bounds the truncated P^2 - P without
-    charging truncation against the representation; ``symmetry_err`` from the
-    dense truncation.
+    charging truncation against the representation.  P = +-V^T V is symmetric
+    by construction, so symmetry needs no check.
     """
 
     dim: int
@@ -67,14 +67,10 @@ class VerificationReport:
     gram_max_err: float
     diag_max_err: float
     idempotency_err: float
-    symmetry_err: float
 
     @property
     def passed(self) -> bool:
-        return (
-            max(self.gram_max_err, self.diag_max_err, self.idempotency_err, self.symmetry_err)
-            <= self.tol
-        )
+        return max(self.gram_max_err, self.diag_max_err, self.idempotency_err) <= self.tol
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,7 +80,6 @@ class VerificationReport:
             "gramMaxErr": self.gram_max_err,
             "diagMaxErr": self.diag_max_err,
             "idempotencyErr": self.idempotency_err,
-            "symmetryErr": self.symmetry_err,
             "passed": self.passed,
         }
 
@@ -96,7 +91,7 @@ def verify_projection(
     tol: float = 1e-9,
     settled: int | None = None,
 ) -> VerificationReport:
-    """Check orthonormality, idempotency, symmetry and the settled diagonal.
+    """Check orthonormality, idempotency and the settled diagonal.
 
     ``settled`` limits the diagonal comparison to entries no later vector can
     change (None = all of 1..m are settled, as for complete constructions).
@@ -106,13 +101,11 @@ def verify_projection(
     gram_err = float(np.abs(g - np.eye(n)).max()) if n else 0.0
     v = np.vstack([w.dense(m) for w in rep.vectors]) if n else np.zeros((0, m))
     idem_err = float(np.abs(v.T @ (g - np.eye(n)) @ v).max()) if n else 0.0
-    p = rep.dense(m)
-    sym_err = float(np.abs(p - p.T).max())
     upto = m if settled is None else min(settled, m)
     diag_err = 0.0
     for k in range(1, upto + 1):
         diag_err = max(diag_err, abs(rep.diag(k) - float(spec.entry(k))))
-    return VerificationReport(m, tol, upto, gram_err, diag_err, idem_err, sym_err)
+    return VerificationReport(m, tol, upto, gram_err, diag_err, idem_err)
 
 
 # ---------------------------------------------------------------------------

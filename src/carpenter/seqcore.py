@@ -24,7 +24,6 @@ from .errors import (
     ConstructionError,
     ExactnessError,
     OutOfRangeError,
-    PartitionError,
     SpecError,
     UnsupportedStructureError,
 )
@@ -40,12 +39,10 @@ __all__ = [
     "SparseVector",
     "ProjectionRep",
     "diag_of",
-    "AffineEmbedding",
-    "ListShiftEmbedding",
+    "IndexMap",
     "PermutationWindow",
     "conjugate_by_permutation",
     "CellField",
-    "glue",
     "dumps_canonical",
 ]
 
@@ -79,6 +76,13 @@ def _json_object(d, what: str) -> Mapping:
     """``d`` itself when it is a JSON object; SpecError otherwise."""
     if not isinstance(d, Mapping):
         raise SpecError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
+def _json_list(d, what: str) -> Sequence:
+    """``d`` itself when it is a JSON array; SpecError otherwise."""
+    if not isinstance(d, (list, tuple)):
+        raise SpecError(f"{what} must be a list, got {type(d).__name__}")
     return d
 
 
@@ -400,10 +404,7 @@ class DiagonalSpec:
     def from_json_dict(cls, d: Mapping) -> "DiagonalSpec":
         d = _json_object(d, "diagonal spec")
         tail = TailRule.from_json_dict(d.get("tail", {"kind": ZERO_KIND}))
-        prefix = d.get("prefix", ())
-        if not isinstance(prefix, (list, tuple)):
-            raise SpecError(f"prefix must be a list, got {type(prefix).__name__}")
-        return cls(tuple(rat(x) for x in prefix), tail)
+        return cls(tuple(rat(x) for x in _json_list(d.get("prefix", ()), "prefix")), tail)
 
 
 class TwoClassIndex:
@@ -572,12 +573,6 @@ class SparseVector:
                 return self.sqrt_tail.rule.value(j)
         return Fraction(0)
 
-    def norm_sq(self) -> float:
-        s = sum(_sq(v) for _, v in self.support)
-        if self.sqrt_tail is not None:
-            s += float(self.sqrt_tail.mass())
-        return s
-
     def exact_norm_sq(self) -> Fraction:
         if self.squares is None and self.support:
             raise ExactnessError("vector has float-only support entries")
@@ -654,21 +649,21 @@ class SparseVector:
         new_tail = SqrtTail(k, t.rule.reindexed(t.offset_of(k)), t.stride)
         return SparseVector(tuple(base), new_tail, tuple(sqs) if sqs is not None else None)
 
-    def remap(self, emb) -> "SparseVector":
-        """Push the vector through an index embedding (Affine or ListShift)."""
-        vec = self
-        if isinstance(emb, ListShiftEmbedding) and vec.sqrt_tail is not None:
-            if vec.sqrt_tail.start <= len(emb.head):
-                vec = vec.materialized_through(len(emb.head))
-        sup = tuple((emb.map_index(i), v) for i, v in vec.support)
-        tail = None
-        if vec.sqrt_tail is not None:
-            t = vec.sqrt_tail
-            if isinstance(emb, AffineEmbedding):
-                tail = SqrtTail(emb.map_index(t.start), t.rule, t.stride * emb.stride)
-            else:
-                tail = SqrtTail(t.start + emb.shift, t.rule, t.stride)
-        return SparseVector(sup, tail, vec.squares)
+    def remap(self, emb: "IndexMap") -> "SparseVector":
+        """Move entry i to index ``emb.map_index(i)``.
+
+        Tail entries inside the map's explicit head are materialized first, so
+        the tail only meets the affine part of the map.
+        """
+        vec = self.materialized_through(len(emb.head))
+        sqs = vec.squares if vec.squares is not None else (None,) * len(vec.support)
+        rows = sorted((emb.map_index(i), v, q) for (i, v), q in zip(vec.support, sqs))
+        t = vec.sqrt_tail
+        return SparseVector(
+            tuple((i, v) for i, v, _ in rows),
+            None if t is None else SqrtTail(emb.map_index(t.start), t.rule, t.stride * emb.stride),
+            None if vec.squares is None else tuple(q for _, _, q in rows),
+        )
 
     # -- serialization
 
@@ -701,30 +696,31 @@ class SparseVector:
 
 
 @dataclass(frozen=True)
-class AffineEmbedding:
-    """Index map i -> (i-1)*stride + offset (e.g. residue-class subspaces)."""
+class IndexMap:
+    """Injective index map: i -> head[i-1] for i <= len(head), else (i-1)*stride + offset.
 
-    stride: int
-    offset: int
+    One type covers every relabel: a residue class (``IndexMap((), k, m)``),
+    a shifted block (``IndexMap((), 1, 1 + shift)``), the proper entries
+    (explicit head, then a shift) and the inverse of a permutation window
+    (``IndexMap(inverse.window)``).
+    """
 
-    def map_index(self, i: int) -> int:
-        return (i - 1) * self.stride + self.offset
-
-
-@dataclass(frozen=True)
-class ListShiftEmbedding:
-    """Index map: explicit images for 1..len(head), then i -> i + shift."""
-
-    head: tuple[int, ...]
-    shift: int
+    head: tuple[int, ...] = ()
+    stride: int = 1
+    offset: int = 1
 
     def __post_init__(self):
-        imgs = list(self.head) + [len(self.head) + 1 + self.shift]
-        if any(b <= a for a, b in zip(imgs, imgs[1:])) or (self.head and self.head[0] < 1):
-            raise SpecError("embedding images must be strictly increasing and >= 1")
+        first = len(self.head) * self.stride + self.offset  # image of len(head) + 1
+        if (
+            self.stride < 1
+            or any(i < 1 for i in self.head)
+            or len(set(self.head)) != len(self.head)
+            or max(self.head, default=0) >= first
+        ):
+            raise SpecError("index map images must be distinct and >= 1, the head below the rest")
 
     def map_index(self, i: int) -> int:
-        return self.head[i - 1] if i <= len(self.head) else i + self.shift
+        return self.head[i - 1] if i <= len(self.head) else (i - 1) * self.stride + self.offset
 
 
 # ---------------------------------------------------------------------------
@@ -833,11 +829,6 @@ class PermutationWindow:
             inv[img - 1] = i
         return PermutationWindow(tuple(inv))
 
-    def compose(self, other: "PermutationWindow") -> "PermutationWindow":
-        """self after other: (self . other)(i) = self(other(i))."""
-        m = max(len(self.window), len(other.window))
-        return PermutationWindow(tuple(self.apply(other.apply(i)) for i in range(1, m + 1)))
-
     def trimmed(self) -> "PermutationWindow":
         """Drop trailing fixed points from the window."""
         w = list(self.window)
@@ -894,25 +885,12 @@ def conjugate_by_permutation(rep: ProjectionRep, perm: PermutationWindow) -> Pro
     The result Q satisfies diag(Q)(i) = diag(P)(perm(i)); vector supports are
     relabelled through the inverse permutation.
     """
-    inv = perm.inverse()
-    m = perm.size
-    out = []
-    for v in rep.vectors:
-        if v.sqrt_tail is not None and v.sqrt_tail.start <= m:
-            v = v.materialized_through(m)
-        sup = sorted(
-            zip((inv.apply(i) for i, _ in v.support), (val for _, val in v.support))
-        )
-        sqs = None
-        if v.squares is not None:
-            by_idx = {inv.apply(i): q for (i, _), q in zip(v.support, v.squares)}
-            sqs = tuple(by_idx[i] for i, _ in sup)
-        out.append(SparseVector(tuple(sup), v.sqrt_tail, sqs))
-    return ProjectionRep(rep.form, tuple(out))
+    emb = IndexMap(perm.inverse().window)
+    return ProjectionRep(rep.form, tuple(v.remap(emb) for v in rep.vectors))
 
 
 # ---------------------------------------------------------------------------
-# cell fields and gluing
+# cell fields
 
 
 @dataclass(frozen=True)
@@ -923,61 +901,20 @@ class CellField:
 
     def __post_init__(self):
         ids = [c for c, _ in self.cells]
+        bad = [c for c in ids if not isinstance(c, str)]
+        if bad:
+            raise SpecError(f"cell ids must be strings, got {bad[0]!r}")
         if len(set(ids)) != len(ids):
             dup = sorted({c for c in ids if ids.count(c) > 1})
             raise SpecError(f"duplicate cell ids: {dup}")
 
-    def ids(self) -> list[str]:
-        return [c for c, _ in self.cells]
-
-    def spec(self, cell_id: str) -> DiagonalSpec:
-        for c, s in self.cells:
-            if c == cell_id:
-                return s
-        raise OutOfRangeError(f"no cell {cell_id!r}")
-
-    def to_json_list(self) -> list:
-        return [{"cell": c, "spec": s.to_json_dict()} for c, s in self.cells]
-
     @classmethod
     def from_json_list(cls, items: Sequence[Mapping]) -> "CellField":
-        return cls(tuple((d["cell"], DiagonalSpec.from_json_dict(d["spec"])) for d in items))
-
-
-def glue(parts, field: CellField | None = None) -> dict:
-    """Merge per-cell outputs computed over a partition of the cells.
-
-    Parameters
-    ----------
-    parts : iterable of (cell_ids, outputs)
-        Each element pairs a collection of cell ids with a mapping from those
-        ids to per-cell outputs.  The id sets must be pairwise disjoint and
-        each mapping must cover exactly its declared ids.
-    field : CellField, optional
-        When given, the union of all id sets must equal the field's cells.
-
-    Returns
-    -------
-    dict mapping every cell id to its output.
-    """
-    merged: dict = {}
-    seen: set = set()
-    for ids, outputs in parts:
-        ids = set(ids)
-        if set(outputs) != ids:
-            raise PartitionError(
-                f"outputs cover {sorted(outputs)} but part declares {sorted(ids)}"
-            )
-        overlap = ids & seen
-        if overlap:
-            raise PartitionError(f"cells in more than one part: {sorted(overlap)}")
-        seen |= ids
-        merged.update(outputs)
-    if field is not None and seen != set(field.ids()):
-        missing = sorted(set(field.ids()) - seen)
-        extra = sorted(seen - set(field.ids()))
-        raise PartitionError(f"parts do not tile the field (missing {missing}, extra {extra})")
-    return merged
+        cells = []
+        for d in _json_list(items, "cell field"):
+            d = _json_object(d, "cell")
+            cells.append((d["cell"], DiagonalSpec.from_json_dict(d["spec"])))
+        return cls(tuple(cells))
 
 
 def dumps_canonical(obj) -> str:

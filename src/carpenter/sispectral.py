@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import ExactnessError, InfeasibleDiagonalError, SpecError
 from .feasibility import FeasibilityReport, classify, route
-from .seqcore import DiagonalSpec, ProjectionRep, TailRule, fmt_rat, rat
+from .seqcore import DiagonalSpec, ProjectionRep, TailRule, _json_list, _json_object, fmt_rat, rat
 from .selector import verify_projection
 
 __all__ = [
@@ -86,12 +86,14 @@ class SpectralSamples:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SpectralSamples":
+        doc = _json_object(doc, "spectral samples")
         d = int(doc.get("d", 1))
-        window = tuple(_norm_point(k, d) for k in doc["window"])
+        window = tuple(_norm_point(k, d) for k in _json_list(doc["window"], "window"))
         fibers = []
-        for fd in doc["fibers"]:
+        for fd in _json_list(doc["fibers"], "fibers"):
+            fd = _json_object(fd, "fiber")
             xi = tuple(float(x) for x in (fd["xi"] if isinstance(fd["xi"], Sequence) else [fd["xi"]]))
-            vals = tuple(rat(v) for v in fd["values"])
+            vals = tuple(rat(v) for v in _json_list(fd["values"], "fiber values"))
             td = fd.get("tail")
             tail = TailRule.zero() if td is None else TailRule.from_json_dict(td)
             fibers.append(SpectralFiber(xi, vals, tail))

@@ -23,7 +23,7 @@ from .seqcore import (
     CONSTANT,
     INF,
     DiagonalSpec,
-    ListShiftEmbedding,
+    IndexMap,
     PermutationWindow,
     ProjectionRep,
     SparseVector,
@@ -31,7 +31,7 @@ from .seqcore import (
     fmt_rat,
 )
 from .schurhorn import finite_projection_pair, majorizes, schur_horn_unitary
-from .tetris import positions, tetris_vectors
+from .tetris import tetris_vectors
 
 __all__ = [
     "rank_one",
@@ -54,14 +54,13 @@ def rank_one(spec: DiagonalSpec) -> ProjectionRep:
 
 
 def split_small_large(spec: DiagonalSpec):
-    """Subsequences of entries <= 1/2 and > 1/2, plus the position maps.
+    """Subsequences of entries <= 1/2 and > 1/2, plus their class index.
 
-    Finite classes come back zero-padded; use the maps for the true counts.
+    Finite classes come back zero-padded; the index (class A = entries
+    <= 1/2) has the true counts and positions.
     """
     cls = spec.half_classes()
-    small = spec.subsequence(cls, True)
-    large = spec.subsequence(cls, False)
-    return small, large, positions(spec)
+    return spec.subsequence(cls, True), spec.subsequence(cls, False), cls
 
 
 def proper_subspec(spec: DiagonalSpec):
@@ -80,7 +79,7 @@ def proper_subspec(spec: DiagonalSpec):
     rest = cls.rest_start()
     j0 = rest - 1 - t  # proper entries strictly before the exception-free tail
     head = tuple(cls.nth(i, True) for i in range(1, j0 + 1))
-    return sub, ListShiftEmbedding(head, t), improper
+    return sub, IndexMap(head, 1, t + 1), improper
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +126,10 @@ class DecouplingPlan:
 
     def group3_src(self, j: int) -> int:
         """Original index feeding slot j of group three."""
-        pm = positions(self.spec)
+        cls = self.spec.half_classes()
         if j == 1:
-            return pm.pos(self.i2)
-        return pm.Pos(self.group3_ordinal(j))
+            return cls.nth(self.i2, True)
+        return cls.nth(self.group3_ordinal(j), False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,8 +164,7 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     n = cls.count(True)
     if n == INF or n < 2:
         raise ConstructionError(f"decoupling needs 2 <= #small < inf, got {n}")
-    pm = positions(spec)
-    a = [pm.small_value(i) for i in range(1, n + 1)]
+    a = [spec.entry(cls.nth(i, True)) for i in range(1, n + 1)]
 
     large = spec.subsequence(cls, False)  # b_i = large.entry(i)
     large_c = large.complement()  # entries 1 - b_i, geometric tail, summable
@@ -229,11 +227,11 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
         raise ConstructionError("terminal group co-mass != 1")
 
     g1_src = (
-        (pm.pos(i1),)
-        + tuple(pm.pos(i) for i in range(3, i4))
-        + tuple(pm.Pos(i) for i in range(1, i5) if i != i3)
+        (cls.nth(i1, True),)
+        + tuple(cls.nth(i, True) for i in range(3, i4))
+        + tuple(cls.nth(i, False) for i in range(1, i5) if i != i3)
     )
-    g2_src = (pm.Pos(i3),) + tuple(pm.pos(i) for i in range(i4, n + 1))
+    g2_src = (cls.nth(i3, False),) + tuple(cls.nth(i, True) for i in range(i4, n + 1))
     return DecouplingPlan(
         spec, i1, i2, i3, i4, i5, tuple(a), b_t, a1_t, a2_t,
         group1, group2, g3c, g1_src, g2_src,
@@ -270,13 +268,6 @@ def conjugate_on_coords(rep: ProjectionRep, coords, u: np.ndarray) -> Projection
     return ProjectionRep(rep.form, tuple(out))
 
 
-def _shift(vectors, by: int):
-    if by == 0:
-        return list(vectors)
-    emb = ListShiftEmbedding((), by)
-    return [v.remap(emb) for v in vectors]
-
-
 def summable_construct2(spec: DiagonalSpec, m: int = 0, trace: dict | None = None) -> ProjectionRep:
     """Projection for an all-proper spec with infinitely many entries > 1/2
     and finitely many (>= 2) entries <= 1/2.
@@ -298,7 +289,8 @@ def summable_construct2(spec: DiagonalSpec, m: int = 0, trace: dict | None = Non
         comp2 = []
     w = rank_one(plan.group3_comp).vectors[0]
 
-    vecs = list(ker1) + _shift(comp2, n1) + _shift([w], n1 + l2)
+    vecs = list(ker1) + [v.remap(IndexMap((), 1, n1 + 1)) for v in comp2]
+    vecs.append(w.remap(IndexMap((), 1, n1 + l2 + 1)))
     pre = ProjectionRep.coframe(tuple(vecs))
 
     coords = (1, n1 + 1, n1 + l2 + 1)
@@ -311,7 +303,8 @@ def summable_construct2(spec: DiagonalSpec, m: int = 0, trace: dict | None = Non
         if abs(pre.diag(c) - float(val)) > 1e-9:
             raise ConstructionError("internal: adjusted diagonal mismatch before correction")
     a = plan.small
-    target = [a[plan.i1 - 1], plan.spec.entry(positions(plan.spec).Pos(plan.i3)), a[plan.i2 - 1]]
+    # group2_src[0] is the position of the large entry b_{i3}
+    target = [a[plan.i1 - 1], plan.spec.entry(plan.group2_src[0]), a[plan.i2 - 1]]
     u3 = schur_horn_unitary([float(x) for x in current], [float(x) for x in target])
     corr = conjugate_on_coords(pre, coords, u3)
 
@@ -374,8 +367,7 @@ def _finite_schur_horn(spec: DiagonalSpec, prop) -> ProjectionRep:
     n_proper = prop.count(True)
     proper_idx = [prop.nth(i, True) for i in range(1, n_proper + 1)]
     fvals = [spec.entry(i) for i in proper_idx]
-    shift = (proper_idx[-1] - n_proper) if proper_idx else 0
-    emb = ListShiftEmbedding(tuple(proper_idx), shift)
+    emb = IndexMap(tuple(proper_idx), 1, max(proper_idx, default=0) - n_proper + 1)
     t = spec.tail
     ones_infinite = t.kind == CONSTANT and t.c == 1
     if ones_infinite:

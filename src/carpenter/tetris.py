@@ -29,8 +29,8 @@ from .seqcore import (
     GEOMETRIC,
     INF,
     ZERO_KIND,
-    AffineEmbedding,
     DiagonalSpec,
+    IndexMap,
     PermutationWindow,
     ProjectionRep,
     SparseVector,
@@ -47,8 +47,6 @@ __all__ = [
     "tetris_vectors",
     "sort_desc_window",
     "block_sort",
-    "PositionMaps",
-    "positions",
     "interleave_split_fin",
     "nonsummable_construct",
 ]
@@ -328,39 +326,7 @@ def _check_block_order(f: DiagonalSpec, g: DiagonalSpec, ftable: MinSTable, n_so
 
 
 # ---------------------------------------------------------------------------
-# positions of small and large entries
-
-
-@dataclass
-class PositionMaps:
-    """1-based position lookups: pos(n) = n-th entry <= 1/2, Pos(n) = n-th > 1/2."""
-
-    spec: DiagonalSpec
-
-    def __post_init__(self):
-        self._cls = self.spec.half_classes()
-
-    def pos(self, n: int) -> int:
-        return self._cls.nth(n, True)
-
-    def Pos(self, n: int) -> int:
-        return self._cls.nth(n, False)
-
-    def count_small(self):
-        return self._cls.count(True)
-
-    def count_large(self):
-        return self._cls.count(False)
-
-    def small_value(self, n: int) -> Fraction:
-        return self.spec.entry(self.pos(n))
-
-    def large_value(self, n: int) -> Fraction:
-        return self.spec.entry(self.Pos(n))
-
-
-def positions(spec: DiagonalSpec) -> PositionMaps:
-    return PositionMaps(spec)
+# residue-class splits
 
 
 def interleave_split_fin(
@@ -373,18 +339,17 @@ def interleave_split_fin(
     and the permutation beta mapping original indices to their slot in the
     residue layout (subsequence m occupies slots m, k+m, 2k+m, ...).
     """
-    pm = positions(spec)
-    if pm.count_large() != k or k < 1:
-        raise ConstructionError(f"expected exactly {k} entries > 1/2, found {pm.count_large()}")
-    if pm.count_small() != INF:
-        raise ConstructionError("splitting needs infinitely many entries <= 1/2")
     cls = spec.half_classes()
+    if cls.count(False) != k or k < 1:
+        raise ConstructionError(f"expected exactly {k} entries > 1/2, found {cls.count(False)}")
+    if cls.count(True) != INF:
+        raise ConstructionError("splitting needs infinitely many entries <= 1/2")
     subs = []
     for m in range(1, k + 1):
         sub = spec.subsequence(cls, True, m, k)
-        subs.append(DiagonalSpec((pm.large_value(m),) + sub.prefix, sub.tail))
+        subs.append(DiagonalSpec((spec.entry(cls.nth(m, False)),) + sub.prefix, sub.tail))
     groups = [
-        (m, k, lambda i, m=m: pm.Pos(m) if i == 1 else pm.pos((i - 2) * k + m))
+        (m, k, lambda i, m=m: cls.nth(m, False) if i == 1 else cls.nth((i - 2) * k + m, True))
         for m in range(1, k + 1)
     ]
     return subs, PermutationWindow.from_layout({}, groups, cls.rest_start())
@@ -456,7 +421,7 @@ def _residue_split_fill(spec: DiagonalSpec, k: int, m: int, trace: dict) -> Proj
     slot_settled = []
     for idx, subspec in enumerate(subs, start=1):
         local, part, local_settled = _sorted_fill(subspec, m, idx)
-        emb = AffineEmbedding(k, idx)
+        emb = IndexMap((), k, idx)
         vectors.extend(v.remap(emb) for v in local.vectors)
         parts.append(part)
         # a finished part (settled None) does not constrain the rest

@@ -180,3 +180,18 @@ def test_bad_input_files(tmp_path, capsys):
     rep = write_json(tmp_path / "rep.json", [1, 2])
     code, _, err = run(capsys, ["verify", "--spec", good, "--rep", rep])
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    # malformed field and spectral-sample documents
+    for i, (cmd, doc) in enumerate(
+        (
+            ("field", [[1, 2]]),
+            ("field", [{"cell": 7, "spec": CONST_25}]),
+            ("field", {"cells": 5}),
+            ("si", [1]),
+            ("si", {"window": [[0]], "fibers": 3}),
+            ("si", {"window": [0], "fibers": [{"xi": [0.5], "values": 5}]}),
+        )
+    ):
+        bad = write_json(tmp_path / f"bad_{cmd}{i}.json", doc)
+        out = ["--out", str(tmp_path / f"o{i}")] if cmd == "field" else []
+        code, _, err = run(capsys, [cmd, "--input", bad] + out)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err, (doc, err)

@@ -7,7 +7,6 @@ from carpenter.errors import MajorizationError, SpecError
 from carpenter.schurhorn import (
     finite_projection,
     finite_projection_pair,
-    intertwining_unitary,
     majorizes,
     schur_horn_unitary,
 )
@@ -122,30 +121,3 @@ def test_finite_projection_rep():
     p = rep.dense(4)
     assert np.allclose(p @ p, p, atol=1e-10)
     assert np.allclose(p, p.T, atol=1e-12)
-
-
-def test_intertwining_unitary_moves_ranges():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        k = int(rng.integers(0, n + 1))
-        qa, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        qb, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        p = qa[:, :k] @ qa[:, :k].T
-        q = qb[:, :k] @ qb[:, :k].T
-        u = intertwining_unitary(p, q)
-        assert np.allclose(u @ u.T, np.eye(n), atol=1e-9)
-        assert np.allclose(u @ q @ u.T, p, atol=1e-8)
-
-
-def test_intertwining_unitary_rank_mismatch():
-    p = np.diag([1.0, 0.0])
-    q = np.diag([1.0, 1.0])
-    with pytest.raises(SpecError, match="rank"):
-        intertwining_unitary(p, q)
-
-
-def test_intertwining_unitary_rejects_non_projection():
-    p = np.array([[0.5, 0.0], [0.0, 0.25]])
-    with pytest.raises(SpecError, match="not a projection"):
-        intertwining_unitary(p, np.diag([1.0, 0.0]))

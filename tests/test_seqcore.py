@@ -6,15 +6,13 @@ import pytest
 
 from carpenter.errors import (
     OutOfRangeError,
-    PartitionError,
     SpecError,
 )
 from carpenter.seqcore import (
     INF,
-    AffineEmbedding,
     CellField,
     DiagonalSpec,
-    ListShiftEmbedding,
+    IndexMap,
     PermutationWindow,
     ProjectionRep,
     SparseVector,
@@ -23,7 +21,6 @@ from carpenter.seqcore import (
     conjugate_by_permutation,
     diag_of,
     dumps_canonical,
-    glue,
     rat,
 )
 
@@ -217,15 +214,27 @@ def test_sparse_vector_materialize_tail_prefix():
 
 def test_sparse_vector_remap_affine():
     v = SparseVector.from_exact([(1, F(1, 2), 1), (2, F(1, 2), -1)])
-    w = v.remap(AffineEmbedding(3, 2))  # i -> (i-1)*3 + 2
+    w = v.remap(IndexMap((), 3, 2))  # i -> (i-1)*3 + 2
     assert support_indices(w) == (2, 5)
     assert w.exact_square_at(5) == F(1, 2)
+    # a sqrt tail moves with the map: start 3 -> 8, stride 2 -> 6
+    tailed = SparseVector.from_exact(
+        [(1, F(1, 2), 1)], sqrt_tail=SqrtTail(3, TailRule.geometric("1/4", "1/2"), stride=2)
+    )
+    w = tailed.remap(IndexMap((), 3, 2))
+    assert support_indices(w) == (2,)
+    assert (w.sqrt_tail.start, w.sqrt_tail.stride) == (8, 6)
+    for j in range(1, 6):
+        assert w.exact_square_at(8 + 6 * (j - 1)) == tailed.exact_square_at(3 + 2 * (j - 1))
 
 
 def test_sparse_vector_remap_list_shift():
     v = SparseVector.from_exact([(1, F(1, 3), 1), (2, F(1, 3), 1), (4, F(1, 3), 1)])
-    w = v.remap(ListShiftEmbedding((2, 5), 4))  # 1 -> 2, 2 -> 5, then i -> i + 4
+    w = v.remap(IndexMap((2, 5), 1, 5))  # 1 -> 2, 2 -> 5, then i -> i + 4
     assert support_indices(w) == (2, 5, 8)
+    for head, stride, offset in (((2, 2), 1, 5), ((0,), 1, 5), ((6,), 1, 5), ((), 0, 1)):
+        with pytest.raises(SpecError):
+            IndexMap(head, stride, offset)
 
 
 def test_sparse_vector_from_dense_round_trip():
@@ -300,17 +309,6 @@ def test_permutation_window_apply_and_inverse():
         PermutationWindow((2, 2, 1))
 
 
-def test_permutation_window_compose():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        n = int(rng.integers(1, 8))
-        a = PermutationWindow(tuple(int(x) for x in rng.permutation(n) + 1))
-        b = PermutationWindow(tuple(int(x) for x in rng.permutation(n) + 1))
-        c = a.compose(b)
-        for i in range(1, n + 3):
-            assert c.apply(i) == a.apply(b.apply(i))
-
-
 def test_permutation_window_trimmed():
     p = PermutationWindow((2, 1, 3, 4))
     assert p.trimmed().window == (2, 1)
@@ -351,26 +349,13 @@ def test_conjugate_materializes_tails_inside_window():
     out = conjugate_by_permutation(rep, perm)
     for i in range(1, 9):
         assert diag_of(out, i) == pytest.approx(diag_of(rep, perm.apply(i)), abs=1e-14)
+        assert out.exact_diag(i) == rep.exact_diag(perm.apply(i))
 
 
 def test_cell_field_rejects_duplicate_ids():
     s = DiagonalSpec.of("1/2", "1/2", tail=TailRule.zero())
     with pytest.raises(SpecError):
         CellField((("c0", s), ("c0", s)))
-
-
-def test_glue_merges_disjoint_parts():
-    s1 = DiagonalSpec.of("1/2", "1/2", tail=TailRule.zero())
-    s2 = DiagonalSpec.of(tail=TailRule.constant("2/5"))
-    field = CellField((("a", s1), ("b", s2)))
-    doc = glue([(("a",), {"a": {"x": 1}}), (("b",), {"b": {"x": 2}})], field)
-    assert doc == {"a": {"x": 1}, "b": {"x": 2}}
-    with pytest.raises(PartitionError):
-        glue([(("a",), {"a": {}}), (("a",), {"a": {}})], field)
-    with pytest.raises(PartitionError):
-        glue([(("a",), {"a": {}})], field)  # does not tile the field
-    with pytest.raises(PartitionError):
-        glue([(("a", "b"), {"a": {}})], field)  # declared ids not covered
 
 
 def test_dumps_canonical_is_order_insensitive():

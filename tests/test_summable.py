@@ -36,12 +36,12 @@ def orthonormal(vectors, m, atol=1e-9):
 
 
 def test_split_small_large():
-    small, large, pm = split_small_large(WORKED)
+    small, large, cls = split_small_large(WORKED)
     assert [small.entry(i) for i in (1, 2)] == [F(3, 10), F(1, 5)]
     assert small.total() == F(1, 2)
     assert large.entry(1) == F(3, 4)
     assert large.entry(2) == F(7, 8)
-    assert pm.count_small() == 2
+    assert cls.count(True) == 2
 
 
 def test_proper_subspec_strips_zeros_and_ones():

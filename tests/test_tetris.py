@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carpenter.errors import ConstructionError, OutOfRangeError
-from carpenter.seqcore import INF, DiagonalSpec, TailRule, diag_of
+from carpenter.seqcore import DiagonalSpec, TailRule, diag_of
 from carpenter.tetris import (
     MinSTable,
     block_sort,
@@ -13,7 +13,6 @@ from carpenter.tetris import (
     interleave_split_fin,
     min_s,
     nonsummable_construct,
-    positions,
     sort_desc_window,
     tetris_vectors,
 )
@@ -249,16 +248,6 @@ def test_block_sort_rejects_fractional_total():
 
 # ---------------------------------------------------------------------------
 # interleaved subsequence splits
-
-
-def test_positions_maps():
-    p = positions(spec("3/4", "2/5", "2/3", tail=TailRule.constant("1/5")))
-    assert p.count_large() == 2
-    assert p.count_small() == INF
-    assert [p.Pos(n) for n in (1, 2)] == [1, 3]
-    assert [p.pos(n) for n in (1, 2, 3)] == [2, 4, 5]
-    assert p.large_value(2) == F(2, 3)
-    assert p.small_value(1) == F(2, 5)
 
 
 def test_interleave_split_front_larges():
