@@ -73,7 +73,6 @@ from .summable import (
     summable_construct2,
 )
 from .tetris import (
-    MinSTable,
     TetrisOutput,
     block_sort,
     coupling,

@@ -41,20 +41,11 @@ def kadison_ab(spec: DiagonalSpec):
         else:
             b += 1 - x
     tail = spec.tail
-    exc, rest_small = tail.half_exceptions()
+    e, rest_small = tail.half_exceptions()
+    head = tail.partial_sum(e)  # the e tail entries on the other side of 1/2
     if rest_small:
-        small_mass = tail.sum_from(1)
-        for j in exc:  # finitely many tail entries > 1/2
-            b += 1 - tail.value(j)
-            small_mass = small_mass - tail.value(j) if small_mass != INF else INF
-        a = INF if small_mass == INF else a + small_mass
-    else:
-        large_def = tail.complement_sum_from(1)
-        for j in exc:  # finitely many tail entries <= 1/2
-            a += tail.value(j)
-            large_def = large_def - (1 - tail.value(j)) if large_def != INF else INF
-        b = INF if large_def == INF else b + large_def
-    return a, b
+        return a + tail.sum_from(e + 1), b + (e - head)
+    return a + head, b + tail.complement().sum_from(e + 1)
 
 
 @dataclass(frozen=True)

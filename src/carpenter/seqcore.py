@@ -86,6 +86,22 @@ def _json_list(d, what: str) -> Sequence:
     return d
 
 
+def _json_int(x, what: str) -> int:
+    """``x`` as an int when it is an integral JSON number (not a bool); SpecError otherwise."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise SpecError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _json_number(x, what: str) -> float:
+    """``x`` as a float when it is a JSON number (not a bool); SpecError otherwise."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise SpecError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
 def fmt_rat(q: Fraction) -> str:
     """Render a Fraction as 'p/q' (or 'p' when the denominator is 1)."""
     q = Fraction(q)
@@ -192,9 +208,18 @@ class TailRule:
             return self.c * self.r ** (j - 1) / (1 - self.r)
         return INF  # one_minus_geometric tends to 1
 
-    def complement_sum_from(self, j: int):
-        """Sum of (1 - entry) from offset j on."""
-        return self.complement().sum_from(j)
+    def reach(self, x) -> int | None:
+        """Smallest j >= 0 with partial_sum(j) >= x, or None when no j reaches x."""
+        if x <= 0:
+            return 0
+        if self.sum_from(1) <= x:  # a finite limit is never attained
+            return None
+        if self.kind == CONSTANT:
+            return math.ceil(x / self.c)
+        j, s, g = 0, Fraction(0), self.c
+        while s < x:
+            j, s, g = j + 1, s + (g if self.kind == GEOMETRIC else 1 - g), g * self.r
+        return j
 
     # -- transforms
 
@@ -208,50 +233,43 @@ class TailRule:
             return TailRule(ONE_MINUS_GEOMETRIC, self.c, self.r)
         return TailRule(GEOMETRIC, self.c, self.r)
 
-    def reindexed(self, j0: int) -> "TailRule":
-        """The same tail viewed starting from offset j0 >= 1."""
+    def reindexed(self, j0: int, step: int = 1) -> "TailRule":
+        """The tail of the entries at offsets j0, j0 + step, j0 + 2*step, ..."""
         if j0 < 1:
             raise OutOfRangeError(f"tail offset {j0} < 1")
-        if self.kind in (ZERO_KIND, CONSTANT) or j0 == 1:
+        if self.kind in (ZERO_KIND, CONSTANT) or (j0, step) == (1, 1):
             return self
-        return TailRule(self.kind, self.c * self.r ** (j0 - 1), self.r)
+        return TailRule(self.kind, self.c * self.r ** (j0 - 1), self.r**step)
 
     # -- classification helpers
 
-    def half_exceptions(self) -> tuple[tuple[int, ...], bool]:
+    def half_exceptions(self) -> tuple[int, bool]:
         """Offsets classified against 1/2.
 
-        Returns ``(exceptions, rest_small)``: after the finitely many
-        exceptional offsets, every entry is <= 1/2 iff ``rest_small``; the
-        exceptions fall in the opposite class.
+        Returns ``(e, rest_small)``: offsets 1..e fall in the class opposite
+        to the rest, and from offset e + 1 on every entry is <= 1/2 iff
+        ``rest_small``.
         """
-        if self.kind == ZERO_KIND:
-            return (), True
-        if self.kind == CONSTANT:
-            return (), self.c <= HALF
-        if self.kind == GEOMETRIC:
-            j, g = 1, self.c
+        if self.kind in (ZERO_KIND, CONSTANT):
+            return 0, self.value(1) <= HALF
+        e, g = 0, self.c
+        if self.kind == GEOMETRIC:  # entries decrease to 0; early ones may be large
             while g > HALF:
-                j, g = j + 1, g * self.r
-            return tuple(range(1, j)), True
-        # one_minus_geometric: entries increase to 1; early ones may be small
-        j, g = 1, self.c
-        while 1 - g <= HALF:
-            j, g = j + 1, g * self.r
-        return tuple(range(1, j)), False
+                e, g = e + 1, g * self.r
+            return e, True
+        while 1 - g <= HALF:  # entries increase to 1; early ones may be small
+            e, g = e + 1, g * self.r
+        return e, False
 
-    def proper_exceptions(self) -> tuple[tuple[int, ...], bool]:
+    def proper_exceptions(self) -> tuple[int, bool]:
         """Offsets classified as proper (value in (0,1)) versus 0/1.
 
-        Same convention as :meth:`half_exceptions`: ``(exceptions,
-        rest_proper)``.
+        Same convention as :meth:`half_exceptions`: ``(e, rest_proper)``.
         """
-        if self.kind == ZERO_KIND:
-            return (), False
-        if self.kind == CONSTANT:
-            return (), 0 < self.c < 1
+        if self.kind in (ZERO_KIND, CONSTANT):
+            return 0, 0 < self.value(1) < 1
         # geometric kinds: only the very first entry can hit 0 or 1 (c == 1)
-        return ((1,) if self.c == 1 else ()), True
+        return int(self.c == 1), True
 
     # -- serialization
 
@@ -342,15 +360,6 @@ class DiagonalSpec:
     def complement(self) -> "DiagonalSpec":
         return DiagonalSpec(tuple(1 - x for x in self.prefix), self.tail.complement())
 
-    def from_index(self, s: int) -> "DiagonalSpec":
-        """The subsequence f_s, f_{s+1}, ... as a spec, exactly reindexed."""
-        p = len(self.prefix)
-        if s < 1:
-            raise OutOfRangeError(f"index {s} < 1")
-        if s <= p + 1:
-            return DiagonalSpec(self.prefix[s - 1 :], self.tail)
-        return DiagonalSpec((), self.tail.reindexed(s - p))
-
     def subsequence(
         self, classes: "TwoClassIndex", a_flag: bool, o0: int = 1, step: int = 1
     ) -> "DiagonalSpec":
@@ -358,10 +367,8 @@ class DiagonalSpec:
 
         Finite classes are padded with a zero tail.  For infinite classes the
         eventual arithmetic structure of the positions turns the source tail
-        into a closed tail of the subsequence (constant stays constant,
-        geometric gets ratio r**step).
+        into a closed tail of the subsequence (:meth:`TailRule.reindexed`).
         """
-        t = self.tail
         rest = classes.rest_start()
         vals: list[Fraction] = []
         o = o0
@@ -374,26 +381,18 @@ class DiagonalSpec:
                 break
             vals.append(self.entry(pos))
             o += step
-        off0 = pos - len(self.prefix)  # tail offset of the first closed-form source entry
-        if t.kind in (CONSTANT, ZERO_KIND):
-            tail = t
-        else:
-            tail = TailRule(t.kind, t.c * t.r ** (off0 - 1), t.r**step)
-        return DiagonalSpec(tuple(vals), tail)
+        # from pos on, the class walks the tail in steps of ``step`` offsets
+        return DiagonalSpec(tuple(vals), self.tail.reindexed(pos - len(self.prefix), step))
 
     # -- classification plumbing
 
     def half_classes(self) -> "TwoClassIndex":
         """Index classes against the 1/2 threshold (small: entry <= 1/2)."""
-        flags = tuple(x <= HALF for x in self.prefix)
-        exc, rest = self.tail.half_exceptions()
-        return TwoClassIndex(flags, exc, rest)
+        return TwoClassIndex(tuple(x <= HALF for x in self.prefix), *self.tail.half_exceptions())
 
     def proper_classes(self) -> "TwoClassIndex":
         """Index classes proper-vs-improper (proper: entry in (0,1))."""
-        flags = tuple(0 < x < 1 for x in self.prefix)
-        exc, rest = self.tail.proper_exceptions()
-        return TwoClassIndex(flags, exc, rest)
+        return TwoClassIndex(tuple(0 < x < 1 for x in self.prefix), *self.tail.proper_exceptions())
 
     # -- serialization
 
@@ -410,18 +409,15 @@ class DiagonalSpec:
 class TwoClassIndex:
     """nth-index queries for a two-way classification of 1-based indices.
 
-    The prefix is classified entrywise by ``flags`` (True = class A); the tail
-    contributes the finitely many exceptional offsets ``exc`` in the class
-    opposite to ``rest_a``, after which every offset lies in class A iff
-    ``rest_a``.
+    The prefix is classified entrywise by ``flags`` (True = class A); tail
+    offsets 1..n_exc fall in the class opposite to ``rest_a``, and every later
+    offset lies in class A iff ``rest_a``.
     """
 
-    def __init__(self, flags: tuple[bool, ...], exc: tuple[int, ...], rest_a: bool):
-        self.flags = flags
-        self.exc = tuple(sorted(exc))
+    def __init__(self, flags: tuple[bool, ...], n_exc: int, rest_a: bool):
+        self.n_exc = n_exc
         self.rest_a = rest_a
         self.p = len(flags)
-        # exceptional tail offsets belong to class (not rest_a)
         self._a_prefix = [i + 1 for i, f in enumerate(flags) if f]
         self._b_prefix = [i + 1 for i, f in enumerate(flags) if not f]
 
@@ -429,8 +425,7 @@ class TwoClassIndex:
         """Number of indices in class A (or B): an int or INF."""
         if a == self.rest_a:
             return INF
-        base = self._a_prefix if a else self._b_prefix
-        return len(base) + len(self.exc)
+        return len(self._a_prefix if a else self._b_prefix) + self.n_exc
 
     def nth(self, n: int, a: bool = True) -> int:
         """Global index of the n-th member of class A (or B), 1-based."""
@@ -440,24 +435,15 @@ class TwoClassIndex:
         if n <= len(base):
             return base[n - 1]
         k = n - len(base)  # k-th tail member of the class
-        if a != self.rest_a:
-            if k > len(self.exc):
-                raise OutOfRangeError(f"class has only {self.count(a)} members")
-            return self.p + self.exc[k - 1]
-        # walk past the exceptions, then go arithmetic
-        if not self.exc:
-            return self.p + k
-        skipped = 0
-        for j in range(1, self.exc[-1] + 1):
-            if j not in self.exc:
-                skipped += 1
-                if skipped == k:
-                    return self.p + j
-        return self.p + self.exc[-1] + (k - skipped)
+        if a == self.rest_a:
+            return self.rest_start() + k - 1
+        if k > self.n_exc:
+            raise OutOfRangeError(f"class has only {self.count(a)} members")
+        return self.p + k
 
     def rest_start(self) -> int:
         """First global index from which the tail has no exceptions left."""
-        return self.p + (self.exc[-1] + 1 if self.exc else 1)
+        return self.p + self.n_exc + 1
 
 
 # ---------------------------------------------------------------------------
@@ -684,14 +670,22 @@ class SparseVector:
         tail = None
         td = d.get("sqrtTail")
         if td is not None:
+            td = _json_object(td, "sqrt tail")
             tail = SqrtTail(
-                int(td["start"]), TailRule.from_json_dict(td["rule"]), int(td.get("stride", 1))
+                _json_int(td["start"], "sqrt tail start"),
+                TailRule.from_json_dict(td["rule"]),
+                _json_int(td.get("stride", 1), "sqrt tail stride"),
             )
+        support = []
+        for e in _json_list(d["support"], "support"):
+            if len(_json_list(e, "support entry")) != 2:
+                raise SpecError(f"support entry must be an [index, value] pair, got {e!r}")
+            support.append((_json_int(e[0], "support index"), _json_number(e[1], "support value")))
         sqs = d.get("squares")
         return cls(
-            tuple((int(i), float(v)) for i, v in d["support"]),
+            tuple(support),
             tail,
-            tuple(rat(q) for q in sqs) if sqs is not None else None,
+            tuple(rat(q) for q in _json_list(sqs, "squares")) if sqs is not None else None,
         )
 
 
@@ -788,7 +782,8 @@ class ProjectionRep:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ProjectionRep":
         d = _json_object(d, "projection")
-        return cls(d["form"], tuple(SparseVector.from_json_dict(v) for v in d["vectors"]))
+        vectors = _json_list(d["vectors"], "projection vectors")
+        return cls(d["form"], tuple(SparseVector.from_json_dict(v) for v in vectors))
 
 
 def diag_of(rep: ProjectionRep, k: int, exact: bool = False):
@@ -828,13 +823,6 @@ class PermutationWindow:
         for i, img in enumerate(self.window, start=1):
             inv[img - 1] = i
         return PermutationWindow(tuple(inv))
-
-    def trimmed(self) -> "PermutationWindow":
-        """Drop trailing fixed points from the window."""
-        w = list(self.window)
-        while w and w[-1] == len(w):
-            w.pop()
-        return PermutationWindow(tuple(w))
 
     @classmethod
     def from_layout(

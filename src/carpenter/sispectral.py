@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ExactnessError, InfeasibleDiagonalError, SpecError
 from .feasibility import FeasibilityReport, classify, route
-from .seqcore import DiagonalSpec, ProjectionRep, TailRule, _json_list, _json_object, fmt_rat, rat
+from .seqcore import DiagonalSpec, ProjectionRep, TailRule, fmt_rat, rat
+from .seqcore import _json_int, _json_list, _json_number, _json_object
 from .selector import verify_projection
 
 __all__ = [
@@ -29,13 +30,25 @@ __all__ = [
 ]
 
 
-def _norm_point(k, d: int) -> tuple[int, ...]:
-    if isinstance(k, int):
-        k = (k,)
-    pt = tuple(int(x) for x in k)
-    if len(pt) != d:
-        raise SpecError(f"window point {pt} has dimension {len(pt)}, expected {d}")
-    return pt
+def _coords(x, parse, what: str) -> tuple:
+    """A JSON scalar or list of scalars as a tuple, each read by ``parse``."""
+    return tuple(parse(v, what) for v in (x if isinstance(x, (list, tuple)) else (x,)))
+
+
+def _window_to_json(d: int, window) -> dict:
+    return {"d": d, "window": [list(k) for k in window]}
+
+
+def _window_from_json(doc: Mapping) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The dimension ``d`` and the translate window of a samples or range document."""
+    d = _json_int(doc.get("d", 1), "d")
+    window = []
+    for k in _json_list(doc["window"], "window"):
+        pt = _coords(k, _json_int, "window coordinate")
+        if len(pt) != d:
+            raise SpecError(f"window point {pt} has dimension {len(pt)}, expected {d}")
+        window.append(pt)
+    return d, tuple(window)
 
 
 @dataclass(frozen=True)
@@ -72,27 +85,22 @@ class SpectralSamples:
                 )
 
     def to_json_dict(self) -> dict:
-        out = {
-            "d": self.d,
-            "window": [list(k) for k in self.window],
-            "fibers": [],
-        }
+        out = _window_to_json(self.d, self.window)
+        out["fibers"] = []
         for f in self.fibers:
             fd: dict = {"xi": list(f.xi), "values": [fmt_rat(v) for v in f.values]}
-            if f.tail.kind != "zero":
+            if f.tail != TailRule.zero():
                 fd["tail"] = f.tail.to_json_dict()
             out["fibers"].append(fd)
         return out
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SpectralSamples":
-        doc = _json_object(doc, "spectral samples")
-        d = int(doc.get("d", 1))
-        window = tuple(_norm_point(k, d) for k in _json_list(doc["window"], "window"))
+        d, window = _window_from_json(_json_object(doc, "spectral samples"))
         fibers = []
         for fd in _json_list(doc["fibers"], "fibers"):
             fd = _json_object(fd, "fiber")
-            xi = tuple(float(x) for x in (fd["xi"] if isinstance(fd["xi"], Sequence) else [fd["xi"]]))
+            xi = _coords(fd["xi"], _json_number, "xi")
             vals = tuple(rat(v) for v in _json_list(fd["values"], "fiber values"))
             td = fd.get("tail")
             tail = TailRule.zero() if td is None else TailRule.from_json_dict(td)
@@ -117,34 +125,31 @@ class RangeFunctionFile:
     fibers: tuple[RangeFiber, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "window": [list(k) for k in self.window],
-            "fibers": [
-                {
-                    "xi": list(f.xi),
-                    "branch": list(f.branch),
-                    "settled": f.settled,
-                    "projection": f.rep.to_json_dict(),
-                }
-                for f in self.fibers
-            ],
-        }
+        out = _window_to_json(self.d, self.window)
+        out["fibers"] = [
+            {
+                "xi": list(f.xi),
+                "branch": list(f.branch),
+                "settled": f.settled,
+                "projection": f.rep.to_json_dict(),
+            }
+            for f in self.fibers
+        ]
+        return out
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RangeFunctionFile":
-        d = int(doc.get("d", 1))
-        window = tuple(_norm_point(k, d) for k in doc["window"])
-        fibers = tuple(
-            RangeFiber(
-                tuple(float(x) for x in fd["xi"]),
+        d, window = _window_from_json(_json_object(doc, "range function"))
+        fibers = []
+        for fd in _json_list(doc["fibers"], "fibers"):
+            fd = _json_object(fd, "fiber")
+            fibers.append(RangeFiber(
+                _coords(fd["xi"], _json_number, "xi"),
                 ProjectionRep.from_json_dict(fd["projection"]),
                 tuple(fd.get("branch", ())),
                 fd.get("settled"),
-            )
-            for fd in doc["fibers"]
-        )
-        return cls(d, window, fibers)
+            ))
+        return cls(d, window, tuple(fibers))
 
 
 def check_spectral(samples: SpectralSamples) -> list[tuple[SpectralFiber, FeasibilityReport]]:

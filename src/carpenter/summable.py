@@ -20,13 +20,13 @@ import numpy as np
 from .errors import ConstructionError, UnsupportedStructureError
 from .feasibility import route
 from .seqcore import (
-    CONSTANT,
     INF,
     DiagonalSpec,
     IndexMap,
     PermutationWindow,
     ProjectionRep,
     SparseVector,
+    TailRule,
     conjugate_by_permutation,
     fmt_rat,
 )
@@ -221,7 +221,7 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     head_ords = [o for o in range(i5, cut) if o != i3]
     g3c = DiagonalSpec(
         (1 - a2_t,) + tuple(large_c.entry(o) for o in head_ords),
-        large_c.from_index(cut).tail,
+        large_c.tail.reindexed(cut - p_l),
     )
     if g3c.total() != 1:
         raise ConstructionError("terminal group co-mass != 1")
@@ -323,15 +323,12 @@ def summable_construct2(spec: DiagonalSpec, m: int = 0, trace: dict | None = Non
 def _improper_positions(spec: DiagonalSpec, want: int) -> list[int]:
     """Positions holding the improper value ``want``; that side must be finite."""
     prop = spec.proper_classes()
-    if prop.count(False) != INF:
-        members = [prop.nth(i, False) for i in range(1, prop.count(False) + 1)]
-    else:
-        # the improper class is the infinite tail class; all its tail entries
-        # share one value, so the requested side is finite only if it differs
-        if spec.tail.value(max(prop.exc, default=0) + 1) == want:
-            raise ConstructionError(f"infinitely many entries equal {want}")
-        members = [i + 1 for i, f in enumerate(prop.flags) if not f]
-    return [i for i in members if spec.entry(i) == want]
+    # when the improper class is the infinite tail class, all its tail entries
+    # share one value, so the requested side is finite only if it differs
+    if prop.count(False) == INF and spec.tail.value(prop.n_exc + 1) == want:
+        raise ConstructionError(f"infinitely many entries equal {want}")
+    # past rest_start every entry is proper or the other improper value
+    return [i for i in range(1, prop.rest_start()) if spec.entry(i) == want]
 
 
 def embed_with_improper(rep: ProjectionRep, emb, improper) -> ProjectionRep:
@@ -368,9 +365,7 @@ def _finite_schur_horn(spec: DiagonalSpec, prop) -> ProjectionRep:
     proper_idx = [prop.nth(i, True) for i in range(1, n_proper + 1)]
     fvals = [spec.entry(i) for i in proper_idx]
     emb = IndexMap(tuple(proper_idx), 1, max(proper_idx, default=0) - n_proper + 1)
-    t = spec.tail
-    ones_infinite = t.kind == CONSTANT and t.c == 1
-    if ones_infinite:
+    if spec.tail == TailRule.constant(1):  # infinitely many ones
         rng, _ = finite_projection_pair([1 - v for v in fvals])
         zeros = _improper_positions(spec, 0)
         return ProjectionRep.coframe(

@@ -18,17 +18,14 @@ infinitely many large entries, so no split for that case is needed.)
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, OutOfRangeError
 from .feasibility import route
 from .seqcore import (
-    CONSTANT,
-    GEOMETRIC,
     INF,
-    ZERO_KIND,
     DiagonalSpec,
     IndexMap,
     PermutationWindow,
@@ -41,7 +38,6 @@ from .seqcore import (
 
 __all__ = [
     "min_s",
-    "MinSTable",
     "coupling",
     "TetrisOutput",
     "tetris_vectors",
@@ -56,52 +52,18 @@ def min_s(spec: DiagonalSpec, n: int) -> int:
     """Smallest index i with S_i = f_1 + ... + f_i >= n (and 0 for n = 0)."""
     if n < 0:
         raise OutOfRangeError(f"n = {n} < 0")
-    if n == 0:
-        return 0
-    p = len(spec.prefix)
-    for i in range(1, p + 1):
-        if spec.partial_sum(i) >= n:
-            return i
-    sp = spec.partial_sum(p)
-    t = spec.tail
-    if t.kind == ZERO_KIND or (t.kind == CONSTANT and t.c == 0):
+    sums = spec._cumsums  # S_0 .. S_p, nondecreasing
+    i = bisect_left(sums, n)
+    if i < len(sums):
+        return i
+    sp = sums[-1]
+    j = spec.tail.reach(n - sp)
+    if j is not None:
+        return len(sums) - 1 + j
+    limit = spec.total()
+    if limit == sp:
         raise ConstructionError(f"partial sums stall at {fmt_rat(sp)} and never reach {n}")
-    if t.kind == CONSTANT:
-        return p + math.ceil((n - sp) / t.c)
-    if t.kind == GEOMETRIC:
-        if sp + t.sum_from(1) <= n:
-            raise ConstructionError(f"partial sums stay below {n} (limit {fmt_rat(sp + t.sum_from(1))})")
-        s, g, j = sp, t.c, 0
-        while s < n:
-            j += 1
-            s += g
-            g *= t.r
-        return p + j
-    # one_minus_geometric: grows by almost 1 per step
-    s, g, j = sp, t.c, 0
-    while s < n:
-        j += 1
-        s += 1 - g
-        g *= t.r
-    return p + j
-
-
-class MinSTable:
-    """Memoized minS lookups for one spec."""
-
-    def __init__(self, spec: DiagonalSpec):
-        self.spec = spec
-        self._memo: dict[int, int] = {}
-
-    def get(self, n: int) -> int:
-        if n not in self._memo:
-            self._memo[n] = min_s(self.spec, n)
-        return self._memo[n]
-
-    __getitem__ = get
-
-    def known(self) -> dict[int, int]:
-        return dict(sorted(self._memo.items()))
+    raise ConstructionError(f"partial sums stay below {n} (limit {fmt_rat(limit)})")
 
 
 def coupling(d1, d2, sigma):
@@ -170,7 +132,7 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
             raise ConstructionError(f"requested {m} vectors but total mass is {n_total}")
     complete = n_total is not None and m == n_total
 
-    table = MinSTable(spec)
+    mins: dict[int, int] = {}
     vectors: list[SparseVector] = []
     sigmas: list[Fraction] = []
     acoefs: list[Fraction] = []
@@ -181,7 +143,7 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         if complete and n == n_total:
             vectors.append(_ultimate_vector(spec, pending, cursor))
             break
-        mn = table.get(n)
+        mn = mins[n] = min_s(spec, n)
         if mn < cursor:
             raise ConstructionError(f"internal: minS({n}) = {mn} behind cursor {cursor}")
         left = mn - 1
@@ -227,9 +189,9 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     if complete:
         settled = None
     else:
-        settled = max(table.get(m) - 2, 0) if m > 0 else 0
+        settled = max(mins[m] - 2, 0) if m > 0 else 0
     return TetrisOutput(
-        tuple(vectors), settled, table.known(), tuple(sigmas), tuple(acoefs), n_total, complete
+        tuple(vectors), settled, mins, tuple(sigmas), tuple(acoefs), n_total, complete
     )
 
 
@@ -240,12 +202,11 @@ def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
     hi = max(p, cursor - 1)
     entries += [(i, spec.entry(i), 1) for i in range(cursor, hi + 1)]
     t = spec.tail
-    tail = None
+    mass = t.sum_from(1)
+    if mass == INF:
+        raise ConstructionError(f"finite total mass with a divergent tail {t}")
     start = max(cursor, p + 1)
-    if t.kind == GEOMETRIC:
-        tail = SqrtTail(start, t.reindexed(start - p), 1)
-    elif not (t.kind == ZERO_KIND or (t.kind == CONSTANT and t.c == 0)):
-        raise ConstructionError(f"finite total mass with a divergent tail {t.kind!r}")
+    tail = SqrtTail(start, t.reindexed(start - p), 1) if mass else None
     vec = SparseVector.from_exact(entries, tail)
     if vec.exact_norm_sq() != 1:
         raise ConstructionError(f"internal: ultimate vector norm^2 {vec.exact_norm_sq()}")
@@ -285,17 +246,16 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
     n_fin = None if total == INF else int(total)
 
     p = len(spec.prefix)
-    table = MinSTable(spec)
     images: list[int] = []
     sorted_vals: list[Fraction] = []
     n = 1
     while True:
         if n_fin is not None and n >= n_fin:
             break  # the ultimate block is never sorted
-        lo = table.get(n - 1)
+        lo = min_s(spec, n - 1)
         if lo >= p:
             break  # the remaining blocks sit inside the weakly decreasing tail
-        hi = table.get(n)
+        hi = min_s(spec, n)
         block = [spec.entry(i) for i in range(lo + 1, hi + 1)]
         g_block, perm = sort_desc_window(block)
         sorted_vals.extend(g_block)
@@ -308,20 +268,19 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
         g = DiagonalSpec(tuple(sorted_vals) + spec.prefix[w:], spec.tail)
     else:
         g = DiagonalSpec(tuple(sorted_vals), spec.tail.reindexed(w - p + 1))
-    _check_block_order(spec, g, table, n_sorted=n - 1)
+    _check_block_order(spec, g, n_sorted=n - 1)
     return g, perm
 
 
-def _check_block_order(f: DiagonalSpec, g: DiagonalSpec, ftable: MinSTable, n_sorted: int):
-    gtable = MinSTable(g)
+def _check_block_order(f: DiagonalSpec, g: DiagonalSpec, n_sorted: int):
     for n in range(1, n_sorted + 1):
-        mg = gtable.get(n)
+        mg = min_s(g, n)
         if mg >= 2 and g.entry(mg - 1) < g.entry(mg):
             raise ConstructionError(f"sorted output breaks the boundary order at step {n}")
-        if not mg <= ftable.get(n):
+        if not mg <= min_s(f, n):
             raise ConstructionError(f"sorted boundary {mg} passed the original at step {n}")
         exact_hit = g.partial_sum(mg) == n
-        if mg < ftable.get(n - 1) + 2 and not exact_hit:
+        if mg < min_s(f, n - 1) + 2 and not exact_hit:
             raise ConstructionError(f"sorted boundary {mg} too early at step {n}")
 
 

@@ -1,8 +1,14 @@
-"""The benchmark's span tracer wraps library functions by name; every name it
-lists must still exist, or ``bench/run.py --trace 1`` breaks."""
+"""The benchmark's contract with the library.
+
+The span tracer wraps library functions by name; every name it lists must
+still exist, or ``bench/run.py --trace 1`` breaks.  And the first ops of each
+workload, run in-process through the benchmark's own generator and worker,
+must give the recorded output digests.
+"""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -27,3 +33,28 @@ def test_every_span_target_resolves():
             assert meth in vars(owner), f"{name}: {cls_name} defines no {meth}"
         else:
             assert callable(getattr(module, attr, None)), f"{name}: carpenter.{mod_name}.{attr}"
+
+
+# sha256 of the first 12 canonical outputs per workload at the default seed,
+# recorded before the tail model was merged; a change here is a change of output
+DIGESTS = {
+    "stream": "3e6951876bf35147227461ea3e5f9ce14cb66cc6d17e2bb6c4b7ec9e1e3d98d9",
+    "pinning": "34d12d35f42ef63b8e5b176bb234b27045d2155aa2707a2e56d1889b86f6fcc4",
+    "field": "a41b60f6a8c4eaa7bab9339e2757a8098152f6488fd1a5f6f39cedb6bcd15303",
+}
+
+
+def test_bench_output_digests_are_pinned(monkeypatch):
+    """The benchmark's first ops, run in-process, give the recorded outputs."""
+    import carpenter
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the worker adds src/ to it
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    gen = importlib.import_module("gen")
+    worker = importlib.import_module("worker")
+    lib = worker.Lib(str(Path(carpenter.__file__).resolve().parent.parent))
+    for workload, want in DIGESTS.items():
+        items = gen.workload_inputs(workload, 1729, 12)
+        records = [worker.run_op(lib, item, lib.decode(item))[0] for item in items]
+        assert [r["why"] for r in records if not r["ok"]] == [], workload
+        assert worker.labels_and_digest(records, 12)[1] == want, workload

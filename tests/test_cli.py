@@ -177,9 +177,26 @@ def test_bad_input_files(tmp_path, capsys):
         code, _, err = run(capsys, ["check", "--spec", bad])
         assert code == 2 and err.startswith("error:") and "Traceback" not in err, (doc, err)
     good = write_json(tmp_path / "good.json", CONST_25)
-    rep = write_json(tmp_path / "rep.json", [1, 2])
-    code, _, err = run(capsys, ["verify", "--spec", good, "--rep", rep])
-    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    # malformed projections: not an object, bad vector lists, non-integer indices and tails
+    rule = {"kind": "geometric", "c": "1/2", "r": "1/2"}
+    for i, doc in enumerate(
+        (
+            [1, 2],
+            {"form": "frame", "vectors": 5},
+            {"form": "frame", "vectors": [{"support": [["a", 0.5]]}]},
+            {"form": "frame", "vectors": [{"support": [[True, 0.5]]}]},
+            {"form": "frame", "vectors": [{"support": [[1.5, 0.5]]}]},
+            {"form": "frame", "vectors": [{"support": [[1, "x"]]}]},
+            {"form": "frame", "vectors": [{"support": [[1]]}]},
+            {"form": "frame", "vectors": [{"support": [], "sqrtTail": {"start": "x", "rule": rule}}]},
+            {"form": "frame", "vectors": [
+                {"support": [], "sqrtTail": {"start": 1, "stride": 0.5, "rule": rule}}
+            ]},
+        )
+    ):
+        rep = write_json(tmp_path / f"rep{i}.json", doc)
+        code, _, err = run(capsys, ["verify", "--spec", good, "--rep", rep])
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err, (doc, err)
     # malformed field and spectral-sample documents
     for i, (cmd, doc) in enumerate(
         (
@@ -189,6 +206,13 @@ def test_bad_input_files(tmp_path, capsys):
             ("si", [1]),
             ("si", {"window": [[0]], "fibers": 3}),
             ("si", {"window": [0], "fibers": [{"xi": [0.5], "values": 5}]}),
+            ("si", {"window": ["ab"], "fibers": []}),
+            ("si", {"window": [True], "fibers": []}),
+            ("si", {"window": [0.5], "fibers": []}),
+            ("si", {"d": "x", "window": [0], "fibers": []}),
+            ("si", {"window": [0], "fibers": [{"xi": "abc", "values": ["1"]}]}),
+            ("si", {"window": [0], "fibers": [{"xi": "5", "values": ["1"]}]}),
+            ("si", {"window": [0], "fibers": [{"xi": [False], "values": ["1"]}]}),
         )
     ):
         bad = write_json(tmp_path / f"bad_{cmd}{i}.json", doc)

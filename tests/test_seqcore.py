@@ -67,7 +67,7 @@ def test_tail_sum_from_and_complement():
     # total of c r^{j-1} from j = k on is c r^{k-1} / (1 - r)
     assert g.sum_from(1) == 1
     assert g.sum_from(3) == F(1, 4)
-    assert g.complement_sum_from(1) == INF
+    assert g.complement().sum_from(1) == INF
     w = g.complement()
     assert w.value(2) == 1 - g.value(2)
     assert w.complement().value(5) == g.value(5)
@@ -103,14 +103,15 @@ def test_spec_total_infinite():
     assert DiagonalSpec.of("1", tail=TailRule.zero()).total() == 1
 
 
-def test_spec_complement_and_from_index():
+def test_spec_complement_and_tail_view():
     s = DiagonalSpec.of("1/4", "3/4", tail=TailRule.geometric("1/2", "1/2"))
     c = s.complement()
     for i in range(1, 8):
         assert c.entry(i) == 1 - s.entry(i)
-    t = s.from_index(3)
-    for i in range(1, 6):
-        assert t.entry(i) == s.entry(i + 2)
+    # entries 4, 7, 10, ... of s: tail offsets 2, 5, 8, ...
+    t = s.tail.reindexed(2, step=3)
+    for j in range(1, 6):
+        assert t.value(j) == s.entry(3 * j + 1)
 
 
 def test_half_classes_counts_and_positions():
@@ -307,12 +308,6 @@ def test_permutation_window_apply_and_inverse():
         assert q.apply(p.apply(i)) == i
     with pytest.raises(SpecError):
         PermutationWindow((2, 2, 1))
-
-
-def test_permutation_window_trimmed():
-    p = PermutationWindow((2, 1, 3, 4))
-    assert p.trimmed().window == (2, 1)
-    assert PermutationWindow((1, 2)).trimmed().size == 0
 
 
 def test_conjugate_by_permutation_moves_diagonal():

@@ -141,3 +141,16 @@ def test_range_file_json_round_trip():
     b = back.fibers[0].rep.dense(6)
     assert np.allclose(a, b, atol=1e-12)
     assert back.fibers[0].branch == rf.fibers[0].branch
+
+
+def test_range_file_json_rejects_malformed_documents():
+    # the range file reads d and window through the samples' codec
+    for doc in (
+        [1],
+        {"window": ["ab"], "fibers": []},
+        {"d": 2, "window": [[0]], "fibers": []},
+        {"window": [0], "fibers": 3},
+        {"window": [0], "fibers": [{"xi": "0.5", "projection": {"form": "frame", "vectors": []}}]},
+    ):
+        with pytest.raises(SpecError):
+            RangeFunctionFile.from_json_dict(doc)

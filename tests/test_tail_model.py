@@ -1,0 +1,95 @@
+"""Seeded property checks of the prefix-sum search and the class indices
+against brute force, over all four tail kinds.
+
+``min_s(spec, n)`` must be the smallest i with ``partial_sum(i) >= n``, or
+raise when the partial sums never get there; ``half_classes()`` and
+``proper_classes()`` must agree with classifying the first entries one by
+one.  The generator leans on the edge cases: c = 1 geometric tails (whose
+first entry is improper), entries of exactly 0, 1/2 and 1, partial sums
+that hit an integer exactly, and limits at or below the target.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+from carpenter.errors import ConstructionError, OutOfRangeError
+from carpenter.seqcore import HALF, INF, DiagonalSpec, TailRule
+from carpenter.tetris import min_s
+
+SEED = 5
+COUNT = 300
+SCAN = 60  # indices scanned by brute force; every reachable target lands below it
+
+
+def _random_spec(rng):
+    pick = lambda *xs: F(rng.choice(xs))
+    prefix = [pick(0, 1, "1/2", "1/4", "3/4", "1/3", "2/5", "5/6") for _ in range(rng.randint(0, 6))]
+    kind = rng.randrange(4)
+    if kind == 0:
+        tail = TailRule.zero()
+    elif kind == 1:
+        tail = TailRule.constant(pick(0, 1, "1/2", "1/4", "2/5", "3/5", "2/3"))
+    else:
+        rule = TailRule.geometric if kind == 2 else TailRule.one_minus_geometric
+        tail = rule(pick(1, 1, "1/2", "3/4", "1/3"), pick("1/2", "2/3", "9/10"))
+    return DiagonalSpec(tuple(prefix), tail)
+
+
+def _specs():
+    rng = random.Random(SEED)
+    return [_random_spec(rng) for _ in range(COUNT)]
+
+
+def test_min_s_is_the_first_index_reaching_n():
+    seen = Counter()
+    for s in _specs():
+        sums = [s.partial_sum(i) for i in range(SCAN)]
+        for n in range(0, 7):
+            want = next((i for i, x in enumerate(sums) if x >= n), None)
+            if want is not None:
+                assert min_s(s, n) == want, (s, n)
+                seen["exact hit" if sums[want] == n and n > 0 else "reached"] += 1
+                continue
+            # never reached: the partial sums tend to a finite limit <= n
+            limit = s.total()
+            assert limit != INF and limit <= n, (s, n)
+            stalls = limit == s.partial_sum(len(s.prefix))
+            msg = "stall at" if stalls else f"stay below {n} \\(limit"
+            with pytest.raises(ConstructionError, match=msg):
+                min_s(s, n)
+            seen["stall" if stalls else "stay below"] += 1
+    assert min(seen[k] for k in ("exact hit", "reached", "stall", "stay below")) >= 20, seen
+    with pytest.raises(OutOfRangeError):
+        min_s(DiagonalSpec(), -1)
+
+
+def _check_index(s, cls, member):
+    """Compare a class index with the membership of the first SCAN entries."""
+    members = {a: [i for i in range(1, SCAN) if member(s.entry(i)) == a] for a in (True, False)}
+    rest = cls.rest_start()
+    assert len(s.prefix) < rest < SCAN // 2
+    # the tail's exceptions are a leading run, and past them every entry is in the rest class
+    for i in range(len(s.prefix) + 1, SCAN):
+        assert member(s.entry(i)) == (cls.rest_a if i >= rest else not cls.rest_a), (s, i)
+    for a in (True, False):
+        if a == cls.rest_a:
+            assert cls.count(a) == INF
+        else:
+            assert cls.count(a) == len(members[a])
+            with pytest.raises(OutOfRangeError):
+                cls.nth(len(members[a]) + 1, a)
+        assert [cls.nth(k, a) for k in range(1, len(members[a]) + 1)] == members[a]
+
+
+def test_class_indices_match_brute_force():
+    exceptions = Counter()
+    for s in _specs():
+        half, proper = s.half_classes(), s.proper_classes()
+        _check_index(s, half, lambda x: x <= HALF)
+        _check_index(s, proper, lambda x: 0 < x < 1)
+        exceptions["half", half.n_exc > 0] += 1
+        exceptions["proper", proper.n_exc > 0] += 1  # a c = 1 geometric tail starts at 0 or 1
+    assert min(exceptions.values()) >= 20 and len(exceptions) == 4, exceptions

@@ -7,7 +7,6 @@ import pytest
 from carpenter.errors import ConstructionError, OutOfRangeError
 from carpenter.seqcore import DiagonalSpec, TailRule, diag_of
 from carpenter.tetris import (
-    MinSTable,
     block_sort,
     coupling,
     interleave_split_fin,
@@ -65,13 +64,6 @@ def test_min_s_zero_tail_unreachable():
     assert min_s(s, 1) == 2
     with pytest.raises(ConstructionError):
         min_s(s, 2)
-
-
-def test_min_s_table_caches():
-    t = MinSTable(spec(tail=TailRule.constant("2/5")))
-    assert t.get(2) == 5
-    assert t.get(1) == 3
-    assert t.known() == {1: 3, 2: 5}
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +203,7 @@ def test_sort_desc_window_orders_and_tracks():
 def test_block_sort_sorted_input_is_fixed():
     s = spec(tail=TailRule.constant("2/5"))
     g, rho = block_sort(s)
-    assert rho.trimmed().size == 0
+    assert rho.window == tuple(range(1, rho.size + 1))
     for i in range(1, 8):
         assert g.entry(i) == s.entry(i)
 
@@ -257,7 +249,7 @@ def test_interleave_split_front_larges():
     assert [parts[0].entry(i) for i in (1, 2, 3)] == [F(4, 5), F(1, 10), F(1, 10)]
     assert [parts[1].entry(i) for i in (1, 2, 3)] == [F(9, 10), F(1, 10), F(1, 10)]
     # larges already occupy the first two slots, so the relabelling is trivial
-    assert beta.trimmed().size == 0
+    assert beta.window == tuple(range(1, beta.size + 1))
 
 
 def test_interleave_split_scattered_larges():
