@@ -8,7 +8,7 @@ mass, one carry mass exactly one, and one carry co-mass exactly one; a single
 
 import numpy as np
 
-from carpenter.seqcore import DiagonalSpec, TailRule, diag_of
+from carpenter.seqcore import DiagonalSpec, TailRule
 from carpenter.summable import decouple, summable_construct2
 
 spec = DiagonalSpec.of("3/10", "1/5", tail=TailRule.one_minus_geometric("1/4", "1/2"))
@@ -26,7 +26,7 @@ assert sum(plan.group2) == 1
 assert plan.group3_comp.total() == 1
 
 rep = summable_construct2(spec, m=6)
-got = [diag_of(rep, i) for i in range(1, 7)]
+got = rep.diag(6)
 print("\nassembled diagonal   :", [round(x, 10) for x in got])
 want = [float(spec.entry(i)) for i in range(1, 7)]
 assert np.allclose(got, want, atol=1e-9)

@@ -51,7 +51,6 @@ from .seqcore import (
     SqrtTail,
     TailRule,
     conjugate_by_permutation,
-    diag_of,
     dumps_canonical,
     rat,
 )

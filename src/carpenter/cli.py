@@ -29,7 +29,9 @@ from .errors import CarpenterError, InfeasibleDiagonalError, MajorizationError, 
 from .feasibility import route
 from .schurhorn import schur_horn_unitary
 from .selector import carpenter, carpenter_field, necessity_oracle, verify_projection
-from .seqcore import CellField, DiagonalSpec, ProjectionRep, dumps_canonical, fmt_rat, rat
+from .seqcore import (
+    CellField, DiagonalSpec, ProjectionRep, _json_int, dumps_canonical, fmt_rat, rat,
+)
 from .sispectral import SpectralSamples, synthesize_range
 
 USAGE_EXIT = 64
@@ -49,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """argparse type for counts and dimensions: a non-negative int."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _load_json(path: str):
@@ -103,7 +112,10 @@ def _cmd_verify(args) -> int:
     rep_doc = _load_json(args.rep)
     settled = args.settled
     if isinstance(rep_doc, dict):  # a construct output, or a bare projection
-        settled = rep_doc.get("settled") if settled is None else settled
+        if settled is None and rep_doc.get("settled") is not None:
+            settled = _json_int(rep_doc["settled"], "settled")
+            if settled < 0:
+                raise SpecError(f"settled must be non-negative, got {settled}")
         rep_doc = rep_doc.get("projection", rep_doc)
     rep = ProjectionRep.from_json_dict(rep_doc)
     report = verify_projection(rep, spec, args.dim, args.tol, settled)
@@ -183,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write JSON here instead of stdout")
         if vectors:
             p.add_argument(
-                "--vectors", type=int, default=DEFAULTS.vectors,
+                "--vectors", type=_count, default=DEFAULTS.vectors,
                 help=f"streamed vectors per subsequence (default {DEFAULTS.vectors})",
             )
 
@@ -201,16 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-check a stored representation")
     p.add_argument("--rep", required=True, help="construct output (or bare projection JSON)")
     p.add_argument("--spec", required=True)
-    p.add_argument("--dim", type=int, default=DEFAULTS.vectors, help="truncation dimension")
+    p.add_argument("--dim", type=_count, default=DEFAULTS.vectors, help="truncation dimension")
     p.add_argument("--tol", type=float, default=DEFAULTS.tol)
-    p.add_argument("--settled", type=int, default=None, help="override the settled prefix")
+    p.add_argument("--settled", type=_count, default=None, help="override the settled prefix")
     common(p, vectors=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("field", help="per-cell projections for a field of specs")
     p.add_argument("--input", required=True, help="JSON list of {cell, spec}")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--vectors", type=int, default=DEFAULTS.vectors)
+    p.add_argument("--vectors", type=_count, default=DEFAULTS.vectors)
     p.set_defaults(func=_cmd_field)
 
     p = sub.add_parser("schur-horn", help="finite spectrum-to-diagonal rotation")
@@ -226,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_si)
 
     p = sub.add_parser("oracle", help="randomized necessity check")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--dim", type=_count, required=True)
+    p.add_argument("--trials", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULTS.seed)
     p.add_argument("--tol", type=float, default=DEFAULTS.tol)
     common(p, vectors=False)

@@ -100,11 +100,11 @@ def verify_projection(
     n = len(rep.vectors)
     gram_err = float(np.abs(g - np.eye(n)).max()) if n else 0.0
     v = np.vstack([w.dense(m) for w in rep.vectors]) if n else np.zeros((0, m))
-    idem_err = float(np.abs(v.T @ (g - np.eye(n)) @ v).max()) if n else 0.0
+    idem_err = float(np.abs(v.T @ (g - np.eye(n)) @ v).max()) if n and m else 0.0
     upto = m if settled is None else min(settled, m)
     diag_err = 0.0
-    for k in range(1, upto + 1):
-        diag_err = max(diag_err, abs(rep.diag(k) - float(spec.entry(k))))
+    for k, d in enumerate(rep.diag(upto), start=1):
+        diag_err = max(diag_err, abs(d - float(spec.entry(k))))
     return VerificationReport(m, tol, upto, gram_err, diag_err, idem_err)
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "SqrtTail",
     "SparseVector",
     "ProjectionRep",
-    "diag_of",
     "IndexMap",
     "PermutationWindow",
     "conjugate_by_permutation",
@@ -462,9 +462,7 @@ class SqrtTail:
         if self.start < 1 or self.stride < 1:
             raise SpecError("sqrt tail needs start >= 1 and stride >= 1")
         if self.rule.kind != GEOMETRIC:
-            raise UnsupportedStructureError(
-                f"sqrt tails must decay geometrically, got {self.rule.kind!r}"
-            )
+            raise SpecError(f"sqrt tails must decay geometrically, got {self.rule.kind!r}")
 
     def offset_of(self, k: int) -> int | None:
         """Tail offset j covering global index k, or None."""
@@ -476,8 +474,14 @@ class SqrtTail:
         return self.rule.sum_from(1)
 
 
-def _sq(x: float) -> float:
-    return x * x
+def _check_square(v: float, q: Fraction):
+    """SpecError unless the exact square ``q`` is v*v up to float rounding (4 ulps)."""
+    try:
+        f = float(q)
+    except OverflowError:  # beyond every float square; NaN matches nothing below
+        f = math.nan
+    if q.numerator < 0 or not abs(v * v - f) <= 4 * 2**-52 * max(f, sys.float_info.min):
+        raise SpecError(f"square {fmt_rat(q)} does not match support value {v!r}")
 
 
 @dataclass(frozen=True)
@@ -528,36 +532,24 @@ class SparseVector:
         sup = tuple((i + 1, float(v)) for i, v in enumerate(values) if abs(v) > tol)
         return cls(sup)
 
-    # -- lookups
+    # -- finite views
 
-    def value_at(self, k: int) -> float:
-        for i, v in self.support:
-            if i == k:
-                return v
-            if i > k:
+    def rows(self, n: int) -> Iterator[tuple[int, float, Fraction | None]]:
+        """``(index, value, exact square or None)`` for every entry at an index <= n.
+
+        Support rows come first, then the sqrt-tail rows; every finite view of
+        the vector (dense rows, diagonals, tail materialization) walks these.
+        """
+        sqs = self.squares if self.squares is not None else (None,) * len(self.support)
+        for (i, v), q in zip(self.support, sqs):
+            if i > n:
                 break
-        if self.sqrt_tail is not None:
-            j = self.sqrt_tail.offset_of(k)
-            if j is not None:
-                return math.sqrt(self.sqrt_tail.rule.value(j))
-        return 0.0
-
-    def square_at(self, k: int) -> float:
-        ex = self.exact_square_at(k)
-        return _sq(self.value_at(k)) if ex is None else float(ex)
-
-    def exact_square_at(self, k: int) -> Fraction | None:
-        """Exact |entry|^2 at index k, or None when only floats are known."""
-        for pos, (i, _) in enumerate(self.support):
-            if i == k:
-                return self.squares[pos] if self.squares is not None else None
-            if i > k:
-                break
-        if self.sqrt_tail is not None:
-            j = self.sqrt_tail.offset_of(k)
-            if j is not None:
-                return self.sqrt_tail.rule.value(j)
-        return Fraction(0)
+            yield i, v, q
+        t = self.sqrt_tail
+        if t is not None:
+            for j, k in enumerate(range(t.start, n + 1, t.stride), start=1):
+                q = t.rule.value(j)
+                yield k, math.sqrt(q), q
 
     def exact_norm_sq(self) -> Fraction:
         if self.squares is None and self.support:
@@ -605,15 +597,8 @@ class SparseVector:
 
     def dense(self, m: int) -> np.ndarray:
         out = np.zeros(m)
-        for i, v in self.support:
-            if i <= m:
-                out[i - 1] = v
-        if self.sqrt_tail is not None:
-            t = self.sqrt_tail
-            k = t.start
-            while k <= m:
-                out[k - 1] = math.sqrt(t.rule.value(t.offset_of(k)))
-                k += t.stride
+        for i, v, _ in self.rows(m):
+            out[i - 1] = v
         return out
 
     def materialized_through(self, m: int) -> "SparseVector":
@@ -621,19 +606,13 @@ class SparseVector:
         t = self.sqrt_tail
         if t is None or t.start > m:
             return self
-        extra = []
-        k = t.start
-        while k <= m:
-            extra.append((k, t.rule.value(t.offset_of(k))))
-            k += t.stride
-        base = list(self.support)
-        sqs = list(self.squares) if self.squares is not None else None
-        for i, q in extra:
-            base.append((i, math.sqrt(q)))
-            if sqs is not None:
-                sqs.append(q)
-        new_tail = SqrtTail(k, t.rule.reindexed(t.offset_of(k)), t.stride)
-        return SparseVector(tuple(base), new_tail, tuple(sqs) if sqs is not None else None)
+        rows = list(self.rows(m))  # the whole support, then tail rows up to m
+        k = rows[-1][0] + t.stride
+        return SparseVector(
+            tuple((i, v) for i, v, _ in rows),
+            SqrtTail(k, t.rule.reindexed(t.offset_of(k)), t.stride),
+            None if self.squares is None else tuple(q for _, _, q in rows),
+        )
 
     def remap(self, emb: "IndexMap") -> "SparseVector":
         """Move entry i to index ``emb.map_index(i)``.
@@ -682,11 +661,14 @@ class SparseVector:
                 raise SpecError(f"support entry must be an [index, value] pair, got {e!r}")
             support.append((_json_int(e[0], "support index"), _json_number(e[1], "support value")))
         sqs = d.get("squares")
-        return cls(
+        vec = cls(
             tuple(support),
             tail,
             tuple(rat(q) for q in _json_list(sqs, "squares")) if sqs is not None else None,
         )
+        for (_, v), q in zip(vec.support, vec.squares or ()):
+            _check_square(v, q)
+        return vec
 
 
 @dataclass(frozen=True)
@@ -744,24 +726,25 @@ class ProjectionRep:
         """Representation of I - P (swap frame and coframe)."""
         return ProjectionRep("coframe" if self.form == "frame" else "frame", self.vectors)
 
-    def diag(self, k: int) -> float:
-        s = sum(v.square_at(k) for v in self.vectors)
-        return s if self.form == "frame" else 1.0 - s
+    def diag(self, n: int) -> list[float]:
+        """Diagonal entries 1..n, in one pass over the vectors' rows.
 
-    def exact_diag(self, k: int) -> Fraction:
-        s = Fraction(0)
+        Each entry adds the vectors' squares in their stored order, the exact
+        square where one is known, so it equals the per-index sum bit for bit.
+        """
+        s = [0.0] * n
         for v in self.vectors:
-            q = v.exact_square_at(k)
-            if q is None:
-                raise ExactnessError(f"float-only entry at index {k}")
-            s += q
-        return s if self.form == "frame" else 1 - s
+            for i, x, q in v.rows(n):
+                s[i - 1] += x * x if q is None else float(q)
+        return s if self.form == "frame" else [1.0 - x for x in s]
 
-    def entry(self, i: int, j: int) -> float:
-        s = sum(v.value_at(i) * v.value_at(j) for v in self.vectors)
-        if self.form == "frame":
-            return s
-        return (1.0 if i == j else 0.0) - s
+    def exact_diag(self, n: int) -> list[Fraction | None]:
+        """Exact diagonal entries 1..n; None where a vector there has only a float."""
+        s: list[Fraction | None] = [Fraction(0)] * n
+        for v in self.vectors:
+            for i, _, q in v.rows(n):
+                s[i - 1] = None if q is None or s[i - 1] is None else s[i - 1] + q
+        return s if self.form == "frame" else [None if x is None else 1 - x for x in s]
 
     def gram(self) -> np.ndarray:
         n = len(self.vectors)
@@ -784,11 +767,6 @@ class ProjectionRep:
         d = _json_object(d, "projection")
         vectors = _json_list(d["vectors"], "projection vectors")
         return cls(d["form"], tuple(SparseVector.from_json_dict(v) for v in vectors))
-
-
-def diag_of(rep: ProjectionRep, k: int, exact: bool = False):
-    """Diagonal entry k of the represented projection."""
-    return rep.exact_diag(k) if exact else rep.diag(k)
 
 
 # ---------------------------------------------------------------------------

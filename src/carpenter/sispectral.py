@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ExactnessError, InfeasibleDiagonalError, SpecError
+from .errors import InfeasibleDiagonalError, SpecError
 from .feasibility import FeasibilityReport, classify, route
 from .seqcore import DiagonalSpec, ProjectionRep, TailRule, fmt_rat, rat
 from .seqcore import _json_int, _json_list, _json_number, _json_object
@@ -185,14 +185,12 @@ def synthesize_range(samples: SpectralSamples, m: int = 16, tol: float = 1e-9) -
 
 def extract_spectral(rangefile: RangeFunctionFile) -> SpectralSamples:
     """Read the diagonals back off a range file (exact where available)."""
+    n = len(rangefile.window)
     fibers = []
     for f in rangefile.fibers:
-        vals = []
-        for i in range(1, len(rangefile.window) + 1):
-            try:
-                q = f.rep.exact_diag(i)
-            except ExactnessError:
-                q = Fraction(f.rep.diag(i))
-            vals.append(min(max(q, Fraction(0)), Fraction(1)))  # shave roundoff
-        fibers.append(SpectralFiber(f.xi, tuple(vals), TailRule.zero()))
+        vals = tuple(
+            min(max(Fraction(x) if q is None else q, Fraction(0)), Fraction(1))  # shave roundoff
+            for q, x in zip(f.rep.exact_diag(n), f.rep.diag(n))
+        )
+        fibers.append(SpectralFiber(f.xi, vals, TailRule.zero()))
     return SpectralSamples(rangefile.d, rangefile.window, tuple(fibers))

@@ -294,14 +294,14 @@ def summable_construct2(spec: DiagonalSpec, m: int = 0, trace: dict | None = Non
     pre = ProjectionRep.coframe(tuple(vecs))
 
     coords = (1, n1 + 1, n1 + l2 + 1)
-    for ci in coords:
-        for cj in coords:
-            if ci < cj and abs(pre.entry(ci, cj)) > 1e-10:
-                raise ConstructionError("internal: decoupled groups are not orthogonal")
+    at = [c - 1 for c in coords]
+    v3 = np.vstack([v.dense(coords[-1])[at] for v in vecs])  # one truncation, three columns
+    p3 = np.eye(3) - v3.T @ v3  # the coframe's block on those coordinates
+    if np.abs(p3 - np.diag(np.diag(p3))).max() > 1e-10:
+        raise ConstructionError("internal: decoupled groups are not orthogonal")
     current = [plan.a1_tilde, plan.b_tilde, plan.a2_tilde]
-    for c, val in zip(coords, current):
-        if abs(pre.diag(c) - float(val)) > 1e-9:
-            raise ConstructionError("internal: adjusted diagonal mismatch before correction")
+    if np.abs(np.diag(p3) - [float(x) for x in current]).max() > 1e-9:
+        raise ConstructionError("internal: adjusted diagonal mismatch before correction")
     a = plan.small
     # group2_src[0] is the position of the large entry b_{i3}
     target = [a[plan.i1 - 1], plan.spec.entry(plan.group2_src[0]), a[plan.i2 - 1]]

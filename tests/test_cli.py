@@ -67,6 +67,8 @@ def test_verify_round_trip_and_mismatch(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and doc["settled"] == 12
+    code, out, _ = run(capsys, ["verify", "--rep", str(rep), "--spec", spec, "--dim", "0"])
+    assert code == 0 and json.loads(out)["settled"] == 0
 
     other = write_json(tmp_path / "t.json", CONST_35)
     code, out, _ = run(capsys, ["verify", "--rep", str(rep), "--spec", other, "--dim", "12"])
@@ -160,6 +162,19 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["check"]) == 64  # --spec is required
     capsys.readouterr()
+    # counts and dimensions are non-negative integers
+    for argv in (
+        ["verify", "--rep", "r.json", "--spec", "s.json", "--settled", "-2"],
+        ["verify", "--rep", "r.json", "--spec", "s.json", "--dim", "-3"],
+        ["verify", "--rep", "r.json", "--spec", "s.json", "--dim", "1.5"],
+        ["oracle", "--dim", "-1"],
+        ["oracle", "--dim", "3", "--trials", "-1"],
+        ["construct", "--spec", "s.json", "--vectors", "-1"],
+        ["field", "--input", "f.json", "--out", "o", "--vectors", "-1"],
+        ["si", "--input", "i.json", "--vectors", "x"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 64 and "non-negative integer" in err, argv
 
 
 def test_bad_input_files(tmp_path, capsys):
@@ -192,11 +207,26 @@ def test_bad_input_files(tmp_path, capsys):
             {"form": "frame", "vectors": [
                 {"support": [], "sqrtTail": {"start": 1, "stride": 0.5, "rule": rule}}
             ]},
+            {"form": "frame", "vectors": [  # a sqrt tail must decay geometrically
+                {"support": [], "sqrtTail": {"start": 1, "rule": {"kind": "constant", "c": "1/2"}}}
+            ]},
+            {"form": "frame", "vectors": [{"support": [[1, 0.5]], "squares": ["-1/4"]}]},
+            {"form": "frame", "vectors": [{"support": [[1, 1.0]], "squares": ["1" + "0" * 400]}]},
+            {"form": "frame", "vectors": [{"support": [[1, 0.5]], "squares": ["1/4", "1/4"]}]},
+            {"settled": "x", "projection": {"form": "frame", "vectors": []}},
+            {"settled": True, "projection": {"form": "frame", "vectors": []}},
+            {"settled": -2, "projection": {"form": "frame", "vectors": []}},
         )
     ):
         rep = write_json(tmp_path / f"rep{i}.json", doc)
         code, _, err = run(capsys, ["verify", "--spec", good, "--rep", rep])
         assert code == 2 and err.startswith("error:") and "Traceback" not in err, (doc, err)
+    # a forged exact square: e1 e1^T claiming diagonal 1/2 at index 1
+    half = write_json(tmp_path / "half.json", {"prefix": ["1/2"], "tail": {"kind": "zero"}})
+    forged = {"form": "frame", "vectors": [{"support": [[1, 1.0]], "squares": ["1/2"]}]}
+    forged = write_json(tmp_path / "forged.json", forged)
+    code, out, err = run(capsys, ["verify", "--spec", half, "--rep", forged])
+    assert code == 2 and out == "" and "does not match" in err
     # malformed field and spectral-sample documents
     for i, (cmd, doc) in enumerate(
         (

@@ -19,7 +19,6 @@ from carpenter.seqcore import (
     SqrtTail,
     TailRule,
     conjugate_by_permutation,
-    diag_of,
     dumps_canonical,
     rat,
 )
@@ -27,6 +26,11 @@ from carpenter.seqcore import (
 
 def support_indices(v):
     return tuple(i for i, _ in v.support)
+
+
+def squares_through(v, n):
+    """Exact square (or None) of every entry of v at an index <= n, by index."""
+    return {i: q for i, _, q in v.rows(n)}
 
 
 def test_rat_accepts_exact_inputs_only():
@@ -152,8 +156,8 @@ def test_spec_json_round_trip():
 def test_sparse_vector_from_exact_sorts_and_drops_zeros():
     v = SparseVector.from_exact([(5, F(1, 4), -1), (2, F(3, 4), 1), (9, F(0), 1)])
     assert support_indices(v) == (2, 5)
-    assert v.exact_square_at(2) == F(3, 4)
-    assert v.value_at(5) == pytest.approx(-0.5)
+    assert squares_through(v, 9) == {2: F(3, 4), 5: F(1, 4)}
+    assert v.dense(5)[4] == pytest.approx(-0.5)
     assert v.exact_norm_sq() == 1
 
 
@@ -168,10 +172,11 @@ def test_sparse_vector_tail_mass():
     tail = SqrtTail(4, TailRule.geometric("1/8", "1/2"))
     v = SparseVector.from_exact([(1, F(1, 2), 1), (2, F(1, 4), 1)], sqrt_tail=tail)
     assert v.exact_norm_sq() == 1
-    # squares along the tail are c r^{j-1}
-    assert v.exact_square_at(4) == F(1, 8)
-    assert v.exact_square_at(6) == F(1, 32)
-    assert v.square_at(6) == pytest.approx(1 / 32)
+    # support rows first, then the tail; squares along the tail are c r^{j-1}
+    assert [i for i, _, _ in v.rows(6)] == [1, 2, 4, 5, 6]
+    assert squares_through(v, 6)[4] == F(1, 8)
+    assert squares_through(v, 6)[6] == F(1, 32)
+    assert ProjectionRep.frame((v,)).diag(6)[5] == pytest.approx(1 / 32)
 
 
 def test_sparse_vector_inner_matches_dense_dot():
@@ -217,7 +222,7 @@ def test_sparse_vector_remap_affine():
     v = SparseVector.from_exact([(1, F(1, 2), 1), (2, F(1, 2), -1)])
     w = v.remap(IndexMap((), 3, 2))  # i -> (i-1)*3 + 2
     assert support_indices(w) == (2, 5)
-    assert w.exact_square_at(5) == F(1, 2)
+    assert squares_through(w, 5)[5] == F(1, 2)
     # a sqrt tail moves with the map: start 3 -> 8, stride 2 -> 6
     tailed = SparseVector.from_exact(
         [(1, F(1, 2), 1)], sqrt_tail=SqrtTail(3, TailRule.geometric("1/4", "1/2"), stride=2)
@@ -225,8 +230,9 @@ def test_sparse_vector_remap_affine():
     w = tailed.remap(IndexMap((), 3, 2))
     assert support_indices(w) == (2,)
     assert (w.sqrt_tail.start, w.sqrt_tail.stride) == (8, 6)
+    moved, orig = squares_through(w, 40), squares_through(tailed, 20)
     for j in range(1, 6):
-        assert w.exact_square_at(8 + 6 * (j - 1)) == tailed.exact_square_at(3 + 2 * (j - 1))
+        assert moved[8 + 6 * (j - 1)] == orig[3 + 2 * (j - 1)]
 
 
 def test_sparse_vector_remap_list_shift():
@@ -260,22 +266,25 @@ def _toy_rep():
 
 def test_projection_rep_diag_and_entry():
     rep = _toy_rep()
-    assert [diag_of(rep, k) for k in (1, 2, 3)] == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
-    assert rep.entry(1, 2) == pytest.approx(0.5, abs=1e-15)
-    assert rep.entry(3, 3) == 0.0
+    assert rep.diag(3) == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
+    p = rep.dense(3)
+    assert p[0, 1] == pytest.approx(0.5, abs=1e-15)
+    assert p[2, 2] == 0.0
 
 
 def test_projection_rep_exact_diag():
     rep = _toy_rep()
-    assert [diag_of(rep, k, exact=True) for k in (1, 2)] == [F(1, 2), F(1, 2)]
+    assert rep.exact_diag(2) == [F(1, 2), F(1, 2)]
+    floats = ProjectionRep.frame((SparseVector.from_dense([0.6, 0.8]),))
+    assert floats.exact_diag(3) == [None, None, F(0)]
 
 
 def test_projection_rep_complementary_swaps_roles():
     rep = _toy_rep()
     comp = rep.complementary()
     assert comp.form == "coframe"
-    for k in range(1, 5):
-        assert diag_of(rep, k) + diag_of(comp, k) == pytest.approx(1.0, abs=1e-15)
+    for d, c in zip(rep.diag(4), comp.diag(4)):
+        assert d + c == pytest.approx(1.0, abs=1e-15)
     again = comp.complementary()
     assert again.form == "frame" and again.vectors == rep.vectors
 
@@ -314,8 +323,9 @@ def test_conjugate_by_permutation_moves_diagonal():
     rep = _toy_rep()
     perm = PermutationWindow((3, 1, 2))
     out = conjugate_by_permutation(rep, perm)
+    d_out, d_rep = out.diag(6), rep.diag(6)
     for i in range(1, 7):
-        assert diag_of(out, i) == pytest.approx(diag_of(rep, perm.apply(i)), abs=1e-15)
+        assert d_out[i - 1] == pytest.approx(d_rep[perm.apply(i) - 1], abs=1e-15)
 
 
 def test_conjugate_by_permutation_random_frames():
@@ -328,8 +338,8 @@ def test_conjugate_by_permutation_random_frames():
         rep = ProjectionRep.frame(frame)
         perm = PermutationWindow(tuple(int(x) for x in rng.permutation(n) + 1))
         out = conjugate_by_permutation(rep, perm)
-        d_out = np.array([diag_of(out, i) for i in range(1, n + 1)])
-        expect = np.array([diag_of(rep, perm.apply(i)) for i in range(1, n + 1)])
+        d_out = np.array(out.diag(n))
+        expect = np.array([rep.diag(n)[perm.apply(i) - 1] for i in range(1, n + 1)])
         assert np.allclose(d_out, expect, atol=1e-12)
         # conjugation preserves the projection property
         p = out.dense(n)
@@ -342,9 +352,11 @@ def test_conjugate_materializes_tails_inside_window():
     rep = ProjectionRep.frame((v,))
     perm = PermutationWindow((3, 1, 2))
     out = conjugate_by_permutation(rep, perm)
+    d_out, d_rep = out.diag(8), rep.diag(8)
+    e_out, e_rep = out.exact_diag(8), rep.exact_diag(8)
     for i in range(1, 9):
-        assert diag_of(out, i) == pytest.approx(diag_of(rep, perm.apply(i)), abs=1e-14)
-        assert out.exact_diag(i) == rep.exact_diag(perm.apply(i))
+        assert d_out[i - 1] == pytest.approx(d_rep[perm.apply(i) - 1], abs=1e-14)
+        assert e_out[i - 1] == e_rep[perm.apply(i) - 1]
 
 
 def test_cell_field_rejects_duplicate_ids():

@@ -54,9 +54,9 @@ def test_samples_json_round_trip():
 
 
 def test_samples_json_scalar_window_and_xi():
-    doc = {"d": 1, "window": [0, 1], "fibers": [{"xi": 0.5, "values": ["1/2", "1/2"]}]}
+    doc = {"d": 1, "window": [-1, 1], "fibers": [{"xi": 0.5, "values": ["1/2", "1/2"]}]}
     s = SpectralSamples.from_json_dict(doc)
-    assert s.window == ((0,), (1,))
+    assert s.window == ((-1,), (1,))  # translates are signed
     assert s.fibers[0].xi == (0.5,)
 
 

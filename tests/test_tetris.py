@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carpenter.errors import ConstructionError, OutOfRangeError
-from carpenter.seqcore import DiagonalSpec, TailRule, diag_of
+from carpenter.seqcore import DiagonalSpec, ProjectionRep, TailRule
 from carpenter.tetris import (
     block_sort,
     coupling,
@@ -116,8 +116,7 @@ def test_fill_five_identical_entries():
     assert np.allclose(v1.dense(5), expect1, atol=1e-15)
     assert np.allclose(v2.dense(5), expect2, atol=1e-15)
     assert np.allclose(gram_of(out.vectors, 5), np.eye(2), atol=1e-15)
-    for i in range(1, 6):
-        assert sum(v.exact_square_at(i) for v in out.vectors) == F(2, 5)
+    assert ProjectionRep.frame(out.vectors).exact_diag(5) == [F(2, 5)] * 5
 
 
 def test_fill_constant_two_fifths_stream():
@@ -127,8 +126,8 @@ def test_fill_constant_two_fifths_stream():
     assert out.min_s == {1: 3, 2: 5, 3: 8, 4: 10}
     assert out.settled_prefix == 8
     assert np.allclose(gram_of(out.vectors, 12), np.eye(4), atol=1e-14)
-    for i in range(1, out.settled_prefix + 1):
-        assert sum(v.exact_square_at(i) for v in out.vectors) == F(2, 5)
+    n = out.settled_prefix
+    assert ProjectionRep.frame(out.vectors).exact_diag(n) == [F(2, 5)] * n
 
 
 def test_fill_halves_pairs_up():
@@ -165,9 +164,7 @@ def test_fill_ultimate_vector_with_tail():
     assert v2.sqrt_tail is not None
     assert v2.exact_norm_sq() == 1
     assert np.allclose(gram_of(out.vectors, 60), np.eye(2), atol=1e-12)
-    for i in range(1, 9):
-        got = sum(F(v.exact_square_at(i)) for v in out.vectors)
-        assert got == s.entry(i)
+    assert ProjectionRep.frame(out.vectors).exact_diag(8) == s.entries_through(8)
 
 
 def test_fill_count_limits():
@@ -277,7 +274,7 @@ def test_interleave_split_covers_value_multiset():
 
 
 def verify_diag(rep, s, upto, atol):
-    d = np.array([diag_of(rep, i) for i in range(1, upto + 1)])
+    d = np.array(rep.diag(upto))
     want = np.array([float(s.entry(i)) for i in range(1, upto + 1)])
     assert np.allclose(d, want, atol=atol)
 
