@@ -113,9 +113,7 @@ def _cmd_verify(args) -> int:
     settled = args.settled
     if isinstance(rep_doc, dict):  # a construct output, or a bare projection
         if settled is None and rep_doc.get("settled") is not None:
-            settled = _json_int(rep_doc["settled"], "settled")
-            if settled < 0:
-                raise SpecError(f"settled must be non-negative, got {settled}")
+            settled = _json_int(rep_doc["settled"], "settled")  # verify rejects a negative one
         rep_doc = rep_doc.get("projection", rep_doc)
     rep = ProjectionRep.from_json_dict(rep_doc)
     report = verify_projection(rep, spec, args.dim, args.tol, settled)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleDiagonalError
+from .errors import InfeasibleDiagonalError, SpecError
 from .feasibility import BranchLabel, route
 from .seqcore import (
     CellField,
@@ -54,11 +54,16 @@ def carpenter(spec: DiagonalSpec, m: int = 16, trace: dict | None = None) -> Pro
 class VerificationReport:
     """Numerical evidence that a representation matches a spec.
 
-    ``gram_max_err``: worst deviation of the vector Gram matrix from identity;
-    ``diag_max_err``: worst settled diagonal deviation; ``idempotency_err``:
-    max norm of V^T (G - I) V, which bounds the truncated P^2 - P without
-    charging truncation against the representation.  P = +-V^T V is symmetric
-    by construction, so symmetry needs no check.
+    ``gram_max_err``: worst deviation of the vector Gram matrix G from
+    identity; ``diag_max_err``: worst settled diagonal deviation;
+    ``idempotency_err``: an upper bound on the max norm of V^T (G - I) V,
+    which bounds the truncated P^2 - P without charging truncation against
+    the representation.  The bound is max |V|^T |G - I| |V| over the vectors
+    whose row of G - I is nonzero, times 1 + 8n * 2^-53 for n vectors, so it
+    is never below the float value of the dense product: the factor covers
+    the rounding of both products in either evaluation while n * 2^-53 <=
+    0.01 and nothing underflows.  P = +-V^T V is symmetric by construction,
+    so symmetry needs no check.
     """
 
     dim: int
@@ -94,13 +99,23 @@ def verify_projection(
     """Check orthonormality, idempotency and the settled diagonal.
 
     ``settled`` limits the diagonal comparison to entries no later vector can
-    change (None = all of 1..m are settled, as for complete constructions).
+    change (None = all of 1..m are settled, as for complete constructions);
+    a negative ``settled`` is a SpecError.  The idempotency bound lays out
+    densely only the vectors with a nonzero row of E = G - I, cut to the
+    indices <= m they touch.
     """
-    g = rep.gram()
-    n = len(rep.vectors)
-    gram_err = float(np.abs(g - np.eye(n)).max()) if n else 0.0
-    v = np.vstack([w.dense(m) for w in rep.vectors]) if n else np.zeros((0, m))
-    idem_err = float(np.abs(v.T @ (g - np.eye(n)) @ v).max()) if n and m else 0.0
+    if settled is not None and settled < 0:
+        raise SpecError(f"settled must be non-negative, got {settled}")
+    vs = rep.vectors
+    n = len(vs)
+    e = rep.gram() - np.eye(n)
+    gram_err = float(np.abs(e).max()) if n else 0.0
+    s = np.flatnonzero(e.any(axis=1))  # the vectors S with a nonzero row of E
+    idem_err = 0.0
+    if len(s):
+        v = np.abs(np.vstack([vs[a].dense(m) for a in s]))
+        v = v[:, v.any(axis=0)]  # the indices C <= m that S touches
+        idem_err = float((v.T @ (np.abs(e[s][:, s]) @ v)).max(initial=0.0)) * (1 + 8 * n * 2.0**-53)
     upto = m if settled is None else min(settled, m)
     diag_err = 0.0
     for k, d in enumerate(rep.diag(upto), start=1):

@@ -747,11 +747,40 @@ class ProjectionRep:
         return s if self.form == "frame" else [None if x is None else 1 - x for x in s]
 
     def gram(self) -> np.ndarray:
-        n = len(self.vectors)
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = g[j, i] = self.vectors[i].inner(self.vectors[j])
+        """The n x n matrix of the vectors' inner products, bit for bit ``inner``'s.
+
+        Vectors without a sqrt tail meet only at shared support indices, so
+        their entries are bucketed by index, and the buckets are walked in
+        increasing index order, adding each pair's products from 0.0: the
+        order ``inner`` adds them in.  Pairs that share no index stay 0.0, and
+        the work follows the shared entries, not the n^2 pairs.  Pairs with a
+        tailed vector go through ``inner``, which owns the closed-form
+        tail-tail term and the different-strides error.
+        """
+        vs = self.vectors
+        n = len(vs)
+        at: dict[int, list[tuple[int, float]]] = {}
+        for a, v in enumerate(vs):
+            if v.sqrt_tail is None:
+                for k, x in v.support:
+                    at.setdefault(k, []).append((a, x))
+        rows: list[dict[int, float]] = [{} for _ in vs]  # row a: b -> <v_a, v_b>, b >= a
+        for k in sorted(at):
+            col = at[k]
+            for p, (a, x) in enumerate(col):
+                r = rows[a]
+                for b, y in col[p:]:
+                    r[b] = r.get(b, 0.0) + x * y
+        g = np.zeros((n, n))
+        i = [a for a, r in enumerate(rows) for _ in r]
+        j = [b for r in rows for b in r]
+        g[i, j] = g[j, i] = [x for r in rows for x in r.values()]
+        for b, v in enumerate(vs):
+            if v.sqrt_tail is not None:
+                for c in range(n):
+                    if c >= b or vs[c].sqrt_tail is None:  # each pair once
+                        lo, hi = min(b, c), max(b, c)
+                        g[lo, hi] = g[hi, lo] = vs[lo].inner(vs[hi])
         return g
 
     def dense(self, m: int) -> np.ndarray:

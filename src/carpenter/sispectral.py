@@ -42,6 +42,8 @@ def _window_to_json(d: int, window) -> dict:
 def _window_from_json(doc: Mapping) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The dimension ``d`` and the translate window of a samples or range document."""
     d = _json_int(doc.get("d", 1), "d")
+    if d < 1:
+        raise SpecError(f"dimension d must be >= 1, got {d}")
     window = []
     for k in _json_list(doc["window"], "window"):
         pt = _coords(k, _json_int, "window coordinate")

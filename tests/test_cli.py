@@ -240,6 +240,8 @@ def test_bad_input_files(tmp_path, capsys):
             ("si", {"window": [True], "fibers": []}),
             ("si", {"window": [0.5], "fibers": []}),
             ("si", {"d": "x", "window": [0], "fibers": []}),
+            ("si", {"d": -1, "window": [], "fibers": [{"xi": [], "values": []}]}),
+            ("si", {"d": 0, "window": [], "fibers": [{"xi": [], "values": []}]}),
             ("si", {"window": [0], "fibers": [{"xi": "abc", "values": ["1"]}]}),
             ("si", {"window": [0], "fibers": [{"xi": "5", "values": ["1"]}]}),
             ("si", {"window": [0], "fibers": [{"xi": [False], "values": ["1"]}]}),

@@ -57,8 +57,11 @@ def assert_matches_reference(rep, n):
     assert rep.exact_diag(n) == reference_exact_diag(rep, n), rep
 
 
-def _random_vector(rng, lo):
-    """An exact, float-only or sqrt-tailed vector with support starting at ``lo``."""
+def _random_vector(rng, lo, stride=None):
+    """An exact, float-only or sqrt-tailed vector with support starting at ``lo``.
+
+    A tail gets ``stride``, or a random one when it is None.
+    """
     idx = sorted(rng.sample(range(lo, lo + 8), rng.randint(0, 4)))
     kind = rng.randrange(3)
     if kind == 1:  # float-only support
@@ -67,7 +70,7 @@ def _random_vector(rng, lo):
     tail = None
     if kind == 2:
         rule = TailRule.geometric(F(1, rng.randint(2, 8)), rng.choice((F(1, 2), F(1, 3), F(3, 4))))
-        tail = SqrtTail(lo + 8 + rng.randint(0, 3), rule, rng.randint(1, 3))
+        tail = SqrtTail(lo + 8 + rng.randint(0, 3), rule, stride or rng.randint(1, 3))
     return SparseVector.from_exact(entries, sqrt_tail=tail)
 
 

@@ -3,8 +3,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from carpenter.errors import InfeasibleDiagonalError
-from carpenter.seqcore import CellField, DiagonalSpec, SparseVector, TailRule, dumps_canonical
+from carpenter.errors import InfeasibleDiagonalError, SpecError
+from carpenter.seqcore import (
+    CellField,
+    DiagonalSpec,
+    ProjectionRep,
+    SparseVector,
+    TailRule,
+    dumps_canonical,
+)
 from carpenter.selector import (
     carpenter,
     carpenter_field,
@@ -110,6 +117,15 @@ def test_verify_projection_respects_explicit_settled():
     rep = carpenter(s, m=4)
     r = verify_projection(rep, s, m=4, settled=3)
     assert r.settled == 3 and r.passed
+
+
+def test_verify_projection_rejects_negative_settled():
+    # e1 e1^T has diagonal 1 at index 1; a negative prefix would compare nothing
+    rep = ProjectionRep.frame((SparseVector.basis(1),))
+    with pytest.raises(SpecError, match="settled"):
+        verify_projection(rep, DiagonalSpec.of("1/2"), 4, settled=-2)
+    assert verify_projection(rep, DiagonalSpec.of("1/2"), 4, settled=0).passed  # nothing settled
+    assert not verify_projection(rep, DiagonalSpec.of("1/2"), 4, settled=1).passed
 
 
 def test_carpenter_field_runs_all_cells(classify_calls):
