@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -58,6 +59,17 @@ def _count(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _tol(text: str) -> float:
+    """argparse type for tolerances: a finite, non-negative float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return tol
 
 
 def _load_json(path: str):
@@ -212,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True, help="construct output (or bare projection JSON)")
     p.add_argument("--spec", required=True)
     p.add_argument("--dim", type=_count, default=DEFAULTS.vectors, help="truncation dimension")
-    p.add_argument("--tol", type=float, default=DEFAULTS.tol)
+    p.add_argument("--tol", type=_tol, default=DEFAULTS.tol)
     p.add_argument("--settled", type=_count, default=None, help="override the settled prefix")
     common(p, vectors=False)
     p.set_defaults(func=_cmd_verify)
@@ -231,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("si", help="synthesize a range function from spectral samples")
     p.add_argument("--input", required=True, help="spectral samples JSON")
-    p.add_argument("--tol", type=float, default=DEFAULTS.tol)
+    p.add_argument("--tol", type=_tol, default=DEFAULTS.tol)
     common(p)
     p.set_defaults(func=_cmd_si)
 
@@ -239,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_count, required=True)
     p.add_argument("--trials", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    p.add_argument("--tol", type=float, default=DEFAULTS.tol)
+    p.add_argument("--tol", type=_tol, default=DEFAULTS.tol)
     common(p, vectors=False)
     p.set_defaults(func=_cmd_oracle)
 

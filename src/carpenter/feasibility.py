@@ -12,13 +12,14 @@ leaf carries both the branch label and the constructor that builds it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable
 
 from .errors import InfeasibleDiagonalError, UnsupportedStructureError
-from .seqcore import HALF, INF, DiagonalSpec, ProjectionRep, fmt_rat
+from .seqcore import INF, DiagonalSpec, ProjectionRep, fmt_rat
 
 __all__ = [
     "FeasibilityReport",
@@ -32,14 +33,19 @@ __all__ = [
 
 
 def kadison_ab(spec: DiagonalSpec):
-    """The pair (a, b) of threshold sums, each a Fraction or INF."""
-    a = Fraction(0)
-    b = Fraction(0)
+    """The pair (a, b) of threshold sums, each a Fraction or INF.
+
+    The prefix part adds integers: each entry x is scaled to d*x over the
+    common denominator d of the prefix.
+    """
+    d = math.lcm(*{x.denominator for x in spec.prefix})
+    a = b = 0  # d * (prefix part of a), d * (prefix part of b)
     for x in spec.prefix:
-        if x <= HALF:
-            a += x
+        if 2 * x.numerator <= x.denominator:
+            a += x.numerator * (d // x.denominator)
         else:
-            b += 1 - x
+            b += (x.denominator - x.numerator) * (d // x.denominator)
+    a, b = Fraction(a, d), Fraction(b, d)
     tail = spec.tail
     e, rest_small = tail.half_exceptions()
     head = tail.partial_sum(e)  # the e tail entries on the other side of 1/2

@@ -11,6 +11,7 @@ confirm that their diagonals always pass the integrality test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,7 +76,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.gram_max_err, self.diag_max_err, self.idempotency_err) <= self.tol
+        errs = (self.gram_max_err, self.diag_max_err, self.idempotency_err)
+        return all(e <= self.tol for e in errs)  # a NaN error fails
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,7 +121,11 @@ def verify_projection(
     upto = m if settled is None else min(settled, m)
     diag_err = 0.0
     for k, d in enumerate(rep.diag(upto), start=1):
-        diag_err = max(diag_err, abs(d - float(spec.entry(k))))
+        err = abs(d - float(spec.entry(k)))
+        if not err <= diag_err:  # a larger error, or a NaN, which ends the scan
+            diag_err = err
+            if math.isnan(err):
+                break
     return VerificationReport(m, tol, upto, gram_err, diag_err, idem_err)
 
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,11 +60,23 @@ ONE_MINUS_GEOMETRIC = "one_minus_geometric"
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction; SpecError otherwise."""
+    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction; SpecError otherwise.
+
+    Canonical ``"p"`` and ``"p/q"`` strings of ASCII digits are read with two
+    ``int`` calls; every other string goes to ``Fraction(str)``, which accepts
+    the same canonical ones to the same value.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
+            if type(x) is str:
+                num, slash, den = x.partition("/")
+                if num.isascii() and num.isdigit():
+                    if not slash:
+                        return Fraction(int(num))
+                    if den.isascii() and den.isdigit():
+                        return Fraction(int(num), int(den))
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
@@ -96,10 +108,20 @@ def _json_int(x, what: str) -> int:
 
 
 def _json_number(x, what: str) -> float:
-    """``x`` as a float when it is a JSON number (not a bool); SpecError otherwise."""
+    """``x`` as a float when it is a finite JSON number (not a bool); SpecError otherwise.
+
+    ``json`` reads ``NaN`` and ``Infinity``; they are refused here, and so is
+    an integer too large for a float.
+    """
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise SpecError(f"{what} must be a number, got {x!r}")
-    return float(x)
+    try:
+        v = float(x)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise SpecError(f"{what} must be a finite number, got {x!r}")
+    return v
 
 
 def fmt_rat(q: Fraction) -> str:
@@ -297,6 +319,12 @@ class DiagonalSpec:
 
     Entries are 1-based.  ``entry``, ``partial_sum`` and ``tail_sum`` are
     exact; sums that diverge come back as ``INF``.
+
+    Threshold tests run on integers.  ``_cumsums`` holds the prefix partial
+    sums over one common denominator d, ``_floor_sums`` their floors, and for
+    an integer n, S_i >= n holds exactly when floor(S_i) >= n.  Range and 1/2
+    tests compare numerator and denominator (a Fraction's denominator is
+    positive).
     """
 
     prefix: tuple[Fraction, ...] = ()
@@ -306,7 +334,7 @@ class DiagonalSpec:
         pfx = tuple(rat(x) for x in self.prefix)
         object.__setattr__(self, "prefix", pfx)
         for i, x in enumerate(pfx, start=1):
-            if not 0 <= x <= 1:
+            if not 0 <= x.numerator <= x.denominator:
                 raise SpecError(f"entry {i} = {x} outside [0,1]")
 
     @classmethod
@@ -315,12 +343,20 @@ class DiagonalSpec:
         return cls(tuple(rat(v) for v in values), tail or TailRule.zero())
 
     @cached_property
-    def _cumsums(self) -> tuple[Fraction, ...]:
-        out, acc = [Fraction(0)], Fraction(0)
+    def _cumsums(self) -> tuple[int, tuple[int, ...]]:
+        """``(d, (d*S_0, ..., d*S_p))``: the prefix sums over one common denominator d."""
+        d = math.lcm(*{x.denominator for x in self.prefix})
+        out, acc = [0], 0
         for x in self.prefix:
-            acc += x
+            acc += x.numerator * (d // x.denominator)
             out.append(acc)
-        return tuple(out)
+        return d, tuple(out)
+
+    @cached_property
+    def _floor_sums(self) -> tuple[int, ...]:
+        """floor(S_0), ..., floor(S_p): nondecreasing, like the sums themselves."""
+        d, sums = self._cumsums
+        return tuple(s // d for s in sums)
 
     # -- evaluation
 
@@ -336,9 +372,10 @@ class DiagonalSpec:
         p = len(self.prefix)
         if i <= 0:
             return Fraction(0)
+        d, sums = self._cumsums
         if i <= p:
-            return self._cumsums[i]
-        return self._cumsums[p] + self.tail.partial_sum(i - p)
+            return Fraction(sums[i], d)
+        return Fraction(sums[p], d) + self.tail.partial_sum(i - p)
 
     def tail_sum(self, i: int):
         """Sum of entries from index i on: Fraction or INF."""
@@ -346,7 +383,8 @@ class DiagonalSpec:
         if i < 1:
             raise OutOfRangeError(f"index {i} < 1")
         if i <= p:
-            return (self._cumsums[p] - self._cumsums[i - 1]) + self.tail.sum_from(1)
+            d, sums = self._cumsums
+            return Fraction(sums[p] - sums[i - 1], d) + self.tail.sum_from(1)
         return self.tail.sum_from(i - p)
 
     def total(self):
@@ -388,7 +426,10 @@ class DiagonalSpec:
 
     def half_classes(self) -> "TwoClassIndex":
         """Index classes against the 1/2 threshold (small: entry <= 1/2)."""
-        return TwoClassIndex(tuple(x <= HALF for x in self.prefix), *self.tail.half_exceptions())
+        return TwoClassIndex(
+            tuple(2 * x.numerator <= x.denominator for x in self.prefix),
+            *self.tail.half_exceptions(),
+        )
 
     def proper_classes(self) -> "TwoClassIndex":
         """Index classes proper-vs-improper (proper: entry in (0,1))."""

@@ -49,17 +49,21 @@ __all__ = [
 
 
 def min_s(spec: DiagonalSpec, n: int) -> int:
-    """Smallest index i with S_i = f_1 + ... + f_i >= n (and 0 for n = 0)."""
+    """Smallest index i with S_i = f_1 + ... + f_i >= n (and 0 for n = 0).
+
+    Inside the prefix the search bisects the integer floors of the partial
+    sums: n is an integer, so S_i >= n exactly when floor(S_i) >= n.
+    """
     if n < 0:
         raise OutOfRangeError(f"n = {n} < 0")
-    sums = spec._cumsums  # S_0 .. S_p, nondecreasing
-    i = bisect_left(sums, n)
-    if i < len(sums):
+    floors = spec._floor_sums  # floor(S_0) .. floor(S_p), nondecreasing
+    i = bisect_left(floors, n)
+    if i < len(floors):
         return i
-    sp = sums[-1]
+    sp = spec.partial_sum(len(spec.prefix))
     j = spec.tail.reach(n - sp)
     if j is not None:
-        return len(sums) - 1 + j
+        return len(floors) - 1 + j
     limit = spec.total()
     if limit == sp:
         raise ConstructionError(f"partial sums stall at {fmt_rat(sp)} and never reach {n}")
@@ -220,10 +224,11 @@ def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
 def sort_desc_window(values) -> tuple[tuple[Fraction, ...], PermutationWindow]:
     """Sort a finite window decreasingly; ties keep the smaller original index.
 
-    Returns (sorted values g, window pi) with g_i = values[pi(i) - 1].
+    Returns (sorted values g, window pi) with g_i = values[pi(i) - 1].  A
+    stable sort with ``reverse=True`` keeps ties in their original order.
     """
-    vals = tuple(Fraction(v) for v in values)
-    order = sorted(range(1, len(vals) + 1), key=lambda i: (-vals[i - 1], i))
+    vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    order = sorted(range(1, len(vals) + 1), key=lambda i: vals[i - 1], reverse=True)
     return tuple(vals[i - 1] for i in order), PermutationWindow(tuple(order))
 
 
@@ -234,7 +239,8 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
     be a natural number or infinite.  Returns (g, pi) with g_i = f_{pi(i)};
     the permutation is the identity beyond the finitely many blocks that can
     meet the prefix.  The output satisfies the left-boundary ordering at every
-    coupled step, and the block boundaries of g interlace those of f.
+    coupled step, and the block boundaries of g interlace those of f.  Each
+    block's right boundary min_s(f, n) is the next block's left boundary.
     """
     half = spec.half_classes()
     n_large = half.count(False)
@@ -248,18 +254,20 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
     p = len(spec.prefix)
     images: list[int] = []
     sorted_vals: list[Fraction] = []
+    bounds = [0]  # bounds[n] = min_s(spec, n)
     n = 1
     while True:
         if n_fin is not None and n >= n_fin:
             break  # the ultimate block is never sorted
-        lo = min_s(spec, n - 1)
+        lo = bounds[-1]
         if lo >= p:
             break  # the remaining blocks sit inside the weakly decreasing tail
         hi = min_s(spec, n)
+        bounds.append(hi)
         block = [spec.entry(i) for i in range(lo + 1, hi + 1)]
         g_block, perm = sort_desc_window(block)
         sorted_vals.extend(g_block)
-        images.extend(lo + perm.apply(j) for j in range(1, len(block) + 1))
+        images.extend(lo + i for i in perm.window)
         n += 1
 
     w = len(images)
@@ -268,19 +276,19 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
         g = DiagonalSpec(tuple(sorted_vals) + spec.prefix[w:], spec.tail)
     else:
         g = DiagonalSpec(tuple(sorted_vals), spec.tail.reindexed(w - p + 1))
-    _check_block_order(spec, g, n_sorted=n - 1)
+    _check_block_order(g, bounds)
     return g, perm
 
 
-def _check_block_order(f: DiagonalSpec, g: DiagonalSpec, n_sorted: int):
-    for n in range(1, n_sorted + 1):
+def _check_block_order(g: DiagonalSpec, bounds: list[int]):
+    """Check g's boundaries against the original's, ``bounds[n]`` = min_s(f, n)."""
+    for n in range(1, len(bounds)):
         mg = min_s(g, n)
         if mg >= 2 and g.entry(mg - 1) < g.entry(mg):
             raise ConstructionError(f"sorted output breaks the boundary order at step {n}")
-        if not mg <= min_s(f, n):
+        if not mg <= bounds[n]:
             raise ConstructionError(f"sorted boundary {mg} passed the original at step {n}")
-        exact_hit = g.partial_sum(mg) == n
-        if mg < min_s(f, n - 1) + 2 and not exact_hit:
+        if mg < bounds[n - 1] + 2 and g.partial_sum(mg) != n:  # too early unless an exact hit
             raise ConstructionError(f"sorted boundary {mg} too early at step {n}")
 
 

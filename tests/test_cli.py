@@ -175,6 +175,15 @@ def test_usage_errors(capsys):
     ):
         code, _, err = run(capsys, argv)
         assert code == 64 and "non-negative integer" in err, argv
+    # tolerances are finite and non-negative
+    for cmd in (
+        ["verify", "--rep", "r.json", "--spec", "s.json"],
+        ["si", "--input", "i.json"],
+        ["oracle", "--dim", "3", "--trials", "5"],
+    ):
+        for tol in ("nan", "inf", "-inf", "-1", "x"):
+            code, _, err = run(capsys, cmd + [f"--tol={tol}"])
+            assert code == 64 and "finite non-negative number" in err, (cmd, tol)
 
 
 def test_bad_input_files(tmp_path, capsys):
@@ -216,6 +225,11 @@ def test_bad_input_files(tmp_path, capsys):
             {"settled": "x", "projection": {"form": "frame", "vectors": []}},
             {"settled": True, "projection": {"form": "frame", "vectors": []}},
             {"settled": -2, "projection": {"form": "frame", "vectors": []}},
+            # support values are finite floats (json reads NaN and Infinity)
+            {"form": "frame", "vectors": [{"support": [[1, float("nan")]]}]},
+            {"form": "frame", "vectors": [{"support": [[1, float("inf")]]}]},
+            {"form": "frame", "vectors": [{"support": [[1, -float("inf")]]}]},
+            {"form": "frame", "vectors": [{"support": [[1, 10**400]]}]},
         )
     ):
         rep = write_json(tmp_path / f"rep{i}.json", doc)
@@ -227,6 +241,11 @@ def test_bad_input_files(tmp_path, capsys):
     forged = write_json(tmp_path / "forged.json", forged)
     code, out, err = run(capsys, ["verify", "--spec", half, "--rep", forged])
     assert code == 2 and out == "" and "does not match" in err
+    # a NaN support value is bad input, not a failed (or passed) verification
+    nan = {"form": "frame", "vectors": [{"support": [[1, float("nan")]]}]}
+    nan = write_json(tmp_path / "nan.json", nan)
+    code, out, err = run(capsys, ["verify", "--spec", half, "--rep", nan, "--dim", "1"])
+    assert code == 2 and out == "" and "finite" in err
     # malformed field and spectral-sample documents
     for i, (cmd, doc) in enumerate(
         (

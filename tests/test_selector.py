@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,6 +14,7 @@ from carpenter.seqcore import (
     dumps_canonical,
 )
 from carpenter.selector import (
+    VerificationReport,
     carpenter,
     carpenter_field,
     necessity_oracle,
@@ -117,6 +119,23 @@ def test_verify_projection_respects_explicit_settled():
     rep = carpenter(s, m=4)
     r = verify_projection(rep, s, m=4, settled=3)
     assert r.settled == 3 and r.passed
+
+
+def test_verify_projection_fails_on_nan_entries():
+    # e1 e1^T with a NaN in place of 1: the diagonal error is NaN, not 0.0
+    s = DiagonalSpec.of("1/2")
+    for sqs in (None, (F(1),)):
+        rep = ProjectionRep.frame((SparseVector(((1, math.nan),), None, sqs),))
+        r = verify_projection(rep, s, 1)
+        assert not r.passed
+        assert math.isnan(r.gram_max_err)
+        assert math.isnan(r.diag_max_err) if sqs is None else r.diag_max_err == 0.5
+    # a NaN diagonal entry stays the error when later entries are finite
+    rep = ProjectionRep.frame((SparseVector(((1, math.nan),)), SparseVector.basis(2)))
+    assert math.isnan(verify_projection(rep, DiagonalSpec.of("1/2", "1/2"), 2).diag_max_err)
+    # any one NaN error fails the report, wherever it sits
+    for errs in ((math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)):
+        assert not VerificationReport(1, 1e-9, 1, *errs).passed
 
 
 def test_verify_projection_rejects_negative_settled():

@@ -41,6 +41,38 @@ def test_rat_accepts_exact_inputs_only():
         rat(0.1)
 
 
+RAT_STRINGS = (
+    "3/7", "007/010", "0", "+1/2", "-1/2", " 1/2", "1/0", "0/0", "1/", "/2", "\u00bd",
+    "\u0663/\u0664", "0.5", "1e-3", "",
+    # int() alone would read these; Fraction(str) does not
+    "1/-2", "1/+2", "1 /2", "1/ 2", "1_0/3",
+)
+
+
+@pytest.mark.parametrize("text", RAT_STRINGS)
+def test_rat_string_parity_with_fraction(text):
+    """``rat`` reads a string to ``Fraction(text)``, or fails where it fails."""
+    try:
+        want = F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(SpecError) as err:
+            rat(text)
+        assert str(err.value) == f"not an exact rational: {text!r}"
+        return
+    got = rat(text)
+    assert type(got) is F and got == want
+
+
+def test_spec_range_check_is_exact():
+    big = 2**31 - 1
+    s = DiagonalSpec.of("0", "1", f"{big}/{big}", f"1/{big}")
+    assert s.prefix == (0, 1, 1, F(1, big))
+    for i, bad in ((2, f"{big + 1}/{big}"), (3, f"-1/{2**20}")):
+        vals = ["1/2"] * (i - 1) + [bad]
+        with pytest.raises(SpecError, match=f"entry {i} = {bad} outside"):
+            DiagonalSpec.of(*vals)
+
+
 def test_tail_rule_values():
     z = TailRule.zero()
     c = TailRule.constant("2/5")
@@ -137,6 +169,11 @@ def test_half_classes_boundary_goes_small():
     idx = s.half_classes()
     assert idx.count(False) == 0
     assert idx.count(True) == INF
+    # one unit either side of 1/2 on a large odd denominator
+    big = 2**31 - 1
+    s = DiagonalSpec.of(f"{big // 2}/{big}", f"{big // 2 + 1}/{big}", f"{2**19}/{2**20}")
+    idx = s.half_classes()
+    assert [idx.nth(k, True) for k in (1, 2)] == [1, 3] and idx.nth(1, False) == 2
 
 
 def test_proper_classes():

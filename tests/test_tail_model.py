@@ -93,3 +93,64 @@ def test_class_indices_match_brute_force():
         exceptions["half", half.n_exc > 0] += 1
         exceptions["proper", proper.n_exc > 0] += 1  # a c = 1 geometric tail starts at 0 or 1
     assert min(exceptions.values()) >= 20 and len(exceptions) == 4, exceptions
+
+
+DENS = (97, 2**20, 2**31 - 1)
+
+
+def _running_sums(s, scan):
+    """S_0, ..., S_{scan-1}, adding the entries one by one."""
+    sums = [F(0)]
+    for i in range(1, scan):
+        sums.append(sums[-1] + s.entry(i))
+    return sums
+
+
+def _mixed_spec(rng, dens, close):
+    """A prefix over the given denominators, closed to an integer sum when ``close``."""
+    prefix = [F(rng.randint(0, d), d) for d in (rng.choice(dens) for _ in range(rng.randint(1, 30)))]
+    if close:  # the last entry lands the sum exactly on an integer
+        s = sum(prefix, F(0))
+        prefix.append(-s % 1 or F(1))
+    kind = rng.randrange(4)
+    c, r = F(rng.randint(1, 96), 97), F(rng.randint(1, 2**20 - 1), 2**20)
+    tail = (
+        TailRule.zero(),
+        TailRule.constant(c),
+        TailRule.geometric(c, r),
+        TailRule.one_minus_geometric(c, r),
+    )[kind]
+    return DiagonalSpec(tuple(prefix), tail)
+
+
+def test_min_s_on_large_and_mixed_denominators():
+    """The integer-floor search agrees with summing entry by entry.
+
+    Denominators 97, 2^20 and 2^31 - 1, alone and mixed; prefixes whose sum
+    is an integer exactly at the last entry; every n from 0 past the prefix
+    sum; all four tail kinds.
+    """
+    rng = random.Random(SEED)
+    seen = Counter()
+    for t in range(160):
+        dens = (DENS[t % 3],) if t % 4 < 3 else DENS
+        s = _mixed_spec(rng, dens, close=t % 2 == 0)
+        p = len(s.prefix)
+        sums = _running_sums(s, p + 400)  # a reachable target lands inside
+        total = sums[p]
+        assert min_s(s, 0) == 0
+        for n in range(0, int(total) + 3):
+            want = next((i for i, x in enumerate(sums) if x >= n), None)
+            if want is None:  # the partial sums tend to a finite limit <= n
+                limit = s.total()
+                assert limit != INF and limit <= n, (s, n)
+                with pytest.raises(ConstructionError):
+                    min_s(s, n)
+                seen["never"] += 1
+                continue
+            assert min_s(s, n) == want, (s, n)
+            if 0 < n and want == p and total == n:
+                seen["exact hit at the last prefix entry"] += 1
+            seen["in the tail" if want > p else "in the prefix"] += 1
+        seen[s.tail.kind] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 20, seen

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -195,6 +196,18 @@ def test_sort_desc_window_orders_and_tracks():
     vals2, perm2 = sort_desc_window((F(2, 5), F(2, 5)))
     assert vals2 == (F(2, 5), F(2, 5))
     assert perm2.window == (1, 2)
+
+
+def test_sort_desc_window_ties_keep_the_smaller_index():
+    vals, perm = sort_desc_window((F(1, 5), F(2, 5), F(1, 5), F(2, 5), F(2, 5), F(3, 10), F(1, 5)))
+    assert vals == (F(2, 5),) * 3 + (F(3, 10),) + (F(1, 5),) * 3
+    assert perm.window == (2, 4, 5, 6, 1, 3, 7)
+    rng = random.Random(3)
+    for _ in range(200):  # few distinct values, so most windows hold repeats
+        window = [F(rng.randint(0, 4), 8) for _ in range(rng.randint(0, 12))]
+        vals, perm = sort_desc_window(window)
+        want = sorted(range(1, len(window) + 1), key=lambda i: (-window[i - 1], i))
+        assert perm.window == tuple(want) and vals == tuple(window[i - 1] for i in want)
 
 
 def test_block_sort_sorted_input_is_fixed():
