@@ -25,7 +25,7 @@ assert sum(plan.group1).denominator == 1
 assert sum(plan.group2) == 1
 assert plan.group3_comp.total() == 1
 
-rep = summable_construct2(spec, m=6)
+rep = summable_construct2(spec)
 got = rep.diag(6)
 print("\nassembled diagonal   :", [round(x, 10) for x in got])
 want = [float(spec.entry(i)) for i in range(1, 7)]

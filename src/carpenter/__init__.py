@@ -67,7 +67,6 @@ from .summable import (
     decouple,
     proper_subspec,
     rank_one,
-    split_small_large,
     summable_construct,
     summable_construct2,
 )

@@ -22,7 +22,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +35,9 @@ from .seqcore import (
 from .sispectral import SpectralSamples, synthesize_range
 
 USAGE_EXIT = 64
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    vectors: int = 16
-    tol: float = 1e-9
-    seed: int = 1729
-
-
-DEFAULTS = RunConfig()
+VECTORS = 16  # streamed vectors per subsequence, and verify's truncation dimension
+TOL = 1e-9
+SEED = 1729
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write JSON here instead of stdout")
         if vectors:
             p.add_argument(
-                "--vectors", type=_count, default=DEFAULTS.vectors,
-                help=f"streamed vectors per subsequence (default {DEFAULTS.vectors})",
+                "--vectors", type=_count, default=VECTORS,
+                help=f"streamed vectors per subsequence (default {VECTORS})",
             )
 
     p = sub.add_parser("check", parents=[], help="feasibility of one spec")
@@ -223,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-check a stored representation")
     p.add_argument("--rep", required=True, help="construct output (or bare projection JSON)")
     p.add_argument("--spec", required=True)
-    p.add_argument("--dim", type=_count, default=DEFAULTS.vectors, help="truncation dimension")
-    p.add_argument("--tol", type=_tol, default=DEFAULTS.tol)
+    p.add_argument("--dim", type=_count, default=VECTORS, help="truncation dimension")
+    p.add_argument("--tol", type=_tol, default=TOL)
     p.add_argument("--settled", type=_count, default=None, help="override the settled prefix")
     common(p, vectors=False)
     p.set_defaults(func=_cmd_verify)
@@ -232,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("field", help="per-cell projections for a field of specs")
     p.add_argument("--input", required=True, help="JSON list of {cell, spec}")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--vectors", type=_count, default=DEFAULTS.vectors)
+    p.add_argument("--vectors", type=_count, default=VECTORS)
     p.set_defaults(func=_cmd_field)
 
     p = sub.add_parser("schur-horn", help="finite spectrum-to-diagonal rotation")
@@ -243,15 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("si", help="synthesize a range function from spectral samples")
     p.add_argument("--input", required=True, help="spectral samples JSON")
-    p.add_argument("--tol", type=_tol, default=DEFAULTS.tol)
+    p.add_argument("--tol", type=_tol, default=TOL)
     common(p)
     p.set_defaults(func=_cmd_si)
 
     p = sub.add_parser("oracle", help="randomized necessity check")
     p.add_argument("--dim", type=_count, required=True)
     p.add_argument("--trials", type=_count, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    p.add_argument("--tol", type=_tol, default=DEFAULTS.tol)
+    p.add_argument("--seed", type=int, default=SEED)
+    p.add_argument("--tol", type=_tol, default=TOL)
     common(p, vectors=False)
     p.set_defaults(func=_cmd_oracle)
 

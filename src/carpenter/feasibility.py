@@ -125,7 +125,7 @@ def route(spec: DiagonalSpec) -> Route:
     report = classify(spec)
     if not report.feasible:
         raise InfeasibleDiagonalError(
-            f"no projection with this diagonal: a = {report.a}, b = {report.b}, "
+            f"no projection with this diagonal: a = {fmt_rat(report.a)}, b = {fmt_rat(report.b)}, "
             f"a - b = {fmt_rat(report.a - report.b)} is not an integer",
             report,
         )
@@ -142,21 +142,21 @@ def route(spec: DiagonalSpec) -> Route:
                 "not expressible with the supported tails"
             )
         if k == 0:
-            path, build = ("X_k(k=0)", "tetris"), partial(tetris._direct_fill, work)
+            path, fill = ("X_k(k=0)", "tetris"), partial(tetris._direct_fill, work)
         else:
             path = (f"X_k(k={k})", f"residue-split(k={k})")
-            build = partial(tetris._residue_split_fill, work, k)
+            fill = partial(tetris._residue_split_fill, work, k)
         if flip:
             path = ("NonsummableB", "S_finite", "complement") + path
-            build = partial(tetris._on_complement, build)
+            build = lambda m, trace: fill(m, trace).complementary()
         else:
-            path = ("NonsummableA", "S_infty") + path
+            path, build = ("NonsummableA", "S_infty") + path, fill
     else:
         prop = spec.proper_classes()
         n_proper = prop.count(True)
         if n_proper != INF:
             path = ("Summable", f"X_{{k1..kn}}(n={n_proper})", "finite-schur-horn")
-            build = lambda m, trace: summable._finite_schur_horn(spec, prop)
+            build = lambda m, trace: summable._finite_schur_horn(spec)
         else:
             # strip the finitely many 0/1 entries, then route the proper subsequence
             sub, emb, improper = summable.proper_subspec(spec)
@@ -169,7 +169,7 @@ def route(spec: DiagonalSpec) -> Route:
                 )
             if n_large == INF and n_small >= 2:
                 leaf = ("X'", f"X_N(N={n_small})", "decouple")
-                fill = lambda m, trace: summable.summable_construct2(sub, m, trace)
+                fill = lambda m, trace: summable.summable_construct2(sub, trace)
             elif n_large == INF:
                 leaf = ("X'", f"X_N(N={n_small})", "complement-tetris")
                 fill = lambda m, trace: tetris._finite_mass_fill(
@@ -178,7 +178,7 @@ def route(spec: DiagonalSpec) -> Route:
             elif n_large >= 2:
                 leaf = ("X\\X'", "complement", f"X_N(N={n_large})", "decouple")
                 fill = lambda m, trace: summable.summable_construct2(
-                    sub.complement(), m, trace
+                    sub.complement(), trace
                 ).complementary()
             else:
                 leaf = ("X\\X'", f"X_N(N={n_large})", "tetris")

@@ -29,20 +29,19 @@ def _is_rational_list(xs) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
-def majorizes(f, lam, tol=None) -> bool:
+def majorizes(f, lam) -> bool:
     """True when the sorted prefix sums of f never exceed those of lam and the
     totals agree.
 
-    With rational inputs the comparison is exact; otherwise ``tol`` (default
-    1e-9) absorbs floating-point fuzz.
+    When every entry of both lists is an int or a Fraction the comparison is
+    exact; otherwise each comparison allows a fixed 1e-9 of floating-point
+    fuzz.
     """
     f = list(f)
     lam = list(lam)
     if len(f) != len(lam):
         raise SpecError(f"length mismatch: {len(f)} vs {len(lam)}")
-    exact = _is_rational_list(f) and _is_rational_list(lam) and tol is None
-    if tol is None:
-        tol = 0 if exact else 1e-9
+    tol = 0 if _is_rational_list(f) and _is_rational_list(lam) else 1e-9
     fs = sorted(f, reverse=True)
     ls = sorted(lam, reverse=True)
     pf = pl = 0
@@ -54,7 +53,7 @@ def majorizes(f, lam, tol=None) -> bool:
     return abs(pf - pl) <= tol
 
 
-def schur_horn_unitary(lam, f, tol=1e-9) -> np.ndarray:
+def schur_horn_unitary(lam, f) -> np.ndarray:
     """Orthogonal U with diag(U^T diag(lam) U) = f, given f majorized by lam.
 
     Targets are pinned from the largest down.  Each step rotates the tightest
@@ -64,12 +63,15 @@ def schur_horn_unitary(lam, f, tol=1e-9) -> np.ndarray:
     targets, so the recursion closes and the last coordinate ends exact by
     mass conservation.  Bookkeeping is exact (floats convert to fractions
     without loss); only the rotation entries involve square roots.
+
+    The majorization check follows :func:`majorizes`: exact on ints and
+    Fractions, 1e-9 otherwise.  The last coordinate may miss its target by
+    at most 1e-9.
     """
     n = len(lam)
     if len(f) != n:
         raise SpecError(f"length mismatch: {len(f)} vs {n}")
-    exact_in = _is_rational_list(lam) and _is_rational_list(f)
-    if not majorizes(f, lam, tol=None if exact_in else tol):
+    if not majorizes(f, lam):
         raise MajorizationError("target diagonal is not majorized by the spectrum")
     d = [Fraction(x) for x in lam]
     fv = [Fraction(x) for x in f]
@@ -112,7 +114,7 @@ def schur_horn_unitary(lam, f, tol=1e-9) -> np.ndarray:
         d[t] = ft
         pinned[t] = True
     last = order[-1] if n else 0
-    if n and abs(float(d[last] - fv[last])) > max(tol, 1e-9):
+    if n and abs(float(d[last] - fv[last])) > 1e-9:
         raise MajorizationError(
             f"residual {float(d[last] - fv[last])} at the last pinned coordinate"
         )

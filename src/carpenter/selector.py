@@ -19,12 +19,7 @@ import numpy as np
 
 from .errors import InfeasibleDiagonalError, SpecError
 from .feasibility import BranchLabel, route
-from .seqcore import (
-    CellField,
-    DiagonalSpec,
-    ProjectionRep,
-    conjugate_by_permutation,  # re-exported: permutations commute with selection
-)
+from .seqcore import CellField, DiagonalSpec, ProjectionRep
 
 __all__ = [
     "carpenter",
@@ -35,7 +30,6 @@ __all__ = [
     "carpenter_field",
     "NecessityReport",
     "necessity_oracle",
-    "conjugate_by_permutation",
 ]
 
 
@@ -154,12 +148,6 @@ class ProjectionField:
     """Per-cell projections over a finite field of diagonals."""
 
     cells: tuple[FieldCell, ...]
-
-    def cell(self, cell_id: str) -> FieldCell:
-        for c in self.cells:
-            if c.cell_id == cell_id:
-                return c
-        raise KeyError(cell_id)
 
     def by_branch(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {}

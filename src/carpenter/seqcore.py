@@ -125,9 +125,23 @@ def _json_number(x, what: str) -> float:
 
 
 def fmt_rat(q: Fraction) -> str:
-    """Render a Fraction as 'p/q' (or 'p' when the denominator is 1)."""
+    """Render a Fraction as 'p/q' (or 'p' when the denominator is 1).
+
+    A numerator or denominator past the interpreter's int-to-str digit limit
+    is an UnsupportedStructureError naming its digit count.
+    """
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        n = max(abs(q.numerator), q.denominator)
+        digits = max(int(n.bit_length() * math.log10(2)) - 1, 1)
+        while 10**digits <= n:
+            digits += 1
+        raise UnsupportedStructureError(
+            f"exact value with {digits} digits is past the {sys.get_int_max_str_digits()}-digit "
+            "limit for printing integers"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +404,6 @@ class DiagonalSpec:
     def total(self):
         return self.tail_sum(1)
 
-    def entries_through(self, m: int) -> list[Fraction]:
-        return [self.entry(i) for i in range(1, m + 1)]
-
     # -- transforms
 
     def complement(self) -> "DiagonalSpec":
@@ -511,9 +522,6 @@ class SqrtTail:
             return None
         return (k - self.start) // self.stride + 1
 
-    def mass(self) -> Fraction:
-        return self.rule.sum_from(1)
-
 
 def _check_square(v: float, q: Fraction):
     """SpecError unless the exact square ``q`` is v*v up to float rounding (4 ulps)."""
@@ -569,8 +577,9 @@ class SparseVector:
         return cls(((i, 1.0),), None, (Fraction(1),))
 
     @classmethod
-    def from_dense(cls, values: Sequence[float], tol: float = 0.0) -> "SparseVector":
-        sup = tuple((i + 1, float(v)) for i, v in enumerate(values) if abs(v) > tol)
+    def from_dense(cls, values: Sequence[float]) -> "SparseVector":
+        """The nonzero entries of a dense vector, 1-based."""
+        sup = tuple((i + 1, float(v)) for i, v in enumerate(values) if abs(v) > 0)
         return cls(sup)
 
     # -- finite views
@@ -597,7 +606,7 @@ class SparseVector:
             raise ExactnessError("vector has float-only support entries")
         s = sum(self.squares, Fraction(0)) if self.support else Fraction(0)
         if self.sqrt_tail is not None:
-            s += self.sqrt_tail.mass()
+            s += self.sqrt_tail.rule.sum_from(1)
         return s
 
     # -- products

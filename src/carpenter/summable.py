@@ -35,7 +35,6 @@ from .tetris import tetris_vectors
 
 __all__ = [
     "rank_one",
-    "split_small_large",
     "proper_subspec",
     "DecouplingPlan",
     "decouple",
@@ -51,16 +50,6 @@ def rank_one(spec: DiagonalSpec) -> ProjectionRep:
     if spec.total() != 1:
         raise ConstructionError(f"total mass {fmt_rat(spec.total())} != 1")
     return tetris_vectors(spec, 1).frame()  # the fill's one vector absorbs everything
-
-
-def split_small_large(spec: DiagonalSpec):
-    """Subsequences of entries <= 1/2 and > 1/2, plus their class index.
-
-    Finite classes come back zero-padded; the index (class A = entries
-    <= 1/2) has the true counts and positions.
-    """
-    cls = spec.half_classes()
-    return spec.subsequence(cls, True), spec.subsequence(cls, False), cls
 
 
 def proper_subspec(spec: DiagonalSpec):
@@ -90,7 +79,7 @@ def proper_subspec(spec: DiagonalSpec):
 class DecouplingPlan:
     """Exact bookkeeping for the three-group decomposition.
 
-    ``small`` lists the n_small entries <= 1/2 in order; ``i1``/``i2`` are the
+    ``small`` lists the entries <= 1/2 in order; ``i1``/``i2`` are the
     ordinals of the two largest of the first two of them, ``i3`` the large
     entry used for the mass-one group, ``i4``/``i5`` the cut ordinals.  The
     adjusted values replace a_{i1}, a_{i2}, b_{i3}; the groups then carry
@@ -113,23 +102,15 @@ class DecouplingPlan:
     group1_src: tuple[int, ...]
     group2_src: tuple[int, ...]
 
-    @property
-    def n_small(self) -> int:
-        return len(self.small)
-
-    def group3_ordinal(self, j: int) -> int:
-        """Ordinal (into the large subsequence) of entry j >= 2 of group three."""
-        o = self.i5 + (j - 2)
-        if self.i5 <= self.i3 <= o:
-            o += 1
-        return o
-
     def group3_src(self, j: int) -> int:
         """Original index feeding slot j of group three."""
         cls = self.spec.half_classes()
         if j == 1:
             return cls.nth(self.i2, True)
-        return cls.nth(self.group3_ordinal(j), False)
+        o = self.i5 + (j - 2)  # ordinal into the large entries, skipping i3
+        if self.i5 <= self.i3 <= o:
+            o += 1
+        return cls.nth(o, False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,13 +187,19 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     if not majorizes([b3, a[i1 - 1], a[i2 - 1]], [b_t, a1_t, a2_t]):
         raise ConstructionError("requested triple is not majorized by the adjusted one")
 
-    group1 = (a1_t,) + tuple(a[2 : i4 - 1]) + tuple(
-        large.entry(i) for i in range(1, i5) if i != i3
+    # each group's first slot holds its adjusted entry; the rest are read off
+    # their source indices
+    g1_src = (
+        (cls.nth(i1, True),)
+        + tuple(cls.nth(i, True) for i in range(3, i4))
+        + tuple(cls.nth(i, False) for i in range(1, i5) if i != i3)
     )
+    g2_src = (cls.nth(i3, False),) + tuple(cls.nth(i, True) for i in range(i4, n + 1))
+    group1 = (a1_t,) + tuple(spec.entry(i) for i in g1_src[1:])
     k1 = sum(group1, Fraction(0))
     if k1.denominator != 1:
         raise ConstructionError(f"first group mass {fmt_rat(k1)} is not an integer")
-    group2 = (b_t,) + tuple(a[i4 - 1 : n])
+    group2 = (b_t,) + tuple(spec.entry(i) for i in g2_src[1:])
     if sum(group2, Fraction(0)) != 1:
         raise ConstructionError("second group mass != 1")
 
@@ -225,13 +212,6 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     )
     if g3c.total() != 1:
         raise ConstructionError("terminal group co-mass != 1")
-
-    g1_src = (
-        (cls.nth(i1, True),)
-        + tuple(cls.nth(i, True) for i in range(3, i4))
-        + tuple(cls.nth(i, False) for i in range(1, i5) if i != i3)
-    )
-    g2_src = (cls.nth(i3, False),) + tuple(cls.nth(i, True) for i in range(i4, n + 1))
     return DecouplingPlan(
         spec, i1, i2, i3, i4, i5, tuple(a), b_t, a1_t, a2_t,
         group1, group2, g3c, g1_src, g2_src,
@@ -268,7 +248,7 @@ def conjugate_on_coords(rep: ProjectionRep, coords, u: np.ndarray) -> Projection
     return ProjectionRep(rep.form, tuple(out))
 
 
-def summable_construct2(spec: DiagonalSpec, m: int = 0, trace: dict | None = None) -> ProjectionRep:
+def summable_construct2(spec: DiagonalSpec, trace: dict | None = None) -> ProjectionRep:
     """Projection for an all-proper spec with infinitely many entries > 1/2
     and finitely many (>= 2) entries <= 1/2.
 
@@ -320,17 +300,6 @@ def summable_construct2(spec: DiagonalSpec, m: int = 0, trace: dict | None = Non
     return rep
 
 
-def _improper_positions(spec: DiagonalSpec, want: int) -> list[int]:
-    """Positions holding the improper value ``want``; that side must be finite."""
-    prop = spec.proper_classes()
-    # when the improper class is the infinite tail class, all its tail entries
-    # share one value, so the requested side is finite only if it differs
-    if prop.count(False) == INF and spec.tail.value(prop.n_exc + 1) == want:
-        raise ConstructionError(f"infinitely many entries equal {want}")
-    # past rest_start every entry is proper or the other improper value
-    return [i for i in range(1, prop.rest_start()) if spec.entry(i) == want]
-
-
 def embed_with_improper(rep: ProjectionRep, emb, improper) -> ProjectionRep:
     """Transport a construction on the proper entries back to the full index set.
 
@@ -344,36 +313,36 @@ def embed_with_improper(rep: ProjectionRep, emb, improper) -> ProjectionRep:
     return ProjectionRep(rep.form, tuple(vecs) + tuple(SparseVector.basis(j) for j in extras))
 
 
-def summable_construct(spec: DiagonalSpec, m: int = 0, trace: dict | None = None) -> ProjectionRep:
+def summable_construct(spec: DiagonalSpec, trace: dict | None = None) -> ProjectionRep:
     """Projection for a feasible diagonal with convergent defect sums.
 
     The construction always completes: the returned representation settles
-    every diagonal entry, so the ``m`` argument only shapes traces.  Raises
+    every diagonal entry, so it takes no vector count.  Raises
     InfeasibleDiagonalError when a - b is not an integer.  The branch comes
     from :func:`carpenter.feasibility.route`.
     """
     r = route(spec)
     if r.report.case != "summable":
         raise ConstructionError(f"not a summable-case diagonal (case {r.report.case})")
-    return r.build(m, trace)
+    return r.build(trace=trace)
 
 
-def _finite_schur_horn(spec: DiagonalSpec, prop) -> ProjectionRep:
-    """Finitely many proper entries (``prop`` = the spec's proper classes):
-    a finite projection on them, basis vectors for the 0/1 entries."""
+def _finite_schur_horn(spec: DiagonalSpec) -> ProjectionRep:
+    """Finitely many proper entries: a finite projection on them, basis
+    vectors for the 0/1 entries."""
+    if spec.tail == TailRule.constant(1):  # infinitely many ones: build I - P on 1 - f
+        return _finite_schur_horn(spec.complement()).complementary()
+    prop = spec.proper_classes()
+    # when the improper class is the infinite tail class, all its tail entries
+    # share one value, so the ones are finitely many only if it is 0
+    if prop.count(False) == INF and spec.tail.value(prop.n_exc + 1) == 1:
+        raise ConstructionError("infinitely many entries equal 1")
     n_proper = prop.count(True)
     proper_idx = [prop.nth(i, True) for i in range(1, n_proper + 1)]
-    fvals = [spec.entry(i) for i in proper_idx]
     emb = IndexMap(tuple(proper_idx), 1, max(proper_idx, default=0) - n_proper + 1)
-    if spec.tail == TailRule.constant(1):  # infinitely many ones
-        rng, _ = finite_projection_pair([1 - v for v in fvals])
-        zeros = _improper_positions(spec, 0)
-        return ProjectionRep.coframe(
-            tuple(v.remap(emb) for v in rng)
-            + tuple(SparseVector.basis(j) for j in zeros)
-        )
-    rng, _ = finite_projection_pair(fvals)
-    ones = _improper_positions(spec, 1)
+    rng, _ = finite_projection_pair([spec.entry(i) for i in proper_idx])
+    # past rest_start every entry is proper or 0
+    ones = [i for i in range(1, prop.rest_start()) if spec.entry(i) == 1]
     return ProjectionRep.frame(
         tuple(v.remap(emb) for v in rng)
         + tuple(SparseVector.basis(j) for j in ones)

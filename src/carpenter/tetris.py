@@ -420,7 +420,8 @@ def _finite_mass_fill(spec: DiagonalSpec, trace: dict) -> ProjectionRep:
         j = cls.nth(1, False)
         p = len(spec.prefix)
         if j > p:  # large entry inside the tail: materialize up to it first
-            spec = DiagonalSpec(tuple(spec.entries_through(j)), spec.tail.reindexed(j - p + 1))
+            entries = tuple(spec.entry(i) for i in range(1, j + 1))
+            spec = DiagonalSpec(entries, spec.tail.reindexed(j - p + 1))
         head = list(range(1, j + 1))
         head[0], head[j - 1] = j, 1
         swap = PermutationWindow(tuple(head))
@@ -430,14 +431,3 @@ def _finite_mass_fill(spec: DiagonalSpec, trace: dict) -> ProjectionRep:
     rep, part, _ = _sorted_fill(spec, int(total), None)
     trace["parts"] = [part]
     return rep if swap is None else conjugate_by_permutation(rep, swap)
-
-
-def _on_complement(fill, m: int, trace: dict) -> ProjectionRep:
-    """Complement of ``fill``'s output, where ``fill`` builds for 1 - f.
-
-    The fill's bookkeeping nests under ``complement_of``.
-    """
-    sub = trace["complement_of"] = {}
-    rep = fill(m, sub)
-    trace["settled_prefix"] = sub["settled_prefix"]
-    return rep.complementary()

@@ -186,6 +186,26 @@ def test_usage_errors(capsys):
             assert code == 64 and "finite non-negative number" in err, (cmd, tol)
 
 
+def test_exact_values_too_long_to_print(tmp_path, capsys):
+    # 2000 entries (1 + i mod 3)/p over the first 2000 primes p >= 101: the
+    # exact sums have denominators far past the 4300-digit int-to-str limit
+    primes, n = [], 101
+    while len(primes) < 2000:
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            primes.append(n)
+        n += 1
+    prefix = [f"{1 + i % 3}/{p}" for i, p in enumerate(primes)]
+    for argv, tail in (
+        (["check"], {"kind": "zero"}),
+        (["construct", "--vectors", "5"], {"kind": "constant", "c": "2/5"}),
+    ):
+        spec = write_json(tmp_path / "s.json", {"prefix": prefix, "tail": tail})
+        code, out, err = run(capsys, argv + ["--spec", spec])
+        assert code == 1 and out == "", (argv, err)
+        assert err.startswith("error: exact value with ") and err.count("\n") == 1, (argv, err)
+        assert "digits" in err and "Traceback" not in err, (argv, err)
+
+
 def test_bad_input_files(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

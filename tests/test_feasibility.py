@@ -141,10 +141,11 @@ def test_branch_labels_cover_the_route_table():
         rep = carpenter(s, 6, trace)
         assert trace["branch"] == list(branch_of(s).path)
         assert "route" not in trace  # the branch label is the one record of the route
+        # one trace layout for every leaf, the complement leaves included
+        assert '"complement_of"' not in json.dumps(trace), want
         if want.endswith("tetris") or "residue-split" in want:
-            # every tetris leaf records its fills under parts[], never at the top level
-            node = trace["complement_of"] if want.startswith("NonsummableB") else trace
-            assert node["parts"], want
+            # every tetris leaf records its fills under parts[], never as top-level fill keys
+            assert trace["parts"], want
             assert "min_s" not in trace, want
         settled = trace["settled_prefix"]
         report = verify_projection(rep, s, m=max(6, settled or 0), settled=settled)

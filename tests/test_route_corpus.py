@@ -6,8 +6,9 @@ a - b an integer, so most specs are feasible.  Every spec must build and
 verify at its reported settled prefix, and the label histogram is pinned.
 The tetris leaves (residue splits and streamed or finite-mass fills) emit
 pure-Python floats, so their canonical outputs are pinned bit for bit by a
-sha256 digest; the numpy-based leaves (Schur-Horn, decouple) are checked by
-verification only.
+sha256 digest.  The numpy-based leaves (Schur-Horn, decouple) are checked by
+verification, and the decouple leaves' exact plans and slot layouts are pinned
+by a second digest.
 """
 
 import hashlib
@@ -103,15 +104,23 @@ HISTOGRAM = {
     "infeasible": 32,
 }
 TETRIS_DIGEST = "1299ac83d43158372dc3b10cb87957cae7d4b6ec44a7a0875cac4e5b26b7dff8"
+# sha256 of canonical {plan, beta} over the 129 decouple leaves: exact
+# Fractions and ints only, so the value does not depend on the platform
+PLAN_DIGEST = "11c04e909ceebca911713d11ad7846fc252212a586cdd273053a76fbe6b44e2f"
+
+
+def _corpus():
+    """The corpus: (spec, m) pairs, in order."""
+    rng = random.Random(SEED)
+    for _ in range(COUNT):
+        s = _random_spec(rng)
+        yield s, rng.randint(1, 9)
 
 
 def test_route_corpus_labels_verification_and_tetris_outputs():
-    rng = random.Random(SEED)
     hist = Counter()
     digest = hashlib.sha256()
-    for _ in range(COUNT):
-        s = _random_spec(rng)
-        m = rng.randint(1, 9)
+    for s, m in _corpus():
         try:
             r = route(s)
         except InfeasibleDiagonalError:
@@ -127,9 +136,27 @@ def test_route_corpus_labels_verification_and_tetris_outputs():
             doc = {
                 "branch": trace["branch"],
                 "settled_prefix": settled,
-                "beta": trace.get("complement_of", trace).get("beta"),
+                "beta": trace.get("beta"),
                 "projection": rep.to_json_dict(),
             }
             digest.update(dumps_canonical(doc).encode())
     assert dict(sorted(hist.items())) == HISTOGRAM
     assert digest.hexdigest() == TETRIS_DIGEST
+
+
+def test_route_corpus_decouple_plans():
+    digest = hashlib.sha256()
+    leaves = 0
+    for s, m in _corpus():
+        try:
+            r = route(s)
+        except InfeasibleDiagonalError:
+            continue
+        if r.label.path[-1] != "decouple":
+            continue
+        trace = {}
+        r.build(m, trace)
+        digest.update(dumps_canonical({"plan": trace["plan"], "beta": trace["beta"]}).encode())
+        leaves += 1
+    assert leaves == 129
+    assert digest.hexdigest() == PLAN_DIGEST

@@ -40,8 +40,8 @@ def test_majorizes_prefix_condition():
 
 
 def test_majorizes_float_tolerance():
-    assert majorizes([0.5 + 1e-12, 0.5 - 1e-12], [1.0, 0.0], tol=1e-9)
-    assert not majorizes([0.6, 0.6], [1.0, 0.0], tol=1e-9)
+    assert majorizes([0.5 + 1e-12, 0.5 - 1e-12], [1.0, 0.0])
+    assert not majorizes([0.6, 0.6], [1.0, 0.0])
 
 
 def test_majorizes_order_insensitive_input():

@@ -158,7 +158,7 @@ def test_carpenter_field_runs_all_cells(classify_calls):
     out = carpenter_field(field, m=4)
     assert len(classify_calls) == 3  # once per cell
     assert [c.cell_id for c in out.cells] == ["a", "b", "c"]
-    assert out.cell("b").label.path[0] == "NonsummableB"
+    assert out.cells[1].label.path[0] == "NonsummableB"
     groups = out.by_branch()
     assert sum(len(v) for v in groups.values()) == 3
     # canonical serialization is deterministic

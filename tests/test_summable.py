@@ -11,7 +11,6 @@ from carpenter.summable import (
     conjugate_on_coords,
     proper_subspec,
     rank_one,
-    split_small_large,
     summable_construct,
     summable_construct2,
 )
@@ -36,7 +35,8 @@ def orthonormal(vectors, m, atol=1e-9):
 
 
 def test_split_small_large():
-    small, large, cls = split_small_large(WORKED)
+    cls = WORKED.half_classes()
+    small, large = WORKED.subsequence(cls, True), WORKED.subsequence(cls, False)
     assert [small.entry(i) for i in (1, 2)] == [F(3, 10), F(1, 5)]
     assert small.total() == F(1, 2)
     assert large.entry(1) == F(3, 4)
@@ -90,7 +90,8 @@ def test_decouple_identities():
     assert sum(plan.group2) == 1
     assert plan.group3_comp.total() == 1
     # the adjusted triple redistributes the original one
-    small, large, pm = split_small_large(WORKED)
+    cls = WORKED.half_classes()
+    small, large = WORKED.subsequence(cls, True), WORKED.subsequence(cls, False)
     a = [small.entry(1), small.entry(2)]
     b3 = large.entry(plan.i3)
     assert plan.a1_tilde + plan.a2_tilde + plan.b_tilde == a[0] + a[1] + b3
@@ -111,7 +112,7 @@ def test_decouple_allows_oversized_adjusted_first_entry():
     assert majorizes(
         [b3, F(1, 2), F(1, 2)], [plan.b_tilde, plan.a1_tilde, plan.a2_tilde]
     )
-    rep = summable_construct(s, m=6)
+    rep = summable_construct(s)
     check_against_spec(rep, s, 9)
     p = rep.dense(80)  # deep enough that truncated tail mass is below tolerance
     assert np.allclose(p @ p, p, atol=1e-9)
@@ -148,7 +149,7 @@ def test_conjugate_on_coords_redistributes_diagonal():
 
 def test_summable_construct2_worked_example():
     trace = {}
-    rep = summable_construct2(WORKED, m=6, trace=trace)
+    rep = summable_construct2(WORKED, trace=trace)
     want = [0.3, 0.2, 0.75, 0.875, 0.9375, 0.96875]
     got = rep.diag(6)
     assert np.allclose(got, want, atol=1e-9)
@@ -157,13 +158,13 @@ def test_summable_construct2_worked_example():
 
 
 def test_summable_construct_dispatches_decouple():
-    rep = summable_construct(WORKED, m=6)
+    rep = summable_construct(WORKED)
     check_against_spec(rep, WORKED, 6)
 
 
 def test_summable_construct_single_large_direct():
     s = spec("3/4", "1/8", tail=TailRule.geometric("1/16", "1/2"))
-    rep = summable_construct(s, m=6)
+    rep = summable_construct(s)
     check_against_spec(rep, s, 8)
     assert orthonormal(rep.vectors, 140)
 
@@ -171,13 +172,13 @@ def test_summable_construct_single_large_direct():
 def test_summable_construct_single_large_displaced():
     # the large entry sits at position 2; a swap brings it home and back
     s = spec("1/8", "3/4", tail=TailRule.geometric("1/16", "1/2"))
-    rep = summable_construct(s, m=6)
+    rep = summable_construct(s)
     check_against_spec(rep, s, 8)
 
 
 def test_summable_construct_complement_tetris():
     s = spec("1/4", tail=TailRule.one_minus_geometric("1/8", "1/2"))
-    rep = summable_construct(s, m=6)
+    rep = summable_construct(s)
     assert rep.form == "coframe"
     check_against_spec(rep, s, 8)
 
