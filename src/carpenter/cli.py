@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="randomized necessity check")
     p.add_argument("--dim", type=_count, required=True)
     p.add_argument("--trials", type=_count, default=1000)
-    p.add_argument("--seed", type=int, default=SEED)
+    p.add_argument("--seed", type=_count, default=SEED)
     p.add_argument("--tol", type=_tol, default=TOL)
     common(p, vectors=False)
     p.set_defaults(func=_cmd_oracle)

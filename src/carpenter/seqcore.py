@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -320,7 +320,7 @@ class TailRule:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "TailRule":
         d = _json_object(d, "tail")
-        return cls(d["kind"], *(rat(d[k]) for k in ("c", "r") if k in d))
+        return cls(d["kind"], **{k: rat(d[k]) for k in ("c", "r") if k in d})
 
 
 # ---------------------------------------------------------------------------
@@ -882,46 +882,25 @@ class PermutationWindow:
         return PermutationWindow(tuple(inv))
 
     @classmethod
-    def from_layout(
-        cls,
-        fixed: Mapping[int, int],
-        groups: Sequence[tuple[int, int, Callable[[int], int]]],
-        rest: int,
-    ) -> "PermutationWindow":
-        """Permutation (original -> slot) of subsequences laid out on slots.
-
-        ``fixed`` maps finitely many slots to the original index they hold.
-        A group ``(first, stride, source)`` puts original index ``source(i)``
-        on slot ``first + (i-1)*stride``.  Each group is walked until, from its
-        second member on, it falls back onto the identity at or past ``rest``;
-        then every group is extended through the displaced range, beyond which
-        the permutation is the identity.
+    def head_first(cls, head: Sequence[int]) -> "PermutationWindow":
+        """Permutation (original -> slot): ``head`` takes slots 1..len(head) in
+        order, every other index follows in increasing order, and the window
+        ends at the last index that moves.
         """
-        pairs = dict(fixed)  # slot -> original index
-        nexts = []
-        for first, stride, source in groups:
-            i = 1
-            while True:
-                slot, src = first + (i - 1) * stride, source(i)
-                pairs[slot] = src
-                i += 1
-                if i > 2 and src == slot and src >= rest:
-                    break
-            nexts.append(i)
-        reach = lambda: max((max(s, o) for s, o in pairs.items() if s != o), default=0)
-        w = reach()
-        for (first, stride, source), i in zip(groups, nexts):
-            while first + (i - 1) * stride <= w:
-                pairs[first + (i - 1) * stride] = source(i)
-                i += 1
-        w = reach()
-        images = [0] * w
-        for s, o in pairs.items():
-            if o <= w:
-                images[o - 1] = s
-        if sorted(images) != list(range(1, w + 1)):
-            raise ConstructionError("internal: index reassignment does not close into a window")
-        return cls(tuple(images))
+        if len(set(head)) != len(head) or any(h < 1 for h in head):
+            raise ConstructionError("internal: slot head repeats an index or holds one < 1")
+        images = [0] * max(head, default=0)
+        for slot, h in enumerate(head, start=1):
+            images[h - 1] = slot
+        slot = len(head)
+        for i, img in enumerate(images):
+            if not img:
+                slot += 1
+                images[i] = slot
+        w = len(images)
+        while w and images[w - 1] == w:
+            w -= 1
+        return cls(tuple(images[:w]))
 
 
 def conjugate_by_permutation(rep: ProjectionRep, perm: PermutationWindow) -> ProjectionRep:

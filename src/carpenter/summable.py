@@ -86,7 +86,6 @@ class DecouplingPlan:
     integer mass, mass one, and co-mass one respectively.
     """
 
-    spec: DiagonalSpec
     i1: int
     i2: int
     i3: int
@@ -101,16 +100,6 @@ class DecouplingPlan:
     group3_comp: DiagonalSpec
     group1_src: tuple[int, ...]
     group2_src: tuple[int, ...]
-
-    def group3_src(self, j: int) -> int:
-        """Original index feeding slot j of group three."""
-        cls = self.spec.half_classes()
-        if j == 1:
-            return cls.nth(self.i2, True)
-        o = self.i5 + (j - 2)  # ordinal into the large entries, skipping i3
-        if self.i5 <= self.i3 <= o:
-            o += 1
-        return cls.nth(o, False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,7 +202,7 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     if g3c.total() != 1:
         raise ConstructionError("terminal group co-mass != 1")
     return DecouplingPlan(
-        spec, i1, i2, i3, i4, i5, tuple(a), b_t, a1_t, a2_t,
+        i1, i2, i3, i4, i5, tuple(a), b_t, a1_t, a2_t,
         group1, group2, g3c, g1_src, g2_src,
     )
 
@@ -284,14 +273,13 @@ def summable_construct2(spec: DiagonalSpec, trace: dict | None = None) -> Projec
         raise ConstructionError("internal: adjusted diagonal mismatch before correction")
     a = plan.small
     # group2_src[0] is the position of the large entry b_{i3}
-    target = [a[plan.i1 - 1], plan.spec.entry(plan.group2_src[0]), a[plan.i2 - 1]]
+    target = [a[plan.i1 - 1], spec.entry(plan.group2_src[0]), a[plan.i2 - 1]]
     u3 = schur_horn_unitary([float(x) for x in current], [float(x) for x in target])
     corr = conjugate_on_coords(pre, coords, u3)
 
-    fixed = dict(enumerate(plan.group1_src + plan.group2_src, start=1))
-    beta = PermutationWindow.from_layout(
-        fixed, [(n1 + l2 + 1, 1, plan.group3_src)], spec.half_classes().rest_start()
-    )
+    # group three: the small entry a_{i2}, then the large entries no group took
+    i2_src = spec.half_classes().nth(plan.i2, True)
+    beta = PermutationWindow.head_first(plan.group1_src + plan.group2_src + (i2_src,))
     rep = conjugate_by_permutation(corr, beta)
     if trace is not None:
         trace["plan"] = plan.to_json_dict()

@@ -106,8 +106,6 @@ class TetrisOutput:
     min_s: dict[int, int]
     sigma: tuple[Fraction, ...]
     a_coef: tuple[Fraction, ...]
-    total: int | None  # finite total mass N, or None when divergent
-    complete: bool
 
     def frame(self) -> ProjectionRep:
         return ProjectionRep.frame(self.vectors)
@@ -194,9 +192,7 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         settled = None
     else:
         settled = max(mins[m] - 2, 0) if m > 0 else 0
-    return TetrisOutput(
-        tuple(vectors), settled, mins, tuple(sigmas), tuple(acoefs), n_total, complete
-    )
+    return TetrisOutput(tuple(vectors), settled, mins, tuple(sigmas), tuple(acoefs))
 
 
 def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
@@ -304,22 +300,20 @@ def interleave_split_fin(
     Subsequence m starts with the m-th large entry and continues with every
     k-th small entry starting from the m-th.  Returns the subsequence specs
     and the permutation beta mapping original indices to their slot in the
-    residue layout (subsequence m occupies slots m, k+m, 2k+m, ...).
+    residue layout (subsequence m occupies slots m, k+m, 2k+m, ...): the
+    large entries take slots 1..k and the small ones follow in order.
     """
     cls = spec.half_classes()
     if cls.count(False) != k or k < 1:
         raise ConstructionError(f"expected exactly {k} entries > 1/2, found {cls.count(False)}")
     if cls.count(True) != INF:
         raise ConstructionError("splitting needs infinitely many entries <= 1/2")
+    large = tuple(cls.nth(m, False) for m in range(1, k + 1))
     subs = []
-    for m in range(1, k + 1):
+    for m, pos in enumerate(large, start=1):
         sub = spec.subsequence(cls, True, m, k)
-        subs.append(DiagonalSpec((spec.entry(cls.nth(m, False)),) + sub.prefix, sub.tail))
-    groups = [
-        (m, k, lambda i, m=m: cls.nth(m, False) if i == 1 else cls.nth((i - 2) * k + m, True))
-        for m in range(1, k + 1)
-    ]
-    return subs, PermutationWindow.from_layout({}, groups, cls.rest_start())
+        subs.append(DiagonalSpec((spec.entry(pos),) + sub.prefix, sub.tail))
+    return subs, PermutationWindow.head_first(large)
 
 
 # ---------------------------------------------------------------------------

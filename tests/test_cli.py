@@ -169,6 +169,7 @@ def test_usage_errors(capsys):
         ["verify", "--rep", "r.json", "--spec", "s.json", "--dim", "1.5"],
         ["oracle", "--dim", "-1"],
         ["oracle", "--dim", "3", "--trials", "-1"],
+        ["oracle", "--dim", "3", "--seed", "-1"],
         ["construct", "--spec", "s.json", "--vectors", "-1"],
         ["field", "--input", "f.json", "--out", "o", "--vectors", "-1"],
         ["si", "--input", "i.json", "--vectors", "x"],
@@ -213,9 +214,13 @@ def test_bad_input_files(tmp_path, capsys):
     assert code == 2 and "bad input" in err
     code, _, err = run(capsys, ["check", "--spec", str(tmp_path / "missing.json")])
     assert code == 2
-    # malformed documents: bad rationals, a zero denominator, a bool, non-objects
+    # malformed documents: bad rationals, a zero denominator, a bool, non-objects,
+    # a constant tail given only a ratio
     for i, doc in enumerate(
-        ({"prefix": ["abc"]}, {"prefix": ["1/0"]}, {"prefix": [True]}, [1, 2], {"prefix": 5})
+        (
+            {"prefix": ["abc"]}, {"prefix": ["1/0"]}, {"prefix": [True]}, [1, 2], {"prefix": 5},
+            {"prefix": ["1/2"], "tail": {"kind": "constant", "r": "1/3"}},
+        )
     ):
         bad = write_json(tmp_path / f"bad{i}.json", doc)
         code, _, err = run(capsys, ["check", "--spec", bad])

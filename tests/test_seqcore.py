@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from carpenter.errors import (
+    ConstructionError,
     OutOfRangeError,
     SpecError,
 )
@@ -354,6 +355,33 @@ def test_permutation_window_apply_and_inverse():
         assert q.apply(p.apply(i)) == i
     with pytest.raises(SpecError):
         PermutationWindow((2, 2, 1))
+
+
+def _head_then_rest(head, n):
+    """Brute force: slot of each index 1..n when ``head`` goes first and the
+    rest follow in increasing order, cut after the last index that moves."""
+    order = list(head) + [i for i in range(1, n + 1) if i not in head]
+    slot = {i: s for s, i in enumerate(order, start=1)}
+    images = [slot[i] for i in range(1, n + 1)]
+    while images and images[-1] == len(images):
+        images.pop()
+    return tuple(images)
+
+
+def test_permutation_window_head_first():
+    assert PermutationWindow.head_first(()).window == ()
+    assert PermutationWindow.head_first((1, 2, 3)).window == ()
+    assert PermutationWindow.head_first((2, 1, 3)).window == (2, 1)
+    for bad in ((2, 2), (3, 1, 3), (0,), (1, -4)):
+        with pytest.raises(ConstructionError, match="internal"):
+            PermutationWindow.head_first(bad)
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        n = int(rng.integers(1, 13))
+        head = tuple(int(i) for i in rng.permutation(n)[: rng.integers(0, n + 1)] + 1)
+        perm = PermutationWindow.head_first(head)
+        assert perm.window == _head_then_rest(head, n + 3), head
+        assert [perm.apply(i) for i in head] == list(range(1, len(head) + 1))
 
 
 def test_conjugate_by_permutation_moves_diagonal():

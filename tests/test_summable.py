@@ -5,7 +5,9 @@ import pytest
 
 from carpenter.errors import ConstructionError, SpecError
 from carpenter.schurhorn import majorizes
-from carpenter.seqcore import DiagonalSpec, TailRule
+from carpenter.feasibility import kadison_ab, route
+from carpenter.selector import verify_projection
+from carpenter.seqcore import DiagonalSpec, PermutationWindow, TailRule
 from carpenter.summable import (
     decouple,
     conjugate_on_coords,
@@ -79,7 +81,12 @@ def test_decouple_worked_example_plan():
     assert plan.group2 == (F(1),)
     assert plan.group2_src == (3,)
     assert plan.group3_comp.prefix == (F(7, 8),)
-    assert [plan.group3_src(j) for j in (1, 2, 3, 4)] == [2, 5, 6, 7]
+    # group three fills slots 4, 5, 6, ... from the small entry a_2 and then
+    # the large entries the first two groups did not take
+    trace = {}
+    summable_construct2(WORKED, trace)
+    beta = PermutationWindow(tuple(trace["beta"]))
+    assert [beta.apply(i) for i in (2, 5, 6, 7)] == [4, 5, 6, 7]
 
 
 def test_decouple_identities():
@@ -116,6 +123,28 @@ def test_decouple_allows_oversized_adjusted_first_entry():
     check_against_spec(rep, s, 9)
     p = rep.dense(80)  # deep enough that truncated tail mass is below tolerance
     assert np.allclose(p @ p, p, atol=1e-9)
+
+
+def test_decouple_layout_of_a_long_prefix(monkeypatch):
+    # small entries 2/5, 3/7 and the balancing one, then p = 400 large
+    # entries 1 - 2^-(i+3): the slot layout moves only four indices, and
+    # laying it out must not rescan the prefix once per slot
+    large = tuple(1 - F(1, 2 ** (i + 3)) for i in range(1, 401))
+    tail = TailRule.one_minus_geometric("1/64", "1/2")
+    a, b = kadison_ab(DiagonalSpec((F(2, 5), F(3, 7)) + large, tail))
+    s = DiagonalSpec((F(2, 5), F(3, 7), 1 - (a - b) % 1) + large, tail)
+    r = route(s)
+    assert r.label.path[-1] == "decouple"
+    scans = []
+    half_classes = DiagonalSpec.half_classes
+    monkeypatch.setattr(
+        DiagonalSpec, "half_classes", lambda self: scans.append(1) or half_classes(self)
+    )
+    trace = {}
+    rep = r.build(1, trace)
+    assert len(scans) <= 3
+    assert trace["beta"] == [4, 1, 2, 3]
+    assert verify_projection(rep, s, 12).passed
 
 
 def test_decouple_requires_enough_structure():

@@ -108,7 +108,7 @@ def test_coupling_rejects_out_of_domain():
 def test_fill_five_identical_entries():
     s = spec(*["2/5"] * 5)
     out = tetris_vectors(s, 2)
-    assert out.complete and out.settled_prefix is None
+    assert out.settled_prefix is None
     assert out.sigma == (F(3, 5),)
     assert out.a_coef == (F(3, 10),)
     v1, v2 = out.vectors
@@ -123,7 +123,7 @@ def test_fill_five_identical_entries():
 def test_fill_constant_two_fifths_stream():
     s = spec(tail=TailRule.constant("2/5"))
     out = tetris_vectors(s, 4)
-    assert not out.complete
+    assert out.settled_prefix is not None
     assert out.min_s == {1: 3, 2: 5, 3: 8, 4: 10}
     assert out.settled_prefix == 8
     assert np.allclose(gram_of(out.vectors, 12), np.eye(4), atol=1e-14)
@@ -160,7 +160,7 @@ def test_fill_adjacent_collision_rejected():
 def test_fill_ultimate_vector_with_tail():
     s = spec("1/2", "1/2", tail=TailRule.geometric("1/2", "1/2"))
     out = tetris_vectors(s, 2)
-    assert out.complete
+    assert out.settled_prefix is None
     v2 = out.vectors[1]
     assert v2.sqrt_tail is not None
     assert v2.exact_norm_sq() == 1
