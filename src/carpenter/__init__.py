@@ -22,7 +22,6 @@ from .feasibility import (
     Route,
     branch_of,
     classify,
-    kadison_ab,
     route,
 )
 from .schurhorn import (
@@ -66,7 +65,6 @@ from .summable import (
     DecouplingPlan,
     decouple,
     proper_subspec,
-    rank_one,
     summable_construct,
     summable_construct2,
 )
@@ -74,10 +72,8 @@ from .tetris import (
     TetrisOutput,
     block_sort,
     coupling,
-    interleave_split_fin,
     min_s,
     nonsummable_construct,
-    sort_desc_window,
     tetris_vectors,
 )
 

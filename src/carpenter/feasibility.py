@@ -25,7 +25,6 @@ __all__ = [
     "FeasibilityReport",
     "BranchLabel",
     "Route",
-    "kadison_ab",
     "classify",
     "route",
     "branch_of",

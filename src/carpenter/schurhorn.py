@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MajorizationError, SpecError
-from .seqcore import ProjectionRep, SparseVector
+from .errors import ConstructionError, MajorizationError, SpecError
+from .seqcore import ProjectionRep, SparseVector, rat
 
 __all__ = [
     "majorizes",
@@ -35,7 +35,8 @@ def majorizes(f, lam) -> bool:
 
     When every entry of both lists is an int or a Fraction the comparison is
     exact; otherwise each comparison allows a fixed 1e-9 of floating-point
-    fuzz.
+    fuzz.  No library call reaches the float mode: the Schur-Horn routines
+    below take exact rationals only.
     """
     f = list(f)
     lam = list(lam)
@@ -56,43 +57,30 @@ def majorizes(f, lam) -> bool:
 def schur_horn_unitary(lam, f) -> np.ndarray:
     """Orthogonal U with diag(U^T diag(lam) U) = f, given f majorized by lam.
 
-    Targets are pinned from the largest down.  Each step rotates the tightest
-    pair of remaining values straddling the target so that the target
-    coordinate reads exactly f_k while the partner keeps the leftover; with
-    this pair choice the remaining values still majorize the remaining
-    targets, so the recursion closes and the last coordinate ends exact by
-    mass conservation.  Bookkeeping is exact (floats convert to fractions
-    without loss); only the rotation entries involve square roots.
-
-    The majorization check follows :func:`majorizes`: exact on ints and
-    Fractions, 1e-9 otherwise.  The last coordinate may miss its target by
-    at most 1e-9.
+    Both lists take exact rationals only (ints, Fractions or 'p/q' strings; a
+    float is a SpecError).  Targets are pinned from the largest down.  Each
+    step rotates the tightest pair of remaining values straddling the target
+    so that the target coordinate reads exactly f_k while the partner keeps
+    the leftover; with this pair choice the remaining values still majorize
+    the remaining targets, so the recursion closes and the last coordinate
+    ends exact by mass conservation.  Every rotation plane is decided on
+    exact values; only the rotation entries involve square roots.
     """
     n = len(lam)
     if len(f) != n:
         raise SpecError(f"length mismatch: {len(f)} vs {n}")
-    if not majorizes(f, lam):
+    d = [rat(x) for x in lam]
+    fv = [rat(x) for x in f]
+    if not majorizes(fv, d):
         raise MajorizationError("target diagonal is not majorized by the spectrum")
-    d = [Fraction(x) for x in lam]
-    fv = [Fraction(x) for x in f]
     u = np.eye(n)
     order = sorted(range(n), key=lambda i: (-fv[i], i))
     pinned = [False] * n
-    for t in order[: n - 1] if n else []:
+    for t in order[:-1]:
         ft = fv[t]
         free = [i for i in range(n) if not pinned[i]]
-        below = [i for i in free if d[i] <= ft]
-        above = [i for i in free if d[i] >= ft]
-        if not above or not below:
-            # only reachable through float-tolerance majorization: absorb
-            # the roundoff at the nearest value and move on
-            p = min(free, key=lambda i: abs(d[i] - ft))
-            _swap(u, d, t, p)
-            d[t] = ft
-            pinned[t] = True
-            continue
-        p = max(below, key=lambda i: d[i])
-        q = min(above, key=lambda i: d[i])
+        p = max((i for i in free if d[i] <= ft), key=lambda i: d[i])
+        q = min((i for i in free if d[i] >= ft), key=lambda i: d[i])
         if d[p] == ft or d[q] == ft:
             _swap(u, d, t, p if d[p] == ft else q)
             pinned[t] = True
@@ -113,11 +101,8 @@ def schur_horn_unitary(lam, f) -> np.ndarray:
         d[q] = d[t] + d[q] - ft
         d[t] = ft
         pinned[t] = True
-    last = order[-1] if n else 0
-    if n and abs(float(d[last] - fv[last])) > 1e-9:
-        raise MajorizationError(
-            f"residual {float(d[last] - fv[last])} at the last pinned coordinate"
-        )
+    if n and d[order[-1]] != fv[order[-1]]:
+        raise ConstructionError("internal: the last pinned coordinate misses its target")
     return u
 
 
@@ -134,20 +119,20 @@ def finite_projection_pair(f) -> tuple[list[SparseVector], list[SparseVector]]:
     spans a rank-k projection with diagonal f, the second its orthogonal
     complement inside the same coordinates.
     """
-    fv = [Fraction(x) if isinstance(x, (int, Fraction)) else x for x in f]
+    fv = [rat(x) for x in f]
     n = len(fv)
     for x in fv:
         if not 0 <= x <= 1:
             raise SpecError(f"diagonal entry {x} outside [0,1]")
     total = sum(fv)
-    k = int(round(float(total)))
-    if abs(float(total) - k) > 1e-12:
+    if total.denominator != 1:
         raise MajorizationError(f"diagonal sum {total} is not an integer")
+    k = total.numerator
     if all(x in (0, 1) for x in fv):
         ones = [SparseVector.basis(i + 1) for i, x in enumerate(fv) if x == 1]
         zeros = [SparseVector.basis(i + 1) for i, x in enumerate(fv) if x == 0]
         return ones, zeros
-    lam = [1.0] * k + [0.0] * (n - k)
+    lam = [1] * k + [0] * (n - k)
     u = schur_horn_unitary(lam, fv)
     rng = [SparseVector.from_dense(u[i, :]) for i in range(k)]
     ker = [SparseVector.from_dense(u[i, :]) for i in range(k, n)]

@@ -173,14 +173,14 @@ class TailRule:
             if self.c is not None or self.r is not None:
                 raise SpecError("zero tail takes no parameters")
         elif self.kind == CONSTANT:
-            c = rat(self.c)
+            c = self._param("c")
             object.__setattr__(self, "c", c)
             if not 0 <= c <= 1:
                 raise SpecError(f"constant tail value {c} outside [0,1]")
             if self.r is not None:
                 raise SpecError("constant tail takes no ratio")
         elif self.kind in (GEOMETRIC, ONE_MINUS_GEOMETRIC):
-            c, r = rat(self.c), rat(self.r)
+            c, r = self._param("c"), self._param("r")
             object.__setattr__(self, "c", c)
             object.__setattr__(self, "r", r)
             if not 0 < c <= 1:
@@ -189,6 +189,12 @@ class TailRule:
                 raise SpecError(f"geometric ratio {r} outside (0,1)")
         else:
             raise SpecError(f"unknown tail kind {self.kind!r}")
+
+    def _param(self, name: str) -> Fraction:
+        value = getattr(self, name)
+        if value is None:
+            raise SpecError(f"{self.kind} tail needs the field {name!r}")
+        return rat(value)
 
     # -- constructors
 

@@ -34,11 +34,9 @@ from .schurhorn import finite_projection_pair, majorizes, schur_horn_unitary
 from .tetris import tetris_vectors
 
 __all__ = [
-    "rank_one",
     "proper_subspec",
     "DecouplingPlan",
     "decouple",
-    "conjugate_on_coords",
     "summable_construct2",
     "summable_construct",
     "embed_with_improper",
@@ -274,7 +272,7 @@ def summable_construct2(spec: DiagonalSpec, trace: dict | None = None) -> Projec
     a = plan.small
     # group2_src[0] is the position of the large entry b_{i3}
     target = [a[plan.i1 - 1], spec.entry(plan.group2_src[0]), a[plan.i2 - 1]]
-    u3 = schur_horn_unitary([float(x) for x in current], [float(x) for x in target])
+    u3 = schur_horn_unitary(current, target)
     corr = conjugate_on_coords(pre, coords, u3)
 
     # group three: the small entry a_{i2}, then the large entries no group took

@@ -41,9 +41,7 @@ __all__ = [
     "coupling",
     "TetrisOutput",
     "tetris_vectors",
-    "sort_desc_window",
     "block_sort",
-    "interleave_split_fin",
     "nonsummable_construct",
 ]
 

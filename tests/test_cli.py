@@ -225,6 +225,12 @@ def test_bad_input_files(tmp_path, capsys):
         bad = write_json(tmp_path / f"bad{i}.json", doc)
         code, _, err = run(capsys, ["check", "--spec", bad])
         assert code == 2 and err.startswith("error:") and "Traceback" not in err, (doc, err)
+    # a geometric tail missing a parameter: the error names the tail kind and the field
+    for field, tail in (("c", {"kind": "geometric", "r": "1/2"}), ("r", {"kind": "geometric", "c": "1/2"})):
+        bad = write_json(tmp_path / f"tail_{field}.json", {"prefix": ["1/2"], "tail": tail})
+        code, _, err = run(capsys, ["check", "--spec", bad])
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err, (tail, err)
+        assert "geometric" in err and repr(field) in err, (tail, err)
     good = write_json(tmp_path / "good.json", CONST_25)
     # malformed projections: not an object, bad vector lists, non-integer indices and tails
     rule = {"kind": "geometric", "c": "1/2", "r": "1/2"}

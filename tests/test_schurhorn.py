@@ -112,6 +112,18 @@ def test_finite_projection_pair_needs_integer_mass():
         finite_projection_pair([F(5, 4)])
 
 
+def test_rational_only_inputs():
+    """Floats are rejected and a diagonal sum off an integer by 1e-13 is not rounded."""
+    for call, args, err in (
+        (finite_projection, ([F(1, 2), F(1, 2) + F(1, 10**13)],), MajorizationError),
+        (finite_projection_pair, ([0.5, 0.5],), SpecError),
+        (schur_horn_unitary, ([1.0, 0.0], [F(1, 2), F(1, 2)]), SpecError),
+        (schur_horn_unitary, ([F(1), F(0)], [0.5, 0.5]), SpecError),
+    ):
+        with pytest.raises(err):
+            call(*args)
+
+
 def test_finite_projection_rep():
     f = [F(1, 2), F(1, 2), F(1), F(0)]
     rep = finite_projection(f)
