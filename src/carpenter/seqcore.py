@@ -326,7 +326,16 @@ class TailRule:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "TailRule":
         d = _json_object(d, "tail")
-        return cls(d["kind"], **{k: rat(d[k]) for k in ("c", "r") if k in d})
+        if "kind" not in d:
+            raise SpecError("tail needs the field 'kind'")
+        params = {}
+        for k in ("c", "r"):
+            if k in d:
+                try:
+                    params[k] = rat(d[k])
+                except SpecError as e:
+                    raise SpecError(f"tail field {k!r}: {e}") from None
+        return cls(d["kind"], **params)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +617,12 @@ class SparseVector:
                 yield k, math.sqrt(q), q
 
     def exact_norm_sq(self) -> Fraction:
+        """The exact squares, added entry by entry over their common denominator, plus tail mass."""
         if self.squares is None and self.support:
             raise ExactnessError("vector has float-only support entries")
-        s = sum(self.squares, Fraction(0)) if self.support else Fraction(0)
+        sqs = self.squares or ()
+        den = math.lcm(*{q.denominator for q in sqs})
+        s = Fraction(sum(q.numerator * (den // q.denominator) for q in sqs), den)
         if self.sqrt_tail is not None:
             s += self.sqrt_tail.rule.sum_from(1)
         return s

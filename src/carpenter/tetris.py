@@ -18,6 +18,7 @@ infinitely many large entries, so no split for that case is needed.)
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .seqcore import (
     SqrtTail,
     conjugate_by_permutation,
     fmt_rat,
+    rat,
 )
 
 __all__ = [
@@ -68,25 +70,29 @@ def min_s(spec: DiagonalSpec, n: int) -> int:
     raise ConstructionError(f"partial sums stay below {n} (limit {fmt_rat(limit)})")
 
 
-def coupling(d1, d2, sigma):
+def coupling(d1, d2, sigma) -> Fraction:
     """Split coefficient a = sigma*(sigma-d2) / (2*sigma - d1 - d2).
 
     Requires d1, d2, sigma in [0,1] with max(d1,d2) <= sigma <= d1+d2 and
     2*sigma > d1+d2.  Then a, sigma-a, d1-a and d2-sigma+a all lie in [0,1]
     and a*(d1-a) = (sigma-a)*(d2-sigma+a), which is exactly the orthogonality
-    of consecutive fill vectors.  Exact on Fractions, plain arithmetic on
-    floats.
+    of consecutive fill vectors.  The arguments are exact rationals (a float
+    is a SpecError); the tests run on their numerators over one common
+    denominator.
     """
-    for name, v in (("d1", d1), ("d2", d2), ("sigma", sigma)):
-        if not 0 <= v <= 1:
+    d1, d2, sigma = rat(d1), rat(d2), rat(sigma)
+    den = math.lcm(d1.denominator, d2.denominator, sigma.denominator)
+    x, y, s = (v.numerator * (den // v.denominator) for v in (d1, d2, sigma))
+    for name, v, num in (("d1", d1, x), ("d2", d2, y), ("sigma", sigma, s)):
+        if not 0 <= num <= den:
             raise ConstructionError(f"coupling: {name} = {v} outside [0,1]")
-    if not max(d1, d2) <= sigma <= d1 + d2:
+    if not max(x, y) <= s <= x + y:
         raise ConstructionError(
             f"coupling: sigma = {sigma} outside [max(d1,d2), d1+d2] = [{max(d1, d2)}, {d1 + d2}]"
         )
-    if not 2 * sigma > d1 + d2:
+    if not 2 * s > x + y:
         raise ConstructionError(f"coupling: 2*sigma = {2 * sigma} <= d1 + d2 = {d1 + d2}")
-    return sigma * (sigma - d2) / (2 * sigma - d1 - d2)
+    return Fraction(s * (s - y), den * (2 * s - x - y))
 
 
 @dataclass(frozen=True)
@@ -150,16 +156,17 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         d2 = spec.entry(mn)
         direct = [(i, q) for i, q in pending if i != left]
         d1 = sum((q for i, q in pending if i == left), Fraction(0))
+        sigma = 1 - sum((q for _, q in direct), Fraction(0))
         if left >= cursor:
             # left boundary coordinate is untouched: ordering hypothesis applies
             d1 = spec.entry(left)
-            if d1 < d2:
+            if d1.numerator * d2.denominator < d2.numerator * d1.denominator:
                 raise ConstructionError(
                     f"ordering hypothesis fails at step {n}: entry {left} = {fmt_rat(d1)}"
                     f" < entry {mn} = {fmt_rat(d2)}"
                 )
-            direct = list(pending) + [(i, spec.entry(i)) for i in range(cursor, left)]
-        sigma = 1 - sum((q for _, q in direct), Fraction(0))
+            direct += [(i, spec.entry(i)) for i in range(cursor, left)]
+            sigma -= _run_mass(spec, cursor, left - 1)
         try:
             a = coupling(d1, d2, sigma)
         except ConstructionError as e:
@@ -178,6 +185,8 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         entries.append((left, a, 1))
         entries.append((mn, sigma - a, sign))
         vec = SparseVector.from_exact(entries)
+        # the norm is summed from the vector's own squares, never from the
+        # prefix sums that produced sigma, so it checks them too
         if vec.exact_norm_sq() != 1:
             raise ConstructionError(f"internal: step {n} produced norm^2 {vec.exact_norm_sq()}")
         vectors.append(vec)
@@ -191,6 +200,14 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     else:
         settled = max(mins[m] - 2, 0) if m > 0 else 0
     return TetrisOutput(tuple(vectors), settled, mins, tuple(sigmas), tuple(acoefs))
+
+
+def _run_mass(spec: DiagonalSpec, i: int, j: int) -> Fraction:
+    """f_i + ... + f_j (0 when j = i - 1): inside the prefix one integer difference of its sums."""
+    if j <= len(spec.prefix):
+        d, sums = spec._cumsums
+        return Fraction(sums[j] - sums[i - 1], d)
+    return spec.partial_sum(j) - spec.partial_sum(i - 1)
 
 
 def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
@@ -218,11 +235,14 @@ def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
 def sort_desc_window(values) -> tuple[tuple[Fraction, ...], PermutationWindow]:
     """Sort a finite window decreasingly; ties keep the smaller original index.
 
-    Returns (sorted values g, window pi) with g_i = values[pi(i) - 1].  A
-    stable sort with ``reverse=True`` keeps ties in their original order.
+    Returns (sorted values g, window pi) with g_i = values[pi(i) - 1].  The
+    sort keys are the numerators over one common denominator, and a stable
+    sort with ``reverse=True`` keeps ties in their original order.
     """
     vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-    order = sorted(range(1, len(vals) + 1), key=lambda i: vals[i - 1], reverse=True)
+    den = math.lcm(*{v.denominator for v in vals})
+    keys = [v.numerator * (den // v.denominator) for v in vals]
+    order = sorted(range(1, len(vals) + 1), key=lambda i: keys[i - 1], reverse=True)
     return tuple(vals[i - 1] for i in order), PermutationWindow(tuple(order))
 
 

@@ -231,6 +231,13 @@ def test_bad_input_files(tmp_path, capsys):
         code, _, err = run(capsys, ["check", "--spec", bad])
         assert code == 2 and err.startswith("error:") and "Traceback" not in err, (tail, err)
         assert "geometric" in err and repr(field) in err, (tail, err)
+    # a tail without its kind, or with a parameter that is not a rational: the error names the field
+    for field, tail in (("kind", {"c": "1/2"}), ("c", {"kind": "constant", "c": "x"}),
+                        ("r", {"kind": "geometric", "c": "1/2", "r": "x"})):
+        bad = write_json(tmp_path / f"tail_field_{field}.json", {"prefix": ["1/2"], "tail": tail})
+        code, _, err = run(capsys, ["check", "--spec", bad])
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err, (tail, err)
+        assert repr(field) in err and "KeyError" not in err, (tail, err)
     good = write_json(tmp_path / "good.json", CONST_25)
     # malformed projections: not an object, bad vector lists, non-integer indices and tails
     rule = {"kind": "geometric", "c": "1/2", "r": "1/2"}

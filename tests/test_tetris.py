@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from carpenter.errors import ConstructionError, OutOfRangeError
+from carpenter.errors import ConstructionError, OutOfRangeError, SpecError
 from carpenter.seqcore import DiagonalSpec, ProjectionRep, TailRule
 from carpenter.tetris import (
     block_sort,
@@ -101,6 +101,57 @@ def test_coupling_rejects_out_of_domain():
         coupling(F(1, 2), F(1, 2), F(1, 2))  # 2 sigma = d1 + d2
 
 
+def _coupling_reference(d1, d2, sigma):
+    """The coupling as plain Fraction arithmetic, one operation at a time."""
+    for name, v in (("d1", d1), ("d2", d2), ("sigma", sigma)):
+        if not 0 <= v <= 1:
+            raise ConstructionError(f"coupling: {name} = {v} outside [0,1]")
+    if not max(d1, d2) <= sigma <= d1 + d2:
+        raise ConstructionError(
+            f"coupling: sigma = {sigma} outside [max(d1,d2), d1+d2] = [{max(d1, d2)}, {d1 + d2}]"
+        )
+    if not 2 * sigma > d1 + d2:
+        raise ConstructionError(f"coupling: 2*sigma = {2 * sigma} <= d1 + d2 = {d1 + d2}")
+    return sigma * (sigma - d2) / (2 * sigma - d1 - d2)
+
+
+def test_coupling_matches_the_rational_formula():
+    dens = (97, 2**20, 2**31 - 1)
+    rng = random.Random(12)
+
+    def draw(den):
+        return F(rng.randint(0, den), den)
+
+    valid = invalid = 0
+    for trial in range(3000):
+        da, db = rng.choice(dens), rng.choice(dens)  # one denominator, or a mixed pair
+        d1, d2 = draw(da), draw(db)
+        sigma = (
+            draw(rng.choice((da, db))),
+            max(d1, d2),
+            d1 + d2,
+            (d1 + d2) / 2,
+            F(rng.randint(0, 1)),
+            d1 + d2 + F(1, da),  # may leave [0,1]
+            -F(1, db),
+        )[trial % 7]
+        if trial % 11 == 0:
+            d1 = F(trial % 2)  # entries 0 and 1
+        try:
+            want = _coupling_reference(d1, d2, sigma)
+        except ConstructionError as e:
+            with pytest.raises(ConstructionError) as got:
+                coupling(d1, d2, sigma)
+            assert str(got.value) == str(e), (d1, d2, sigma)
+            invalid += 1
+        else:
+            assert coupling(d1, d2, sigma) == want == sigma * (sigma - d2) / (2 * sigma - d1 - d2)
+            valid += 1
+    assert valid > 500 and invalid > 500
+    with pytest.raises(SpecError):
+        coupling(0.4, 0.4, 0.6)
+
+
 # ---------------------------------------------------------------------------
 # streaming fill
 
@@ -166,6 +217,20 @@ def test_fill_ultimate_vector_with_tail():
     assert v2.exact_norm_sq() == 1
     assert np.allclose(gram_of(out.vectors, 60), np.eye(2), atol=1e-12)
     assert ProjectionRep.frame(out.vectors).exact_diag(8) == [s.entry(i) for i in range(1, 9)]
+
+
+def test_fill_norm_check_does_not_trust_the_prefix_sums():
+    prefix = ["1/4", "250/1009", "1/4", "1/4", "1/4", "1/4", "1/4", "1/4", "1/4"]
+    clean = tetris_vectors(spec(*prefix, tail=TailRule.constant("1/4")), 3)
+    s = spec(*prefix, tail=TailRule.constant("1/4"))
+    d, sums = s._cumsums
+    assert s._floor_sums  # cached from the true sums, so every boundary stays put
+    j = clean.min_s[2] - 2  # last whole entry of the second vector
+    bad = list(sums)
+    bad[j] += 1  # S_j off by 1/d
+    s.__dict__["_cumsums"] = (d, tuple(bad))
+    with pytest.raises(ConstructionError, match="step 2 produced norm"):
+        tetris_vectors(s, 3)
 
 
 def test_fill_count_limits():
