@@ -194,7 +194,10 @@ class TailRule:
         value = getattr(self, name)
         if value is None:
             raise SpecError(f"{self.kind} tail needs the field {name!r}")
-        return rat(value)
+        try:
+            return rat(value)
+        except SpecError as e:
+            raise SpecError(f"{self.kind} tail field {name!r}: {e}") from None
 
     # -- constructors
 
@@ -328,14 +331,7 @@ class TailRule:
         d = _json_object(d, "tail")
         if "kind" not in d:
             raise SpecError("tail needs the field 'kind'")
-        params = {}
-        for k in ("c", "r"):
-            if k in d:
-                try:
-                    params[k] = rat(d[k])
-                except SpecError as e:
-                    raise SpecError(f"tail field {k!r}: {e}") from None
-        return cls(d["kind"], **params)
+        return cls(d["kind"], **{k: d[k] for k in ("c", "r") if k in d})
 
 
 # ---------------------------------------------------------------------------

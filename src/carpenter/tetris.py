@@ -160,13 +160,13 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         if left >= cursor:
             # left boundary coordinate is untouched: ordering hypothesis applies
             d1 = spec.entry(left)
-            if d1.numerator * d2.denominator < d2.numerator * d1.denominator:
+            if d1 < d2:
                 raise ConstructionError(
                     f"ordering hypothesis fails at step {n}: entry {left} = {fmt_rat(d1)}"
                     f" < entry {mn} = {fmt_rat(d2)}"
                 )
             direct += [(i, spec.entry(i)) for i in range(cursor, left)]
-            sigma -= _run_mass(spec, cursor, left - 1)
+            sigma -= spec.partial_sum(left - 1) - spec.partial_sum(cursor - 1)
         try:
             a = coupling(d1, d2, sigma)
         except ConstructionError as e:
@@ -200,14 +200,6 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     else:
         settled = max(mins[m] - 2, 0) if m > 0 else 0
     return TetrisOutput(tuple(vectors), settled, mins, tuple(sigmas), tuple(acoefs))
-
-
-def _run_mass(spec: DiagonalSpec, i: int, j: int) -> Fraction:
-    """f_i + ... + f_j (0 when j = i - 1): inside the prefix one integer difference of its sums."""
-    if j <= len(spec.prefix):
-        d, sums = spec._cumsums
-        return Fraction(sums[j] - sums[i - 1], d)
-    return spec.partial_sum(j) - spec.partial_sum(i - 1)
 
 
 def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
