@@ -30,7 +30,7 @@ from .feasibility import route
 from .schurhorn import schur_horn_unitary
 from .selector import carpenter, carpenter_field, necessity_oracle, verify_projection
 from .seqcore import (
-    CellField, DiagonalSpec, ProjectionRep, _json_int, dumps_canonical, fmt_rat, rat,
+    CellField, DiagonalSpec, ProjectionRep, _json_field, _json_int, dumps_canonical, fmt_rat, rat,
 )
 from .sispectral import SpectralSamples, synthesize_range
 
@@ -131,7 +131,7 @@ def _safe_name(cell_id: str) -> str:
 
 def _cmd_field(args) -> int:
     doc = _load_json(args.input)
-    items = doc["cells"] if isinstance(doc, dict) else doc
+    items = _json_field(doc, "cells", "cell field") if isinstance(doc, dict) else doc
     field = CellField.from_json_list(items)
     result = carpenter_field(field, args.vectors)  # raises naming the first infeasible cell
     os.makedirs(args.out, exist_ok=True)

@@ -12,14 +12,13 @@ leaf carries both the branch label and the constructor that builds it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable
 
 from .errors import InfeasibleDiagonalError, UnsupportedStructureError
-from .seqcore import INF, DiagonalSpec, ProjectionRep, fmt_rat
+from .seqcore import INF, DiagonalSpec, ProjectionRep, fmt_rat, over_lcm
 
 __all__ = [
     "FeasibilityReport",
@@ -34,16 +33,12 @@ __all__ = [
 def kadison_ab(spec: DiagonalSpec):
     """The pair (a, b) of threshold sums, each a Fraction or INF.
 
-    The prefix part adds integers: each entry x is scaled to d*x over the
-    common denominator d of the prefix.
+    The prefix part adds integers: each entry x is scaled to n = d*x over the
+    common denominator d of the prefix, and a large entry adds d - n to b.
     """
-    d = math.lcm(*{x.denominator for x in spec.prefix})
-    a = b = 0  # d * (prefix part of a), d * (prefix part of b)
-    for x in spec.prefix:
-        if 2 * x.numerator <= x.denominator:
-            a += x.numerator * (d // x.denominator)
-        else:
-            b += (x.denominator - x.numerator) * (d // x.denominator)
+    d, nums = over_lcm(spec.prefix)
+    a = sum(n for n in nums if 2 * n <= d)  # d * (prefix part of a)
+    b = sum(d - n for n in nums if 2 * n > d)  # d * (prefix part of b)
     a, b = Fraction(a, d), Fraction(b, d)
     tail = spec.tail
     e, rest_small = tail.half_exceptions()

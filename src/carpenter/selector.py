@@ -169,7 +169,7 @@ def carpenter_field(field: CellField, m: int = 16) -> ProjectionField:
         try:
             r = route(spec)
         except InfeasibleDiagonalError as e:
-            raise InfeasibleDiagonalError(f"cell {cell_id!r}: {e}") from None
+            raise InfeasibleDiagonalError(f"cell {cell_id!r}: {e}", e.report) from None
         trace: dict = {}
         rep = r.build(m, trace)
         out.append(FieldCell(cell_id, r.label, rep, trace["settled_prefix"]))

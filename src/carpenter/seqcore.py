@@ -18,6 +18,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,6 +83,23 @@ def rat(x) -> Fraction:
             pass
     hint = " (floats must be converted explicitly)" if isinstance(x, float) else ""
     raise SpecError(f"not an exact rational: {x!r}{hint}")
+
+
+def over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(d, [x*d for x in xs])``: the Fractions as integers over their least common denominator d.
+
+    Every exact threshold that runs on integers (prefix sums, defect sums,
+    coupling brackets, sort keys, norms) scales its Fractions here.
+    """
+    d = math.lcm(*{x.denominator for x in xs})
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _json_field(d: Mapping, key: str, what: str):
+    """``d[key]`` when the object ``d`` has it; SpecError naming ``what`` and ``key`` otherwise."""
+    if key not in d:
+        raise SpecError(f"{what} needs the field {key!r}")
+    return d[key]
 
 
 def _json_object(d, what: str) -> Mapping:
@@ -329,9 +347,7 @@ class TailRule:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "TailRule":
         d = _json_object(d, "tail")
-        if "kind" not in d:
-            raise SpecError("tail needs the field 'kind'")
-        return cls(d["kind"], **{k: d[k] for k in ("c", "r") if k in d})
+        return cls(_json_field(d, "kind", "tail"), **{k: d[k] for k in ("c", "r") if k in d})
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +386,8 @@ class DiagonalSpec:
     @cached_property
     def _cumsums(self) -> tuple[int, tuple[int, ...]]:
         """``(d, (d*S_0, ..., d*S_p))``: the prefix sums over one common denominator d."""
-        d = math.lcm(*{x.denominator for x in self.prefix})
-        out, acc = [0], 0
-        for x in self.prefix:
-            acc += x.numerator * (d // x.denominator)
-            out.append(acc)
-        return d, tuple(out)
+        d, nums = over_lcm(self.prefix)
+        return d, tuple(accumulate(nums, initial=0))
 
     @cached_property
     def _floor_sums(self) -> tuple[int, ...]:
@@ -616,9 +628,8 @@ class SparseVector:
         """The exact squares, added entry by entry over their common denominator, plus tail mass."""
         if self.squares is None and self.support:
             raise ExactnessError("vector has float-only support entries")
-        sqs = self.squares or ()
-        den = math.lcm(*{q.denominator for q in sqs})
-        s = Fraction(sum(q.numerator * (den // q.denominator) for q in sqs), den)
+        d, nums = over_lcm(self.squares or ())
+        s = Fraction(sum(nums), d)
         if self.sqrt_tail is not None:
             s += self.sqrt_tail.rule.sum_from(1)
         return s
@@ -715,12 +726,12 @@ class SparseVector:
         if td is not None:
             td = _json_object(td, "sqrt tail")
             tail = SqrtTail(
-                _json_int(td["start"], "sqrt tail start"),
-                TailRule.from_json_dict(td["rule"]),
+                _json_int(_json_field(td, "start", "sqrt tail"), "sqrt tail start"),
+                TailRule.from_json_dict(_json_field(td, "rule", "sqrt tail")),
                 _json_int(td.get("stride", 1), "sqrt tail stride"),
             )
         support = []
-        for e in _json_list(d["support"], "support"):
+        for e in _json_list(_json_field(d, "support", "vector"), "support"):
             if len(_json_list(e, "support entry")) != 2:
                 raise SpecError(f"support entry must be an [index, value] pair, got {e!r}")
             support.append((_json_int(e[0], "support index"), _json_number(e[1], "support value")))
@@ -858,8 +869,9 @@ class ProjectionRep:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ProjectionRep":
         d = _json_object(d, "projection")
-        vectors = _json_list(d["vectors"], "projection vectors")
-        return cls(d["form"], tuple(SparseVector.from_json_dict(v) for v in vectors))
+        vectors = _json_list(_json_field(d, "vectors", "projection"), "projection vectors")
+        form = _json_field(d, "form", "projection")
+        return cls(form, tuple(SparseVector.from_json_dict(v) for v in vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +963,8 @@ class CellField:
         cells = []
         for d in _json_list(items, "cell field"):
             d = _json_object(d, "cell")
-            cells.append((d["cell"], DiagonalSpec.from_json_dict(d["spec"])))
+            cell = _json_field(d, "cell", "cell")
+            cells.append((cell, DiagonalSpec.from_json_dict(_json_field(d, "spec", "cell"))))
         return cls(tuple(cells))
 
 

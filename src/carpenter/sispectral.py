@@ -16,7 +16,7 @@ from typing import Mapping
 from .errors import InfeasibleDiagonalError, SpecError
 from .feasibility import FeasibilityReport, classify, route
 from .seqcore import DiagonalSpec, ProjectionRep, TailRule, fmt_rat, rat
-from .seqcore import _json_int, _json_list, _json_number, _json_object
+from .seqcore import _json_field, _json_int, _json_list, _json_number, _json_object
 from .selector import verify_projection
 
 __all__ = [
@@ -39,13 +39,14 @@ def _window_to_json(d: int, window) -> dict:
     return {"d": d, "window": [list(k) for k in window]}
 
 
-def _window_from_json(doc: Mapping) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The dimension ``d`` and the translate window of a samples or range document."""
+def _window_from_json(doc: Mapping, what: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The dimension ``d`` and the translate window of a samples or range document ``what``."""
+    doc = _json_object(doc, what)
     d = _json_int(doc.get("d", 1), "d")
     if d < 1:
         raise SpecError(f"dimension d must be >= 1, got {d}")
     window = []
-    for k in _json_list(doc["window"], "window"):
+    for k in _json_list(_json_field(doc, "window", what), "window"):
         pt = _coords(k, _json_int, "window coordinate")
         if len(pt) != d:
             raise SpecError(f"window point {pt} has dimension {len(pt)}, expected {d}")
@@ -98,15 +99,15 @@ class SpectralSamples:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SpectralSamples":
-        d, window = _window_from_json(_json_object(doc, "spectral samples"))
+        d, window = _window_from_json(doc, "spectral samples")
         fibers = []
-        for fd in _json_list(doc["fibers"], "fibers"):
+        for fd in _json_list(_json_field(doc, "fibers", "spectral samples"), "fibers"):
             fd = _json_object(fd, "fiber")
-            xi = _coords(fd["xi"], _json_number, "xi")
-            vals = tuple(rat(v) for v in _json_list(fd["values"], "fiber values"))
+            xi = _coords(_json_field(fd, "xi", "fiber"), _json_number, "xi")
+            vals = _json_list(_json_field(fd, "values", "fiber"), "fiber values")
             td = fd.get("tail")
             tail = TailRule.zero() if td is None else TailRule.from_json_dict(td)
-            fibers.append(SpectralFiber(xi, vals, tail))
+            fibers.append(SpectralFiber(xi, tuple(rat(v) for v in vals), tail))
         return cls(d, window, tuple(fibers))
 
 
@@ -141,15 +142,16 @@ class RangeFunctionFile:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RangeFunctionFile":
-        d, window = _window_from_json(_json_object(doc, "range function"))
+        d, window = _window_from_json(doc, "range function")
         fibers = []
-        for fd in _json_list(doc["fibers"], "fibers"):
+        for fd in _json_list(_json_field(doc, "fibers", "range function"), "fibers"):
             fd = _json_object(fd, "fiber")
+            settled = fd.get("settled")
             fibers.append(RangeFiber(
-                _coords(fd["xi"], _json_number, "xi"),
-                ProjectionRep.from_json_dict(fd["projection"]),
-                tuple(fd.get("branch", ())),
-                fd.get("settled"),
+                _coords(_json_field(fd, "xi", "fiber"), _json_number, "xi"),
+                ProjectionRep.from_json_dict(_json_field(fd, "projection", "fiber")),
+                tuple(_json_list(fd.get("branch", ()), "fiber branch")),
+                None if settled is None else _json_int(settled, "fiber settled"),
             ))
         return cls(d, window, tuple(fibers))
 
@@ -171,7 +173,7 @@ def synthesize_range(samples: SpectralSamples, m: int = 16, tol: float = 1e-9) -
         try:
             r = route(spec)
         except InfeasibleDiagonalError as e:
-            raise InfeasibleDiagonalError(f"fiber xi = {f.label()}: {e}") from None
+            raise InfeasibleDiagonalError(f"fiber xi = {f.label()}: {e}", e.report) from None
         trace: dict = {}
         rep = r.build(m, trace)
         dim = max(m, len(samples.window))

@@ -18,7 +18,6 @@ infinitely many large entries, so no split for that case is needed.)
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +34,7 @@ from .seqcore import (
     SqrtTail,
     conjugate_by_permutation,
     fmt_rat,
+    over_lcm,
     rat,
 )
 
@@ -81,8 +81,7 @@ def coupling(d1, d2, sigma) -> Fraction:
     denominator.
     """
     d1, d2, sigma = rat(d1), rat(d2), rat(sigma)
-    den = math.lcm(d1.denominator, d2.denominator, sigma.denominator)
-    x, y, s = (v.numerator * (den // v.denominator) for v in (d1, d2, sigma))
+    den, (x, y, s) = over_lcm((d1, d2, sigma))
     for name, v, num in (("d1", d1, x), ("d2", d2, y), ("sigma", sigma, s)):
         if not 0 <= num <= den:
             raise ConstructionError(f"coupling: {name} = {v} outside [0,1]")
@@ -224,20 +223,6 @@ def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
 # block sorting
 
 
-def sort_desc_window(values) -> tuple[tuple[Fraction, ...], PermutationWindow]:
-    """Sort a finite window decreasingly; ties keep the smaller original index.
-
-    Returns (sorted values g, window pi) with g_i = values[pi(i) - 1].  The
-    sort keys are the numerators over one common denominator, and a stable
-    sort with ``reverse=True`` keeps ties in their original order.
-    """
-    vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-    den = math.lcm(*{v.denominator for v in vals})
-    keys = [v.numerator * (den // v.denominator) for v in vals]
-    order = sorted(range(1, len(vals) + 1), key=lambda i: keys[i - 1], reverse=True)
-    return tuple(vals[i - 1] for i in order), PermutationWindow(tuple(order))
-
-
 def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
     """Sort each between-integers block of the sequence in decreasing order.
 
@@ -247,6 +232,8 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
     meet the prefix.  The output satisfies the left-boundary ordering at every
     coupled step, and the block boundaries of g interlace those of f.  Each
     block's right boundary min_s(f, n) is the next block's left boundary.
+    The whole window is one stable sort keyed by (block, -value), the values
+    as integers over one common denominator, so ties keep the smaller index.
     """
     half = spec.half_classes()
     n_large = half.count(False)
@@ -258,25 +245,17 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
     n_fin = None if total == INF else int(total)
 
     p = len(spec.prefix)
-    images: list[int] = []
-    sorted_vals: list[Fraction] = []
     bounds = [0]  # bounds[n] = min_s(spec, n)
-    n = 1
-    while True:
-        if n_fin is not None and n >= n_fin:
-            break  # the ultimate block is never sorted
-        lo = bounds[-1]
-        if lo >= p:
-            break  # the remaining blocks sit inside the weakly decreasing tail
-        hi = min_s(spec, n)
-        bounds.append(hi)
-        block = [spec.entry(i) for i in range(lo + 1, hi + 1)]
-        g_block, perm = sort_desc_window(block)
-        sorted_vals.extend(g_block)
-        images.extend(lo + i for i in perm.window)
-        n += 1
-
-    w = len(images)
+    # the ultimate block is never sorted, nor the blocks inside the weakly
+    # decreasing tail
+    while (n_fin is None or len(bounds) < n_fin) and bounds[-1] < p:
+        bounds.append(min_s(spec, len(bounds)))
+    w = bounds[-1]
+    vals = [spec.entry(i) for i in range(1, w + 1)]
+    _, nums = over_lcm(vals)
+    keys = [(n, -nums[i]) for n in range(1, len(bounds)) for i in range(bounds[n - 1], bounds[n])]
+    images = sorted(range(1, w + 1), key=lambda i: keys[i - 1])
+    sorted_vals = [vals[i - 1] for i in images]
     perm = PermutationWindow(tuple(images))
     if w <= p:
         g = DiagonalSpec(tuple(sorted_vals) + spec.prefix[w:], spec.tail)

@@ -308,3 +308,25 @@ def test_bad_input_files(tmp_path, capsys):
         out = ["--out", str(tmp_path / f"o{i}")] if cmd == "field" else []
         code, _, err = run(capsys, [cmd, "--input", bad] + out)
         assert code == 2 and err.startswith("error:") and "Traceback" not in err, (doc, err)
+    # a document missing a field: the error names the field, not a KeyError
+    for i, (cmd, field, doc) in enumerate(
+        (
+            ("verify", "support", {"form": "frame", "vectors": [{}]}),
+            ("verify", "vectors", {"form": "frame"}),
+            ("verify", "form", {"vectors": []}),
+            ("verify", "start", {"form": "frame", "vectors": [{"support": [], "sqrtTail": {"rule": rule}}]}),
+            ("verify", "rule", {"form": "frame", "vectors": [{"support": [], "sqrtTail": {"start": 1}}]}),
+            ("field", "cell", [{"spec": CONST_25}]),
+            ("field", "spec", [{"cell": "a"}]),
+            ("field", "cells", {"cells_": []}),
+            ("si", "window", {"fibers": []}),
+            ("si", "fibers", {"window": [0]}),
+            ("si", "xi", {"window": [0], "fibers": [{"values": ["1"]}]}),
+        )
+    ):
+        bad = write_json(tmp_path / f"missing{i}.json", doc)
+        argv = ["--spec", good, "--rep", bad] if cmd == "verify" else ["--input", bad]
+        argv += ["--out", str(tmp_path / f"m{i}")] if cmd == "field" else []
+        code, _, err = run(capsys, [cmd] + argv)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err, (doc, err)
+        assert repr(field) in err and "KeyError" not in err, (doc, err)

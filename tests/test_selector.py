@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from carpenter.errors import InfeasibleDiagonalError, SpecError
+from carpenter.feasibility import classify
 from carpenter.seqcore import (
     CellField,
     DiagonalSpec,
@@ -169,8 +170,9 @@ def test_carpenter_field_runs_all_cells(classify_calls):
 
 def test_carpenter_field_names_offending_cell():
     field = CellField((("ok", spec(tail=TailRule.constant("2/5"))), ("oops", spec("1/4"))))
-    with pytest.raises(InfeasibleDiagonalError, match="oops"):
+    with pytest.raises(InfeasibleDiagonalError, match="oops") as err:
         carpenter_field(field, m=2)
+    assert err.value.report == classify(spec("1/4"))  # the cell's report
 
 
 def test_necessity_oracle_zero_violations():

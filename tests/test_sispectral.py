@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from carpenter.errors import InfeasibleDiagonalError, SpecError
+from carpenter.feasibility import classify
 from carpenter.seqcore import TailRule, dumps_canonical, rat
 from carpenter.sispectral import (
     RangeFunctionFile,
@@ -123,8 +124,9 @@ def test_synthesize_names_infeasible_fiber():
             fiber(0.77, ["1/4", "0", "0", "0"]),
         ),
     )
-    with pytest.raises(InfeasibleDiagonalError, match=r"0\.77"):
+    with pytest.raises(InfeasibleDiagonalError, match=r"0\.77") as err:
         synthesize_range(samples, m=8)
+    assert err.value.report == classify(samples.fibers[1].spec())  # the fiber's report
 
 
 def test_range_file_json_round_trip():
@@ -145,12 +147,16 @@ def test_range_file_json_round_trip():
 
 def test_range_file_json_rejects_malformed_documents():
     # the range file reads d and window through the samples' codec
+    empty = {"form": "frame", "vectors": []}
     for doc in (
         [1],
         {"window": ["ab"], "fibers": []},
         {"d": 2, "window": [[0]], "fibers": []},
         {"window": [0], "fibers": 3},
         {"window": [0], "fibers": [{"xi": "0.5", "projection": {"form": "frame", "vectors": []}}]},
+        {"window": [0], "fibers": [{"xi": [0.5]}]},
+        {"window": [0], "fibers": [{"xi": [0.5], "projection": empty, "branch": "abc"}]},
+        {"window": [0], "fibers": [{"xi": [0.5], "projection": empty, "settled": "x"}]},
     ):
         with pytest.raises(SpecError):
             RangeFunctionFile.from_json_dict(doc)

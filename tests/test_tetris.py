@@ -13,7 +13,6 @@ from carpenter.tetris import (
     interleave_split_fin,
     min_s,
     nonsummable_construct,
-    sort_desc_window,
     tetris_vectors,
 )
 
@@ -253,26 +252,50 @@ def test_fill_zero_vectors_requested():
 # blockwise sorting
 
 
-def test_sort_desc_window_orders_and_tracks():
-    vals, perm = sort_desc_window((F(1, 5), F(2, 5), F(3, 10)))
-    assert vals == (F(2, 5), F(3, 10), F(1, 5))
-    assert perm.window == (2, 3, 1)
-    # ties keep original order
-    vals2, perm2 = sort_desc_window((F(2, 5), F(2, 5)))
-    assert vals2 == (F(2, 5), F(2, 5))
-    assert perm2.window == (1, 2)
+def _random_block_sort_spec(rng):
+    """A prefix of entries <= 1/2, perhaps after one large entry, and a zero,
+    constant or geometric tail; every finite total is an integer."""
+    dens = (5, 8, 12, 97, 2**31 - 1)
+    pool = [F(rng.randint(0, d // 2), d) for d in rng.sample(dens, 2)]  # values that repeat
+    pfx = [rng.choice((F(3, 5), F(4, 5), F(1)))] if rng.random() < 0.3 else []
+    for _ in range(max(rng.randint(0, 40) - len(pfx), 0)):
+        d = rng.choice(dens)
+        pfx.append(rng.choice(pool) if rng.random() < 0.5 else F(rng.randint(0, d // 2), d))
+    kind = rng.choice(("zero", "constant", "geometric"))
+    if kind == "constant":
+        c = rng.choice(("1/2", "2/5", "1/3", "3/97"))
+        return DiagonalSpec(tuple(pfx), TailRule.constant(c))
+    gap = math.ceil(sum(pfx)) - sum(pfx)  # the tail mass that makes the total an integer
+    if kind == "geometric":
+        mass = gap + rng.randint(0 if gap else 1, 1)
+        r = rng.choice([r for r in (F(1, 8), F(3, 8), F(7, 8)) if mass * (1 - r) <= F(1, 2)])
+        return DiagonalSpec(tuple(pfx), TailRule.geometric(mass * (1 - r), r))
+    pfx += [gap / 2, gap / 2] if gap > F(1, 2) else [gap]
+    return DiagonalSpec(tuple(pfx))
 
 
-def test_sort_desc_window_ties_keep_the_smaller_index():
-    vals, perm = sort_desc_window((F(1, 5), F(2, 5), F(1, 5), F(2, 5), F(2, 5), F(3, 10), F(1, 5)))
-    assert vals == (F(2, 5),) * 3 + (F(3, 10),) + (F(1, 5),) * 3
-    assert perm.window == (2, 4, 5, 6, 1, 3, 7)
-    rng = random.Random(3)
-    for _ in range(200):  # few distinct values, so most windows hold repeats
-        window = [F(rng.randint(0, 4), 8) for _ in range(rng.randint(0, 12))]
-        vals, perm = sort_desc_window(window)
-        want = sorted(range(1, len(window) + 1), key=lambda i: (-window[i - 1], i))
-        assert perm.window == tuple(want) and vals == tuple(window[i - 1] for i in want)
+def test_block_sort_is_one_stable_sort_by_block_then_value():
+    # block(i) = floor(S_{i-1}) + 1: block n runs from min_s(f, n-1) + 1 to min_s(f, n)
+    rng = random.Random(2024)
+    past_prefix = 0
+    for _ in range(2000):
+        f = _random_block_sort_spec(rng)
+        g, pi = block_sort(f)
+        total, p = f.total(), len(f.prefix)
+        n, w, s = 0, 0, F(0)  # blocks sorted so far, the window's end, S_w
+        # blocks are sorted while they start inside the prefix, except the ultimate one
+        while w < p and (total == math.inf or n + 1 < total):
+            n += 1
+            while s < n:
+                w += 1
+                s += f.entry(w)
+        past_prefix += w > p
+        block = lambda i: math.floor(f.partial_sum(i - 1)) + 1
+        want = sorted(range(1, w + 1), key=lambda i: (block(i), -f.entry(i), i))
+        assert pi.window == tuple(want), f
+        for j in range(1, w + 6):
+            assert g.entry(j) == f.entry(pi.apply(j)), (f, j)
+    assert past_prefix > 100
 
 
 def test_block_sort_sorted_input_is_fixed():
