@@ -298,6 +298,33 @@ def test_block_sort_is_one_stable_sort_by_block_then_value():
     assert past_prefix > 100
 
 
+def test_sort_desc_window_orders_and_tracks():
+    # one block, 1..4, sorted in decreasing order; pi records where each entry came from
+    g, pi = block_sort(spec("1/5", "2/5", "3/10", "1/10", tail=TailRule.constant("2/5")))
+    assert [g.entry(i) for i in range(1, 5)] == [F(2, 5), F(3, 10), F(1, 5), F(1, 10)]
+    assert pi.window == (2, 3, 1, 4)
+    # ties keep original order
+    g2, pi2 = block_sort(spec("2/5", "2/5", "1/5", tail=TailRule.constant("2/5")))
+    assert [g2.entry(i) for i in range(1, 4)] == [F(2, 5), F(2, 5), F(1, 5)]
+    assert pi2.window == (1, 2, 3)
+
+
+def test_sort_desc_window_ties_keep_the_smaller_index():
+    # blocks 1..4 and 5..7, each with repeated values
+    f = spec("1/5", "2/5", "1/5", "2/5", "2/5", "3/10", "1/5", tail=TailRule.constant("2/5"))
+    g, pi = block_sort(f)
+    assert pi.window == (2, 4, 1, 3, 5, 6, 7)
+    assert [g.entry(i) for i in range(1, 8)] == [F(2, 5)] * 2 + [F(1, 5)] * 2 + [F(2, 5), F(3, 10), F(1, 5)]
+    rng = random.Random(3)
+    for _ in range(200):  # few distinct values, so most blocks hold repeats
+        f = spec(*(F(rng.randint(0, 4), 8) for _ in range(rng.randint(0, 12))), tail=TailRule.constant("1/2"))
+        g, pi = block_sort(f)
+        block = lambda i: math.floor(f.partial_sum(i - 1)) + 1
+        want = sorted(range(1, pi.size + 1), key=lambda i: (block(i), -f.entry(i), i))
+        assert pi.window == tuple(want), f
+        assert all(g.entry(j) == f.entry(i) for j, i in enumerate(want, 1)), f
+
+
 def test_block_sort_sorted_input_is_fixed():
     s = spec(tail=TailRule.constant("2/5"))
     g, rho = block_sort(s)
