@@ -11,7 +11,6 @@ tails carry their rule, so norms and diagonals of infinite vectors are exact.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -19,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -148,7 +148,8 @@ def fmt_rat(q: Fraction) -> str:
     A numerator or denominator past the interpreter's int-to-str digit limit
     is an UnsupportedStructureError naming its digit count.
     """
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     try:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
     except ValueError:
@@ -732,6 +733,11 @@ class SparseVector:
             )
         support = []
         for e in _json_list(_json_field(d, "support", "vector"), "support"):
+            if type(e) is list and len(e) == 2:  # a well-formed row needs none of the checks below
+                i, v = e
+                if type(i) is int and type(v) is float and -INF < v < INF:
+                    support.append((i, v))
+                    continue
             if len(_json_list(e, "support entry")) != 2:
                 raise SpecError(f"support entry must be an [index, value] pair, got {e!r}")
             support.append((_json_int(e[0], "support index"), _json_number(e[1], "support value")))
@@ -968,6 +974,66 @@ class CellField:
         return cls(tuple(cells))
 
 
+def _float_text(x: float) -> str:
+    if -INF < x < INF:
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+              bool: {True: "true", False: "false"}.__getitem__, type(None): lambda x: "null"}
+
+
+def _leaf_text(x, key: bool = False) -> str:
+    """JSON text of a leaf or (``key``) a dict key: str, int, float, bool or None, subclasses in
+    json's order; any other type is a TypeError with json's message."""
+    leaf = _LEAF_TEXT.get(type(x)) or next(
+        (_LEAF_TEXT[t] for t in (str, int, float) if isinstance(x, t)), None)
+    if leaf is None:
+        name = type(x).__name__
+        raise TypeError(f"keys must be str, int, float, bool or None, not {name}" if key
+                        else f"Object of type {name} is not JSON serializable")
+    return encode_basestring_ascii(leaf(x)) if key and not isinstance(x, str) else leaf(x)
+
+
+def _rows_text(xs: Sequence, ind: str) -> list[str] | None:
+    """The texts of a list of ``[int, finite float]`` rows, one row per step; None if one is not."""
+    fmt, out = f"[\n{ind}  %d,\n{ind}  %r\n{ind}]", []
+    for r in xs:
+        if type(r) is not list or len(r) != 2:
+            return None
+        i, v = r
+        if type(i) is not int or type(v) is not float or not -INF < v < INF:
+            return None
+        out.append(fmt % (i, v))
+    return out
+
+
+def _dump(x, ind: str) -> str:
+    leaf, inner = _LEAF_TEXT.get(type(x)), ind + "  "
+    if leaf is not None:
+        return leaf(x)
+    if isinstance(x, (list, tuple)):
+        brackets, parts = "[]", _rows_text(x, inner)
+        if parts is None:
+            try:
+                parts = [_LEAF_TEXT[type(v)](v) for v in x]
+            except KeyError:
+                parts = [_dump(v, inner) for v in x]
+    elif isinstance(x, dict):
+        brackets = "{}"
+        parts = [f"{_leaf_text(k, True)}: {_dump(v, inner)}" for k, v in sorted(x.items())]
+    else:
+        return _leaf_text(x)
+    if not parts:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}{brackets[1]}"
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, stable float repr, 2-space indent."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Deterministic JSON text: sorted keys, stable float repr, 2-space indent.
+
+    One recursive writer gives exactly the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2)``, TypeErrors included.
+    """
+    return _dump(obj, "")

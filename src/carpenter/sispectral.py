@@ -146,13 +146,15 @@ class RangeFunctionFile:
         fibers = []
         for fd in _json_list(_json_field(doc, "fibers", "range function"), "fibers"):
             fd = _json_object(fd, "fiber")
+            xi = _coords(_json_field(fd, "xi", "fiber"), _json_number, "xi")
+            rep = ProjectionRep.from_json_dict(_json_field(fd, "projection", "fiber"))
+            branch = tuple(_json_list(fd.get("branch", ()), "fiber branch"))
+            if not all(isinstance(b, str) for b in branch):
+                raise SpecError(f"fiber branch entries must be strings, got {list(branch)!r}")
             settled = fd.get("settled")
-            fibers.append(RangeFiber(
-                _coords(_json_field(fd, "xi", "fiber"), _json_number, "xi"),
-                ProjectionRep.from_json_dict(_json_field(fd, "projection", "fiber")),
-                tuple(_json_list(fd.get("branch", ()), "fiber branch")),
-                None if settled is None else _json_int(settled, "fiber settled"),
-            ))
+            if settled is not None and (settled := _json_int(settled, "fiber settled")) < 0:
+                raise SpecError(f"fiber settled must be >= 0, got {settled}")
+            fibers.append(RangeFiber(xi, rep, branch, settled))
         return cls(d, window, tuple(fibers))
 
 

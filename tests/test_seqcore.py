@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -435,3 +437,89 @@ def test_dumps_canonical_is_order_insensitive():
     b = dumps_canonical({"a": {"x": 2, "y": 1}, "b": [1, 2]})
     assert a == b
     assert a.splitlines()[1].strip().startswith('"a"')
+
+
+_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e22, 5e-324, 0.1, -2.5, 1e16, 1 / 3)
+_INTS = (0, -1, 7, 2**70, -(2**63))
+_STRS = ("", "a", 'say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f", "h\u00e9llo", "\u65e5\u672c",
+         "\u2028", "\U0001f600", "/")
+
+
+def _random_leaf(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice(_FLOATS) if rng.random() < 0.6 else rng.uniform(-1e3, 1e3)
+    if kind == 1:
+        return rng.choice(_INTS) if rng.random() < 0.6 else rng.randrange(-10**6, 10**6)
+    if kind == 2:
+        return rng.choice((True, False, None))
+    return rng.choice(_STRS)
+
+
+def _random_keys(rng, n):
+    family = rng.randrange(3)
+    if family == 0:
+        return [rng.choice(_STRS) + str(rng.randrange(5)) for _ in range(n)]
+    if family == 1:  # int, float and bool keys sort together
+        return [rng.choice((rng.randrange(-5, 5), rng.choice(_FLOATS[3:]), True, False))
+                for _ in range(n)]
+    return [None]
+
+
+def _random_tree(rng, depth, min_depth):
+    """A random JSON-able tree; its first child runs at least ``min_depth`` levels deep."""
+    if depth < min_depth:
+        kind = rng.randrange(2, 6)
+    else:
+        kind = rng.randrange(6) if rng.random() < 0.4 and depth < 9 else rng.randrange(2)
+    if kind == 0:
+        return _random_leaf(rng)
+    if kind == 1:  # a support-like list of [int, float] rows, some not finite or with bools
+        return [[rng.choice((rng.randrange(1, 99), True)),
+                 rng.choice((rng.random(), rng.choice(_FLOATS), False))] for _ in range(rng.randrange(4))]
+    n = rng.randrange(1 if depth < min_depth else 0, 4)
+    kids = [_random_tree(rng, depth + 1, min_depth if j == 0 else 0) for j in range(n)]
+    if kind == 2:
+        return kids
+    if kind == 3:
+        return tuple(kids)
+    if kind == 4:
+        return [_random_leaf(rng) for _ in range(n)] + kids[:1]
+    return dict(zip(_random_keys(rng, n), kids))
+
+
+def test_dumps_canonical_matches_json_dumps_on_random_trees():
+    rng = random.Random(1729)
+    for _ in range(5000):
+        tree = _random_tree(rng, 0, rng.randrange(8))
+        assert dumps_canonical(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    for tree in ([np.float64(1.5), [np.float64(-0.0)]], {1.5: "x", 2: True, False: None},
+                 {None: [[1, math.nan]]}, [[]], [{}], ()):
+        assert dumps_canonical(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("bad", [[F(1, 2)], {"a": {1, 2}}, [[1, np.int64(2)]], {"a": 1, 2: "b"},
+                                 {(1, 2): 0}])
+def test_dumps_canonical_refuses_what_json_refuses(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dumps_canonical(bad)
+
+
+@pytest.mark.parametrize("row, message", [
+    ([True, 0.5], "support index must be an integer, got True"),
+    ([1, False], "support value must be a number, got False"),
+    ([1.5, 0.5], "support index must be an integer, got 1.5"),
+    ([1, "0.5"], "support value must be a number, got '0.5'"),
+    ([1], "support entry must be an [index, value] pair, got [1]"),
+    ([1, 0.5, 0], "support entry must be an [index, value] pair, got [1, 0.5, 0]"),
+    ({"1": 0.5}, "support entry must be a list, got dict"),
+    ([1, math.nan], "support value must be a finite number, got nan"),
+    ([1, math.inf], "support value must be a finite number, got inf"),
+])
+def test_support_row_decoder_keeps_every_refusal(row, message):
+    with pytest.raises(SpecError) as err:
+        SparseVector.from_json_dict({"support": [row]})
+    assert str(err.value) == message
+    assert SparseVector.from_json_dict({"support": [[2.0, 0.5]]}).support == ((2, 0.5),)

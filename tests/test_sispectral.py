@@ -157,6 +157,8 @@ def test_range_file_json_rejects_malformed_documents():
         {"window": [0], "fibers": [{"xi": [0.5]}]},
         {"window": [0], "fibers": [{"xi": [0.5], "projection": empty, "branch": "abc"}]},
         {"window": [0], "fibers": [{"xi": [0.5], "projection": empty, "settled": "x"}]},
+        {"window": [0], "fibers": [{"xi": [0.5], "projection": empty, "branch": [1, None]}]},
+        {"window": [0], "fibers": [{"xi": [0.5], "projection": empty, "settled": -3}]},
     ):
         with pytest.raises(SpecError):
             RangeFunctionFile.from_json_dict(doc)
