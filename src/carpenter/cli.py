@@ -133,18 +133,18 @@ def _cmd_field(args) -> int:
     doc = _load_json(args.input)
     items = _json_field(doc, "cells", "cell field") if isinstance(doc, dict) else doc
     field = CellField.from_json_list(items)
+    files, owner = {}, {}  # cell id -> file name, and back
+    for cell_id, _ in field.cells:
+        name = f"cell_{_safe_name(cell_id)}.json"
+        if name in owner:
+            raise SpecError(f"cells {owner[name]!r} and {cell_id!r} both map to file {name!r}")
+        files[cell_id], owner[name] = name, cell_id
     result = carpenter_field(field, args.vectors)  # raises naming the first infeasible cell
     os.makedirs(args.out, exist_ok=True)
-    files = {}
     for cell in result.cells:
-        name = f"cell_{_safe_name(cell.cell_id)}.json"
-        files[cell.cell_id] = name
-        with open(os.path.join(args.out, name), "w") as fh:
-            fh.write(dumps_canonical(cell.to_json_dict()) + "\n")
-    with open(os.path.join(args.out, "partition.json"), "w") as fh:
-        fh.write(
-            dumps_canonical({c.cell_id: list(c.label.path) for c in result.cells}) + "\n"
-        )
+        _emit(dumps_canonical(cell.to_json_dict()), os.path.join(args.out, files[cell.cell_id]))
+    partition = {c.cell_id: list(c.label.path) for c in result.cells}
+    _emit(dumps_canonical(partition), os.path.join(args.out, "partition.json"))
     manifest = {
         "vectors": args.vectors,
         "cells": [
@@ -152,8 +152,7 @@ def _cmd_field(args) -> int:
             for c in result.cells
         ],
     }
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        fh.write(dumps_canonical(manifest) + "\n")
+    _emit(dumps_canonical(manifest), os.path.join(args.out, "manifest.json"))
     return 0
 
 

@@ -226,15 +226,15 @@ class TailRule:
 
     @classmethod
     def constant(cls, v) -> "TailRule":
-        return cls(CONSTANT, rat(v))
+        return cls(CONSTANT, v)
 
     @classmethod
     def geometric(cls, c, r) -> "TailRule":
-        return cls(GEOMETRIC, rat(c), rat(r))
+        return cls(GEOMETRIC, c, r)
 
     @classmethod
     def one_minus_geometric(cls, c, r) -> "TailRule":
-        return cls(ONE_MINUS_GEOMETRIC, rat(c), rat(r))
+        return cls(ONE_MINUS_GEOMETRIC, c, r)
 
     # -- evaluation
 
@@ -382,7 +382,7 @@ class DiagonalSpec:
     @classmethod
     def of(cls, *values, tail: TailRule | None = None) -> "DiagonalSpec":
         """Convenience constructor: DiagonalSpec.of('2/5', '2/5', tail=...)."""
-        return cls(tuple(rat(v) for v in values), tail or TailRule.zero())
+        return cls(values, tail or TailRule.zero())
 
     @cached_property
     def _cumsums(self) -> tuple[int, tuple[int, ...]]:
@@ -479,7 +479,7 @@ class DiagonalSpec:
     def from_json_dict(cls, d: Mapping) -> "DiagonalSpec":
         d = _json_object(d, "diagonal spec")
         tail = TailRule.from_json_dict(d.get("tail", {"kind": ZERO_KIND}))
-        return cls(tuple(rat(x) for x in _json_list(d.get("prefix", ()), "prefix")), tail)
+        return cls(tuple(_json_list(d.get("prefix", ()), "prefix")), tail)
 
 
 class TwoClassIndex:

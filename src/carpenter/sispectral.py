@@ -54,6 +54,15 @@ def _window_from_json(doc: Mapping, what: str) -> tuple[int, tuple[tuple[int, ..
     return d, tuple(window)
 
 
+def _xi_from_json(fd: Mapping, d: int) -> tuple[float, ...]:
+    """A fiber's base point xi, which must have dimension ``d``."""
+    xi = _coords(_json_field(fd, "xi", "fiber"), _json_number, "xi")
+    if len(xi) != d:
+        label = "(" + ", ".join(repr(x) for x in xi) + ")"
+        raise SpecError(f"fiber xi = {label} has dimension {len(xi)}, expected {d}")
+    return xi
+
+
 @dataclass(frozen=True)
 class SpectralFiber:
     """One base point: its coordinates and the sampled diagonal values."""
@@ -103,7 +112,7 @@ class SpectralSamples:
         fibers = []
         for fd in _json_list(_json_field(doc, "fibers", "spectral samples"), "fibers"):
             fd = _json_object(fd, "fiber")
-            xi = _coords(_json_field(fd, "xi", "fiber"), _json_number, "xi")
+            xi = _xi_from_json(fd, d)
             vals = _json_list(_json_field(fd, "values", "fiber"), "fiber values")
             td = fd.get("tail")
             tail = TailRule.zero() if td is None else TailRule.from_json_dict(td)
@@ -146,7 +155,7 @@ class RangeFunctionFile:
         fibers = []
         for fd in _json_list(_json_field(doc, "fibers", "range function"), "fibers"):
             fd = _json_object(fd, "fiber")
-            xi = _coords(_json_field(fd, "xi", "fiber"), _json_number, "xi")
+            xi = _xi_from_json(fd, d)
             rep = ProjectionRep.from_json_dict(_json_field(fd, "projection", "fiber"))
             branch = tuple(_json_list(fd.get("branch", ()), "fiber branch"))
             if not all(isinstance(b, str) for b in branch):

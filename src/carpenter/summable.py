@@ -142,17 +142,13 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     i3 = 1
     while large.entry(i3) < 1 - a[i1 - 1]:
         i3 += 1
-    i4 = next(
-        k
-        for k in range(3, n + 2)
-        if large.entry(i3) + sum(a[k - 1 : n], Fraction(0)) <= 1
-    )
     b3 = large.entry(i3)
+    i4 = next(k for k in range(3, n + 2) if b3 + sum(a[k - 1 : n], Fraction(0)) <= 1)
 
     def co_mass_from(k: int) -> Fraction:
         s = large_c.tail_sum(k)
         if i3 >= k:
-            s -= large_c.entry(i3)
+            s -= 1 - b3  # = large_c.entry(i3)
         return s
 
     i5 = 1
@@ -248,12 +244,7 @@ def summable_construct2(spec: DiagonalSpec, trace: dict | None = None) -> Projec
     plan = decouple(spec)
     n1, l2 = len(plan.group1), len(plan.group2)
     _, ker1 = finite_projection_pair(plan.group1)
-    if l2 > 1:
-        v2 = np.sqrt([float(x) for x in plan.group2])
-        _, _, vh = np.linalg.svd(v2[None, :])
-        comp2 = [SparseVector.from_dense(row) for row in vh[1:]]
-    else:
-        comp2 = []
+    _, comp2 = finite_projection_pair(plan.group2)
     w = rank_one(plan.group3_comp).vectors[0]
 
     vecs = list(ker1) + [v.remap(IndexMap((), 1, n1 + 1)) for v in comp2]
@@ -328,8 +319,5 @@ def _finite_schur_horn(spec: DiagonalSpec) -> ProjectionRep:
     emb = IndexMap(tuple(proper_idx), 1, max(proper_idx, default=0) - n_proper + 1)
     rng, _ = finite_projection_pair([spec.entry(i) for i in proper_idx])
     # past rest_start every entry is proper or 0
-    ones = [i for i in range(1, prop.rest_start()) if spec.entry(i) == 1]
-    return ProjectionRep.frame(
-        tuple(v.remap(emb) for v in rng)
-        + tuple(SparseVector.basis(j) for j in ones)
-    )
+    ones = [(i, 1) for i in range(1, prop.rest_start()) if spec.entry(i) == 1]
+    return embed_with_improper(ProjectionRep.frame(tuple(rng)), emb, ones)

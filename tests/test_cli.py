@@ -109,6 +109,17 @@ def test_field_infeasible_cell(tmp_path, capsys):
     assert "bad" in err
 
 
+def test_field_refuses_ids_that_share_a_file(tmp_path, capsys):
+    # "a/b" and "a_b" both become cell_a_b.json: refused before anything is written
+    cells = [{"cell": "a/b", "spec": CONST_25}, {"cell": "a_b", "spec": FINITE_OK}]
+    inp = write_json(tmp_path / "cells.json", cells)
+    out_dir = tmp_path / "o"
+    code, _, err = run(capsys, ["field", "--input", inp, "--out", str(out_dir)])
+    assert code == 2
+    assert "'a/b'" in err and "'a_b'" in err and "cell_a_b.json" in err
+    assert not out_dir.exists()
+
+
 def test_schur_horn_command(tmp_path, capsys):
     code, out, _ = run(
         capsys,

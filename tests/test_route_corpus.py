@@ -8,7 +8,8 @@ The tetris leaves (residue splits and streamed or finite-mass fills) emit
 pure-Python floats, so their canonical outputs are pinned bit for bit by a
 sha256 digest.  The numpy-based leaves (Schur-Horn, decouple) are checked by
 verification, and the decouple leaves' exact plans and slot layouts are pinned
-by a second digest.
+by a second digest; each decouple leaf is also verified through one past the
+last index it touches.
 """
 
 import hashlib
@@ -144,6 +145,17 @@ def test_route_corpus_labels_verification_and_tetris_outputs():
     assert digest.hexdigest() == TETRIS_DIGEST
 
 
+def _touched_dim(rep):
+    """One past the last index any vector of ``rep`` touches."""
+    last = 1
+    for v in rep.vectors:
+        if v.support:
+            last = max(last, v.support[-1][0])
+        if v.sqrt_tail is not None:
+            last = max(last, v.sqrt_tail.start)
+    return last + 1
+
+
 def test_route_corpus_decouple_plans():
     digest = hashlib.sha256()
     leaves = 0
@@ -155,8 +167,11 @@ def test_route_corpus_decouple_plans():
         if r.label.path[-1] != "decouple":
             continue
         trace = {}
-        r.build(m, trace)
+        rep = r.build(m, trace)
         digest.update(dumps_canonical({"plan": trace["plan"], "beta": trace["beta"]}).encode())
+        # the labels test stops at max(m, 6), short of group 2's slots on most leaves
+        report = verify_projection(rep, s, _touched_dim(rep))
+        assert report.passed, (s.to_json_dict(), report.to_json_dict())
         leaves += 1
     assert leaves == 129
     assert digest.hexdigest() == PLAN_DIGEST

@@ -89,6 +89,21 @@ def test_tail_rule_values():
     assert w.value(2) == 1 - F(1, 8)
 
 
+def test_tail_factories_name_the_bad_field():
+    # a factory passes its values on unread, so both spellings give the same message
+    for factory, direct in (
+        (lambda: TailRule.constant(0.5), lambda: TailRule("constant", 0.5)),
+        (lambda: TailRule.geometric("1/2", 0.5), lambda: TailRule("geometric", "1/2", 0.5)),
+        (lambda: TailRule.one_minus_geometric(0.5, "1/2"),
+         lambda: TailRule("one_minus_geometric", 0.5, "1/2")),
+    ):
+        msgs = [str(pytest.raises(SpecError, make).value) for make in (factory, direct)]
+        assert msgs[0] == msgs[1], msgs
+    assert str(pytest.raises(SpecError, TailRule.constant, 0.5).value).startswith(
+        "constant tail field 'c': "
+    )
+
+
 def test_tail_partial_sums_match_direct_summation():
     rules = [
         TailRule.zero(),

@@ -61,6 +61,23 @@ def test_samples_json_scalar_window_and_xi():
     assert s.fibers[0].xi == (0.5,)
 
 
+def test_fiber_xi_must_have_dimension_d():
+    # both decoders read xi through one check, which names the fiber
+    empty = {"form": "frame", "vectors": []}
+    for decode, fiber_doc in (
+        (SpectralSamples.from_json_dict, {"xi": [0.1, 0.2, 0.3], "values": ["1"]}),
+        (RangeFunctionFile.from_json_dict, {"xi": [0.1, 0.2, 0.3], "projection": empty}),
+    ):
+        doc = {"d": 1, "window": [0], "fibers": [fiber_doc]}
+        with pytest.raises(SpecError, match=r"fiber xi = \(0.1, 0.2, 0.3\) has dimension 3, expected 1"):
+            decode(doc)
+        doc = {"d": 2, "window": [[0, 0]], "fibers": [dict(fiber_doc, xi=0.5)]}
+        with pytest.raises(SpecError, match=r"fiber xi = \(0.5\) has dimension 1, expected 2"):
+            decode(doc)
+        doc["fibers"][0]["xi"] = [0.5, 0.25]
+        assert decode(doc).fibers[0].xi == (0.5, 0.25)
+
+
 def test_check_spectral_mixed_verdicts():
     samples = SpectralSamples(
         1,
