@@ -114,8 +114,8 @@ def verify_projection(
         idem_err = float((v.T @ (np.abs(e[s][:, s]) @ v)).max(initial=0.0)) * (1 + 8 * n * 2.0**-53)
     upto = m if settled is None else min(settled, m)
     diag_err = 0.0
-    for k, d in enumerate(rep.diag(upto), start=1):
-        err = abs(d - float(spec.entry(k)))
+    for d, f in zip(rep.diag(upto), spec.float_entries(upto)):
+        err = abs(d - f)
         if not err <= diag_err:  # a larger error, or a NaN, which ends the scan
             diag_err = err
             if math.isnan(err):

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -249,6 +249,33 @@ class TailRule:
         g = self.c * self.r ** (j - 1)
         return g if self.kind == GEOMETRIC else 1 - g
 
+    def values(self, n: int) -> Iterator[Fraction]:
+        """``value(1), ..., value(n)``, one exact multiply per step in place of a power."""
+        if self.kind in (ZERO_KIND, CONSTANT):
+            yield from repeat(self.value(1), n)
+            return
+        g = self.c
+        for _ in range(n):
+            yield g if self.kind == GEOMETRIC else 1 - g
+            g *= self.r
+
+    def float_values(self, n: int) -> list[float]:
+        """``float(value(j))`` for j = 1..n, bit for bit.
+
+        Numerator and denominator are walked as integers, and each entry is
+        one int true division: the correctly rounded quotient of the same
+        rational that ``float`` rounds.
+        """
+        if self.kind in (ZERO_KIND, CONSTANT):
+            return [float(self.value(1))] * n
+        num, den = self.c.numerator, self.c.denominator
+        rn, rd = self.r.numerator, self.r.denominator
+        out = []
+        for _ in range(n):
+            out.append(num / den if self.kind == GEOMETRIC else (den - num) / den)
+            num, den = num * rn, den * rd
+        return out
+
     def partial_sum(self, j: int) -> Fraction:
         """Sum of the first j tail entries (j >= 0), exact."""
         if j < 0:
@@ -405,6 +432,11 @@ class DiagonalSpec:
             return self.prefix[i - 1]
         return self.tail.value(i - len(self.prefix))
 
+    def float_entries(self, n: int) -> list[float]:
+        """``float(entry(k))`` for k = 1..n, bit for bit, in one walk of the tail."""
+        pfx = self.prefix[: max(n, 0)]
+        return [q.numerator / q.denominator for q in pfx] + self.tail.float_values(n - len(pfx))
+
     def partial_sum(self, i: int) -> Fraction:
         """S_i = f_1 + ... + f_i, exact; S_i = 0 for i <= 0."""
         p = len(self.prefix)
@@ -550,7 +582,7 @@ class SqrtTail:
 def _check_square(v: float, q: Fraction):
     """SpecError unless the exact square ``q`` is v*v up to float rounding (4 ulps)."""
     try:
-        f = float(q)
+        f = q.numerator / q.denominator  # float(q), without its extra calls
     except OverflowError:  # beyond every float square; NaN matches nothing below
         f = math.nan
     if q.numerator < 0 or not abs(v * v - f) <= 4 * 2**-52 * max(f, sys.float_info.min):
@@ -621,8 +653,8 @@ class SparseVector:
             yield i, v, q
         t = self.sqrt_tail
         if t is not None:
-            for j, k in enumerate(range(t.start, n + 1, t.stride), start=1):
-                q = t.rule.value(j)
+            ks = range(t.start, n + 1, t.stride)
+            for k, q in zip(ks, t.rule.values(len(ks))):
                 yield k, math.sqrt(q), q
 
     def exact_norm_sq(self) -> Fraction:
@@ -816,7 +848,7 @@ class ProjectionRep:
         s = [0.0] * n
         for v in self.vectors:
             for i, x, q in v.rows(n):
-                s[i - 1] += x * x if q is None else float(q)
+                s[i - 1] += x * x if q is None else q.numerator / q.denominator  # float(q)
         return s if self.form == "frame" else [1.0 - x for x in s]
 
     def exact_diag(self, n: int) -> list[Fraction | None]:
@@ -831,12 +863,21 @@ class ProjectionRep:
         """The n x n matrix of the vectors' inner products, bit for bit ``inner``'s.
 
         Vectors without a sqrt tail meet only at shared support indices, so
-        their entries are bucketed by index, and the buckets are walked in
+        their entries are bucketed by index, and the vectors linked through
+        shared indices form a component.  Each component is built one of two
+        ways, whichever the fixed cost rule in ``_gram_tile`` prices lower (w
+        n^2 tile entries for its n vectors over w indices, against the sweep's
+        pair products).  The sweep walks the component's buckets in
         increasing index order, adding each pair's products from 0.0: the
-        order ``inner`` adds them in.  Pairs that share no index stay 0.0, and
-        the work follows the shared entries, not the n^2 pairs.  Pairs with a
-        tailed vector go through ``inner``, which owns the closed-form
-        tail-tail term and the different-strides error.
+        order ``inner`` adds them in.  The tile adds one outer product of the
+        component's values per index, in the same order, to a dense block
+        that starts at 0.0.  A pair absent at an index only adds +-0.0 there,
+        so both give the same bits, and pairs that share no index stay 0.0.
+        A component holding a non-finite value is swept, since inf * 0.0 is
+        NaN.  When no bucket is large enough for a tile to pay, no component
+        is looked for, and the work follows the shared entries, not the n^2
+        pairs.  Pairs with a tailed vector go through ``inner``, which owns
+        the closed-form tail-tail term and the different-strides error.
         """
         vs = self.vectors
         n = len(vs)
@@ -845,14 +886,21 @@ class ProjectionRep:
             if v.sqrt_tail is None:
                 for k, x in v.support:
                     at.setdefault(k, []).append((a, x))
+        g = np.zeros((n, n))
+        keys = sorted(at)
+        big = max(map(len, at.values()), default=0)
+        # with at most ``big`` vectors per bucket, an index saves at most
+        # big(big+1)/2 pair products and its tile row costs at least big^2
+        if _SWEEP_PAIR_COST * big * (big + 1) // 2 > _TILE_INDEX_COST + big * big:
+            comps = _linked_indices(at, keys, n)
+            keys = [k for members, ks in comps if not _gram_tile(g, at, members, ks) for k in ks]
         rows: list[dict[int, float]] = [{} for _ in vs]  # row a: b -> <v_a, v_b>, b >= a
-        for k in sorted(at):
+        for k in keys:
             col = at[k]
             for p, (a, x) in enumerate(col):
                 r = rows[a]
                 for b, y in col[p:]:
                     r[b] = r.get(b, 0.0) + x * y
-        g = np.zeros((n, n))
         i = [a for a, r in enumerate(rows) for _ in r]
         j = [b for r in rows for b in r]
         g[i, j] = g[j, i] = [x for r in rows for x in r.values()]
@@ -878,6 +926,87 @@ class ProjectionRep:
         vectors = _json_list(_json_field(d, "vectors", "projection"), "projection vectors")
         form = _json_field(d, "form", "projection")
         return cls(form, tuple(SparseVector.from_json_dict(v) for v in vectors))
+
+
+# Cost rule of ``ProjectionRep.gram``, in units of one product-and-add of a
+# dense tile: a pair product in the sweep's Python loop costs about
+# _SWEEP_PAIR_COST units; a tile costs _TILE_COST units to set up and
+# _TILE_INDEX_COST units of numpy call overhead per index on top of its n^2
+# entries.  One broadcast forms the products of _TILE_PRODUCTS // n^2 indices
+# (at least one), which bounds the tile's scratch memory.
+_SWEEP_PAIR_COST = 48
+_TILE_COST = 4000
+_TILE_INDEX_COST = 400
+_TILE_PRODUCTS = 1 << 16
+
+
+def _linked_indices(
+    at: dict[int, list[tuple[int, float]]], keys: list[int], n: int
+) -> list[tuple[list[int], list[int]]]:
+    """``(vectors, indices)`` of each component of vectors 0..n-1 linked by shared indices.
+
+    Vectors in one bucket ``at[k]`` are linked.  Only components with an index
+    in ``keys`` are returned; both lists keep increasing order.
+    """
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for k in keys:
+        col = at[k]
+        r = find(col[0][0])
+        for a, _ in col[1:]:
+            if parent[a] != r:  # else a already hangs from r
+                s = find(a)
+                if s != r:
+                    parent[s] = r
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for k in keys:
+        groups.setdefault(find(at[k][0][0]), ([], []))[1].append(k)
+    for a in range(n):
+        if (grp := groups.get(find(a))) is not None:
+            grp[0].append(a)
+    return list(groups.values())
+
+
+def _gram_tile(
+    g: np.ndarray, at: dict[int, list[tuple[int, float]]], members: list[int], keys: list[int]
+) -> bool:
+    """Write one component's Gram block into ``g`` as a dense tile, or return False.
+
+    ``members`` are the component's vectors and ``keys`` its indices, both in
+    increasing order.  The tile adds the outer product of the component's
+    values at each index, index by index, to a block that starts at 0.0.  The
+    products come from elementwise broadcasts over a few indices at a time;
+    nothing is a matrix product or a reduction along the indices, whose
+    blocking or fused multiply-adds would change bits.  False when the sweep
+    is priced lower or a value is not finite.
+    """
+    cols = [at[k] for k in keys]
+    n = len(members)
+    pairs = sum(len(col) * (len(col) + 1) // 2 for col in cols)
+    if _TILE_COST + len(cols) * (n * n + _TILE_INDEX_COST) >= _SWEEP_PAIR_COST * pairs:
+        return False
+    pos = dict(zip(members, range(n)))
+    vals = np.zeros((len(cols), n))
+    vals[
+        np.repeat(np.arange(len(cols)), [len(col) for col in cols]),
+        [pos[a] for col in cols for a, _ in col],
+    ] = [x for col in cols for _, x in col]
+    if not np.isfinite(vals).all():
+        return False
+    t = np.zeros((n, n))
+    step = max(1, _TILE_PRODUCTS // (n * n))
+    for i in range(0, len(cols), step):
+        block = vals[i : i + step]
+        for p in block[:, :, None] * block[:, None, :]:  # one outer product per index
+            t += p
+    g[np.ix_(members, members)] = t
+    return True
 
 
 # ---------------------------------------------------------------------------

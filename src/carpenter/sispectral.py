@@ -43,24 +43,28 @@ def _window_from_json(doc: Mapping, what: str) -> tuple[int, tuple[tuple[int, ..
     """The dimension ``d`` and the translate window of a samples or range document ``what``."""
     doc = _json_object(doc, what)
     d = _json_int(doc.get("d", 1), "d")
+    window = _json_list(_json_field(doc, "window", what), "window")
+    return d, tuple(_coords(k, _json_int, "window coordinate") for k in window)
+
+
+def _xi_label(xi) -> str:
+    return "(" + ", ".join(repr(x) for x in xi) + ")"
+
+
+def _check_dims(d: int, window, xis) -> None:
+    """SpecError unless d >= 1 and every window point and fiber xi has dimension d.
+
+    The one check behind ``SpectralSamples`` and ``RangeFunctionFile``, so the
+    API refuses what their decoders refuse, with the same messages.
+    """
     if d < 1:
         raise SpecError(f"dimension d must be >= 1, got {d}")
-    window = []
-    for k in _json_list(_json_field(doc, "window", what), "window"):
-        pt = _coords(k, _json_int, "window coordinate")
+    for pt in window:
         if len(pt) != d:
             raise SpecError(f"window point {pt} has dimension {len(pt)}, expected {d}")
-        window.append(pt)
-    return d, tuple(window)
-
-
-def _xi_from_json(fd: Mapping, d: int) -> tuple[float, ...]:
-    """A fiber's base point xi, which must have dimension ``d``."""
-    xi = _coords(_json_field(fd, "xi", "fiber"), _json_number, "xi")
-    if len(xi) != d:
-        label = "(" + ", ".join(repr(x) for x in xi) + ")"
-        raise SpecError(f"fiber xi = {label} has dimension {len(xi)}, expected {d}")
-    return xi
+    for xi in xis:
+        if len(xi) != d:
+            raise SpecError(f"fiber xi = {_xi_label(xi)} has dimension {len(xi)}, expected {d}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class SpectralFiber:
         return DiagonalSpec(self.values, self.tail)
 
     def label(self) -> str:
-        return "(" + ", ".join(repr(x) for x in self.xi) + ")"
+        return _xi_label(self.xi)
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,7 @@ class SpectralSamples:
     fibers: tuple[SpectralFiber, ...]
 
     def __post_init__(self):
+        _check_dims(self.d, self.window, (f.xi for f in self.fibers))
         if len(set(self.window)) != len(self.window):
             raise SpecError("window points must be distinct")
         for f in self.fibers:
@@ -112,7 +117,7 @@ class SpectralSamples:
         fibers = []
         for fd in _json_list(_json_field(doc, "fibers", "spectral samples"), "fibers"):
             fd = _json_object(fd, "fiber")
-            xi = _xi_from_json(fd, d)
+            xi = _coords(_json_field(fd, "xi", "fiber"), _json_number, "xi")
             vals = _json_list(_json_field(fd, "values", "fiber"), "fiber values")
             td = fd.get("tail")
             tail = TailRule.zero() if td is None else TailRule.from_json_dict(td)
@@ -136,6 +141,9 @@ class RangeFunctionFile:
     window: tuple[tuple[int, ...], ...]
     fibers: tuple[RangeFiber, ...]
 
+    def __post_init__(self):
+        _check_dims(self.d, self.window, (f.xi for f in self.fibers))
+
     def to_json_dict(self) -> dict:
         out = _window_to_json(self.d, self.window)
         out["fibers"] = [
@@ -155,7 +163,7 @@ class RangeFunctionFile:
         fibers = []
         for fd in _json_list(_json_field(doc, "fibers", "range function"), "fibers"):
             fd = _json_object(fd, "fiber")
-            xi = _xi_from_json(fd, d)
+            xi = _coords(_json_field(fd, "xi", "fiber"), _json_number, "xi")
             rep = ProjectionRep.from_json_dict(_json_field(fd, "projection", "fiber"))
             branch = tuple(_json_list(fd.get("branch", ()), "fiber branch"))
             if not all(isinstance(b, str) for b in branch):

@@ -78,6 +78,32 @@ def test_fiber_xi_must_have_dimension_d():
         assert decode(doc).fibers[0].xi == (0.5, 0.25)
 
 
+def test_samples_refuse_an_xi_of_the_wrong_dimension():
+    # what the API builds, its own decoder reads back: the check is the decoders' own
+    f = SpectralFiber((0.1, 0.2, 0.3), (F(1),), TailRule.zero())
+    msg = r"fiber xi = \(0.1, 0.2, 0.3\) has dimension 3, expected 1"
+    with pytest.raises(SpecError, match=msg):
+        SpectralSamples(1, ((0,),), (f,))
+    ok = SpectralSamples(3, ((0, 0, 0),), (f,))
+    rf = synthesize_range(ok, 4)
+    assert RangeFunctionFile.from_json_dict(rf.to_json_dict()) == rf
+    with pytest.raises(SpecError, match=msg):
+        RangeFunctionFile(1, ((0,),), rf.fibers)
+
+
+def test_samples_refuse_a_window_point_of_the_wrong_dimension():
+    f = fiber(0.5, ["1"])
+    with pytest.raises(SpecError, match=r"window point \(0,\) has dimension 1, expected 2"):
+        SpectralSamples(2, ((0,),), (f,))
+    with pytest.raises(SpecError, match=r"window point \(0,\) has dimension 1, expected 2"):
+        RangeFunctionFile(2, ((0,),), ())
+    for d in (0, -1):
+        with pytest.raises(SpecError, match=f"dimension d must be >= 1, got {d}"):
+            SpectralSamples(d, (), ())
+    doc = SpectralSamples(1, ((0,),), (f,)).to_json_dict()
+    assert SpectralSamples.from_json_dict(doc).window == ((0,),)
+
+
 def test_check_spectral_mixed_verdicts():
     samples = SpectralSamples(
         1,

@@ -6,9 +6,13 @@ raise when the partial sums never get there; ``half_classes()`` and
 ``proper_classes()`` must agree with classifying the first entries one by
 one.  The generator leans on the edge cases: c = 1 geometric tails (whose
 first entry is improper), entries of exactly 0, 1/2 and 1, partial sums
-that hit an integer exactly, and limits at or below the target.
+that hit an integer exactly, and limits at or below the target.  The tail
+walks (``TailRule.values``, ``TailRule.float_values``,
+``DiagonalSpec.float_entries`` and the sqrt-tail rows) must give
+``value(j)`` and ``float(entry(k))`` bit for bit.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -16,7 +20,7 @@ from fractions import Fraction as F
 import pytest
 
 from carpenter.errors import ConstructionError, OutOfRangeError
-from carpenter.seqcore import HALF, INF, DiagonalSpec, TailRule
+from carpenter.seqcore import HALF, INF, DiagonalSpec, SparseVector, SqrtTail, TailRule
 from carpenter.tetris import min_s
 
 SEED = 5
@@ -154,3 +158,48 @@ def test_min_s_on_large_and_mixed_denominators():
             seen["in the tail" if want > p else "in the prefix"] += 1
         seen[s.tail.kind] += 1
     assert len(seen) == 8 and min(seen.values()) >= 20, seen
+
+
+def _walk_rules():
+    """Rules of all four kinds: c = 1, r = 39/40, and reindexed geometric tails."""
+    rules = [TailRule.zero(), TailRule.constant(0), TailRule.constant("2/5"), TailRule.constant(1)]
+    for make in (TailRule.geometric, TailRule.one_minus_geometric):
+        for c, r in ((1, "1/2"), ("3/4", "39/40"), (1, "39/40"), ("1/3", "9/10"), ("5/7", "2/3")):
+            rule = make(c, r)
+            rules += [rule, rule.reindexed(2), rule.reindexed(7, 3), rule.reindexed(40, 2)]
+    return rules
+
+
+def test_exact_tail_walk_matches_value():
+    for rule in _walk_rules():
+        for n in (0, 1, 2, 300):
+            walked = list(rule.values(n))
+            assert all(type(q) is F for q in walked), rule
+            assert walked == [rule.value(j) for j in range(1, n + 1)], (rule, n)
+
+
+def test_float_tail_walk_matches_float_of_entry():
+    rng = random.Random(SEED)
+    for rule in _walk_rules():
+        assert [x.hex() for x in rule.float_values(300)] == [
+            float(rule.value(j)).hex() for j in range(1, 301)
+        ], rule
+        prefix = tuple(F(rng.randint(0, d), d) for d in rng.choices((3, 7, 97, 2**31 - 1), k=5))
+        for p in (0, 1, 5):
+            spec = DiagonalSpec(prefix[:p], rule)
+            for n in (-1, 0, 1, p - 1, p, p + 1, p + 300):  # n <= 0, n < p, the prefix/tail boundary
+                got = [x.hex() for x in spec.float_entries(n)]
+                assert got == [float(spec.entry(k)).hex() for k in range(1, n + 1)], (spec, n)
+
+
+def test_sqrt_tail_rows_walk_the_rule():
+    for rule in _walk_rules():
+        if rule.kind != "geometric":
+            continue
+        for start, stride in ((1, 1), (4, 1), (3, 4)):
+            vec = SparseVector(((1, 0.5),) if start > 1 else (), SqrtTail(start, rule, stride))
+            n = start + 300 * stride
+            tail_rows = [row for row in vec.rows(n) if row[0] >= start]
+            expected = [(start + (j - 1) * stride, rule.value(j)) for j in range(1, 302)]
+            assert [(k, q) for k, _, q in tail_rows] == expected, (rule, start, stride)
+            assert [v for _, v, _ in tail_rows] == [math.sqrt(q) for _, q in expected]

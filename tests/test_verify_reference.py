@@ -9,6 +9,7 @@ match bit for bit, the bound must never be below the dense value, and every
 """
 
 import importlib
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -23,7 +24,7 @@ from carpenter import selector, seqcore
 from carpenter.errors import InfeasibleDiagonalError, UnsupportedStructureError
 from carpenter.feasibility import route
 from carpenter.selector import carpenter, verify_projection
-from carpenter.seqcore import DiagonalSpec, ProjectionRep, SparseVector, SqrtTail, TailRule
+from carpenter.seqcore import DiagonalSpec, IndexMap, ProjectionRep, SparseVector, SqrtTail, TailRule
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -146,3 +147,89 @@ def test_verify_of_a_long_stream_calls_no_pairwise_inner(monkeypatch):
     report = verify_projection(rep, spec, 600)
     assert report.passed
     assert len(calls) == 0
+
+
+def _spied_tiles(monkeypatch):
+    """What each ``_gram_tile`` call returns (True: tiled), and how often components were searched."""
+    seen = {"tiles": [], "searches": 0}
+    tile, linked = seqcore._gram_tile, seqcore._linked_indices
+
+    def spy_tile(*args):
+        seen["tiles"].append(tile(*args))
+        return seen["tiles"][-1]
+
+    def spy_linked(*args):
+        seen["searches"] += 1
+        return linked(*args)
+
+    monkeypatch.setattr(seqcore, "_gram_tile", spy_tile)
+    monkeypatch.setattr(seqcore, "_linked_indices", spy_linked)
+    return seen
+
+
+def _exact_spec(rep, m):
+    """A finite spec whose entries 1..m are the rep's float diagonal, cut to [0, 1]."""
+    return DiagonalSpec(tuple(min(max(F(x), F(0)), F(1)) for x in rep.diag(m)))
+
+
+def assert_gram_and_verdict(rep, spec, m, tol=1e-9):
+    """Bit-equal Gram and the dense formula's verdict, also where an error is inf or NaN."""
+    g = reference_gram(rep)
+    assert rep.gram().tobytes() == g.tobytes(), rep
+    with np.errstate(invalid="ignore", over="ignore"):
+        report = verify_projection(rep, spec, m, tol)
+        errs = (np.abs(g - np.eye(len(g))).max(), report.diag_max_err, dense_idempotency(rep, m))
+    assert report.passed == all(e <= tol for e in errs), report
+    return report
+
+
+def test_dense_components_tile_bit_for_bit(monkeypatch):
+    # rows of random orthogonal matrices are one dense component, which the
+    # Gram builds as a tile; among sparse tetris vectors and a sqrt-tail vector
+    # the tile still matches the pairwise inner products bit for bit, and a
+    # non-finite value sends its component back to the sweep
+    rng = np.random.default_rng(1717)
+    seen = _spied_tiles(monkeypatch)
+    stream = carpenter(DiagonalSpec((), TailRule.constant("2/5")), 12).vectors
+    unit_tail = TailRule.geometric("1/2", "1/2")  # squares sum to 1
+    for _ in range(16):
+        width = int(rng.integers(8, 97))
+        q, _ = np.linalg.qr(rng.standard_normal((width, width)))
+        frame = [SparseVector.from_dense(q[a]) for a in range(int(rng.integers(8, width + 1)))]
+        form = (ProjectionRep.frame, ProjectionRep.coframe)[int(rng.integers(2))]
+
+        rep = form(frame)
+        spec = _exact_spec(rep, width)
+        seen["tiles"].clear()
+        assert_matches_reference(rep, spec, width)
+        assert verify_projection(rep, spec, width).passed
+        assert seen["tiles"] and all(seen["tiles"])
+
+        for first in (width + 1, width - 1):  # past the frame, or sharing its last two indices
+            shift = IndexMap((), 1, first)
+            end = first + 40
+            rep = form(frame + [v.remap(shift) for v in stream] + [SparseVector((), SqrtTail(end, unit_tail))])
+            seen["tiles"].clear()
+            assert_matches_reference(rep, _exact_spec(rep, end + 8), end + 8)
+            assert True in seen["tiles"] or first < width
+
+        for bad in (math.inf, -math.inf, math.nan):
+            a, pos = int(rng.integers(len(frame))), int(rng.integers(width))
+            sup = list(frame[a].support)
+            sup[pos] = (sup[pos][0], bad)
+            rep = form(frame[:a] + [SparseVector(tuple(sup))] + frame[a + 1 :])
+            seen["tiles"].clear()
+            assert not assert_gram_and_verdict(rep, spec, width).passed
+            assert seen["tiles"] and not any(seen["tiles"])  # declined: inf * 0.0 would be NaN
+    assert seen["searches"] > 0
+
+
+def test_long_stream_skips_the_component_search(monkeypatch):
+    # buckets of at most two vectors never pay for a tile, so the 2000-vector
+    # stream of test_verify_of_a_long_stream_calls_no_pairwise_inner is swept
+    # without looking for components
+    spec = DiagonalSpec((), TailRule.constant("2/5"))
+    rep = carpenter(spec, 2000)
+    seen = _spied_tiles(monkeypatch)
+    assert verify_projection(rep, spec, 600).passed
+    assert seen == {"tiles": [], "searches": 0}
