@@ -257,10 +257,10 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else USAGE_EXIT
     try:
         return args.func(args)
-    except (InfeasibleDiagonalError, MajorizationError, SpecError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (InfeasibleDiagonalError, MajorizationError, SpecError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)  # an OSError's text names its path
         return 2
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as e:
+    except (json.JSONDecodeError, KeyError) as e:
         print(f"error: bad input: {e!r}", file=sys.stderr)
         return 2
     except CarpenterError as e:

@@ -113,6 +113,9 @@ class Route:
 def route(spec: DiagonalSpec) -> Route:
     """Classify ``spec`` once and pick the constructor that applies; exact.
 
+    Every tetris leaf builds through :func:`tetris.tetris` on the side with
+    finitely many entries > 1/2: a divergent sum streams m vectors per part,
+    and a finite mass N fills N vectors as the k = 0 or k = 1 residue split.
     Raises InfeasibleDiagonalError (carrying the report) on infeasible specs
     and UnsupportedStructureError where no constructor applies.
     """
@@ -125,6 +128,10 @@ def route(spec: DiagonalSpec) -> Route:
         )
     from . import summable, tetris  # deferred: both constructor modules import this one
 
+    def tetris_leaf(work: DiagonalSpec, k: int, flip: bool):  # complemented back if flip
+        fill = partial(tetris.tetris, work, k)
+        return (lambda m, trace: fill(m, trace).complementary()) if flip else fill
+
     if report.case != "summable":
         # stream on the side whose small-entry mass diverges
         flip = report.case == "nonsummable_b"
@@ -135,16 +142,10 @@ def route(spec: DiagonalSpec) -> Route:
                 "divergent small-entry mass with infinitely many entries > 1/2: "
                 "not expressible with the supported tails"
             )
-        if k == 0:
-            path, fill = ("X_k(k=0)", "tetris"), partial(tetris._direct_fill, work)
-        else:
-            path = (f"X_k(k={k})", f"residue-split(k={k})")
-            fill = partial(tetris._residue_split_fill, work, k)
-        if flip:
-            path = ("NonsummableB", "S_finite", "complement") + path
-            build = lambda m, trace: fill(m, trace).complementary()
-        else:
-            path, build = ("NonsummableA", "S_infty") + path, fill
+        head = ("NonsummableB", "S_finite", "complement") if flip else ("NonsummableA", "S_infty")
+        leaf = ("X_k(k=0)", "tetris") if k == 0 else (f"X_k(k={k})", f"residue-split(k={k})")
+        path = head + leaf
+        build = tetris_leaf(work, k, flip)
     else:
         prop = spec.proper_classes()
         n_proper = prop.count(True)
@@ -166,9 +167,8 @@ def route(spec: DiagonalSpec) -> Route:
                 fill = lambda m, trace: summable.summable_construct2(sub, trace)
             elif n_large == INF:
                 leaf = ("X'", f"X_N(N={n_small})", "complement-tetris")
-                fill = lambda m, trace: tetris._finite_mass_fill(
-                    sub.complement(), trace
-                ).complementary()
+                work = sub.complement()
+                fill = tetris_leaf(work, work.half_classes().count(False), True)
             elif n_large >= 2:
                 leaf = ("X\\X'", "complement", f"X_N(N={n_large})", "decouple")
                 fill = lambda m, trace: summable.summable_construct2(
@@ -176,7 +176,7 @@ def route(spec: DiagonalSpec) -> Route:
                 ).complementary()
             else:
                 leaf = ("X\\X'", f"X_N(N={n_large})", "tetris")
-                fill = lambda m, trace: tetris._finite_mass_fill(sub, trace)
+                fill = tetris_leaf(sub, n_large, False)
             path = ("Summable", "proper-infinite") + leaf
             build = lambda m, trace: summable.embed_with_improper(fill(m, trace), emb, improper)
 

@@ -104,14 +104,17 @@ def verify_projection(
         raise SpecError(f"settled must be non-negative, got {settled}")
     vs = rep.vectors
     n = len(vs)
-    e = rep.gram() - np.eye(n)
-    gram_err = float(np.abs(e).max()) if n else 0.0
+    e = rep.gram()  # becomes |E| = |G - I| in place: one n x n array
+    e.flat[:: n + 1] -= 1.0
+    np.abs(e, out=e)
+    gram_err = float(e.max()) if n else 0.0
     s = np.flatnonzero(e.any(axis=1))  # the vectors S with a nonzero row of E
     idem_err = 0.0
     if len(s):
         v = np.abs(np.vstack([vs[a].dense(m) for a in s]))
         v = v[:, v.any(axis=0)]  # the indices C <= m that S touches
-        idem_err = float((v.T @ (np.abs(e[s][:, s]) @ v)).max(initial=0.0)) * (1 + 8 * n * 2.0**-53)
+        e_s = e if len(s) == n else e[s[:, None], s]
+        idem_err = float((v.T @ (e_s @ v)).max(initial=0.0)) * (1 + 8 * n * 2.0**-53)
     upto = m if settled is None else min(settled, m)
     diag_err = 0.0
     for d, f in zip(rep.diag(upto), spec.float_entries(upto)):

@@ -11,9 +11,10 @@ are floating point.
 Block sorting rearranges each between-integers block of the sequence in
 decreasing order, which establishes the ordering hypothesis the fill needs;
 the residue-class split decomposes a sequence with finitely many large
-entries into subsequences with at most one, routed through disjoint
-subspaces.  (The closed tails never give divergent small mass together with
-infinitely many large entries, so no split for that case is needed.)
+entries into subsequences with exactly one, routed through disjoint
+subspaces; a finite-mass diagonal with one large entry is the k = 1 split.
+(The closed tails never give divergent small mass together with infinitely
+many large entries, so no split for that case is needed.)
 """
 
 from __future__ import annotations
@@ -68,6 +69,16 @@ def min_s(spec: DiagonalSpec, n: int) -> int:
     if limit == sp:
         raise ConstructionError(f"partial sums stall at {fmt_rat(sp)} and never reach {n}")
     raise ConstructionError(f"partial sums stay below {n} (limit {fmt_rat(limit)})")
+
+
+def _natural_total(spec: DiagonalSpec) -> int | None:
+    """The total mass as an int, None when it diverges; else a ConstructionError."""
+    total = spec.total()
+    if total == INF:
+        return None
+    if total.denominator != 1:
+        raise ConstructionError(f"total mass {fmt_rat(total)} is not a natural number")
+    return int(total)
 
 
 def coupling(d1, d2, sigma) -> Fraction:
@@ -125,17 +136,9 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     """
     if m < 0:
         raise OutOfRangeError(f"vector count {m} < 0")
-    total = spec.total()
-    n_total: int | None
-    if total == INF:
-        n_total = None
-    else:
-        if Fraction(total).denominator != 1:
-            raise ConstructionError(f"total mass {fmt_rat(total)} is not an integer")
-        n_total = int(total)
-        if m > n_total:
-            raise ConstructionError(f"requested {m} vectors but total mass is {n_total}")
-    complete = n_total is not None and m == n_total
+    n_total = _natural_total(spec)
+    if n_total is not None and m > n_total:
+        raise ConstructionError(f"requested {m} vectors but total mass is {n_total}")
 
     mins: dict[int, int] = {}
     vectors: list[SparseVector] = []
@@ -145,7 +148,7 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     cursor = 1  # first coordinate not fully consumed
 
     for n in range(1, m + 1):
-        if complete and n == n_total:
+        if n == n_total:  # the last vector of a complete fill
             vectors.append(_ultimate_vector(spec, pending, cursor))
             break
         mn = mins[n] = min_s(spec, n)
@@ -194,7 +197,7 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         pending = [(i, q) for i, q in ((left, d1 - a), (mn, tail_leftover)) if q != 0]
         cursor = mn + 1
 
-    if complete:
+    if m == n_total:
         settled = None
     else:
         settled = max(mins[m] - 2, 0) if m > 0 else 0
@@ -207,12 +210,9 @@ def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
     entries = [(i, q, 1) for i, q in pending]
     hi = max(p, cursor - 1)
     entries += [(i, spec.entry(i), 1) for i in range(cursor, hi + 1)]
-    t = spec.tail
-    mass = t.sum_from(1)
-    if mass == INF:
-        raise ConstructionError(f"finite total mass with a divergent tail {t}")
+    t = spec.tail  # a finite sum: only a natural total is ever completed
     start = max(cursor, p + 1)
-    tail = SqrtTail(start, t.reindexed(start - p), 1) if mass else None
+    tail = SqrtTail(start, t.reindexed(start - p), 1) if t.sum_from(1) else None
     vec = SparseVector.from_exact(entries, tail)
     if vec.exact_norm_sq() != 1:
         raise ConstructionError(f"internal: ultimate vector norm^2 {vec.exact_norm_sq()}")
@@ -239,10 +239,7 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
     n_large = half.count(False)
     if n_large == INF or (n_large > 0 and half.nth(1, False) != 1) or n_large > 1:
         raise ConstructionError("blockwise sorting needs every entry beyond the first <= 1/2")
-    total = spec.total()
-    if total != INF and Fraction(total).denominator != 1:
-        raise ConstructionError(f"total mass {fmt_rat(total)} is not an integer")
-    n_fin = None if total == INF else int(total)
+    n_fin = _natural_total(spec)
 
     p = len(spec.prefix)
     bounds = [0]  # bounds[n] = min_s(spec, n)
@@ -290,7 +287,9 @@ def interleave_split_fin(
     k-th small entry starting from the m-th.  Returns the subsequence specs
     and the permutation beta mapping original indices to their slot in the
     residue layout (subsequence m occupies slots m, k+m, 2k+m, ...): the
-    large entries take slots 1..k and the small ones follow in order.
+    large entries take slots 1..k and the small ones follow in order.  For
+    k = 1 the one subsequence is the sequence with its large entry moved to
+    the front, which is how a finite-mass diagonal is filled.
     """
     cls = spec.half_classes()
     if cls.count(False) != k or k < 1:
@@ -306,7 +305,7 @@ def interleave_split_fin(
 
 
 # ---------------------------------------------------------------------------
-# constructors for divergent threshold sums
+# the tetris leaves
 
 
 def _settled_through(settled: int | None, perm: PermutationWindow) -> int | None:
@@ -355,16 +354,20 @@ def _sorted_fill(spec: DiagonalSpec, m: int, label) -> tuple[ProjectionRep, dict
     return rep, part, _settled_through(out.settled_prefix, inv)
 
 
-def _direct_fill(spec: DiagonalSpec, m: int, trace: dict) -> ProjectionRep:
-    """Divergent small mass, no entry > 1/2: one sorted fill."""
-    rep, part, settled = _sorted_fill(spec, m, None)
-    trace["parts"] = [part]
-    trace["settled_prefix"] = settled
-    return rep
+def tetris(spec: DiagonalSpec, k: int, m: int, trace: dict) -> ProjectionRep:
+    """Every tetris leaf: one sorted fill when ``spec`` has k = 0 entries > 1/2,
+    else its k residue parts (:func:`interleave_split_fin`) in the slots of beta.
 
-
-def _residue_split_fill(spec: DiagonalSpec, k: int, m: int, trace: dict) -> ProjectionRep:
-    """Divergent small mass, k entries > 1/2: fill k residue-class subsequences."""
+    A divergent total streams m vectors per part; a finite total N fills N.
+    """
+    n_total = _natural_total(spec)
+    if n_total is not None:
+        m = n_total
+    if k == 0:
+        rep, part, settled = _sorted_fill(spec, m, None)
+        trace["parts"] = [part]
+        trace["settled_prefix"] = settled
+        return rep
     subs, beta = interleave_split_fin(spec, k)
     vectors: list[SparseVector] = []
     parts = []
@@ -383,34 +386,3 @@ def _residue_split_fill(spec: DiagonalSpec, k: int, m: int, trace: dict) -> Proj
         _settled_through(min(slot_settled) - 1, beta) if slot_settled else None
     )
     return conjugate_by_permutation(ProjectionRep.frame(vectors), beta)
-
-
-def _finite_mass_fill(spec: DiagonalSpec, trace: dict) -> ProjectionRep:
-    """Finite total mass N, at most one entry > 1/2: a complete sorted fill.
-
-    A large entry beyond position 1 is swapped there first (the fill needs
-    the large entry in front), and the swap is undone after the sort.
-    """
-    total = spec.total()
-    if total == INF or Fraction(total).denominator != 1:
-        raise ConstructionError(f"total mass {fmt_rat(total)} is not a natural number")
-    cls = spec.half_classes()
-    k = cls.count(False)
-    if k == INF or k > 1:
-        raise ConstructionError(f"at most one entry > 1/2 allowed, found {k}")
-    swap = None
-    if k == 1 and cls.nth(1, False) != 1:
-        j = cls.nth(1, False)
-        p = len(spec.prefix)
-        if j > p:  # large entry inside the tail: materialize up to it first
-            entries = tuple(spec.entry(i) for i in range(1, j + 1))
-            spec = DiagonalSpec(entries, spec.tail.reindexed(j - p + 1))
-        head = list(range(1, j + 1))
-        head[0], head[j - 1] = j, 1
-        swap = PermutationWindow(tuple(head))
-        pfx = list(spec.prefix)
-        pfx[0], pfx[j - 1] = pfx[j - 1], pfx[0]
-        spec = DiagonalSpec(tuple(pfx), spec.tail)
-    rep, part, _ = _sorted_fill(spec, int(total), None)
-    trace["parts"] = [part]
-    return rep if swap is None else conjugate_by_permutation(rep, swap)

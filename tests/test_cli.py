@@ -120,6 +120,37 @@ def test_field_refuses_ids_that_share_a_file(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def _cells(tmp_path):
+    return write_json(tmp_path / "cells.json", [{"cell": "c", "spec": CONST_25}])
+
+
+def test_field_out_on_an_existing_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run(capsys, ["field", "--input", _cells(tmp_path), "--out", str(taken)])
+    assert code == 2 and err.startswith("error: [Errno") and str(taken) in err, err
+    assert taken.read_text() == ""
+
+
+def test_field_out_below_a_file(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / "sub"
+    code, _, err = run(capsys, ["field", "--input", _cells(tmp_path), "--out", str(out)])
+    assert code == 2 and err.startswith("error: [Errno") and str(out) in err, err
+
+
+def test_check_spec_is_a_directory(tmp_path, capsys):
+    code, _, err = run(capsys, ["check", "--spec", str(tmp_path)])
+    assert code == 2 and err.startswith("error: [Errno") and str(tmp_path) in err, err
+
+
+def test_missing_spec_file_is_named(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, ["construct", "--spec", str(missing)])
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
 def test_schur_horn_command(tmp_path, capsys):
     code, out, _ = run(
         capsys,

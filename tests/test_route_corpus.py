@@ -20,7 +20,7 @@ from fractions import Fraction as F
 from carpenter.errors import InfeasibleDiagonalError
 from carpenter.feasibility import kadison_ab, route
 from carpenter.selector import verify_projection
-from carpenter.seqcore import INF, DiagonalSpec, TailRule, dumps_canonical
+from carpenter.seqcore import INF, DiagonalSpec, PermutationWindow, TailRule, dumps_canonical
 
 SEED = 20261018
 COUNT = 400
@@ -104,7 +104,11 @@ HISTOGRAM = {
     "Summable/proper-infinite/X\\X'/complement/X_N(N=6)/decouple": 1,
     "infeasible": 32,
 }
-TETRIS_DIGEST = "1299ac83d43158372dc3b10cb87957cae7d4b6ec44a7a0875cac4e5b26b7dff8"
+# Re-recorded when the finite-mass leaves became complete k = 0 or k = 1
+# residue splits: their k = 1 traces now carry beta, and the 12 leaves whose
+# large entry sits at position 3-5 (indices 7, 130, 142, 144, 176, 227, 243,
+# 259, 292, 353, 364, 398) take the head-first slot layout in place of a swap.
+TETRIS_DIGEST = "879d896e26e9dca1ddf0f8a5235c39a4876b068d80c9c5576367cf59a46d7a81"
 # sha256 of canonical {plan, beta} over the 129 decouple leaves: exact
 # Fractions and ints only, so the value does not depend on the platform
 PLAN_DIGEST = "11c04e909ceebca911713d11ad7846fc252212a586cdd273053a76fbe6b44e2f"
@@ -175,3 +179,64 @@ def test_route_corpus_decouple_plans():
         leaves += 1
     assert leaves == 129
     assert digest.hexdigest() == PLAN_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# finite-mass tetris leaves: one complete fill, the large entry moved to slot 1
+
+FINITE_SEED = 1729
+PLACES = (None, 1, 2, 3, 4, 5, 6, "tail")  # where the one entry > 1/2 sits
+# sha256 of canonical {branch, projection} over the 18 specs with no large
+# entry or one at position 1 or 2, recorded while the large entry was still
+# swapped to the front: the head-first layout gives these the same bytes
+FINITE_DIGEST = "8a550dee26ca764ea50e7b5053ad36ab630db1d2212e550e4c209f669d8d19d7"
+
+
+def _finite_mass_spec(rng, where):
+    """Proper entries over a small geometric tail with a natural total.
+
+    The one entry > 1/2 sits at position ``where``, or starts the tail
+    (``"tail"``), or is absent (None).  Returns the spec and its index.
+    """
+
+    def small():
+        d = rng.choice((8, 9, 16, 97))
+        return F(rng.randint(1, (d - 1) // 2), d)
+
+    c = F(3, 4) if where == "tail" else rng.choice((F(1, 8), F(1, 4), F(3, 8)))
+    tail = TailRule.geometric(c, rng.choice((F(1, 2), F(1, 3))))
+    at = where if isinstance(where, int) else 0
+    vals = [small() for _ in range(max(at, rng.randint(0, 4)))]
+    if at:
+        d = rng.choice((8, 9, 16, 97))
+        vals[at - 1] = F(rng.randint(d // 2 + 1, d - 1), d)
+    gap = -(sum(vals) + tail.sum_from(1)) % 1  # small entries after it make the total whole
+    vals += [gap] if 0 < gap < F(1, 2) else [gap / 2] * 2 if gap else []
+    large = at or (len(vals) + 1 if where else None)
+    return DiagonalSpec(tuple(vals), tail), large
+
+
+def test_finite_mass_leaves_fill_completely_with_the_large_entry_first():
+    rng = random.Random(FINITE_SEED)
+    digest = hashlib.sha256()
+    for where in PLACES:
+        for flip in (False, True):  # flip: the complement, a complement-tetris leaf
+            for _ in range(3):
+                s, large = _finite_mass_spec(rng, where)
+                s = s.complement() if flip else s
+                r = route(s)
+                assert r.label.path[-1] == ("complement-tetris" if flip else "tetris")
+                trace = {}
+                rep = r.build(1, trace)
+                assert trace["settled_prefix"] is None
+                report = verify_projection(rep, s, _touched_dim(rep))
+                assert report.passed, (s.to_json_dict(), report.to_json_dict())
+                if large is None:
+                    assert "beta" not in trace and trace["parts"][0]["part"] is None
+                else:
+                    assert PermutationWindow(tuple(trace["beta"])).apply(large) == 1
+                    assert trace["parts"][0]["part"] == 1
+                if where in (None, 1, 2):
+                    doc = {"branch": trace["branch"], "projection": rep.to_json_dict()}
+                    digest.update(dumps_canonical(doc).encode())
+    assert digest.hexdigest() == FINITE_DIGEST

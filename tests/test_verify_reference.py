@@ -12,6 +12,7 @@ import importlib
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -144,9 +145,17 @@ def test_verify_of_a_long_stream_calls_no_pairwise_inner(monkeypatch):
         return inner(self, other)
 
     monkeypatch.setattr(seqcore.SparseVector, "inner", counted)
-    report = verify_projection(rep, spec, 600)
+    tracemalloc.start()
+    try:
+        report = verify_projection(rep, spec, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report.passed
     assert len(calls) == 0
+    # the 2000 x 2000 Gram is 30.5 MiB; it becomes |G - I| in place, where
+    # separate G - I and |G - I| arrays took the peak to 61 MiB
+    assert peak < 52 * 2**20, peak / 2**20
 
 
 def _spied_tiles(monkeypatch):
