@@ -65,8 +65,12 @@ def _tol(text: str) -> float:
 
 
 def _load_json(path: str):
+    """The JSON document in ``path``; a malformed one is a SpecError naming the path."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as e:  # JSONDecodeError, or text that is not UTF-8
+            raise SpecError(f"bad input: {path} is not a JSON document: {e}") from e
 
 
 def _emit(text: str, out: str | None):
@@ -260,7 +264,7 @@ def main(argv=None) -> int:
     except (InfeasibleDiagonalError, MajorizationError, SpecError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)  # an OSError's text names its path
         return 2
-    except (json.JSONDecodeError, KeyError) as e:
+    except KeyError as e:
         print(f"error: bad input: {e!r}", file=sys.stderr)
         return 2
     except CarpenterError as e:

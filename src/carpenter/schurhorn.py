@@ -10,12 +10,13 @@ rule, so repeated runs produce byte-identical matrices.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConstructionError, MajorizationError, SpecError
-from .seqcore import ProjectionRep, SparseVector, rat
+from .seqcore import ProjectionRep, SparseVector, over_lcm, rat
 
 __all__ = [
     "majorizes",
@@ -64,52 +65,85 @@ def schur_horn_unitary(lam, f) -> np.ndarray:
     the leftover; with this pair choice the remaining values still majorize
     the remaining targets, so the recursion closes and the last coordinate
     ends exact by mass conservation.  Every rotation plane is decided on
-    exact values; only the rotation entries involve square roots.
+    exact values (integers over one common denominator); only the rotation
+    entries involve square roots.
+    """
+    return _unitary_rows(lam, f, range(len(lam)))
+
+
+def _unitary_rows(lam, f, keep: range) -> np.ndarray:
+    """Rows ``keep`` of :func:`schur_horn_unitary`'s U, building no other row.
+
+    Each step swaps or rotates two columns, so every row of U evolves on its
+    own: the kept rows start as those rows of the identity and take the same
+    column steps.  The free values sit in a sorted list of (value, index)
+    pairs, so each plane is two bisections; among equal values the smallest
+    index is taken.
     """
     n = len(lam)
     if len(f) != n:
         raise SpecError(f"length mismatch: {len(f)} vs {n}")
-    d = [rat(x) for x in lam]
-    fv = [rat(x) for x in f]
-    if not majorizes(fv, d):
+    _, ints = over_lcm([rat(x) for x in lam] + [rat(x) for x in f])
+    d, fi = ints[:n], ints[n:]
+    if not majorizes(fi, d):
         raise MajorizationError("target diagonal is not majorized by the spectrum")
-    u = np.eye(n)
-    order = sorted(range(n), key=lambda i: (-fv[i], i))
-    pinned = [False] * n
+    u = np.zeros((len(keep), n))
+    u[range(len(keep)), keep] = 1.0
+    free = sorted(zip(d, range(n)))
+    order = sorted(range(n), key=lambda i: (-fi[i], i))
     for t in order[:-1]:
-        ft = fv[t]
-        free = [i for i in range(n) if not pinned[i]]
-        p = max((i for i in free if d[i] <= ft), key=lambda i: d[i])
-        q = min((i for i in free if d[i] >= ft), key=lambda i: d[i])
-        if d[p] == ft or d[q] == ft:
-            _swap(u, d, t, p if d[p] == ft else q)
-            pinned[t] = True
-            continue
+        ft = fi[t]
+        j = bisect_left(free, (ft,))
+        q = free[j][1]  # the smallest value >= ft
+        if d[q] == ft:
+            moved = {t, q}
+            p = q
+        else:
+            vp = free[j - 1][0]  # the largest value < ft, at its smallest index
+            p = free[bisect_left(free, (vp,))][1]
+            moved = {t, p, q}
+        for i in moved:
+            del free[bisect_left(free, (d[i], i))]
         if p != t:
-            _swap(u, d, t, p)
+            d[t], d[p] = d[p], d[t]
+            u[:, [t, p]] = u[:, [p, t]]
             if q == t:
                 q = p
-        # now d[t] < ft < d[q]; rotate so coordinate t reads exactly ft
-        c2 = (d[q] - ft) / (d[q] - d[t])
-        c, s = math.sqrt(c2), math.sqrt(1 - c2)
-        rot = np.eye(n)
-        rot[t, t] = c
-        rot[q, t] = s
-        rot[t, q] = -s
-        rot[q, q] = c
-        u = u @ rot
-        d[q] = d[t] + d[q] - ft
-        d[t] = ft
-        pinned[t] = True
-    if n and d[order[-1]] != fv[order[-1]]:
+        if d[t] != ft:  # now d[t] < ft < d[q]; rotate so coordinate t reads exactly ft
+            c = math.sqrt((d[q] - ft) / (d[q] - d[t]))
+            s = math.sqrt((ft - d[t]) / (d[q] - d[t]))
+            ut, uq = u[:, t], u[:, q]
+            u[:, t], u[:, q] = ut * c + uq * s, ut * -s + uq * c
+            d[q] += d[t] - ft
+            d[t] = ft
+        for i in moved - {t}:
+            insort(free, (d[i], i))
+    if n and d[order[-1]] != fi[order[-1]]:
         raise ConstructionError("internal: the last pinned coordinate misses its target")
     return u
 
 
-def _swap(u: np.ndarray, d: list, i: int, j: int):
-    if i != j:
-        d[i], d[j] = d[j], d[i]
-        u[:, [i, j]] = u[:, [j, i]]
+def _projection_rows(f, *, rng: bool, ker: bool) -> tuple[list[SparseVector], list[SparseVector]]:
+    """:func:`finite_projection_pair`, building only the range rows (``rng``)
+    and the complement rows (``ker``) asked for; the other list is empty."""
+    fv = [rat(x) for x in f]
+    n = len(fv)
+    den, nums = over_lcm(fv)
+    for x, m in zip(fv, nums):
+        if not 0 <= m <= den:
+            raise SpecError(f"diagonal entry {x} outside [0,1]")
+    k, rest = divmod(sum(nums), den)
+    if rest:
+        raise MajorizationError(f"diagonal sum {Fraction(sum(nums), den)} is not an integer")
+    if den == 1:  # every entry is 0 or 1
+        ones = [SparseVector.basis(i + 1) for i, x in enumerate(fv) if x == 1] if rng else []
+        zeros = [SparseVector.basis(i + 1) for i, x in enumerate(fv) if x == 0] if ker else []
+        return ones, zeros
+    keep = range(0 if rng else k, n if ker else k)
+    u = _unitary_rows([1] * k + [0] * (n - k), fv, keep)
+    rows = [SparseVector.from_dense(row) for row in u]
+    cut = k - keep.start
+    return rows[:cut], rows[cut:]
 
 
 def finite_projection_pair(f) -> tuple[list[SparseVector], list[SparseVector]]:
@@ -119,27 +153,10 @@ def finite_projection_pair(f) -> tuple[list[SparseVector], list[SparseVector]]:
     spans a rank-k projection with diagonal f, the second its orthogonal
     complement inside the same coordinates.
     """
-    fv = [rat(x) for x in f]
-    n = len(fv)
-    for x in fv:
-        if not 0 <= x <= 1:
-            raise SpecError(f"diagonal entry {x} outside [0,1]")
-    total = sum(fv)
-    if total.denominator != 1:
-        raise MajorizationError(f"diagonal sum {total} is not an integer")
-    k = total.numerator
-    if all(x in (0, 1) for x in fv):
-        ones = [SparseVector.basis(i + 1) for i, x in enumerate(fv) if x == 1]
-        zeros = [SparseVector.basis(i + 1) for i, x in enumerate(fv) if x == 0]
-        return ones, zeros
-    lam = [1] * k + [0] * (n - k)
-    u = schur_horn_unitary(lam, fv)
-    rng = [SparseVector.from_dense(u[i, :]) for i in range(k)]
-    ker = [SparseVector.from_dense(u[i, :]) for i in range(k, n)]
-    return rng, ker
+    return _projection_rows(f, rng=True, ker=True)
 
 
 def finite_projection(f) -> ProjectionRep:
     """Rank-sum(f) projection on len(f) coordinates with diagonal exactly f."""
-    rng, _ = finite_projection_pair(f)
+    rng, _ = _projection_rows(f, rng=True, ker=False)
     return ProjectionRep.frame(tuple(rng))

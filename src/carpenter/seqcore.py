@@ -634,9 +634,10 @@ class SparseVector:
 
     @classmethod
     def from_dense(cls, values: Sequence[float]) -> "SparseVector":
-        """The nonzero entries of a dense vector, 1-based."""
-        sup = tuple((i + 1, float(v)) for i, v in enumerate(values) if abs(v) > 0)
-        return cls(sup)
+        """The nonzero entries of a dense vector, 1-based (NaN entries are dropped)."""
+        values = np.asarray(values, dtype=float)
+        nz = np.flatnonzero(np.abs(values) > 0)
+        return cls(tuple(zip((nz + 1).tolist(), values[nz].tolist())))
 
     # -- finite views
 
@@ -726,8 +727,11 @@ class SparseVector:
         """Move entry i to index ``emb.map_index(i)``.
 
         Tail entries inside the map's explicit head are materialized first, so
-        the tail only meets the affine part of the map.
+        the tail only meets the affine part of the map.  The identity map
+        ``IndexMap()`` returns the vector itself.
         """
+        if not emb.head and emb.stride == 1 and emb.offset == 1:
+            return self
         vec = self.materialized_through(len(emb.head))
         sqs = vec.squares if vec.squares is not None else (None,) * len(vec.support)
         rows = sorted((emb.map_index(i), v, q) for (i, v), q in zip(vec.support, sqs))
@@ -1156,7 +1160,10 @@ def _dump(x, ind: str) -> str:
         return _leaf_text(x)
     if not parts:
         return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}{brackets[1]}"
+    # fold the brackets into the end parts: one join, and no second copy of a large text
+    parts[0] = f"{brackets[0]}\n{inner}{parts[0]}"
+    parts[-1] = f"{parts[-1]}\n{ind}{brackets[1]}"
+    return f",\n{inner}".join(parts)
 
 
 def dumps_canonical(obj) -> str:

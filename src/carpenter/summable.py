@@ -30,7 +30,7 @@ from .seqcore import (
     conjugate_by_permutation,
     fmt_rat,
 )
-from .schurhorn import finite_projection_pair, majorizes, schur_horn_unitary
+from .schurhorn import _projection_rows, majorizes, schur_horn_unitary
 from .tetris import tetris_vectors
 
 __all__ = [
@@ -243,8 +243,8 @@ def summable_construct2(spec: DiagonalSpec, trace: dict | None = None) -> Projec
     """
     plan = decouple(spec)
     n1, l2 = len(plan.group1), len(plan.group2)
-    _, ker1 = finite_projection_pair(plan.group1)
-    _, comp2 = finite_projection_pair(plan.group2)
+    _, ker1 = _projection_rows(plan.group1, rng=False, ker=True)
+    _, comp2 = _projection_rows(plan.group2, rng=False, ker=True)
     w = rank_one(plan.group3_comp).vectors[0]
 
     vecs = list(ker1) + [v.remap(IndexMap((), 1, n1 + 1)) for v in comp2]
@@ -317,7 +317,7 @@ def _finite_schur_horn(spec: DiagonalSpec) -> ProjectionRep:
     n_proper = prop.count(True)
     proper_idx = [prop.nth(i, True) for i in range(1, n_proper + 1)]
     emb = IndexMap(tuple(proper_idx), 1, max(proper_idx, default=0) - n_proper + 1)
-    rng, _ = finite_projection_pair([spec.entry(i) for i in proper_idx])
+    rng, _ = _projection_rows([spec.entry(i) for i in proper_idx], rng=True, ker=False)
     # past rest_start every entry is proper or 0
     ones = [(i, 1) for i in range(1, prop.rest_start()) if spec.entry(i) == 1]
     return embed_with_improper(ProjectionRep.frame(tuple(rng)), emb, ones)

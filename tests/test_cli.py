@@ -151,6 +151,22 @@ def test_missing_spec_file_is_named(tmp_path, capsys):
     assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
 
+def test_malformed_json_file_is_named(tmp_path, capsys):
+    """Of two input files, the error names the one that is not JSON."""
+    spec = write_json(tmp_path / "ok.json", CONST_25)
+    code, out, _ = run(capsys, ["construct", "--spec", spec, "--vectors", "4"])
+    rep = tmp_path / "rep.json"
+    rep.write_text(out)
+    bad = tmp_path / "bad.json"
+    for text in ("{not json", "[1, 2", "\udcff"):
+        bad.write_text(text, errors="surrogateescape")  # the last is a byte that is not UTF-8
+        for argv in (["--rep", str(bad), "--spec", spec], ["--rep", str(rep), "--spec", str(bad)]):
+            code, out, err = run(capsys, ["verify"] + argv)
+            assert code == 2 and out == "", (text, argv, err)
+            assert err.startswith(f"error: bad input: {bad} is not a JSON document: "), (text, err)
+            assert err.count("\n") == 1 and "Traceback" not in err, (text, err)
+
+
 def test_schur_horn_command(tmp_path, capsys):
     code, out, _ = run(
         capsys,

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 
 from carpenter.errors import MajorizationError, SpecError
 from carpenter.schurhorn import (
+    _projection_rows,
+    _unitary_rows,
     finite_projection,
     finite_projection_pair,
     majorizes,
     schur_horn_unitary,
 )
+from carpenter.seqcore import SparseVector
 
 
 def random_t_transforms(rng, lam, steps):
@@ -131,3 +135,87 @@ def test_finite_projection_rep():
     p = rep.dense(4)
     assert np.allclose(p @ p, p, atol=1e-10)
     assert np.allclose(p, p.T, atol=1e-12)
+
+
+def dense_product_unitary(lam, f):
+    """The pinning loop written with a full rotation matrix per step and Fraction scans:
+    the reference the in-place two-column rotations must match bit for bit."""
+    n = len(lam)
+    d, fv = [F(x) for x in lam], [F(x) for x in f]
+    u = np.eye(n)
+
+    def swap(i, j):
+        if i != j:
+            d[i], d[j] = d[j], d[i]
+            u[:, [i, j]] = u[:, [j, i]]
+
+    order = sorted(range(n), key=lambda i: (-fv[i], i))
+    pinned = [False] * n
+    for t in order[:-1]:
+        ft = fv[t]
+        free = [i for i in range(n) if not pinned[i]]
+        p = max((i for i in free if d[i] <= ft), key=lambda i: d[i])
+        q = min((i for i in free if d[i] >= ft), key=lambda i: d[i])
+        if d[p] == ft or d[q] == ft:
+            swap(t, p if d[p] == ft else q)
+            pinned[t] = True
+            continue
+        if p != t:
+            swap(t, p)
+            if q == t:
+                q = p
+        c2 = (d[q] - ft) / (d[q] - d[t])
+        c, s = math.sqrt(c2), math.sqrt(1 - c2)
+        rot = np.eye(n)
+        rot[t, t], rot[q, t], rot[t, q], rot[q, q] = c, s, -s, c
+        u = u @ rot
+        d[q] = d[t] + d[q] - ft
+        d[t] = ft
+        pinned[t] = True
+    return u
+
+
+def tied_zero_one_case(rng, n):
+    """A 0/1 spectrum of rank k and a target of 0, 1/2 and 1 entries, so values tie."""
+    halves = 2 * int(rng.integers(0, n // 2 + 1))
+    ones = int(rng.integers(0, n - halves + 1))
+    k = ones + halves // 2
+    f = [F(1)] * ones + [F(1, 2)] * halves + [F(0)] * (n - ones - halves)
+    return [1] * k + [0] * (n - k), [f[i] for i in rng.permutation(n)]
+
+
+def test_pinning_matches_the_dense_product_reference():
+    """U is byte-identical to the dense-product loop on tied 0/1 spectra up to n = 64 and
+    on general rational spectra the size of the decoupling's 3x3 correction."""
+    rng = np.random.default_rng(23)
+    cases = [tied_zero_one_case(rng, n) for n in (1, 2, 3, 5, 8, 13, 21, 34, 64) for _ in range(3)]
+    for _ in range(60):
+        n = int(rng.integers(1, 33))
+        k = int(rng.integers(0, n + 1))
+        lam = [1] * k + [0] * (n - k)
+        cases.append((lam, random_t_transforms(rng, lam, 2 * n)))
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        lam = [F(int(rng.integers(0, 40)), int(rng.integers(1, 40))) for _ in range(n)]
+        cases.append((lam, random_t_transforms(rng, lam, int(rng.integers(0, 5)))))
+    for lam, f in cases:
+        assert schur_horn_unitary(lam, f).tobytes() == dense_product_unitary(lam, f).tobytes()
+
+
+def test_kept_rows_are_rows_of_the_full_unitary():
+    """Building only some rows gives exactly those rows of U, and the range and complement
+    rows asked for alone are the rows of finite_projection_pair."""
+    rng = np.random.default_rng(29)
+    for n in (2, 7, 16, 40):
+        for _ in range(4):
+            lam, f = tied_zero_one_case(rng, n)
+            f = random_t_transforms(rng, f, n)
+            u = schur_horn_unitary(lam, f)
+            lo = int(rng.integers(0, n + 1))
+            hi = int(rng.integers(lo, n + 1))
+            assert _unitary_rows(lam, f, range(lo, hi)).tobytes() == u[lo:hi].tobytes()
+            rows, comp = finite_projection_pair(f)
+            assert _projection_rows(f, rng=True, ker=False) == (rows, [])
+            assert _projection_rows(f, rng=False, ker=True) == ([], comp)
+            if not all(x in (0, 1) for x in f):  # else the basis vectors, not U's rows
+                assert rows + comp == [SparseVector.from_dense(r) for r in u]

@@ -299,11 +299,27 @@ def test_sparse_vector_remap_list_shift():
             IndexMap(head, stride, offset)
 
 
+def test_sparse_vector_remap_identity_is_the_vector():
+    """The empty identity map returns the vector itself; a head (1..h) also fixes every
+    index, but it still materializes the tail entries it covers."""
+    tailed = SparseVector.from_exact(
+        [(1, F(1, 2), 1)], sqrt_tail=SqrtTail(2, TailRule.geometric("1/4", "1/2"))
+    )
+    assert tailed.remap(IndexMap()) is tailed
+    w = tailed.remap(IndexMap((1, 2, 3), 1, 1))
+    assert support_indices(w) == (1, 2, 3) and w.sqrt_tail.start == 4
+    assert squares_through(w, 10) == squares_through(tailed, 10)
+
+
 def test_sparse_vector_from_dense_round_trip():
     x = np.array([0.0, 0.6, 0.0, -0.8])
     v = SparseVector.from_dense(x)
     assert support_indices(v) == (2, 4)
     assert np.allclose(v.dense(4), x, atol=1e-15)
+    # plain ints and floats, the same ones float() gives; NaN and zeros are dropped
+    v = SparseVector.from_dense([math.nan, 0.1, -0.0, math.inf, 0.0])
+    assert v.support == ((2, 0.1), (4, math.inf))
+    assert [(type(i), type(x)) for i, x in v.support] == [(int, float)] * 2
 
 
 def test_sparse_vector_json_round_trip():
