@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import InfeasibleDiagonalError, UnsupportedStructureError
-from .seqcore import INF, DiagonalSpec, ProjectionRep, fmt_rat, over_lcm
+from .seqcore import INF, DiagonalSpec, IndexMap, ProjectionRep, fmt_rat, over_lcm
 
 __all__ = [
     "FeasibilityReport",
@@ -100,14 +100,22 @@ class Route:
     the leaf, and the leaf's constructor ``build(m=16, trace=None)``.
 
     ``build`` records ``branch``, ``report`` and ``settled_prefix`` (None =
-    fully settled) in the trace dict, so every traced label is the route
-    actually taken; it makes the dict when the caller passes none, so the
-    leaf constructors always have one to fill.
+    fully settled) in a trace dict the caller passes, so every traced label
+    is the route actually taken.  Without a trace the leaves record nothing,
+    and no bookkeeping is formatted.
     """
 
     report: FeasibilityReport
     label: BranchLabel
     build: Callable[..., ProjectionRep]
+
+    def build_settled(self, m: int = 16) -> tuple[ProjectionRep, int | None]:
+        """``build(m)`` and its settled prefix.  A summable leaf settles every
+        entry, so it is built without a trace."""
+        if self.report.case == "summable":
+            return self.build(m), None
+        trace: dict = {}
+        return self.build(m, trace), trace["settled_prefix"]
 
 
 def route(spec: DiagonalSpec) -> Route:
@@ -162,9 +170,11 @@ def route(spec: DiagonalSpec) -> Route:
                     "both threshold classes infinite with convergent sums: "
                     "not expressible with the supported tails"
                 )
+            place = emb  # the decouple leaves relabel through emb themselves
             if n_large == INF and n_small >= 2:
                 leaf = ("X'", f"X_N(N={n_small})", "decouple")
-                fill = lambda m, trace: summable.summable_construct2(sub, trace)
+                fill = lambda m, trace: summable.summable_construct2(sub, trace, emb)
+                place = IndexMap()
             elif n_large == INF:
                 leaf = ("X'", f"X_N(N={n_small})", "complement-tetris")
                 work = sub.complement()
@@ -172,20 +182,20 @@ def route(spec: DiagonalSpec) -> Route:
             elif n_large >= 2:
                 leaf = ("X\\X'", "complement", f"X_N(N={n_large})", "decouple")
                 fill = lambda m, trace: summable.summable_construct2(
-                    sub.complement(), trace
+                    sub.complement(), trace, emb
                 ).complementary()
+                place = IndexMap()
             else:
                 leaf = ("X\\X'", f"X_N(N={n_large})", "tetris")
                 fill = tetris_leaf(sub, n_large, False)
             path = ("Summable", "proper-infinite") + leaf
-            build = lambda m, trace: summable.embed_with_improper(fill(m, trace), emb, improper)
+            build = lambda m, trace: summable.embed_with_improper(fill(m, trace), place, improper)
 
     def run(m: int = 16, trace: dict | None = None) -> ProjectionRep:
-        if trace is None:
-            trace = {}  # the leaves always record; the caller just does not see it
-        trace["branch"] = list(path)
-        trace["report"] = report.to_json_dict()
-        trace["settled_prefix"] = None
+        if trace is not None:
+            trace["branch"] = list(path)
+            trace["report"] = report.to_json_dict()
+            trace["settled_prefix"] = None
         return build(m, trace)
 
     return Route(report, BranchLabel(path), run)

@@ -72,23 +72,30 @@ def schur_horn_unitary(lam, f) -> np.ndarray:
 
 
 def _unitary_rows(lam, f, keep: range) -> np.ndarray:
-    """Rows ``keep`` of :func:`schur_horn_unitary`'s U, building no other row.
-
-    Each step swaps or rotates two columns, so every row of U evolves on its
-    own: the kept rows start as those rows of the identity and take the same
-    column steps.  The free values sit in a sorted list of (value, index)
-    pairs, so each plane is two bisections; among equal values the smallest
-    index is taken.
-    """
+    """Rows ``keep`` of :func:`schur_horn_unitary`'s U, building no other row."""
     n = len(lam)
     if len(f) != n:
         raise SpecError(f"length mismatch: {len(f)} vs {n}")
     _, ints = over_lcm([rat(x) for x in lam] + [rat(x) for x in f])
-    d, fi = ints[:n], ints[n:]
+    return np.ascontiguousarray(_pinned_columns(ints[:n], ints[n:], keep).T)
+
+
+def _pinned_columns(d: list[int], fi: list[int], keep: range) -> np.ndarray:
+    """The transpose of rows ``keep`` of U, for the spectrum ``d`` and target ``fi``
+    given as integers over one common denominator; ``d`` is pinned in place.
+
+    Each step swaps or rotates two columns of U, so every row of U evolves on
+    its own: the kept rows start as those rows of the identity and take the
+    same column steps.  They are stored column by column (U^T, C-contiguous),
+    so a step touches two contiguous rows.  The free values sit in a sorted
+    list of (value, index) pairs, so each plane is two bisections; among equal
+    values the smallest index is taken.
+    """
+    n = len(d)
     if not majorizes(fi, d):
         raise MajorizationError("target diagonal is not majorized by the spectrum")
-    u = np.zeros((len(keep), n))
-    u[range(len(keep)), keep] = 1.0
+    ut = np.zeros((n, len(keep)))
+    ut[keep, range(len(keep))] = 1.0
     free = sorted(zip(d, range(n)))
     order = sorted(range(n), key=lambda i: (-fi[i], i))
     for t in order[:-1]:
@@ -106,26 +113,33 @@ def _unitary_rows(lam, f, keep: range) -> np.ndarray:
             del free[bisect_left(free, (d[i], i))]
         if p != t:
             d[t], d[p] = d[p], d[t]
-            u[:, [t, p]] = u[:, [p, t]]
+            ut[t], ut[p] = ut[p], ut[t].copy()
             if q == t:
                 q = p
         if d[t] != ft:  # now d[t] < ft < d[q]; rotate so coordinate t reads exactly ft
             c = math.sqrt((d[q] - ft) / (d[q] - d[t]))
             s = math.sqrt((ft - d[t]) / (d[q] - d[t]))
-            ut, uq = u[:, t], u[:, q]
-            u[:, t], u[:, q] = ut * c + uq * s, ut * -s + uq * c
+            x, y = ut[t], ut[q]  # views: the rows change in place
+            xs = x * -s
+            x *= c
+            x += y * s  # x c + y s
+            y *= c
+            y += xs  # y c + x (-s): a sum of two floats is the same in either order
             d[q] += d[t] - ft
             d[t] = ft
         for i in moved - {t}:
             insort(free, (d[i], i))
     if n and d[order[-1]] != fi[order[-1]]:
         raise ConstructionError("internal: the last pinned coordinate misses its target")
-    return u
+    return ut
 
 
 def _projection_rows(f, *, rng: bool, ker: bool) -> tuple[list[SparseVector], list[SparseVector]]:
     """:func:`finite_projection_pair`, building only the range rows (``rng``)
-    and the complement rows (``ker``) asked for; the other list is empty."""
+    and the complement rows (``ker``) asked for; the other list is empty.
+
+    f is put over one denominator once, and the pinning runs on those integers.
+    """
     fv = [rat(x) for x in f]
     n = len(fv)
     den, nums = over_lcm(fv)
@@ -140,8 +154,8 @@ def _projection_rows(f, *, rng: bool, ker: bool) -> tuple[list[SparseVector], li
         zeros = [SparseVector.basis(i + 1) for i, x in enumerate(fv) if x == 0] if ker else []
         return ones, zeros
     keep = range(0 if rng else k, n if ker else k)
-    u = _unitary_rows([1] * k + [0] * (n - k), fv, keep)
-    rows = [SparseVector.from_dense(row) for row in u]
+    ut = _pinned_columns([den] * k + [0] * (n - k), nums, keep)
+    rows = [SparseVector.from_dense(row) for row in ut.T]
     cut = k - keep.start
     return rows[:cut], rows[cut:]
 

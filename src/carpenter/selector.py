@@ -173,9 +173,8 @@ def carpenter_field(field: CellField, m: int = 16) -> ProjectionField:
             r = route(spec)
         except InfeasibleDiagonalError as e:
             raise InfeasibleDiagonalError(f"cell {cell_id!r}: {e}", e.report) from None
-        trace: dict = {}
-        rep = r.build(m, trace)
-        out.append(FieldCell(cell_id, r.label, rep, trace["settled_prefix"]))
+        rep, settled = r.build_settled(m)
+        out.append(FieldCell(cell_id, r.label, rep, settled))
     return ProjectionField(tuple(out))
 
 

@@ -12,7 +12,9 @@ tails carry their rule, so norms and diagonals of infinite vectors are exact.
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -249,13 +251,15 @@ class TailRule:
         g = self.c * self.r ** (j - 1)
         return g if self.kind == GEOMETRIC else 1 - g
 
-    def values(self, n: int) -> Iterator[Fraction]:
-        """``value(1), ..., value(n)``, one exact multiply per step in place of a power."""
+    def values(self, n: int | None = None) -> Iterator[Fraction]:
+        """``value(1), ..., value(n)`` (with no n, every value in turn), one exact
+        multiply per step in place of a power."""
+        steps = () if n is None else (n,)
         if self.kind in (ZERO_KIND, CONSTANT):
-            yield from repeat(self.value(1), n)
+            yield from repeat(self.value(1), *steps)
             return
         g = self.c
-        for _ in range(n):
+        for _ in repeat(None, *steps):
             yield g if self.kind == GEOMETRIC else 1 - g
             g *= self.r
 
@@ -310,6 +314,29 @@ class TailRule:
         j, s, g = 0, Fraction(0), self.c
         while s < x:
             j, s, g = j + 1, s + (g if self.kind == GEOMETRIC else 1 - g), g * self.r
+        return j
+
+    def sum_reach(self, x) -> int | None:
+        """Smallest j >= 1 with sum_from(j) <= x, or None when no j gets there.
+
+        sum_from is nonincreasing in j.  A geometric tail takes the logarithm
+        estimate of j and confirms it with exact evaluations at j and j - 1,
+        so the answer is exact and costs O(1) closed forms, not one per offset.
+        """
+        if self.sum_from(1) <= x:
+            return 1
+        if self.kind != GEOMETRIC or x <= 0:  # a constant or growing tail's sums never fall
+            return None
+        q = x * (1 - self.r) / self.c  # sum_from(j) <= x iff r**(j-1) <= q, and 0 < q < 1
+
+        def log(f: Fraction) -> float:  # the ints' own logarithms never overflow a float
+            return math.log(f.numerator) - math.log(f.denominator)
+
+        j = max(2, 1 + math.ceil(log(q) / log(self.r)))
+        while j > 2 and self.sum_from(j - 1) <= x:
+            j -= 1
+        while self.sum_from(j) > x:
+            j += 1
         return j
 
     # -- transforms
@@ -432,6 +459,11 @@ class DiagonalSpec:
             return self.prefix[i - 1]
         return self.tail.value(i - len(self.prefix))
 
+    def entries(self, n: int) -> list[Fraction]:
+        """``entry(k)`` for k = 1..n, in one walk of the tail (one multiply per step)."""
+        pfx = list(self.prefix[: max(n, 0)])
+        return pfx + list(self.tail.values(n - len(pfx)))
+
     def float_entries(self, n: int) -> list[float]:
         """``float(entry(k))`` for k = 1..n, bit for bit, in one walk of the tail."""
         pfx = self.prefix[: max(n, 0)]
@@ -459,6 +491,21 @@ class DiagonalSpec:
 
     def total(self):
         return self.tail_sum(1)
+
+    def sum_reach(self, x) -> int | None:
+        """Smallest i >= 1 with tail_sum(i) <= x, or None when no i gets there; exact.
+
+        In the prefix this is one bisection of the integer prefix sums, past it
+        :meth:`TailRule.sum_reach`.
+        """
+        p = len(self.prefix)
+        rest = x - self.tail.sum_from(1)  # what the prefix entries from i on may add up to
+        if rest < 0:  # also when the tail diverges
+            j = self.tail.sum_reach(x)
+            return None if j is None else p + j
+        d, sums = self._cumsums
+        # tail_sum(i) <= x  iff  sums[i-1] >= sums[p] - d*rest, an integer bound
+        return bisect_left(sums, math.ceil(sums[p] - d * rest)) + 1
 
     # -- transforms
 
@@ -605,7 +652,7 @@ class SparseVector:
 
     def __post_init__(self):
         idx = [i for i, _ in self.support]
-        if any(i < 1 for i in idx) or any(b <= a for a, b in zip(idx, idx[1:])):
+        if idx and (idx[0] < 1 or not all(map(operator.lt, idx, idx[1:]))):  # C-level comparisons
             raise SpecError("support indices must be strictly increasing and >= 1")
         if self.squares is not None and len(self.squares) != len(self.support):
             raise SpecError("squares must align with support")
@@ -727,10 +774,11 @@ class SparseVector:
         """Move entry i to index ``emb.map_index(i)``.
 
         Tail entries inside the map's explicit head are materialized first, so
-        the tail only meets the affine part of the map.  The identity map
-        ``IndexMap()`` returns the vector itself.
+        the tail only meets the affine part of the map.  A map that fixes every
+        index returns the vector itself, unless its head covers tail entries.
         """
-        if not emb.head and emb.stride == 1 and emb.offset == 1:
+        t = self.sqrt_tail
+        if emb.fixes_all and (t is None or t.start > len(emb.head)):
             return self
         vec = self.materialized_through(len(emb.head))
         sqs = vec.squares if vec.squares is not None else (None,) * len(vec.support)
@@ -814,6 +862,18 @@ class IndexMap:
 
     def map_index(self, i: int) -> int:
         return self.head[i - 1] if i <= len(self.head) else (i - 1) * self.stride + self.offset
+
+    @cached_property
+    def fixes_all(self) -> bool:
+        """True when every index maps to itself: stride 1, offset 1 and head (1, ..., h)."""
+        h = len(self.head)
+        return (self.stride, self.offset) == (1, 1) and self.head == tuple(range(1, h + 1))
+
+    def after(self, perm: "PermutationWindow") -> "IndexMap":
+        """The map i -> self.map_index(perm.apply(i)): one relabel in place of two."""
+        n = max(perm.size, len(self.head))
+        return IndexMap(tuple(self.map_index(perm.apply(i)) for i in range(1, n + 1)),
+                        self.stride, self.offset)
 
 
 # ---------------------------------------------------------------------------

@@ -193,16 +193,15 @@ def synthesize_range(samples: SpectralSamples, m: int = 16, tol: float = 1e-9) -
             r = route(spec)
         except InfeasibleDiagonalError as e:
             raise InfeasibleDiagonalError(f"fiber xi = {f.label()}: {e}", e.report) from None
-        trace: dict = {}
-        rep = r.build(m, trace)
+        rep, settled = r.build_settled(m)
         dim = max(m, len(samples.window))
-        ver = verify_projection(rep, spec, dim, tol, trace["settled_prefix"])
+        ver = verify_projection(rep, spec, dim, tol, settled)
         if not ver.passed:
             raise InfeasibleDiagonalError(
                 f"fiber xi = {f.label()}: construction failed verification "
                 f"({ver.to_json_dict()})"
             )
-        out.append(RangeFiber(f.xi, rep, r.label.path, trace["settled_prefix"]))
+        out.append(RangeFiber(f.xi, rep, r.label.path, settled))
     return RangeFunctionFile(samples.d, samples.window, tuple(out))
 
 

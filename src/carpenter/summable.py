@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .seqcore import (
     ProjectionRep,
     SparseVector,
     TailRule,
-    conjugate_by_permutation,
     fmt_rat,
+    over_lcm,
 )
 from .schurhorn import _projection_rows, majorizes, schur_horn_unitary
 from .tetris import tetris_vectors
@@ -122,6 +123,15 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     Requires infinitely many entries > 1/2 and finitely many (at least two)
     entries <= 1/2.  All scans and identities are exact; violations of the
     invariants raise ConstructionError rather than returning a bad plan.
+
+    Each exact quantity is found once.  i4 is the first cut whose suffix sum
+    of small entries (integers over their common denominator, summed once
+    from the end) fits beside b_{i3}.  i5 is the first ordinal from which the
+    large entries' co-mass, b_{i3}'s left out, is at most a_{i2}: that co-mass
+    is nonincreasing, so :meth:`DiagonalSpec.sum_reach` finds it from an
+    estimate confirmed by exact closed-form sums, without a walk over the
+    ordinals.  The entries are read in one walk each (one multiply per tail
+    step), and group 1's integer mass comes from closed-form partial sums.
     """
     prop = spec.proper_classes()
     if prop.count(False) != 0:
@@ -132,31 +142,36 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     n = cls.count(True)
     if n == INF or n < 2:
         raise ConstructionError(f"decoupling needs 2 <= #small < inf, got {n}")
-    a = [spec.entry(cls.nth(i, True)) for i in range(1, n + 1)]
+    small_src = [cls.nth(i, True) for i in range(1, n + 1)]
+    entries = spec.entries(small_src[-1])
+    a = [entries[i - 1] for i in small_src]
 
     large = spec.subsequence(cls, False)  # b_i = large.entry(i)
     large_c = large.complement()  # entries 1 - b_i, geometric tail, summable
 
     i1 = 1 if a[0] >= a[1] else 2
     i2 = 3 - i1
-    i3 = 1
-    while large.entry(i3) < 1 - a[i1 - 1]:
-        i3 += 1
-    b3 = large.entry(i3)
-    i4 = next(k for k in range(3, n + 2) if b3 + sum(a[k - 1 : n], Fraction(0)) <= 1)
+    # the first large entry >= 1 - a_{i1}, in one walk; the large entries tend to 1
+    low = 1 - a[i1 - 1]
+    walk = enumerate(chain(large.prefix, large.tail.values()), start=1)
+    i3, b3 = next((i, b) for i, b in walk if b >= low)
+    den, nums = over_lcm(a)
+    # suffix[k - 1] = den * (a_k + ... + a_n), for k = 1..n+1
+    suffix = list(accumulate(reversed(nums), initial=0))[::-1]
+    room = (1 - b3) * den
+    i4 = next(k for k in range(3, n + 2) if suffix[k - 1] <= room)
 
-    def co_mass_from(k: int) -> Fraction:
-        s = large_c.tail_sum(k)
-        if i3 >= k:
-            s -= 1 - b3  # = large_c.entry(i3)
-        return s
+    # the co-mass of the large entries from ordinal k on, b_{i3}'s left out, is
+    # large_c.tail_sum(k) - (1 - b3) up to k = i3 and large_c.tail_sum(k)
+    # after it; both pieces are nonincreasing, and they agree at i3 and i3 + 1
+    i5 = large_c.sum_reach(a[i2 - 1] + (1 - b3))
+    if i5 is not None and i5 > i3:
+        i5 = large_c.sum_reach(a[i2 - 1])
+    if i5 is None:
+        raise ConstructionError("internal: the large entries' co-mass never falls to a small entry")
 
-    i5 = 1
-    while co_mass_from(i5) > a[i2 - 1]:
-        i5 += 1
-
-    b_t = 1 - sum(a[i4 - 1 : n], Fraction(0))
-    a2_t = co_mass_from(i5)
+    b_t = 1 - Fraction(suffix[i4 - 1], den)
+    a2_t = large_c.tail_sum(i5) - (1 - b3 if i3 >= i5 else 0)
     a1_t = a[i1 - 1] + a[i2 - 1] + b3 - a2_t - b_t
 
     if not (a2_t <= a[i2 - 1] <= a[i1 - 1]):
@@ -172,17 +187,22 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
 
     # each group's first slot holds its adjusted entry; the rest are read off
     # their source indices
+    kept = [o for o in range(1, i5) if o != i3]
     g1_src = (
-        (cls.nth(i1, True),)
-        + tuple(cls.nth(i, True) for i in range(3, i4))
-        + tuple(cls.nth(i, False) for i in range(1, i5) if i != i3)
+        (small_src[i1 - 1],) + tuple(small_src[2 : i4 - 1]) + tuple(cls.nth(o, False) for o in kept)
     )
-    g2_src = (cls.nth(i3, False),) + tuple(cls.nth(i, True) for i in range(i4, n + 1))
-    group1 = (a1_t,) + tuple(spec.entry(i) for i in g1_src[1:])
-    k1 = sum(group1, Fraction(0))
+    g2_src = (cls.nth(i3, False),) + tuple(small_src[i4 - 1 :])
+    b = large.entries(i5 - 1)
+    group1 = (a1_t,) + tuple(a[2 : i4 - 1]) + tuple(b[o - 1] for o in kept)
+    k1 = (
+        a1_t
+        + Fraction(suffix[2] - suffix[i4 - 1], den)
+        + large.partial_sum(i5 - 1)
+        - (b3 if i3 < i5 else 0)
+    )
     if k1.denominator != 1:
         raise ConstructionError(f"first group mass {fmt_rat(k1)} is not an integer")
-    group2 = (b_t,) + tuple(spec.entry(i) for i in g2_src[1:])
+    group2 = (b_t,) + tuple(a[i4 - 1 :])
     if sum(group2, Fraction(0)) != 1:
         raise ConstructionError("second group mass != 1")
 
@@ -231,7 +251,9 @@ def conjugate_on_coords(rep: ProjectionRep, coords, u: np.ndarray) -> Projection
     return ProjectionRep(rep.form, tuple(out))
 
 
-def summable_construct2(spec: DiagonalSpec, trace: dict | None = None) -> ProjectionRep:
+def summable_construct2(
+    spec: DiagonalSpec, trace: dict | None = None, emb: IndexMap = IndexMap()
+) -> ProjectionRep:
     """Projection for an all-proper spec with infinitely many entries > 1/2
     and finitely many (>= 2) entries <= 1/2.
 
@@ -239,7 +261,9 @@ def summable_construct2(spec: DiagonalSpec, trace: dict | None = None) -> Projec
     each one (integer-rank complement basis, rank-one complement basis, and a
     terminal rank-one co-mass vector), rotates the three adjusted entries back
     to their requested values, and permutes the coordinates into the original
-    order.  The result is complete: every diagonal entry is settled.
+    order.  The result is complete: every diagonal entry is settled.  Its
+    vectors are then relabelled through ``emb`` (the proper entries' places in
+    a longer spec), each in the same one remap as the permutation.
     """
     plan = decouple(spec)
     n1, l2 = len(plan.group1), len(plan.group2)
@@ -269,7 +293,8 @@ def summable_construct2(spec: DiagonalSpec, trace: dict | None = None) -> Projec
     # group three: the small entry a_{i2}, then the large entries no group took
     i2_src = spec.half_classes().nth(plan.i2, True)
     beta = PermutationWindow.head_first(plan.group1_src + plan.group2_src + (i2_src,))
-    rep = conjugate_by_permutation(corr, beta)
+    relabel = emb.after(beta.inverse())  # conjugating by beta, then embedding
+    rep = ProjectionRep(corr.form, tuple(v.remap(relabel) for v in corr.vectors))
     if trace is not None:
         trace["plan"] = plan.to_json_dict()
         trace["beta"] = list(beta.window)

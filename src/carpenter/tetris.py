@@ -354,7 +354,7 @@ def _sorted_fill(spec: DiagonalSpec, m: int, label) -> tuple[ProjectionRep, dict
     return rep, part, _settled_through(out.settled_prefix, inv)
 
 
-def tetris(spec: DiagonalSpec, k: int, m: int, trace: dict) -> ProjectionRep:
+def tetris(spec: DiagonalSpec, k: int, m: int, trace: dict | None) -> ProjectionRep:
     """Every tetris leaf: one sorted fill when ``spec`` has k = 0 entries > 1/2,
     else its k residue parts (:func:`interleave_split_fin`) in the slots of beta.
 
@@ -365,8 +365,9 @@ def tetris(spec: DiagonalSpec, k: int, m: int, trace: dict) -> ProjectionRep:
         m = n_total
     if k == 0:
         rep, part, settled = _sorted_fill(spec, m, None)
-        trace["parts"] = [part]
-        trace["settled_prefix"] = settled
+        if trace is not None:
+            trace["parts"] = [part]
+            trace["settled_prefix"] = settled
         return rep
     subs, beta = interleave_split_fin(spec, k)
     vectors: list[SparseVector] = []
@@ -380,9 +381,10 @@ def tetris(spec: DiagonalSpec, k: int, m: int, trace: dict) -> ProjectionRep:
         # a finished part (settled None) does not constrain the rest
         if local_settled is not None:
             slot_settled.append(local_settled * k + idx)
-    trace["parts"] = parts
-    trace["beta"] = list(beta.window)
-    trace["settled_prefix"] = (
-        _settled_through(min(slot_settled) - 1, beta) if slot_settled else None
-    )
+    if trace is not None:
+        trace["parts"] = parts
+        trace["beta"] = list(beta.window)
+        trace["settled_prefix"] = (
+            _settled_through(min(slot_settled) - 1, beta) if slot_settled else None
+        )
     return conjugate_by_permutation(ProjectionRep.frame(vectors), beta)

@@ -10,6 +10,7 @@ from carpenter.feasibility import (
     branch_of,
     classify,
     kadison_ab,
+    route,
 )
 from carpenter.selector import carpenter, verify_projection
 from carpenter.seqcore import INF, DiagonalSpec, TailRule
@@ -150,6 +151,9 @@ def test_branch_labels_cover_the_route_table():
         settled = trace["settled_prefix"]
         report = verify_projection(rep, s, m=max(6, settled or 0), settled=settled)
         assert report.passed, f"{want}: {report.to_json_dict()}"
+        # an untraced build gives the same projection and settled prefix
+        assert route(s).build_settled(6) == (rep, settled), want
+        assert carpenter(s, 6) == rep, want
 
 
 def test_branch_label_str():

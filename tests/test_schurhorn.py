@@ -13,7 +13,8 @@ from carpenter.schurhorn import (
     majorizes,
     schur_horn_unitary,
 )
-from carpenter.seqcore import SparseVector
+from carpenter.seqcore import DiagonalSpec, SparseVector, TailRule
+from carpenter.summable import decouple, proper_subspec
 
 
 def random_t_transforms(rng, lam, steps):
@@ -219,3 +220,18 @@ def test_kept_rows_are_rows_of_the_full_unitary():
             assert _projection_rows(f, rng=False, ker=True) == ([], comp)
             if not all(x in (0, 1) for x in f):  # else the basis vectors, not U's rows
                 assert rows + comp == [SparseVector.from_dense(r) for r in u]
+
+
+def test_pinning_a_decoupled_group_of_three_hundred_matches_the_reference():
+    """Group 1 of the decoupling of [2/97, 95/97] + one_minus_geometric(1, 39/40): 299
+    entries over one denominator of about 1,600 bits.  Its complement rows, pinned on
+    the integers put over that denominator once, are the rows of the dense-product
+    loop bit for bit."""
+    spec = DiagonalSpec.of("2/97", "95/97", tail=TailRule.one_minus_geometric("1", "39/40"))
+    f = decouple(proper_subspec(spec)[0]).group1
+    n, k = len(f), int(sum(f))
+    assert (n, k) == (299, 260)
+    assert max(x.denominator for x in f).bit_length() > 1500
+    rows, comp = _projection_rows(f, rng=False, ker=True)
+    u = dense_product_unitary([1] * k + [0] * (n - k), f)
+    assert rows == [] and comp == [SparseVector.from_dense(r) for r in u[k:]]

@@ -128,6 +128,32 @@ def test_tail_sum_from_and_complement():
     assert TailRule.constant("1").complement().value(7) == 0
 
 
+def test_sum_reach_is_the_first_index_with_a_small_enough_tail():
+    """sum_reach(x) is the smallest i with tail_sum(i) <= x, by a walk over i, on
+    prefixes and tails of every kind and thresholds at, between and past the sums."""
+    rng = random.Random(5)
+    tails = [TailRule.zero(), TailRule.constant("0"), TailRule.constant("1/3"),
+             TailRule.one_minus_geometric("1/2", "2/3")]
+    tails += [TailRule.geometric(c, r) for c in ("1", "3/8") for r in ("1/2", "9/10", "39/40")]
+    for tail in tails:
+        for p in (0, 1, 5):
+            s = DiagonalSpec(tuple(F(rng.randint(0, 9), 9) for _ in range(p)), tail)
+            sums = [s.tail_sum(i) for i in range(1, p + 80)]
+            xs = {F(-1), F(0)} | {t for t in sums[:20] if t != INF}
+            xs |= {t * F(1, 2) + u * F(1, 2) for t, u in zip(sums, sums[1:]) if u != INF}
+            for x in xs:
+                want = next((i for i, t in enumerate(sums, start=1) if t <= x), None)
+                assert s.sum_reach(x) == want, (s.to_json_dict(), x)
+
+
+def test_spec_entries_walk_matches_entry():
+    for tail in (TailRule.zero(), TailRule.constant("2/5"), TailRule.geometric("1/2", "3/4"),
+                 TailRule.one_minus_geometric("1", "39/40")):
+        s = DiagonalSpec.of("1/3", "3/4", tail=tail)
+        for n in (0, 1, 2, 3, 40):
+            assert s.entries(n) == [s.entry(k) for k in range(1, n + 1)]
+
+
 def test_tail_reindexed():
     g = TailRule.geometric("1/2", "1/3")
     h = g.reindexed(4)  # h(j) = g(j + 3)
@@ -309,6 +335,44 @@ def test_sparse_vector_remap_identity_is_the_vector():
     w = tailed.remap(IndexMap((1, 2, 3), 1, 1))
     assert support_indices(w) == (1, 2, 3) and w.sqrt_tail.start == 4
     assert squares_through(w, 10) == squares_through(tailed, 10)
+
+
+def test_remap_under_a_head_that_fixes_every_index_is_the_vector():
+    """A head (1..h) with stride 1 and offset 1 fixes every index: a vector whose tail
+    starts after h (or has none) comes back as itself; other maps build a new one."""
+    plain = SparseVector.from_exact([(1, F(1, 2), 1), (4, F(1, 2), -1)])
+    tailed = SparseVector.from_exact(
+        [(1, F(1, 2), 1)], sqrt_tail=SqrtTail(5, TailRule.geometric("1/4", "1/2"))
+    )
+    for v in (plain, tailed):
+        assert v.remap(IndexMap((1, 2, 3), 1, 1)) is v
+        assert v.remap(IndexMap((1, 2, 3, 4), 1, 1)) is v
+    assert IndexMap((1, 2, 3), 1, 1).fixes_all and IndexMap().fixes_all
+    for emb in (IndexMap((2, 1), 1, 1), IndexMap((1, 2), 1, 2), IndexMap((1,), 2, 1)):
+        assert not emb.fixes_all
+        assert plain.remap(emb) is not plain
+
+
+def test_index_map_after_a_permutation_is_the_composition():
+    rng = random.Random(3)
+    for emb in (IndexMap(), IndexMap((), 1, 3), IndexMap((2, 5, 6), 1, 5), IndexMap((), 3, 2)):
+        for size in (0, 2, 5, 9):
+            perm = PermutationWindow(tuple(rng.sample(range(1, size + 1), size)))
+            both = emb.after(perm)
+            assert [both.map_index(i) for i in range(1, 30)] == [
+                emb.map_index(perm.apply(i)) for i in range(1, 30)
+            ]
+            v = SparseVector.from_exact(
+                [(1, F(1, 4), 1), (3, F(1, 8), -1)],
+                sqrt_tail=SqrtTail(4, TailRule.geometric("1/8", "1/2")),
+            )
+            assert v.remap(both) == v.remap(IndexMap(perm.window)).remap(emb)
+
+
+@pytest.mark.parametrize("indices", [(0, 2), (1, 1), (3, 2), (1, 4, 4), (2, 5, 3)])
+def test_sparse_vector_refuses_support_indices_not_increasing_from_one(indices):
+    with pytest.raises(SpecError, match=r"^support indices must be strictly increasing and >= 1$"):
+        SparseVector(tuple((i, 0.5) for i in indices))
 
 
 def test_sparse_vector_from_dense_round_trip():

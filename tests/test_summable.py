@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from carpenter.errors import ConstructionError, SpecError
 from carpenter.schurhorn import majorizes
 from carpenter.feasibility import kadison_ab, route
-from carpenter.selector import verify_projection
-from carpenter.seqcore import DiagonalSpec, PermutationWindow, TailRule
+from carpenter.selector import carpenter, carpenter_field, verify_projection
+from carpenter.seqcore import INF, CellField, DiagonalSpec, PermutationWindow, TailRule
 from carpenter.summable import (
+    DecouplingPlan,
     decouple,
     conjugate_on_coords,
     proper_subspec,
@@ -145,6 +147,116 @@ def test_decouple_layout_of_a_long_prefix(monkeypatch):
     assert len(scans) <= 3
     assert trace["beta"] == [4, 1, 2, 3]
     assert verify_projection(rep, s, 12).passed
+
+
+def walk_decouple(spec):
+    """The decoupling written as plain walks: every cut is found by stepping one
+    ordinal at a time, and every entry and group mass is read and added as a
+    Fraction.  The reference the closed-form decouple must match exactly."""
+    cls = spec.half_classes()
+    n = cls.count(True)
+    a = [spec.entry(cls.nth(i, True)) for i in range(1, n + 1)]
+    large = spec.subsequence(cls, False)
+    large_c = large.complement()
+    i1 = 1 if a[0] >= a[1] else 2
+    i2 = 3 - i1
+    i3 = 1
+    while large.entry(i3) < 1 - a[i1 - 1]:
+        i3 += 1
+    b3 = large.entry(i3)
+    i4 = next(k for k in range(3, n + 2) if b3 + sum(a[k - 1 : n], F(0)) <= 1)
+
+    def co_mass_from(k):
+        return large_c.tail_sum(k) - (1 - b3 if i3 >= k else 0)
+
+    i5 = 1
+    while co_mass_from(i5) > a[i2 - 1]:
+        i5 += 1
+    b_t = 1 - sum(a[i4 - 1 : n], F(0))
+    a2_t = co_mass_from(i5)
+    a1_t = a[i1 - 1] + a[i2 - 1] + b3 - a2_t - b_t
+    g1_src = (
+        (cls.nth(i1, True),)
+        + tuple(cls.nth(i, True) for i in range(3, i4))
+        + tuple(cls.nth(i, False) for i in range(1, i5) if i != i3)
+    )
+    g2_src = (cls.nth(i3, False),) + tuple(cls.nth(i, True) for i in range(i4, n + 1))
+    group1 = (a1_t,) + tuple(spec.entry(i) for i in g1_src[1:])
+    assert sum(group1, F(0)).denominator == 1
+    group2 = (b_t,) + tuple(spec.entry(i) for i in g2_src[1:])
+    assert sum(group2, F(0)) == 1
+    p_l = len(large.prefix)
+    cut = max(p_l + 1, i3 + 1, i5)
+    g3c = DiagonalSpec(
+        (1 - a2_t,) + tuple(large_c.entry(o) for o in range(i5, cut) if o != i3),
+        large_c.tail.reindexed(cut - p_l),
+    )
+    return DecouplingPlan(
+        i1, i2, i3, i4, i5, tuple(a), b_t, a1_t, a2_t, group1, group2, g3c, g1_src, g2_src
+    )
+
+
+def balanced(prefix, tail):
+    """The spec with one entry put in front of ``prefix`` so that a - b is an integer."""
+    a, b = kadison_ab(DiagonalSpec(tuple(prefix), tail))
+    return DiagonalSpec((1 - (a - b) % 1,) + tuple(prefix), tail)
+
+
+def decouple_family():
+    """Seeded decouple leaves: both geometric kinds, c in {1, 1/2, 3/8}, r in {3/4, 9/10,
+    39/40, 99/100}, two entries on the finite side and up to five more near the
+    threshold or near the end; then cases with i5 = i3 and with i5 inside a long
+    prefix of large entries, and their complements."""
+    rng = random.Random(41)
+    out = []
+    for kind in ("geometric", "one_minus_geometric"):
+        for c in (F(1), F(1, 2), F(3, 8)):
+            for r in (F(3, 4), F(9, 10), F(39, 40), F(99, 100)):
+                pre = [F(rng.randint(1, 48), 97) for _ in range(2)]
+                pre += [1 - F(rng.randint(1, 48), 97 * rng.choice((1, 8))) for _ in range(rng.randint(0, 5))]
+                rng.shuffle(pre)
+                if kind == "geometric":
+                    pre = [1 - x for x in pre]
+                out.append(balanced(pre, TailRule(kind, c, r)))
+    near = TailRule.one_minus_geometric(F(1, 16), F(1, 2))
+    far = TailRule.one_minus_geometric(F(1, 2**50), F(1, 2))
+    long = [1 - F(1, 2 ** (i + 3)) for i in range(1, 41)]
+    for s in (balanced([F(2, 5), F(1, 5), F(11, 20), F(7, 10)], near),
+              balanced([F(1, 1000), F(2, 5)] + long, far)):
+        out += [s, s.complement()]
+    return out
+
+
+def decouple_input(s):
+    """The all-proper spec the decouple leaf of ``s`` decouples."""
+    sub = proper_subspec(s)[0]
+    return sub if sub.half_classes().count(False) == INF else sub.complement()
+
+
+def test_decouple_matches_the_walk_reference():
+    seen = set()
+    for s in decouple_family():
+        assert route(s).label.path[-1] == "decouple", s.to_json_dict()
+        d = decouple_input(s)
+        plan = decouple(d)
+        assert plan.to_json_dict() == walk_decouple(d).to_json_dict(), s.to_json_dict()
+        large_prefix = len(d.subsequence(d.half_classes(), False).prefix)
+        seen |= {k for k, hit in (("i3 > 1", plan.i3 > 1), ("i5 = i3", plan.i5 == plan.i3),
+                                  ("i5 in the prefix", 1 < plan.i5 <= large_prefix)) if hit}
+    assert seen == {"i3 > 1", "i5 = i3", "i5 in the prefix"}
+
+
+def test_untraced_builds_format_no_plan(monkeypatch):
+    # the plan is formatted only into a trace the caller passed; an untraced
+    # construct or a field must not pay for it (nor fail on a value too long to print)
+    def refuse(self):
+        raise AssertionError("the plan was formatted")
+
+    monkeypatch.setattr(DecouplingPlan, "to_json_dict", refuse)
+    assert verify_projection(carpenter(WORKED), WORKED, 12).passed
+    field = carpenter_field(CellField((("w", WORKED),)))
+    assert field.cells[0].settled is None
+    assert verify_projection(field.cells[0].rep, WORKED, 12).passed
 
 
 def test_decouple_requires_enough_structure():
