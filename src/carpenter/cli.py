@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CarpenterError, InfeasibleDiagonalError, MajorizationError, SpecError
 from .feasibility import route
 from .schurhorn import schur_horn_unitary
-from .selector import carpenter, carpenter_field, necessity_oracle, verify_projection
+from .selector import carpenter_field, necessity_oracle, verify_projection
 from .seqcore import (
     CellField, DiagonalSpec, ProjectionRep, _json_field, _json_int, dumps_canonical, fmt_rat, rat,
 )
@@ -100,12 +100,17 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     spec = _load_spec(args.spec)
+    r = route(spec)
     trace: dict = {}
-    rep = carpenter(spec, args.vectors, trace)
+    if args.trace:
+        rep = r.build(args.vectors, trace)
+        settled = trace["settled_prefix"]
+    else:  # no decoupling plan is formatted only to be thrown away
+        rep, settled = r.build_settled(args.vectors)
     doc = {
         "spec": spec.to_json_dict(),
-        "branch": trace.get("branch"),
-        "settled": trace.get("settled_prefix"),
+        "branch": list(r.label.path),
+        "settled": settled,
         "vectors": args.vectors,
         "projection": rep.to_json_dict(),
     }

@@ -55,6 +55,7 @@ __all__ = [
 INF = float("inf")
 
 HALF = Fraction(1, 2)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 ZERO_KIND = "zero"
 CONSTANT = "constant"
@@ -169,47 +170,60 @@ def fmt_rat(q: Fraction) -> str:
 # tail rules
 
 
+#: Bits of the largest power of r a tail takes on trust: a document's exponent
+#: ``k`` (c * r**k) and a crossing search's r**(j - 1) stay within it, so no
+#: input orders an unbounded power (a 2**22-bit power takes about 0.2 s).
+_POWER_BITS = 1 << 22
+
+
 @dataclass(frozen=True)
 class TailRule:
     """Closed form for all sequence entries past the prefix.
 
-    Supported kinds, with ``j`` the 1-based offset into the tail:
-
-    ==================== =====================================
-    zero                 f = 0
-    constant             f = c
-    geometric            f = c * r**(j-1)
-    one_minus_geometric  f = 1 - c * r**(j-1)
-    ==================== =====================================
-
-    Geometric kinds require 0 < c <= 1 and 0 < r < 1.
+    Every kind is one formula in the 1-based offset ``j`` into the tail,
+    f_j = u + s * c * r**(k + j - 1) with s = 1 - 2u, and the kind names fix
+    zero (c = 0, r = 1), constant (r = 1), geometric (u = 0) and
+    one_minus_geometric (u = 1).  Geometric kinds require 0 < c <= 1 and
+    0 < r < 1; only they take the exponent ``k >= 0``, which keeps the c of a
+    tail reindexed deep into another short.
     """
 
     kind: str
     c: Fraction | None = None
     r: Fraction | None = None
+    k: int = 0
+    u: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        u = 0
         if self.kind == ZERO_KIND:
             if self.c is not None or self.r is not None:
                 raise SpecError("zero tail takes no parameters")
+            c, r = _ZERO, _ONE
         elif self.kind == CONSTANT:
-            c = self._param("c")
-            object.__setattr__(self, "c", c)
+            c, r = self._param("c"), _ONE
             if not 0 <= c <= 1:
                 raise SpecError(f"constant tail value {c} outside [0,1]")
             if self.r is not None:
                 raise SpecError("constant tail takes no ratio")
         elif self.kind in (GEOMETRIC, ONE_MINUS_GEOMETRIC):
-            c, r = self._param("c"), self._param("r")
-            object.__setattr__(self, "c", c)
-            object.__setattr__(self, "r", r)
+            c, r, u = self._param("c"), self._param("r"), int(self.kind == ONE_MINUS_GEOMETRIC)
             if not 0 < c <= 1:
                 raise SpecError(f"geometric coefficient {c} outside (0,1]")
             if not 0 < r < 1:
                 raise SpecError(f"geometric ratio {r} outside (0,1)")
         else:
             raise SpecError(f"unknown tail kind {self.kind!r}")
+        k = self.k
+        if type(k) is not int or k < 0:  # a bool is not an exponent
+            raise SpecError(f"{self.kind} tail field 'k' must be an integer >= 0, got {k!r}")
+        if k and r == 1:
+            raise SpecError(f"{self.kind} tail takes no exponent 'k'")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "u", u)
+        if not k:  # c * r**0 is c itself: the common case never calls the lazy _start
+            object.__setattr__(self, "_start", c)
 
     def _param(self, name: str) -> Fraction:
         value = getattr(self, name)
@@ -219,6 +233,15 @@ class TailRule:
             return rat(value)
         except SpecError as e:
             raise SpecError(f"{self.kind} tail field {name!r}: {e}") from None
+
+    def _power_bits(self, e: int) -> int:
+        """Bits of the larger of r**e's numerator and denominator."""
+        return e * max(self.r.numerator.bit_length(), self.r.denominator.bit_length())
+
+    @cached_property
+    def _start(self) -> Fraction:
+        """c * r**k, the first entry's geometric part, computed once (k > 0)."""
+        return self.c * self.r**self.k
 
     # -- constructors
 
@@ -244,24 +267,20 @@ class TailRule:
         """Entry at tail offset j >= 1."""
         if j < 1:
             raise OutOfRangeError(f"tail offset {j} < 1")
-        if self.kind == ZERO_KIND:
-            return Fraction(0)
-        if self.kind == CONSTANT:
-            return self.c
-        g = self.c * self.r ** (j - 1)
-        return g if self.kind == GEOMETRIC else 1 - g
+        g = self._start if self.r == 1 else self._start * self.r ** (j - 1)
+        return 1 - g if self.u else g
 
     def values(self, n: int | None = None) -> Iterator[Fraction]:
         """``value(1), ..., value(n)`` (with no n, every value in turn), one exact
         multiply per step in place of a power."""
         steps = () if n is None else (n,)
-        if self.kind in (ZERO_KIND, CONSTANT):
+        if self.r == 1:
             yield from repeat(self.value(1), *steps)
             return
-        g = self.c
+        g, r, u = self._start, self.r, self.u
         for _ in repeat(None, *steps):
-            yield g if self.kind == GEOMETRIC else 1 - g
-            g *= self.r
+            yield 1 - g if u else g
+            g *= r
 
     def float_values(self, n: int) -> list[float]:
         """``float(value(j))`` for j = 1..n, bit for bit.
@@ -270,13 +289,14 @@ class TailRule:
         one int true division: the correctly rounded quotient of the same
         rational that ``float`` rounds.
         """
-        if self.kind in (ZERO_KIND, CONSTANT):
+        if self.r == 1:
             return [float(self.value(1))] * n
-        num, den = self.c.numerator, self.c.denominator
+        num, den = self._start.numerator, self._start.denominator
         rn, rd = self.r.numerator, self.r.denominator
+        u = self.u
         out = []
         for _ in range(n):
-            out.append(num / den if self.kind == GEOMETRIC else (den - num) / den)
+            out.append((den - num) / den if u else num / den)
             num, den = num * rn, den * rd
         return out
 
@@ -284,24 +304,18 @@ class TailRule:
         """Sum of the first j tail entries (j >= 0), exact."""
         if j < 0:
             raise OutOfRangeError(f"negative tail length {j}")
-        if self.kind == ZERO_KIND:
-            return Fraction(0)
-        if self.kind == CONSTANT:
-            return j * self.c
-        geo = self.c * (1 - self.r**j) / (1 - self.r)
-        return geo if self.kind == GEOMETRIC else j - geo
+        geo = j * self._start if self.r == 1 else self._start * (1 - self.r**j) / (1 - self.r)
+        return j - geo if self.u else geo
 
     def sum_from(self, j: int):
         """Sum of all entries from offset j on: a Fraction, or INF."""
         if j < 1:
             raise OutOfRangeError(f"tail offset {j} < 1")
-        if self.kind == ZERO_KIND:
-            return Fraction(0)
-        if self.kind == CONSTANT:
-            return Fraction(0) if self.c == 0 else INF
-        if self.kind == GEOMETRIC:
-            return self.c * self.r ** (j - 1) / (1 - self.r)
-        return INF  # one_minus_geometric tends to 1
+        if self.u:  # the entries tend to 1
+            return INF
+        if self.r == 1:
+            return INF if self.c else _ZERO
+        return self._start * self.r ** (j - 1) / (1 - self.r)
 
     def reach(self, x) -> int | None:
         """Smallest j >= 0 with partial_sum(j) >= x, or None when no j reaches x."""
@@ -309,33 +323,45 @@ class TailRule:
             return 0
         if self.sum_from(1) <= x:  # a finite limit is never attained
             return None
-        if self.kind == CONSTANT:
-            return math.ceil(x / self.c)
-        j, s, g = 0, Fraction(0), self.c
+        if self.r == 1:
+            return math.ceil(x / self._start)
+        j, s, g, u = 0, Fraction(0), self._start, self.u
         while s < x:
-            j, s, g = j + 1, s + (g if self.kind == GEOMETRIC else 1 - g), g * self.r
+            j, s, g = j + 1, s + (1 - g if u else g), g * self.r
         return j
 
     def sum_reach(self, x) -> int | None:
         """Smallest j >= 1 with sum_from(j) <= x, or None when no j gets there.
 
-        sum_from is nonincreasing in j.  A geometric tail takes the logarithm
-        estimate of j and confirms it with exact evaluations at j and j - 1,
-        so the answer is exact and costs O(1) closed forms, not one per offset.
+        sum_from is nonincreasing in j, and for a decaying tail sum_from(j) <= x
+        iff r**(j-1) <= x * (1 - r) / (c * r**k): O(1) closed forms, not one per offset.
         """
         if self.sum_from(1) <= x:
             return 1
-        if self.kind != GEOMETRIC or x <= 0:  # a constant or growing tail's sums never fall
+        if self.u or self.r == 1 or x <= 0:  # a constant or growing tail's sums never fall
             return None
-        q = x * (1 - self.r) / self.c  # sum_from(j) <= x iff r**(j-1) <= q, and 0 < q < 1
+        return self._first_power_at_most(x * (1 - self.r) / self._start)
 
-        def log(f: Fraction) -> float:  # the ints' own logarithms never overflow a float
-            return math.log(f.numerator) - math.log(f.denominator)
+    def _first_power_at_most(self, q: Fraction) -> int:
+        """Smallest j >= 1 with r**(j-1) <= q, for r < 1 and q > 0: a logarithm
+        estimate confirmed by exact evaluations at j and j - 1.  A crossing whose
+        power passes ``_POWER_BITS`` is an UnsupportedStructureError."""
+        if q >= 1:
+            return 1
 
-        j = max(2, 1 + math.ceil(log(q) / log(self.r)))
-        while j > 2 and self.sum_from(j - 1) <= x:
+        def log(f: Fraction) -> float:  # accurate near 1; the ints' own logs never overflow
+            n, d = f.numerator, f.denominator
+            return math.log1p((n - d) / d) if 2 * n > d else math.log(n) - math.log(d)
+
+        lr = log(self.r)
+        e = log(q) / lr if lr else INF  # r**e = q; an r that rounds to 1 is past any budget
+        if self._power_bits(e) > _POWER_BITS:
+            msg = f"ratio {fmt_rat(self.r)}: r**{e:.3g} is past the {_POWER_BITS}-bit budget"
+            raise UnsupportedStructureError(f"tail threshold crossing at {msg}")
+        j = max(2, 1 + math.ceil(e))
+        while j > 2 and self.r ** (j - 2) <= q:
             j -= 1
-        while self.sum_from(j) > x:
+        while self.r ** (j - 1) > q:
             j += 1
         return j
 
@@ -343,21 +369,19 @@ class TailRule:
 
     def complement(self) -> "TailRule":
         """Tail rule of the complementary sequence 1 - f."""
-        if self.kind == ZERO_KIND:
-            return TailRule.constant(1)
-        if self.kind == CONSTANT:
+        if self.r == 1:  # zero and constant: the constant 1 - c
             return TailRule.constant(1 - self.c)
-        if self.kind == GEOMETRIC:
-            return TailRule(ONE_MINUS_GEOMETRIC, self.c, self.r)
-        return TailRule(GEOMETRIC, self.c, self.r)
+        return TailRule(GEOMETRIC if self.u else ONE_MINUS_GEOMETRIC, self.c, self.r, self.k)
 
     def reindexed(self, j0: int, step: int = 1) -> "TailRule":
         """The tail of the entries at offsets j0, j0 + step, j0 + 2*step, ..."""
         if j0 < 1:
             raise OutOfRangeError(f"tail offset {j0} < 1")
-        if self.kind in (ZERO_KIND, CONSTANT) or (j0, step) == (1, 1):
+        if self.r == 1 or (j0, step) == (1, 1):
             return self
-        return TailRule(self.kind, self.c * self.r ** (j0 - 1), self.r**step)
+        q, m = divmod(self.k + j0 - 1, step)  # exponents m + (q + i - 1)*step: no power past step
+        kind = ONE_MINUS_GEOMETRIC if self.u else GEOMETRIC
+        return TailRule(kind, self.c * self.r**m, self.r**step, q)
 
     # -- classification helpers
 
@@ -368,41 +392,44 @@ class TailRule:
         to the rest, and from offset e + 1 on every entry is <= 1/2 iff
         ``rest_small``.
         """
-        if self.kind in (ZERO_KIND, CONSTANT):
+        if self.r == 1:
             return 0, self.value(1) <= HALF
-        e, g = 0, self.c
-        if self.kind == GEOMETRIC:  # entries decrease to 0; early ones may be large
-            while g > HALF:
-                e, g = e + 1, g * self.r
-            return e, True
-        while 1 - g <= HALF:  # entries increase to 1; early ones may be small
-            e, g = e + 1, g * self.r
-        return e, False
+        q = HALF / self._start
+        j = self._first_power_at_most(q)
+        if self.u and self.r ** (j - 1) == q:  # 1 - g = 1/2 is small: g >= 1/2 are exceptions
+            j += 1
+        return j - 1, not self.u
 
     def proper_exceptions(self) -> tuple[int, bool]:
         """Offsets classified as proper (value in (0,1)) versus 0/1.
 
         Same convention as :meth:`half_exceptions`: ``(e, rest_proper)``.
         """
-        if self.kind in (ZERO_KIND, CONSTANT):
+        if self.r == 1:
             return 0, 0 < self.value(1) < 1
-        # geometric kinds: only the very first entry can hit 0 or 1 (c == 1)
-        return int(self.c == 1), True
+        # a decaying tail: only a first entry with c * r**k == 1 hits 0 or 1
+        return int(self._start == 1), True
 
     # -- serialization
 
     def to_json_dict(self) -> dict:
         d: dict = {"kind": self.kind}
-        if self.c is not None:
+        if self.kind != ZERO_KIND:
             d["c"] = fmt_rat(self.c)
-        if self.r is not None:
+        if self.r != 1:
             d["r"] = fmt_rat(self.r)
+        if self.k:
+            d["k"] = self.k
         return d
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "TailRule":
+        """Decode a tail; a ``"k"`` whose c * r**k passes ``_POWER_BITS`` is a SpecError."""
         d = _json_object(d, "tail")
-        return cls(_json_field(d, "kind", "tail"), **{k: d[k] for k in ("c", "r") if k in d})
+        rule = cls(_json_field(d, "kind", "tail"), **{f: d[f] for f in ("c", "r", "k") if f in d})
+        if rule.k and rule._power_bits(rule.k) > _POWER_BITS:
+            raise SpecError(f"tail field 'k': c * r**k is past the {_POWER_BITS}-bit budget")
+        return rule
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +643,7 @@ class SqrtTail:
     def __post_init__(self):
         if self.start < 1 or self.stride < 1:
             raise SpecError("sqrt tail needs start >= 1 and stride >= 1")
-        if self.rule.kind != GEOMETRIC:
+        if self.rule.u or self.rule.r == 1:
             raise SpecError(f"sqrt tails must decay geometrically, got {self.rule.kind!r}")
 
     def offset_of(self, k: int) -> int | None:

@@ -5,6 +5,7 @@ to see them individually.  The whole file is budgeted to finish in well under
 two minutes.
 """
 
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -206,6 +207,14 @@ def test_criterion_07_settled_prefix_scales_with_stream_depth():
     ok(7, "constant-2/5 streams settle prefixes 8/18/38 at depths 4/8/16, exactly on the nose")
 
 
+# sha256 of the canonical JSON of the criterion-08 field and the criterion-09
+# range function.  The field was recorded after reindexed sqrt tails began
+# writing their exponent "k": 5 of its 50 cells hold one, and with each k folded
+# back into c (c * r**k) the document is the one written before, byte for byte.
+FIELD_DIGEST = "5d3edc20e8ec2c9d41438a5683e89121a166b0c09234144ac2610c20ebf03b38"
+SPECTRAL_DIGEST = "ec0fde8287789c4f276db928d2b6b904e81ebb78131c2f01ed4aa9f395a61483"
+
+
 def test_criterion_08_field_runs_are_deterministic():
     shapes = [
         {"prefix": [], "tail": {"kind": "constant", "c": "2/5"}},
@@ -227,6 +236,7 @@ def test_criterion_08_field_runs_are_deterministic():
     second = dumps_canonical(carpenter_field(field, m=5).to_json_dict())
     assert first == second
     assert first.encode() == second.encode()
+    assert hashlib.sha256(first.encode()).hexdigest() == FIELD_DIGEST
     ok(8, "two fresh 50-cell field runs serialize byte-identically")
 
 
@@ -255,6 +265,7 @@ def test_criterion_09_spectral_round_trip_and_fiber_naming():
         ),
     )
     rf = synthesize_range(samples, m=16)
+    assert hashlib.sha256(dumps_canonical(rf.to_json_dict()).encode()).hexdigest() == SPECTRAL_DIGEST
     back = extract_spectral(rf)
     tol = F(1, 10**9)
     for orig, got in zip(samples.fibers, back.fibers):

@@ -57,6 +57,37 @@ def test_construct_document(tmp_path, capsys):
     assert json.loads(trace_file.read_text())["branch"] == doc["branch"]
 
 
+def test_construct_without_a_trace_writes_the_same_document(tmp_path, capsys):
+    # a stream, a complement-tetris leaf, and a decouple leaf whose sqrt tail carries "k"
+    tetris = {"prefix": [], "tail": {"kind": "one_minus_geometric", "c": "1", "r": "1/2"}}
+    decouple = {"prefix": ["3/10", "1/5"], "tail": {"kind": "one_minus_geometric", "c": "1/4", "r": "1/2"}}
+    for doc in (CONST_25, tetris, decouple):
+        spec = write_json(tmp_path / "s.json", doc)
+        texts = []
+        for extra in ([], ["--trace", str(tmp_path / "trace.json")]):
+            assert main(["construct", "--spec", spec, "--out", str(tmp_path / "rep.json")] + extra) == 0
+            texts.append((tmp_path / "rep.json").read_text())
+        assert texts[0] == texts[1], doc
+    assert '"k": 2' in texts[0]
+    assert main(["verify", "--rep", str(tmp_path / "rep.json"), "--spec", spec, "--dim", "12"]) == 0
+
+
+def test_construct_writes_a_deep_tail_with_its_exponent(tmp_path, capsys):
+    # vector 198 of 200 has a sqrt tail from index 2116: c * r**2115 has 16,167 bits
+    spec = write_json(tmp_path / "s.json", {
+        "prefix": [], "tail": {"kind": "one_minus_geometric", "c": "1", "r": "199/200"}})
+    rep = str(tmp_path / "rep.json")
+    code, out, err = run(capsys, ["construct", "--spec", spec, "--out", rep])
+    assert code == 0 and out == err == "", err
+    tails = [v["sqrtTail"] for v in json.loads(open(rep).read())["projection"]["vectors"]]
+    assert max(t["rule"].get("k", 0) for t in tails if t) > 2000
+    code, out, _ = run(capsys, ["verify", "--rep", rep, "--spec", spec, "--dim", "400"])
+    assert code == 0 and json.loads(out)["passed"]
+    # the trace's decoupling plan still holds the exact 16k-bit values
+    code, out, err = run(capsys, ["construct", "--spec", spec, "--trace", str(tmp_path / "t.json")])
+    assert code == 1 and out == "" and err.startswith("error: exact value with "), err
+
+
 def test_verify_round_trip_and_mismatch(tmp_path, capsys):
     spec = write_json(tmp_path / "s.json", CONST_25)
     rep = tmp_path / "rep.json"
@@ -291,7 +322,8 @@ def test_bad_input_files(tmp_path, capsys):
         assert "geometric" in err and repr(field) in err, (tail, err)
     # a tail without its kind, or with a parameter that is not a rational: the error names the field
     for field, tail in (("kind", {"c": "1/2"}), ("c", {"kind": "constant", "c": "x"}),
-                        ("r", {"kind": "geometric", "c": "1/2", "r": "x"})):
+                        ("r", {"kind": "geometric", "c": "1/2", "r": "x"}),
+                        ("k", {"kind": "geometric", "c": "1/2", "r": "1/2", "k": -1})):
         bad = write_json(tmp_path / f"tail_field_{field}.json", {"prefix": ["1/2"], "tail": tail})
         code, _, err = run(capsys, ["check", "--spec", bad])
         assert code == 2 and err.startswith("error:") and "Traceback" not in err, (tail, err)

@@ -104,14 +104,15 @@ HISTOGRAM = {
     "Summable/proper-infinite/X\\X'/complement/X_N(N=6)/decouple": 1,
     "infeasible": 32,
 }
-# Re-recorded when the finite-mass leaves became complete k = 0 or k = 1
-# residue splits: their k = 1 traces now carry beta, and the 12 leaves whose
-# large entry sits at position 3-5 (indices 7, 130, 142, 144, 176, 227, 243,
-# 259, 292, 353, 364, 398) take the head-first slot layout in place of a swap.
-TETRIS_DIGEST = "879d896e26e9dca1ddf0f8a5235c39a4876b068d80c9c5576367cf59a46d7a81"
+# Re-recorded when reindexed tails began carrying their exponent: 9 of the
+# 182 tetris documents hold a sqrt-tail rule that writes c and "k" in place of
+# c * r**k, and each is the earlier document byte for byte with k folded back.
+TETRIS_DIGEST = "94466ba8880d48cf987421551b1ac3bcbdfac3301f2a8b68b046b79d2eaa4c05"
 # sha256 of canonical {plan, beta} over the 129 decouple leaves: exact
-# Fractions and ints only, so the value does not depend on the platform
-PLAN_DIGEST = "11c04e909ceebca911713d11ad7846fc252212a586cdd273053a76fbe6b44e2f"
+# Fractions and ints only, so the value does not depend on the platform.
+# Re-recorded with the tail exponent: 121 plans hold a reindexed tail, each the
+# earlier plan byte for byte once c * r**k is folded back into c.
+PLAN_DIGEST = "60da6b1ccf28e3599f0a4e12ecbc9625ac93a26b1332d4daa3b1d7e7c64b4b91"
 
 
 def _corpus():

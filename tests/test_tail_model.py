@@ -9,9 +9,12 @@ first entry is improper), entries of exactly 0, 1/2 and 1, partial sums
 that hit an integer exactly, and limits at or below the target.  The tail
 walks (``TailRule.values``, ``TailRule.float_values``,
 ``DiagonalSpec.float_entries`` and the sqrt-tail rows) must give
-``value(j)`` and ``float(entry(k))`` bit for bit.
+``value(j)`` and ``float(entry(k))`` bit for bit.  Every ``TailRule`` method
+must match the four-branch closed forms of :class:`_Oracle` on c folded to
+c * r**k, and every rule must round-trip through its JSON.
 """
 
+import json
 import math
 import random
 from collections import Counter
@@ -19,7 +22,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from carpenter.errors import ConstructionError, OutOfRangeError
+from carpenter.errors import (
+    ConstructionError, OutOfRangeError, SpecError, UnsupportedStructureError,
+)
 from carpenter.seqcore import HALF, INF, DiagonalSpec, SparseVector, SqrtTail, TailRule
 from carpenter.tetris import min_s
 
@@ -161,12 +166,16 @@ def test_min_s_on_large_and_mixed_denominators():
 
 
 def _walk_rules():
-    """Rules of all four kinds: c = 1, r = 39/40, and reindexed geometric tails."""
+    """Rules of all four kinds: c = 1, r = 39/40, reindexed geometric tails, and deep
+    reindexes that carry an exponent (k = 2115 at r = 199/200, steps 2 and 3, chained)."""
     rules = [TailRule.zero(), TailRule.constant(0), TailRule.constant("2/5"), TailRule.constant(1)]
     for make in (TailRule.geometric, TailRule.one_minus_geometric):
         for c, r in ((1, "1/2"), ("3/4", "39/40"), (1, "39/40"), ("1/3", "9/10"), ("5/7", "2/3")):
             rule = make(c, r)
             rules += [rule, rule.reindexed(2), rule.reindexed(7, 3), rule.reindexed(40, 2)]
+        deep = make(1, "199/200")
+        rules += [deep.reindexed(2116), deep.reindexed(2116, 2), deep.reindexed(2116, 3)]
+        rules += [deep.reindexed(7, 3).reindexed(40, 2), deep.reindexed(2116).reindexed(5, 3)]
     return rules
 
 
@@ -203,3 +212,177 @@ def test_sqrt_tail_rows_walk_the_rule():
             expected = [(start + (j - 1) * stride, rule.value(j)) for j in range(1, 302)]
             assert [(k, q) for k, _, q in tail_rows] == expected, (rule, start, stride)
             assert [v for _, v, _ in tail_rows] == [math.sqrt(q) for _, q in expected]
+
+
+class _Oracle:
+    """The four kinds as four closed forms, on c folded to c * r**k.
+
+    The reference for the one-formula ``TailRule``: each method below branches
+    on the kind, and the searches walk offset by offset.
+    """
+
+    def __init__(self, kind, c=None, r=None):
+        self.kind, self.c, self.r = kind, c, r
+
+    @classmethod
+    def of(cls, rule):
+        if rule.kind == "zero":
+            return cls("zero")
+        if rule.kind == "constant":
+            return cls("constant", rule.c)
+        return cls(rule.kind, rule.c * rule.r**rule.k, rule.r)
+
+    def value(self, j):
+        if self.kind == "zero":
+            return F(0)
+        if self.kind == "constant":
+            return self.c
+        g = self.c * self.r ** (j - 1)
+        return g if self.kind == "geometric" else 1 - g
+
+    def partial_sum(self, j):
+        if self.kind == "zero":
+            return F(0)
+        if self.kind == "constant":
+            return j * self.c
+        geo = self.c * (1 - self.r**j) / (1 - self.r)
+        return geo if self.kind == "geometric" else j - geo
+
+    def sum_from(self, j):
+        if self.kind == "zero":
+            return F(0)
+        if self.kind == "constant":
+            return F(0) if self.c == 0 else INF
+        if self.kind == "geometric":
+            return self.c * self.r ** (j - 1) / (1 - self.r)
+        return INF
+
+    def reach(self, x):
+        if x <= 0:
+            return 0
+        if self.sum_from(1) <= x:
+            return None
+        if self.kind == "constant":
+            return math.ceil(x / self.c)
+        j, s, g = 0, F(0), self.c
+        while s < x:
+            j, s, g = j + 1, s + (g if self.kind == "geometric" else 1 - g), g * self.r
+        return j
+
+    def sum_reach(self, x):
+        if self.sum_from(1) <= x:
+            return 1
+        if self.kind != "geometric" or x <= 0:
+            return None
+        j = 1
+        while self.sum_from(j) > x:
+            j += 1
+        return j
+
+    def complement(self):
+        if self.kind == "zero":
+            return _Oracle("constant", F(1))
+        if self.kind == "constant":
+            return _Oracle("constant", 1 - self.c)
+        other = "one_minus_geometric" if self.kind == "geometric" else "geometric"
+        return _Oracle(other, self.c, self.r)
+
+    def reindexed(self, j0, step):
+        if self.kind in ("zero", "constant"):
+            return self
+        return _Oracle(self.kind, self.c * self.r ** (j0 - 1), self.r**step)
+
+    def half_exceptions(self):
+        if self.kind in ("zero", "constant"):
+            return 0, self.value(1) <= HALF
+        e, g = 0, self.c
+        if self.kind == "geometric":
+            while g > HALF:
+                e, g = e + 1, g * self.r
+            return e, True
+        while 1 - g <= HALF:
+            e, g = e + 1, g * self.r
+        return e, False
+
+    def proper_exceptions(self):
+        if self.kind in ("zero", "constant"):
+            return 0, 0 < self.value(1) < 1
+        return int(self.c == 1), True
+
+
+TARGETS = (-1, 0, F(1, 1000), F(1, 3), 1, F(5, 2), 7)
+
+
+def _same_rule(rule, oracle, n=40):
+    assert rule.kind == oracle.kind
+    assert [rule.value(j) for j in range(1, n + 1)] == [oracle.value(j) for j in range(1, n + 1)]
+
+
+def test_every_method_matches_the_four_branch_oracle():
+    for rule in _walk_rules():
+        o = _Oracle.of(rule)
+        _same_rule(rule, o)
+        assert list(rule.values(300)) == [o.value(j) for j in range(1, 301)], rule
+        assert rule.float_values(300) == [float(o.value(j)) for j in range(1, 301)], rule
+        for j in (0, 1, 2, 39, 300):
+            assert rule.partial_sum(j) == o.partial_sum(j), (rule, j)
+            if j:
+                assert rule.sum_from(j) == o.sum_from(j), (rule, j)
+        for x in TARGETS:
+            assert rule.reach(x) == o.reach(x), (rule, x)
+            assert rule.sum_reach(x) == o.sum_reach(x), (rule, x)
+        assert rule.half_exceptions() == o.half_exceptions(), rule
+        assert rule.proper_exceptions() == o.proper_exceptions(), rule
+        if rule.k:
+            assert rule.proper_exceptions()[0] == 0, rule
+        _same_rule(rule.complement(), o.complement())
+        for j0, step in ((1, 1), (2, 1), (3, 2), (7, 3), (40, 2), (2116, 1)):
+            _same_rule(rule.reindexed(j0, step), o.reindexed(j0, step))
+    assert sum(rule.k > 500 for rule in _walk_rules()) == 8
+
+
+def test_reindexed_keeps_c_short_and_takes_no_power_past_the_step():
+    deep = TailRule.one_minus_geometric(1, "199/200")
+    assert deep.reindexed(2116) == TailRule("one_minus_geometric", 1, "199/200", 2115)
+    r = F(199, 200)
+    assert deep.reindexed(2116, 3) == TailRule("one_minus_geometric", 1, r**3, 705)  # 2115 = 3 * 705
+    assert deep.reindexed(2117, 3) == TailRule("one_minus_geometric", r, r**3, 705)  # 2116 = 3 * 705 + 1
+    chained = deep.reindexed(2116).reindexed(5, 3)  # exponent 2115 + 4 = 2119 = 3 * 706 + 1
+    assert chained == TailRule("one_minus_geometric", r, r**3, 706)
+
+
+def test_half_exceptions_near_one_are_found_without_a_walk():
+    rule = TailRule.geometric(1, "99999/100000")
+    e, rest_small = rule.half_exceptions()
+    assert (e, rest_small) == (69315, True)
+    assert rule.value(e) > HALF >= rule.value(e + 1)
+    e, rest_small = rule.complement().half_exceptions()
+    assert (e, rest_small) == (69315, False)
+    # a crossing whose exact power would pass the bit budget is refused before it is taken
+    with pytest.raises(UnsupportedStructureError, match="threshold crossing"):
+        TailRule.geometric(1, "999999999/1000000000").half_exceptions()
+    with pytest.raises(UnsupportedStructureError, match="threshold crossing"):
+        TailRule.geometric(1, F(2**70 - 1, 2**70)).half_exceptions()
+
+
+def test_every_rule_round_trips_through_json():
+    for rule in _walk_rules():
+        d = rule.to_json_dict()
+        assert ("k" in d) == (rule.k > 0), d
+        back = TailRule.from_json_dict(json.loads(json.dumps(d)))
+        assert back == rule and back.to_json_dict() == d, rule
+
+
+@pytest.mark.parametrize("tail", [
+    {"kind": "geometric", "c": "1", "r": "1/2", "k": -1},
+    {"kind": "geometric", "c": "1", "r": "1/2", "k": True},
+    {"kind": "geometric", "c": "1", "r": "1/2", "k": 3.0},
+    {"kind": "geometric", "c": "1", "r": "1/2", "k": "3"},
+    {"kind": "constant", "c": "1/2", "k": 3},
+    {"kind": "zero", "k": 1},
+    {"kind": "one_minus_geometric", "c": "1", "r": "1/2", "k": 2**22 + 1},
+    {"kind": "geometric", "c": "1", "r": "199/200", "k": 10**100},
+])
+def test_bad_exponents_are_refused(tail):
+    with pytest.raises(SpecError, match="'k'"):
+        TailRule.from_json_dict(tail)
