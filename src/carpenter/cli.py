@@ -101,12 +101,8 @@ def _cmd_check(args) -> int:
 def _cmd_construct(args) -> int:
     spec = _load_spec(args.spec)
     r = route(spec)
-    trace: dict = {}
-    if args.trace:
-        rep = r.build(args.vectors, trace)
-        settled = trace["settled_prefix"]
-    else:  # no decoupling plan is formatted only to be thrown away
-        rep, settled = r.build_settled(args.vectors)
+    trace = {} if args.trace else None
+    rep, settled = r.build_settled(args.vectors, trace)
     doc = {
         "spec": spec.to_json_dict(),
         "branch": list(r.label.path),

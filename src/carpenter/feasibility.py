@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from .errors import InfeasibleDiagonalError, UnsupportedStructureError
-from .seqcore import INF, DiagonalSpec, IndexMap, ProjectionRep, fmt_rat, over_lcm
+from .seqcore import INF, DiagonalSpec, ProjectionRep, fmt_rat, over_lcm
 
 __all__ = [
     "FeasibilityReport",
@@ -97,25 +96,31 @@ class BranchLabel:
 @dataclass(frozen=True)
 class Route:
     """A spec's leaf of the decision tree: its case report, the label naming
-    the leaf, and the leaf's constructor ``build(m=16, trace=None)``.
-
-    ``build`` records ``branch``, ``report`` and ``settled_prefix`` (None =
-    fully settled) in a trace dict the caller passes, so every traced label
-    is the route actually taken.  Without a trace the leaves record nothing,
-    and no bookkeeping is formatted.
+    the leaf, and the leaf's constructor ``leaf(m, trace)``.  A leaf returns
+    the representation, every vector in place, and its settled prefix (None =
+    fully settled).  A passed trace dict records ``branch``, ``report`` and
+    ``settled_prefix`` next to the leaf's bookkeeping; without one nothing is
+    recorded or formatted.
     """
 
     report: FeasibilityReport
     label: BranchLabel
-    build: Callable[..., ProjectionRep]
+    leaf: Callable[[int, dict | None], tuple[ProjectionRep, int | None]]
 
-    def build_settled(self, m: int = 16) -> tuple[ProjectionRep, int | None]:
-        """``build(m)`` and its settled prefix.  A summable leaf settles every
-        entry, so it is built without a trace."""
-        if self.report.case == "summable":
-            return self.build(m), None
-        trace: dict = {}
-        return self.build(m, trace), trace["settled_prefix"]
+    def build_settled(
+        self, m: int = 16, trace: dict | None = None
+    ) -> tuple[ProjectionRep, int | None]:
+        """The one build: the leaf's output, of which ``build`` keeps the first element."""
+        if trace is not None:
+            trace["branch"] = list(self.label.path)
+            trace["report"] = self.report.to_json_dict()
+        rep, settled = self.leaf(m, trace)
+        if trace is not None:
+            trace["settled_prefix"] = settled
+        return rep, settled
+
+    def build(self, m: int = 16, trace: dict | None = None) -> ProjectionRep:
+        return self.build_settled(m, trace)[0]
 
 
 def route(spec: DiagonalSpec) -> Route:
@@ -136,10 +141,6 @@ def route(spec: DiagonalSpec) -> Route:
         )
     from . import summable, tetris  # deferred: both constructor modules import this one
 
-    def tetris_leaf(work: DiagonalSpec, k: int, flip: bool):  # complemented back if flip
-        fill = partial(tetris.tetris, work, k)
-        return (lambda m, trace: fill(m, trace).complementary()) if flip else fill
-
     if report.case != "summable":
         # stream on the side whose small-entry mass diverges
         flip = report.case == "nonsummable_b"
@@ -153,15 +154,19 @@ def route(spec: DiagonalSpec) -> Route:
         head = ("NonsummableB", "S_finite", "complement") if flip else ("NonsummableA", "S_infty")
         leaf = ("X_k(k=0)", "tetris") if k == 0 else (f"X_k(k={k})", f"residue-split(k={k})")
         path = head + leaf
-        build = tetris_leaf(work, k, flip)
+
+        def build(m, trace):  # complemented back if flip
+            rep, settled = tetris.tetris(work, k, m, trace)
+            return (rep.complementary() if flip else rep), settled
+
     else:
         prop = spec.proper_classes()
         n_proper = prop.count(True)
         if n_proper != INF:
             path = ("Summable", f"X_{{k1..kn}}(n={n_proper})", "finite-schur-horn")
-            build = lambda m, trace: summable._finite_schur_horn(spec)
+            build = lambda m, trace: (summable._finite_schur_horn(spec), None)
         else:
-            # strip the finitely many 0/1 entries, then route the proper subsequence
+            # strip the 0/1 entries; each leaf places the proper ones through emb
             sub, emb, improper = summable.proper_subspec(spec)
             half = sub.half_classes()
             n_small, n_large = half.count(True), half.count(False)
@@ -170,35 +175,27 @@ def route(spec: DiagonalSpec) -> Route:
                     "both threshold classes infinite with convergent sums: "
                     "not expressible with the supported tails"
                 )
-            place = emb  # the decouple leaves relabel through emb themselves
             if n_large == INF and n_small >= 2:
                 leaf = ("X'", f"X_N(N={n_small})", "decouple")
                 fill = lambda m, trace: summable.summable_construct2(sub, trace, emb)
-                place = IndexMap()
             elif n_large == INF:
                 leaf = ("X'", f"X_N(N={n_small})", "complement-tetris")
                 work = sub.complement()
-                fill = tetris_leaf(work, work.half_classes().count(False), True)
+                k = work.half_classes().count(False)
+                fill = lambda m, trace: tetris.tetris(work, k, m, trace, emb)[0].complementary()
             elif n_large >= 2:
                 leaf = ("X\\X'", "complement", f"X_N(N={n_large})", "decouple")
                 fill = lambda m, trace: summable.summable_construct2(
                     sub.complement(), trace, emb
                 ).complementary()
-                place = IndexMap()
             else:
                 leaf = ("X\\X'", f"X_N(N={n_large})", "tetris")
-                fill = tetris_leaf(sub, n_large, False)
+                fill = lambda m, trace: tetris.tetris(sub, n_large, m, trace, emb)[0]
             path = ("Summable", "proper-infinite") + leaf
-            build = lambda m, trace: summable.embed_with_improper(fill(m, trace), place, improper)
+            # a finite mass is filled completely: every entry is settled
+            build = lambda m, trace: (summable.embed_with_improper(fill(m, trace), improper), None)
 
-    def run(m: int = 16, trace: dict | None = None) -> ProjectionRep:
-        if trace is not None:
-            trace["branch"] = list(path)
-            trace["report"] = report.to_json_dict()
-            trace["settled_prefix"] = None
-        return build(m, trace)
-
-    return Route(report, BranchLabel(path), run)
+    return Route(report, BranchLabel(path), build)
 
 
 def branch_of(spec: DiagonalSpec) -> BranchLabel:

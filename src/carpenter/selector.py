@@ -39,8 +39,9 @@ def carpenter(spec: DiagonalSpec, m: int = 16, trace: dict | None = None) -> Pro
     ``m`` bounds the number of streamed vectors per subsequence in the
     divergent case; convergent-defect constructions ignore it and settle every
     entry.  Raises InfeasibleDiagonalError when no such projection exists.
-    A passed ``trace`` dict collects the branch label, the case report, the
-    construction bookkeeping, and ``settled_prefix`` (None = fully settled).
+    This is ``route(spec).build(m, trace)``; ``build_settled`` also returns
+    the settled prefix (None = fully settled), which a passed ``trace`` dict
+    records beside the branch label, the case report and the bookkeeping.
     """
     return route(spec).build(m, trace)
 
@@ -96,12 +97,13 @@ def verify_projection(
 
     ``settled`` limits the diagonal comparison to entries no later vector can
     change (None = all of 1..m are settled, as for complete constructions);
-    a negative ``settled`` is a SpecError.  The idempotency bound lays out
+    a negative ``m`` or ``settled`` is a SpecError.  The idempotency bound lays out
     densely only the vectors with a nonzero row of E = G - I, cut to the
     indices <= m they touch.
     """
-    if settled is not None and settled < 0:
-        raise SpecError(f"settled must be non-negative, got {settled}")
+    for name, size in (("m", m), ("settled", settled)):
+        if size is not None and size < 0:
+            raise SpecError(f"{name} must be non-negative, got {size}")
     vs = rep.vectors
     n = len(vs)
     e = rep.gram()  # becomes |E| = |G - I| in place: one n x n array
@@ -216,8 +218,12 @@ def necessity_oracle(dim: int, trials: int, seed: int = 1729, tol: float = 1e-9)
     For each trial a random rank and random orthogonal conjugation produce a
     projection diagonal d; the defect sums a = sum of small entries and
     b = sum of (1 - large entries) must differ by an integer up to roundoff
-    (entries are exact dyadic floats, the sums are computed exactly).
+    (entries are exact dyadic floats, the sums are computed exactly).  A
+    negative ``dim`` or ``trials`` is a SpecError.
     """
+    for name, size in (("dim", dim), ("trials", trials)):
+        if size < 0:
+            raise SpecError(f"{name} must be non-negative, got {size}")
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0

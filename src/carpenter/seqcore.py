@@ -869,8 +869,8 @@ class IndexMap:
 
     One type covers every relabel: a residue class (``IndexMap((), k, m)``),
     a shifted block (``IndexMap((), 1, 1 + shift)``), the proper entries
-    (explicit head, then a shift) and the inverse of a permutation window
-    (``IndexMap(inverse.window)``).
+    (explicit head, then a shift) and a permutation window, which is an index
+    map whose head is its window.
     """
 
     head: tuple[int, ...] = ()
@@ -896,11 +896,15 @@ class IndexMap:
         h = len(self.head)
         return (self.stride, self.offset) == (1, 1) and self.head == tuple(range(1, h + 1))
 
-    def after(self, perm: "PermutationWindow") -> "IndexMap":
-        """The map i -> self.map_index(perm.apply(i)): one relabel in place of two."""
-        n = max(perm.size, len(self.head))
-        return IndexMap(tuple(self.map_index(perm.apply(i)) for i in range(1, n + 1)),
-                        self.stride, self.offset)
+    def after(self, inner: "IndexMap") -> "IndexMap":
+        """The map i -> self.map_index(inner.map_index(i)): one relabel in place of two.
+
+        Its head ends where ``inner`` has passed this map's head, so the one
+        relabel materializes the tail entries that the two would.
+        """
+        n = max(len(inner.head), (len(self.head) - inner.offset) // inner.stride + 1)
+        return IndexMap(tuple(self.map_index(inner.map_index(i)) for i in range(1, n + 1)),
+                        inner.stride * self.stride, (inner.offset - 1) * self.stride + self.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,32 +1108,34 @@ def _gram_tile(
 # permutations
 
 
-@dataclass(frozen=True)
-class PermutationWindow:
+class PermutationWindow(IndexMap):
     """A permutation of the positive integers that is the identity beyond a window.
 
     ``window[i-1]`` is the image of i for 1 <= i <= M; larger indices map to
-    themselves.
+    themselves.  It is the index map whose head is the window.
     """
 
-    window: tuple[int, ...] = ()
+    def __post_init__(self):  # a bijection passes every index map check
+        n = len(self.head)
+        if sorted(self.head) != list(range(1, n + 1)) or (self.stride, self.offset) != (1, 1):
+            raise SpecError(f"window is not a bijection of 1..{n}")
 
-    def __post_init__(self):
-        if sorted(self.window) != list(range(1, len(self.window) + 1)):
-            raise SpecError(f"window is not a bijection of 1..{len(self.window)}")
+    @property
+    def window(self) -> tuple[int, ...]:
+        return self.head
 
     @property
     def size(self) -> int:
-        return len(self.window)
+        return len(self.head)
 
     def apply(self, i: int) -> int:
         if i < 1:
             raise OutOfRangeError(f"index {i} < 1")
-        return self.window[i - 1] if i <= len(self.window) else i
+        return self.head[i - 1] if i <= len(self.head) else i
 
     def inverse(self) -> "PermutationWindow":
-        inv = [0] * len(self.window)
-        for i, img in enumerate(self.window, start=1):
+        inv = [0] * len(self.head)
+        for i, img in enumerate(self.head, start=1):
             inv[img - 1] = i
         return PermutationWindow(tuple(inv))
 
@@ -1161,8 +1167,8 @@ def conjugate_by_permutation(rep: ProjectionRep, perm: PermutationWindow) -> Pro
     The result Q satisfies diag(Q)(i) = diag(P)(perm(i)); vector supports are
     relabelled through the inverse permutation.
     """
-    emb = IndexMap(perm.inverse().window)
-    return ProjectionRep(rep.form, tuple(v.remap(emb) for v in rep.vectors))
+    inv = perm.inverse()
+    return ProjectionRep(rep.form, tuple(v.remap(inv) for v in rep.vectors))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def rank_one(spec: DiagonalSpec) -> ProjectionRep:
     """The rank-one projection onto the vector with squares f_i (needs sum f = 1)."""
     if spec.total() != 1:
         raise ConstructionError(f"total mass {fmt_rat(spec.total())} != 1")
-    return tetris_vectors(spec, 1).frame()  # the fill's one vector absorbs everything
+    return ProjectionRep.frame(tetris_vectors(spec, 1).vectors)  # one vector takes all
 
 
 def proper_subspec(spec: DiagonalSpec):
@@ -298,21 +298,19 @@ def summable_construct2(
     if trace is not None:
         trace["plan"] = plan.to_json_dict()
         trace["beta"] = list(beta.window)
-        trace["settled_prefix"] = None
     return rep
 
 
-def embed_with_improper(rep: ProjectionRep, emb, improper) -> ProjectionRep:
-    """Transport a construction on the proper entries back to the full index set.
+def embed_with_improper(rep: ProjectionRep, improper) -> ProjectionRep:
+    """Complete a construction whose vectors already sit at the proper entries.
 
     Frames pick up a basis vector for every entry equal to 1, coframes for
     every entry equal to 0; the other improper value is handled by the
     representation form itself.
     """
-    vecs = [v.remap(emb) for v in rep.vectors]
     keep = 1 if rep.form == "frame" else 0
     extras = sorted(j for j, val in improper if val == keep)
-    return ProjectionRep(rep.form, tuple(vecs) + tuple(SparseVector.basis(j) for j in extras))
+    return ProjectionRep(rep.form, rep.vectors + tuple(SparseVector.basis(j) for j in extras))
 
 
 def summable_construct(spec: DiagonalSpec, trace: dict | None = None) -> ProjectionRep:
@@ -345,4 +343,4 @@ def _finite_schur_horn(spec: DiagonalSpec) -> ProjectionRep:
     rng, _ = _projection_rows([spec.entry(i) for i in proper_idx], rng=True, ker=False)
     # past rest_start every entry is proper or 0
     ones = [(i, 1) for i in range(1, prop.rest_start()) if spec.entry(i) == 1]
-    return embed_with_improper(ProjectionRep.frame(tuple(rng)), emb, ones)
+    return embed_with_improper(ProjectionRep.frame(v.remap(emb) for v in rng), ones)

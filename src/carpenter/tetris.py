@@ -33,7 +33,6 @@ from .seqcore import (
     ProjectionRep,
     SparseVector,
     SqrtTail,
-    conjugate_by_permutation,
     fmt_rat,
     over_lcm,
     rat,
@@ -120,9 +119,6 @@ class TetrisOutput:
     min_s: dict[int, int]
     sigma: tuple[Fraction, ...]
     a_coef: tuple[Fraction, ...]
-
-    def frame(self) -> ProjectionRep:
-        return ProjectionRep.frame(self.vectors)
 
 
 def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
@@ -333,58 +329,58 @@ def nonsummable_construct(spec: DiagonalSpec, m: int, trace: dict | None = None)
     return r.build(m, trace)
 
 
-def _sorted_fill(spec: DiagonalSpec, m: int, label) -> tuple[ProjectionRep, dict, int | None]:
-    """Sort blockwise, stream m fill vectors, undo the sort.
-
-    Returns the representation, the part's bookkeeping (tagged ``label``) and
-    the settled prefix in the spec's own indices (None = complete).
+def _sorted_fill(
+    spec: DiagonalSpec, m: int, emb: IndexMap, parts: list | None, label
+) -> tuple[list[SparseVector], int | None]:
+    """Sort blockwise, stream m fill vectors, and relabel each once, through
+    ``emb`` after the unsort.  Returns the vectors and the settled prefix in
+    the spec's indices (None = complete); ``parts`` gets the bookkeeping.
     """
     g, perm = block_sort(spec)
     out = tetris_vectors(g, m)
-    inv = perm.inverse()
-    rep = conjugate_by_permutation(out.frame(), inv)
-    part = {
-        "part": label,
-        "block_permutation": list(perm.window),
-        "min_s": {str(n): v for n, v in out.min_s.items()},
-        "sigma": [fmt_rat(s) for s in out.sigma],
-        "a": [fmt_rat(a) for a in out.a_coef],
-        "settled_prefix": out.settled_prefix,
-    }
-    return rep, part, _settled_through(out.settled_prefix, inv)
+    relabel = emb.after(perm)
+    if parts is not None:
+        parts.append({
+            "part": label,
+            "block_permutation": list(perm.window),
+            "min_s": {str(n): v for n, v in out.min_s.items()},
+            "sigma": [fmt_rat(s) for s in out.sigma],
+            "a": [fmt_rat(a) for a in out.a_coef],
+            "settled_prefix": out.settled_prefix,
+        })
+    vectors = [v.remap(relabel) for v in out.vectors]
+    return vectors, _settled_through(out.settled_prefix, perm.inverse())
 
 
-def tetris(spec: DiagonalSpec, k: int, m: int, trace: dict | None) -> ProjectionRep:
+def tetris(
+    spec: DiagonalSpec, k: int, m: int, trace: dict | None, emb: IndexMap = IndexMap()
+) -> tuple[ProjectionRep, int | None]:
     """Every tetris leaf: one sorted fill when ``spec`` has k = 0 entries > 1/2,
     else its k residue parts (:func:`interleave_split_fin`) in the slots of beta.
 
     A divergent total streams m vectors per part; a finite total N fills N.
+    Each part's block unsort, residue slot, beta's inverse and ``emb`` (the
+    spec's places in a longer spec) compose into one index map, so every
+    vector is relabelled once.  Returns the representation and the settled
+    prefix as :func:`_sorted_fill` does.
     """
     n_total = _natural_total(spec)
     if n_total is not None:
         m = n_total
-    if k == 0:
-        rep, part, settled = _sorted_fill(spec, m, None)
-        if trace is not None:
-            trace["parts"] = [part]
-            trace["settled_prefix"] = settled
-        return rep
-    subs, beta = interleave_split_fin(spec, k)
-    vectors: list[SparseVector] = []
-    parts = []
-    slot_settled = []
-    for idx, subspec in enumerate(subs, start=1):
-        local, part, local_settled = _sorted_fill(subspec, m, idx)
-        emb = IndexMap((), k, idx)
-        vectors.extend(v.remap(emb) for v in local.vectors)
-        parts.append(part)
+    subs, beta = interleave_split_fin(spec, k) if k else ([spec], PermutationWindow())
+    outer = emb.after(beta.inverse())
+    parts = None if trace is None else []
+    vectors, slot_settled = [], []
+    for idx, sub in enumerate(subs, start=1):
+        slot = IndexMap((), len(subs), idx)
+        local, local_settled = _sorted_fill(sub, m, outer.after(slot), parts, idx if k else None)
+        vectors += local
         # a finished part (settled None) does not constrain the rest
         if local_settled is not None:
-            slot_settled.append(local_settled * k + idx)
+            slot_settled.append(local_settled * len(subs) + idx)
     if trace is not None:
         trace["parts"] = parts
-        trace["beta"] = list(beta.window)
-        trace["settled_prefix"] = (
-            _settled_through(min(slot_settled) - 1, beta) if slot_settled else None
-        )
-    return conjugate_by_permutation(ProjectionRep.frame(vectors), beta)
+        if k:
+            trace["beta"] = list(beta.window)
+    settled = _settled_through(min(slot_settled) - 1, beta) if slot_settled else None
+    return ProjectionRep.frame(vectors), settled

@@ -148,6 +148,20 @@ def test_verify_projection_rejects_negative_settled():
     assert not verify_projection(rep, DiagonalSpec.of("1/2"), 4, settled=1).passed
 
 
+def test_verify_projection_rejects_negative_dimension():
+    s = DiagonalSpec((), TailRule.constant("2/5"))
+    rep = carpenter(s, 8)
+    with pytest.raises(SpecError, match=r"^m must be non-negative, got -1$"):
+        verify_projection(rep, s, -1)
+    assert verify_projection(rep, s, 0).passed  # an empty window compares nothing
+
+
+@pytest.mark.parametrize("dim, trials, name", [(-1, 3, "dim"), (3, -1, "trials")])
+def test_necessity_oracle_rejects_negative_sizes(dim, trials, name):
+    with pytest.raises(SpecError, match=rf"^{name} must be non-negative, got -1$"):
+        necessity_oracle(dim, trials)
+
+
 def test_carpenter_field_runs_all_cells(classify_calls):
     field = CellField(
         (

@@ -355,18 +355,30 @@ def test_remap_under_a_head_that_fixes_every_index_is_the_vector():
 
 def test_index_map_after_a_permutation_is_the_composition():
     rng = random.Random(3)
+    v = SparseVector.from_exact(
+        [(1, F(1, 4), 1), (3, F(1, 8), -1)],
+        sqrt_tail=SqrtTail(4, TailRule.geometric("1/8", "1/2")),
+    )
+    others = [IndexMap(), IndexMap((), 3, 2), IndexMap((), 1, 4), IndexMap((2, 5, 6), 1, 5)]
     for emb in (IndexMap(), IndexMap((), 1, 3), IndexMap((2, 5, 6), 1, 5), IndexMap((), 3, 2)):
-        for size in (0, 2, 5, 9):
-            perm = PermutationWindow(tuple(rng.sample(range(1, size + 1), size)))
-            both = emb.after(perm)
-            assert [both.map_index(i) for i in range(1, 30)] == [
-                emb.map_index(perm.apply(i)) for i in range(1, 30)
+        perms = [
+            PermutationWindow(tuple(rng.sample(range(1, size + 1), size))) for size in (0, 2, 5, 9)
+        ]
+        for inner in perms + others:
+            both = emb.after(inner)
+            assert [both.map_index(i) for i in range(1, 41)] == [
+                emb.map_index(inner.map_index(i)) for i in range(1, 41)
             ]
-            v = SparseVector.from_exact(
-                [(1, F(1, 4), 1), (3, F(1, 8), -1)],
-                sqrt_tail=SqrtTail(4, TailRule.geometric("1/8", "1/2")),
-            )
-            assert v.remap(both) == v.remap(IndexMap(perm.window)).remap(emb)
+            # one relabel materializes the same tail entries as the two in turn
+            assert v.remap(both) == v.remap(inner).remap(emb)
+    # a permutation window is the index map whose head is its window
+    p = PermutationWindow((3, 1, 2))
+    assert isinstance(p, IndexMap) and (p.head, p.stride, p.offset) == ((3, 1, 2), 1, 1)
+    assert p.window == (3, 1, 2) and p.size == 3
+    assert [p.apply(i) for i in range(1, 7)] == [p.map_index(i) for i in range(1, 7)]
+    assert [p.apply(i) for i in range(1, 7)] == [3, 1, 2, 4, 5, 6]
+    assert p.inverse() == PermutationWindow((2, 3, 1)) and type(p.inverse()) is PermutationWindow
+    assert v.remap(p) == v.remap(IndexMap(p.window))
 
 
 @pytest.mark.parametrize("indices", [(0, 2), (1, 1), (3, 2), (1, 4, 4), (2, 5, 3)])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from carpenter.errors import ConstructionError, OutOfRangeError, SpecError
-from carpenter.seqcore import DiagonalSpec, ProjectionRep, TailRule
+from carpenter.feasibility import route
+from carpenter.seqcore import DiagonalSpec, ProjectionRep, SparseVector, TailRule
 from carpenter.tetris import (
     block_sort,
     coupling,
@@ -443,3 +444,35 @@ def test_nonsummable_complement_path():
 def test_nonsummable_rejects_summable_input():
     with pytest.raises(ConstructionError):
         nonsummable_construct(spec(*["2/5"] * 5), 2)
+
+
+@pytest.mark.parametrize(
+    "s, leaf",
+    [
+        (spec("1/8", "1/3", "1/5", "2/5", tail=TailRule.constant("2/5")), "S_infty/X_k(k=0)"),
+        (
+            spec("1/5", "3/4", "1/3", "5/6", "1/8", "7/8", "2/5", tail=TailRule.constant("1/3")),
+            "residue-split(k=3)",
+        ),
+        (spec("7/8", "2/3", "4/5", tail=TailRule.constant("3/5")), "NonsummableB/S_finite"),
+        (spec("1", "3/4", "0", tail=TailRule.geometric("1/8", "1/2")), "X\\X'/X_N(N=1)/tetris"),
+    ],
+)
+def test_every_tetris_leaf_relabels_each_vector_once(monkeypatch, s, leaf):
+    # the block unsort, the residue slot, beta and the proper-entry embedding
+    # compose into one index map, so remap builds at most one new vector per
+    # emitted vector
+    built = []
+    remap = SparseVector.remap
+
+    def counting(self, emb):
+        out = remap(self, emb)
+        if out is not self:
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(SparseVector, "remap", counting)
+    r = route(s)
+    assert leaf in str(r.label)
+    n = len(r.build(6).vectors)
+    assert 0 < len(built) <= n, (len(built), n)
