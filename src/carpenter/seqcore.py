@@ -5,8 +5,9 @@ closed-form tail rule, so partial sums, tail masses and threshold counts stay
 exact.  Projections are stored as lists of sparse vectors, either directly
 (``frame``: P = sum v v^T) or through the complement (``coframe``:
 P = I - sum v v^T).  Vector entries whose squares are known rationals carry
-that exact square alongside the floating-point value; analytic square-root
-tails carry their rule, so norms and diagonals of infinite vectors are exact.
+that exact square alongside the floating-point value, as integer numerators
+over one denominator per vector; analytic square-root tails carry their rule,
+so norms and diagonals of infinite vectors are exact.
 """
 
 from __future__ import annotations
@@ -88,6 +89,20 @@ def rat(x) -> Fraction:
     raise SpecError(f"not an exact rational: {x!r}{hint}")
 
 
+def _ratio(x) -> tuple[int, int]:
+    """``(p, q)``, q > 0, p/q the rational :func:`rat` reads from x: a ``"p/q"`` string is
+    split with two ``int`` calls and no Fraction (nor gcd), anything else goes through rat."""
+    if type(x) is str:
+        num, _, den = x.partition("/")
+        try:
+            if num.isascii() and num.isdigit() and den.isascii() and den.isdigit() and (d := int(den)):
+                return int(num), d
+        except ValueError:  # past the digit limit: rat names the string
+            pass
+    q = rat(x)
+    return q.numerator, q.denominator
+
+
 def over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``(d, [x*d for x in xs])``: the Fractions as integers over their least common denominator d.
 
@@ -153,10 +168,15 @@ def fmt_rat(q: Fraction) -> str:
     """
     if not isinstance(q, Fraction):
         q = Fraction(q)
+    return _fmt_ratio(q.numerator, q.denominator)
+
+
+def _fmt_ratio(p: int, q: int) -> str:
+    """:func:`fmt_rat` of p/q, given in lowest terms with q > 0."""
     try:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:
-        n = max(abs(q.numerator), q.denominator)
+        n = max(abs(p), q)
         digits = max(int(n.bit_length() * math.log10(2)) - 1, 1)
         while 10**digits <= n:
             digits += 1
@@ -193,6 +213,7 @@ class TailRule:
     r: Fraction | None = None
     k: int = 0
     u: int = field(init=False, repr=False, compare=False)
+    flat: bool = field(init=False, repr=False, compare=False)  # r == 1, tested once
 
     def __post_init__(self):
         u = 0
@@ -222,6 +243,7 @@ class TailRule:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "flat", r == 1)
         if not k:  # c * r**0 is c itself: the common case never calls the lazy _start
             object.__setattr__(self, "_start", c)
 
@@ -267,14 +289,14 @@ class TailRule:
         """Entry at tail offset j >= 1."""
         if j < 1:
             raise OutOfRangeError(f"tail offset {j} < 1")
-        g = self._start if self.r == 1 else self._start * self.r ** (j - 1)
+        g = self._start if self.flat else self._start * self.r ** (j - 1)
         return 1 - g if self.u else g
 
     def values(self, n: int | None = None) -> Iterator[Fraction]:
         """``value(1), ..., value(n)`` (with no n, every value in turn), one exact
         multiply per step in place of a power."""
         steps = () if n is None else (n,)
-        if self.r == 1:
+        if self.flat:
             yield from repeat(self.value(1), *steps)
             return
         g, r, u = self._start, self.r, self.u
@@ -289,7 +311,7 @@ class TailRule:
         one int true division: the correctly rounded quotient of the same
         rational that ``float`` rounds.
         """
-        if self.r == 1:
+        if self.flat:
             return [float(self.value(1))] * n
         num, den = self._start.numerator, self._start.denominator
         rn, rd = self.r.numerator, self.r.denominator
@@ -304,7 +326,7 @@ class TailRule:
         """Sum of the first j tail entries (j >= 0), exact."""
         if j < 0:
             raise OutOfRangeError(f"negative tail length {j}")
-        geo = j * self._start if self.r == 1 else self._start * (1 - self.r**j) / (1 - self.r)
+        geo = j * self._start if self.flat else self._start * (1 - self.r**j) / (1 - self.r)
         return j - geo if self.u else geo
 
     def sum_from(self, j: int):
@@ -313,7 +335,7 @@ class TailRule:
             raise OutOfRangeError(f"tail offset {j} < 1")
         if self.u:  # the entries tend to 1
             return INF
-        if self.r == 1:
+        if self.flat:
             return INF if self.c else _ZERO
         return self._start * self.r ** (j - 1) / (1 - self.r)
 
@@ -323,7 +345,7 @@ class TailRule:
             return 0
         if self.sum_from(1) <= x:  # a finite limit is never attained
             return None
-        if self.r == 1:
+        if self.flat:
             return math.ceil(x / self._start)
         j, s, g, u = 0, Fraction(0), self._start, self.u
         while s < x:
@@ -338,7 +360,7 @@ class TailRule:
         """
         if self.sum_from(1) <= x:
             return 1
-        if self.u or self.r == 1 or x <= 0:  # a constant or growing tail's sums never fall
+        if self.u or self.flat or x <= 0:  # a constant or growing tail's sums never fall
             return None
         return self._first_power_at_most(x * (1 - self.r) / self._start)
 
@@ -369,7 +391,7 @@ class TailRule:
 
     def complement(self) -> "TailRule":
         """Tail rule of the complementary sequence 1 - f."""
-        if self.r == 1:  # zero and constant: the constant 1 - c
+        if self.flat:  # zero and constant: the constant 1 - c
             return TailRule.constant(1 - self.c)
         return TailRule(GEOMETRIC if self.u else ONE_MINUS_GEOMETRIC, self.c, self.r, self.k)
 
@@ -377,7 +399,7 @@ class TailRule:
         """The tail of the entries at offsets j0, j0 + step, j0 + 2*step, ..."""
         if j0 < 1:
             raise OutOfRangeError(f"tail offset {j0} < 1")
-        if self.r == 1 or (j0, step) == (1, 1):
+        if self.flat or (j0, step) == (1, 1):
             return self
         q, m = divmod(self.k + j0 - 1, step)  # exponents m + (q + i - 1)*step: no power past step
         kind = ONE_MINUS_GEOMETRIC if self.u else GEOMETRIC
@@ -392,7 +414,7 @@ class TailRule:
         to the rest, and from offset e + 1 on every entry is <= 1/2 iff
         ``rest_small``.
         """
-        if self.r == 1:
+        if self.flat:
             return 0, self.value(1) <= HALF
         q = HALF / self._start
         j = self._first_power_at_most(q)
@@ -405,7 +427,7 @@ class TailRule:
 
         Same convention as :meth:`half_exceptions`: ``(e, rest_proper)``.
         """
-        if self.r == 1:
+        if self.flat:
             return 0, 0 < self.value(1) < 1
         # a decaying tail: only a first entry with c * r**k == 1 hits 0 or 1
         return int(self._start == 1), True
@@ -416,7 +438,7 @@ class TailRule:
         d: dict = {"kind": self.kind}
         if self.kind != ZERO_KIND:
             d["c"] = fmt_rat(self.c)
-        if self.r != 1:
+        if not self.flat:
             d["r"] = fmt_rat(self.r)
         if self.k:
             d["k"] = self.k
@@ -466,9 +488,15 @@ class DiagonalSpec:
         return cls(values, tail or TailRule.zero())
 
     @cached_property
-    def _cumsums(self) -> tuple[int, tuple[int, ...]]:
-        """``(d, (d*S_0, ..., d*S_p))``: the prefix sums over one common denominator d."""
+    def _prefix_nums(self) -> tuple[int, tuple[int, ...]]:
+        """``(d, (d*f_1, ..., d*f_p))``: the prefix entries over one common denominator d."""
         d, nums = over_lcm(self.prefix)
+        return d, tuple(nums)
+
+    @cached_property
+    def _cumsums(self) -> tuple[int, tuple[int, ...]]:
+        """``(d, (d*S_0, ..., d*S_p))``: the prefix sums over the same d."""
+        d, nums = self._prefix_nums
         return d, tuple(accumulate(nums, initial=0))
 
     @cached_property
@@ -643,7 +671,7 @@ class SqrtTail:
     def __post_init__(self):
         if self.start < 1 or self.stride < 1:
             raise SpecError("sqrt tail needs start >= 1 and stride >= 1")
-        if self.rule.u or self.rule.r == 1:
+        if self.rule.u or self.rule.flat:
             raise SpecError(f"sqrt tails must decay geometrically, got {self.rule.kind!r}")
 
     def offset_of(self, k: int) -> int | None:
@@ -653,58 +681,89 @@ class SqrtTail:
         return (k - self.start) // self.stride + 1
 
 
-def _check_square(v: float, q: Fraction):
-    """SpecError unless the exact square ``q`` is v*v up to float rounding (4 ulps)."""
+def _check_square(v: float, p: int, q: int):
+    """SpecError unless the exact square p/q (q > 0) is v*v up to float rounding (4 ulps)."""
     try:
-        f = q.numerator / q.denominator  # float(q), without its extra calls
+        f = p / q  # float(p/q): the correctly rounded quotient
     except OverflowError:  # beyond every float square; NaN matches nothing below
         f = math.nan
-    if q.numerator < 0 or not abs(v * v - f) <= 4 * 2**-52 * max(f, sys.float_info.min):
-        raise SpecError(f"square {fmt_rat(q)} does not match support value {v!r}")
+    if p < 0 or not abs(v * v - f) <= 4 * 2**-52 * max(f, sys.float_info.min):
+        raise SpecError(f"square {fmt_rat(Fraction(p, q))} does not match support value {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SparseVector:
     """A vector in l2 given by finite support plus an optional analytic tail.
 
     ``support`` holds (index, value) pairs with strictly increasing 1-based
-    indices; ``squares``, when present, gives the exact |value|^2 for each
-    support entry in order.  Tail entries are nonnegative square roots of the
-    rule values.
+    indices.  ``exact``, when present, stores the exact |value|^2 of every
+    support entry as ``(den, nums)``: integer numerators over one denominator
+    per vector, the least one, so equal squares are stored alike.
+    ``squares`` reads them as Fractions, built on first use, and the
+    constructor takes them as Fractions.  Tail entries are nonnegative square
+    roots of the rule values.
     """
 
-    support: tuple[tuple[int, float], ...] = ()
-    sqrt_tail: SqrtTail | None = None
-    squares: tuple[Fraction, ...] | None = None
+    support: tuple[tuple[int, float], ...]
+    sqrt_tail: SqrtTail | None
+    exact: tuple[int, tuple[int, ...]] | None
 
-    def __post_init__(self):
-        idx = [i for i, _ in self.support]
+    def __init__(self, support=(), sqrt_tail=None, squares=None):
+        self._set(support, sqrt_tail, *(() if squares is None else over_lcm(squares)))
+
+    @classmethod
+    def _over(cls, support, sqrt_tail, den: int | None = None, nums=()) -> "SparseVector":
+        """The vector whose support squares are ``nums[k] / den`` (den None: floats only)."""
+        v = cls.__new__(cls)
+        v._set(support, sqrt_tail, den, nums)
+        return v
+
+    def _set(self, support, sqrt_tail, den=None, nums=()):
+        idx = [i for i, _ in support]
         if idx and (idx[0] < 1 or not all(map(operator.lt, idx, idx[1:]))):  # C-level comparisons
             raise SpecError("support indices must be strictly increasing and >= 1")
-        if self.squares is not None and len(self.squares) != len(self.support):
+        if den is not None and len(nums) != len(support):
             raise SpecError("squares must align with support")
-        if self.sqrt_tail is not None and idx and idx[-1] >= self.sqrt_tail.start:
+        if sqrt_tail is not None and idx and idx[-1] >= sqrt_tail.start:
             raise SpecError("support must end before the sqrt tail starts")
+        if den is not None:  # one gcd: the least denominator, so equal squares are stored alike
+            g = math.gcd(den, *nums)
+            den, nums = (den, tuple(nums)) if g == 1 else (den // g, tuple(p // g for p in nums))
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "sqrt_tail", sqrt_tail)
+        object.__setattr__(self, "exact", None if den is None else (den, nums))
+
+    @cached_property
+    def squares(self) -> tuple[Fraction, ...] | None:
+        """The exact squares as Fractions, in support order (None when only floats are known)."""
+        if self.exact is None:
+            return None
+        den, nums = self.exact
+        return tuple(Fraction(p, den) for p in nums)
 
     @classmethod
     def from_exact(
         cls,
-        entries: Iterable[tuple[int, Fraction, int]],
+        entries: Iterable[tuple[int, Fraction | int, int]],
         sqrt_tail: SqrtTail | None = None,
+        den: int = 1,
     ) -> "SparseVector":
-        """Build from (index, exact square, sign) triples; zero squares are dropped."""
-        sup, sqs = [], []
-        for i, q, sign in sorted(entries):
-            q = rat(q)
-            if q == 0:
-                continue
-            sup.append((i, sign * math.sqrt(q)))
-            sqs.append(q)
-        return cls(tuple(sup), sqrt_tail, tuple(sqs))
+        """Build from (index, exact square, sign) triples; zero squares are dropped.
+
+        Each square is over ``den``: an integer numerator, or an exact rational.
+        """
+        rows = sorted(entries)
+        nums = [q for _, q, _ in rows]
+        if not all(type(q) is int for q in nums):
+            d, nums = over_lcm([rat(q) for q in nums])
+            den *= d
+        keep = [(i, q, sign) for (i, _, sign), q in zip(rows, nums) if q]
+        sup = tuple((i, sign * math.sqrt(q / den)) for i, q, sign in keep)
+        return cls._over(sup, sqrt_tail, den, [q for _, q, _ in keep])
 
     @classmethod
     def basis(cls, i: int) -> "SparseVector":
-        return cls(((i, 1.0),), None, (Fraction(1),))
+        return cls._over(((i, 1.0),), None, 1, (1,))
 
     @classmethod
     def from_dense(cls, values: Sequence[float]) -> "SparseVector":
@@ -718,26 +777,30 @@ class SparseVector:
     def rows(self, n: int) -> Iterator[tuple[int, float, Fraction | None]]:
         """``(index, value, exact square or None)`` for every entry at an index <= n.
 
-        Support rows come first, then the sqrt-tail rows; every finite view of
-        the vector (dense rows, diagonals, tail materialization) walks these.
+        Support rows come first, then the sqrt-tail rows.
         """
-        sqs = self.squares if self.squares is not None else (None,) * len(self.support)
-        for (i, v), q in zip(self.support, sqs):
+        return ((i, v, None if p is None else Fraction(p, q)) for i, v, p, q in self._rows(n))
+
+    def _rows(self, n: int) -> Iterator[tuple[int, float, int | None, int | None]]:
+        """:meth:`rows` with each exact square as ``p, q`` (p None when unknown): the walk
+        behind every finite view (dense rows, diagonals, tail materialization)."""
+        q, nums = (None, repeat(None)) if self.exact is None else self.exact
+        for (i, v), p in zip(self.support, nums):
             if i > n:
                 break
-            yield i, v, q
+            yield i, v, p, q
         t = self.sqrt_tail
         if t is not None:
             ks = range(t.start, n + 1, t.stride)
-            for k, q in zip(ks, t.rule.values(len(ks))):
-                yield k, math.sqrt(q), q
+            for k, f in zip(ks, t.rule.values(len(ks))):
+                yield k, math.sqrt(f), f.numerator, f.denominator
 
     def exact_norm_sq(self) -> Fraction:
-        """The exact squares, added entry by entry over their common denominator, plus tail mass."""
-        if self.squares is None and self.support:
+        """The exact squares, added as integers over the vector's denominator, plus tail mass."""
+        if self.exact is None and self.support:
             raise ExactnessError("vector has float-only support entries")
-        d, nums = over_lcm(self.squares or ())
-        s = Fraction(sum(nums), d)
+        den, nums = self.exact or (1, ())
+        s = Fraction(sum(nums), den)
         if self.sqrt_tail is not None:
             s += self.sqrt_tail.rule.sum_from(1)
         return s
@@ -780,7 +843,7 @@ class SparseVector:
 
     def dense(self, m: int) -> np.ndarray:
         out = np.zeros(m)
-        for i, v, _ in self.rows(m):
+        for i, v, _, _ in self._rows(m):
             out[i - 1] = v
         return out
 
@@ -789,12 +852,14 @@ class SparseVector:
         t = self.sqrt_tail
         if t is None or t.start > m:
             return self
-        rows = list(self.rows(m))  # the whole support, then tail rows up to m
+        rows = list(self._rows(m))  # the whole support, then tail rows up to m
         k = rows[-1][0] + t.stride
-        return SparseVector(
-            tuple((i, v) for i, v, _ in rows),
+        den = None if self.exact is None else math.lcm(*(q for *_, q in rows))
+        return SparseVector._over(
+            tuple((i, v) for i, v, _, _ in rows),
             SqrtTail(k, t.rule.reindexed(t.offset_of(k)), t.stride),
-            None if self.squares is None else tuple(q for _, _, q in rows),
+            den,
+            () if den is None else [p * (den // q) for *_, p, q in rows],
         )
 
     def remap(self, emb: "IndexMap") -> "SparseVector":
@@ -808,26 +873,29 @@ class SparseVector:
         if emb.fixes_all and (t is None or t.start > len(emb.head)):
             return self
         vec = self.materialized_through(len(emb.head))
-        sqs = vec.squares if vec.squares is not None else (None,) * len(vec.support)
-        rows = sorted((emb.map_index(i), v, q) for (i, v), q in zip(vec.support, sqs))
+        den, nums = (None, repeat(None)) if vec.exact is None else vec.exact
+        rows = sorted((emb.map_index(i), v, p) for (i, v), p in zip(vec.support, nums))
         t = vec.sqrt_tail
-        return SparseVector(
+        return SparseVector._over(
             tuple((i, v) for i, v, _ in rows),
             None if t is None else SqrtTail(emb.map_index(t.start), t.rule, t.stride * emb.stride),
-            None if vec.squares is None else tuple(q for _, _, q in rows),
+            den,
+            [p for _, _, p in rows],
         )
 
     # -- serialization
 
     def to_json_dict(self) -> dict:
+        """The document; each square is written in lowest terms, one gcd each."""
         d: dict = {"support": [[i, v] for i, v in self.support]}
         if self.sqrt_tail is not None:
             t = self.sqrt_tail
             d["sqrtTail"] = {"start": t.start, "stride": t.stride, "rule": t.rule.to_json_dict()}
         else:
             d["sqrtTail"] = None
-        if self.squares is not None:
-            d["squares"] = [fmt_rat(q) for q in self.squares]
+        if self.exact is not None:
+            den, nums = self.exact
+            d["squares"] = [_fmt_ratio(p // g, den // g) for p in nums for g in (math.gcd(p, den),)]
         return d
 
     @classmethod
@@ -853,13 +921,11 @@ class SparseVector:
                 raise SpecError(f"support entry must be an [index, value] pair, got {e!r}")
             support.append((_json_int(e[0], "support index"), _json_number(e[1], "support value")))
         sqs = d.get("squares")
-        vec = cls(
-            tuple(support),
-            tail,
-            tuple(rat(q) for q in _json_list(sqs, "squares")) if sqs is not None else None,
-        )
-        for (_, v), q in zip(vec.support, vec.squares or ()):
-            _check_square(v, q)
+        pairs = [] if sqs is None else [_ratio(q) for q in _json_list(sqs, "squares")]
+        den = None if sqs is None else math.lcm(*(q for _, q in pairs))
+        vec = cls._over(tuple(support), tail, den, [p * (den // q) for p, q in pairs])
+        for (_, v), (p, q) in zip(vec.support, pairs):
+            _check_square(v, p, q)
         return vec
 
 
@@ -888,7 +954,12 @@ class IndexMap:
             raise SpecError("index map images must be distinct and >= 1, the head below the rest")
 
     def map_index(self, i: int) -> int:
-        return self.head[i - 1] if i <= len(self.head) else (i - 1) * self.stride + self.offset
+        """Image of index i >= 1; OutOfRangeError for i < 1."""
+        if i > len(self.head):
+            return (i - 1) * self.stride + self.offset
+        if i < 1:
+            raise OutOfRangeError(f"index {i} < 1")
+        return self.head[i - 1]
 
     @cached_property
     def fixes_all(self) -> bool:
@@ -942,16 +1013,16 @@ class ProjectionRep:
         """
         s = [0.0] * n
         for v in self.vectors:
-            for i, x, q in v.rows(n):
-                s[i - 1] += x * x if q is None else q.numerator / q.denominator  # float(q)
+            for i, x, p, q in v._rows(n):
+                s[i - 1] += x * x if p is None else p / q  # float(p/q), correctly rounded
         return s if self.form == "frame" else [1.0 - x for x in s]
 
     def exact_diag(self, n: int) -> list[Fraction | None]:
         """Exact diagonal entries 1..n; None where a vector there has only a float."""
         s: list[Fraction | None] = [Fraction(0)] * n
         for v in self.vectors:
-            for i, _, q in v.rows(n):
-                s[i - 1] = None if q is None or s[i - 1] is None else s[i - 1] + q
+            for i, _, p, q in v._rows(n):
+                s[i - 1] = None if p is None or s[i - 1] is None else s[i - 1] + Fraction(p, q)
         return s if self.form == "frame" else [None if x is None else 1 - x for x in s]
 
     def gram(self) -> np.ndarray:

@@ -5,8 +5,8 @@ requested diagonal: each vector picks up whole entries sqrt(f_i) until the
 running mass would pass the next integer, then splits the boundary pair of
 coordinates between the current vector and the next one through an exact
 coupling coefficient that keeps consecutive vectors orthogonal.  All masses
-are tracked as exact rationals; only the emitted vector entries (square roots)
-are floating point.
+are exact, each step's as integers over one denominator; only the emitted
+vector entries (square roots) are floating point.
 
 Block sorting rearranges each between-integers block of the sequence in
 decreasing order, which establishes the ordering hypothesis the fill needs;
@@ -19,7 +19,9 @@ many large entries, so no split for that case is needed.)
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
+from math import sqrt
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,20 +90,29 @@ def coupling(d1, d2, sigma) -> Fraction:
     and a*(d1-a) = (sigma-a)*(d2-sigma+a), which is exactly the orthogonality
     of consecutive fill vectors.  The arguments are exact rationals (a float
     is a SpecError); the tests run on their numerators over one common
-    denominator.
+    denominator, in the integer core the fill calls.
     """
-    d1, d2, sigma = rat(d1), rat(d2), rat(sigma)
-    den, (x, y, s) = over_lcm((d1, d2, sigma))
-    for name, v, num in (("d1", d1, x), ("d2", d2, y), ("sigma", sigma, s)):
-        if not 0 <= num <= den:
+    den, (x, y, s) = over_lcm((rat(d1), rat(d2), rat(sigma)))
+    return Fraction(s * (s - y), den * _coupling_q(x, y, s, den))
+
+
+def _coupling_q(x: int, y: int, s: int, den: int) -> int:
+    """q = 2s - x - y for d1, d2, sigma = x/den, y/den, s/den, after :func:`coupling`'s tests
+    (on the integers; Fractions only for a message).  Over den * q each part of the split is
+    an integer: a = s(s-y), sigma - a = s(s-x), d2 - sigma + a = (s-y)(x+y-s), d1 - a = xq - a.
+    """
+    q = 2 * s - x - y
+    if 0 <= x <= den and 0 <= y <= den and max(x, y) <= s <= min(x + y, den) and q > 0:
+        return q
+    d1, d2, sigma = Fraction(x, den), Fraction(y, den), Fraction(s, den)
+    for name, v in (("d1", d1), ("d2", d2), ("sigma", sigma)):
+        if not 0 <= v <= 1:
             raise ConstructionError(f"coupling: {name} = {v} outside [0,1]")
-    if not max(x, y) <= s <= x + y:
+    if not max(d1, d2) <= sigma <= d1 + d2:
         raise ConstructionError(
             f"coupling: sigma = {sigma} outside [max(d1,d2), d1+d2] = [{max(d1, d2)}, {d1 + d2}]"
         )
-    if not 2 * s > x + y:
-        raise ConstructionError(f"coupling: 2*sigma = {2 * sigma} <= d1 + d2 = {d1 + d2}")
-    return Fraction(s * (s - y), den * (2 * s - x - y))
+    raise ConstructionError(f"coupling: 2*sigma = {2 * sigma} <= d1 + d2 = {d1 + d2}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +140,11 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     boundary entry must not be smaller than the right one.  When the total N
     is finite, m may be at most N and m = N finishes the construction with the
     ultimate vector that absorbs the whole remaining sequence.
+
+    Each step runs on integers over one L, the lcm of the denominators it
+    meets, and its vector's squares are integers over L*q (:func:`_coupling_q`).
+    Only sigma is read from the prefix sums, so the norm check
+    ``sum(nums) == L*q``, over entries read from the prefix itself, checks them.
     """
     if m < 0:
         raise OutOfRangeError(f"vector count {m} < 0")
@@ -136,11 +152,14 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     if n_total is not None and m > n_total:
         raise ConstructionError(f"requested {m} vectors but total mass is {n_total}")
 
+    pd, pnums = spec._prefix_nums
+    _, sums = spec._cumsums
+    p = len(pnums)
     mins: dict[int, int] = {}
     vectors: list[SparseVector] = []
     sigmas: list[Fraction] = []
     acoefs: list[Fraction] = []
-    pending: list[tuple[int, Fraction]] = []  # leftover squares for the next vector
+    pending: list[tuple[int, int, int]] = []  # leftover squares (index, num, den), lowest terms
     cursor = 1  # first coordinate not fully consumed
 
     for n in range(1, m + 1):
@@ -151,46 +170,80 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         if mn < cursor:
             raise ConstructionError(f"internal: minS({n}) = {mn} behind cursor {cursor}")
         left = mn - 1
-        d2 = spec.entry(mn)
-        direct = [(i, q) for i, q in pending if i != left]
-        d1 = sum((q for i, q in pending if i == left), Fraction(0))
-        sigma = 1 - sum((q for _, q in direct), Fraction(0))
+        # fresh tail entries t0..mn, as Fractions; prefix entries are numerators over pd
+        t0 = max(cursor, p + 1)
+        tail = list(spec.tail.reindexed(t0 - p).values(mn + 1 - t0)) if mn >= t0 else []
+        L = math.lcm(pd, *[d for _, _, d in pending], *[t.denominator for t in tail])
+        f = L // pd
+
+        def over_l(i: int) -> int:  # L * entry(i) for a fresh index i
+            if i <= p:
+                return pnums[i - 1] * f
+            t = tail[i - t0]
+            return t.numerator * (L // t.denominator)
+
+        y = over_l(mn)
+        direct = [(i, num, d) for i, num, d in pending if i != left]  # leftovers off the pair
+        x = sum(num * (L // d) for i, num, d in pending if i == left)
+        s = L - sum(num * (L // d) for _, num, d in direct)
         if left >= cursor:
             # left boundary coordinate is untouched: ordering hypothesis applies
-            d1 = spec.entry(left)
-            if d1 < d2:
+            x = over_l(left)
+            if x < y:
                 raise ConstructionError(
-                    f"ordering hypothesis fails at step {n}: entry {left} = {fmt_rat(d1)}"
-                    f" < entry {mn} = {fmt_rat(d2)}"
+                    f"ordering hypothesis fails at step {n}: entry {left} ="
+                    f" {fmt_rat(spec.entry(left))} < entry {mn} = {fmt_rat(spec.entry(mn))}"
                 )
-            direct += [(i, spec.entry(i)) for i in range(cursor, left)]
-            sigma -= spec.partial_sum(left - 1) - spec.partial_sum(cursor - 1)
+            if left <= p + 1:
+                s -= (sums[left - 1] - sums[cursor - 1]) * f
+            else:  # the run reaches into the tail, whose entries' denominators L holds
+                run = spec.partial_sum(left - 1) - spec.partial_sum(cursor - 1)
+                s -= run.numerator * (L // run.denominator)
         try:
-            a = coupling(d1, d2, sigma)
+            q = _coupling_q(x, y, s, L)
         except ConstructionError as e:
             raise ConstructionError(f"step {n}: {e}") from None
+        a = s * (s - y)
         if left < cursor and n >= 2:
             # adjacent boundaries: the previous vector shares both pair
             # coordinates, so the cross terms must vanish individually
-            l1 = next((q for i, q in direct if i == mn - 2), Fraction(0))
-            if a != 0 or acoefs[-1] * l1 != 0:
+            if a or acoefs[-1] and any(i == mn - 2 for i, _, _ in direct):
                 raise ConstructionError(
                     f"step {n}: adjacent boundary collision breaks orthogonality"
                 )
-        tail_leftover = d2 - sigma + a
-        sign = -1 if tail_leftover > 0 else 1
-        entries = [(i, q, 1) for i, q in direct]
-        entries.append((left, a, 1))
-        entries.append((mn, sigma - a, sign))
-        vec = SparseVector.from_exact(entries)
+        lq, fq = L * q, f * q
+        # a value is sqrt of its square's float; p/q is the correctly rounded
+        # float of the rational whatever its terms, so a whole entry divides
+        # its own small numerator and denominator rather than those over lq
+        sup = [(i, sqrt(num / d)) for i, num, d in direct]
+        nums = [num * (lq // d) for i, num, d in direct]
+        ws = pnums[cursor - 1 : min(left - 1, p)] if left > cursor else ()  # whole prefix entries
+        sup += [(i, sqrt(w / pd)) for i, w in zip(range(cursor, left), ws) if w]
+        nums += [w * fq for w in ws if w]
+        if left > t0:  # whole tail entries t0..left-1
+            ts = tail[: left - t0]
+            sup += [(i, sqrt(t)) for i, t in zip(range(t0, left), ts) if t]
+            nums += [t.numerator * (lq // t.denominator) for t in ts if t]
+        b = s * (s - x)  # sigma - a
+        tail_leftover = (s - y) * (x + y - s)
+        for i, num, neg in ((left, a, False), (mn, b, tail_leftover > 0)):
+            if num:
+                v = sqrt(num / lq)
+                sup.append((i, -v if neg else v))
+                nums.append(num)
         # the norm is summed from the vector's own squares, never from the
         # prefix sums that produced sigma, so it checks them too
-        if vec.exact_norm_sq() != 1:
-            raise ConstructionError(f"internal: step {n} produced norm^2 {vec.exact_norm_sq()}")
-        vectors.append(vec)
-        sigmas.append(sigma)
-        acoefs.append(a)
-        pending = [(i, q) for i, q in ((left, d1 - a), (mn, tail_leftover)) if q != 0]
+        norm = sum(nums)
+        if norm != lq:
+            raise ConstructionError(f"internal: step {n} produced norm^2 {Fraction(norm, lq)}")
+        vectors.append(SparseVector._over(tuple(sup), None, lq, nums))
+        sigmas.append(Fraction(s, L))
+        acoefs.append(Fraction(a, lq))
+        pending = []
+        for i, num in ((left, x * q - a), (mn, tail_leftover)):
+            if num:
+                g = math.gcd(num, lq)
+                pending.append((i, num // g, lq // g))
         cursor = mn + 1
 
     if m == n_total:
@@ -202,17 +255,19 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
 
 def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
     """Final vector of a finite-mass construction: leftovers plus everything else."""
-    p = len(spec.prefix)
-    entries = [(i, q, 1) for i, q in pending]
-    hi = max(p, cursor - 1)
-    entries += [(i, spec.entry(i), 1) for i in range(cursor, hi + 1)]
+    pd, pnums = spec._prefix_nums
+    p = len(pnums)
+    L = math.lcm(pd, *(d for _, _, d in pending))
+    entries = [(i, num * (L // d), 1) for i, num, d in pending]
+    entries += [(i, pnums[i - 1] * (L // pd), 1) for i in range(cursor, p + 1)]
     t = spec.tail  # a finite sum: only a natural total is ever completed
     start = max(cursor, p + 1)
-    tail = SqrtTail(start, t.reindexed(start - p), 1) if t.sum_from(1) else None
-    vec = SparseVector.from_exact(entries, tail)
-    if vec.exact_norm_sq() != 1:
-        raise ConstructionError(f"internal: ultimate vector norm^2 {vec.exact_norm_sq()}")
-    return vec
+    mass = t.sum_from(start - p)
+    tail = SqrtTail(start, t.reindexed(start - p), 1) if mass else None
+    norm = Fraction(sum(num for _, num, _ in entries), L) + mass
+    if norm != 1:
+        raise ConstructionError(f"internal: ultimate vector norm^2 {norm}")
+    return SparseVector.from_exact(entries, tail, L)
 
 
 # ---------------------------------------------------------------------------

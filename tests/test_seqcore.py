@@ -10,6 +10,7 @@ from carpenter.errors import (
     ConstructionError,
     OutOfRangeError,
     SpecError,
+    UnsupportedStructureError,
 )
 from carpenter.seqcore import (
     INF,
@@ -87,6 +88,16 @@ def test_tail_rule_values():
     assert g.value(1) == F(1, 2)
     assert g.value(4) == F(1, 16)
     assert w.value(2) == 1 - F(1, 8)
+
+
+def test_tail_flatness_is_derived_once_and_cannot_be_set():
+    for rule, flat in ((TailRule.zero(), True), (TailRule.constant("2/5"), True),
+                       (TailRule.geometric("1/2", "1/3"), False),
+                       (TailRule.one_minus_geometric("1/2", "1/3"), False)):
+        assert rule.flat is flat and (rule.r == 1) is flat
+        assert "flat" not in repr(rule)
+    with pytest.raises(TypeError):
+        TailRule("constant", "2/5", flat=False)
 
 
 def test_tail_factories_name_the_bad_field():
@@ -381,6 +392,16 @@ def test_index_map_after_a_permutation_is_the_composition():
     assert v.remap(p) == v.remap(IndexMap(p.window))
 
 
+def test_index_map_refuses_indices_below_one():
+    emb = IndexMap((2, 5, 6), 1, 5)
+    assert [emb.map_index(i) for i in (1, 3, 4, 5)] == [2, 6, 8, 9]
+    for i in (0, -1):
+        with pytest.raises(OutOfRangeError, match=f"^index {i} < 1$"):
+            emb.map_index(i)
+    with pytest.raises(OutOfRangeError):
+        IndexMap((), 3, 2).map_index(0)
+
+
 @pytest.mark.parametrize("indices", [(0, 2), (1, 1), (3, 2), (1, 4, 4), (2, 5, 3)])
 def test_sparse_vector_refuses_support_indices_not_increasing_from_one(indices):
     with pytest.raises(SpecError, match=r"^support indices must be strictly increasing and >= 1$"):
@@ -404,6 +425,34 @@ def test_sparse_vector_json_round_trip():
     w = SparseVector.from_json_dict(json.loads(json.dumps(v.to_json_dict())))
     assert np.allclose(w.dense(25), v.dense(25), atol=1e-15)
     assert w.exact_norm_sq() == v.exact_norm_sq()
+
+
+def test_sparse_vector_squares_codec_is_exact_and_canonical():
+    def decode(*squares):
+        row = [[1, math.sqrt(float(F(q)))] for q in squares[:1]]
+        row += [[i, 0.5] for i in range(2, len(squares) + 1)]
+        return SparseVector.from_json_dict({"support": row, "squares": list(squares)})
+
+    # one least denominator per vector: "2/4" is stored, compared and written as "1/2"
+    v, w = decode("2/4"), decode("1/2")
+    assert v == w and v.exact == (2, (1,)) and v.squares == (F(1, 2),)
+    assert v.to_json_dict()["squares"] == ["1/2"]
+    mixed = decode("6/8", "1/4")
+    assert mixed.exact == (4, (3, 1)) and mixed.to_json_dict()["squares"] == ["3/4", "1/4"]
+    assert mixed == SparseVector(mixed.support, None, (F(3, 4), F(1, 4)))
+    # every refusal stays: a square that does not match its value, a negative
+    # or malformed one, one past the digit limit, squares that do not align
+    for sq in ("1/3", "-1/4", "1/0", "x", 0.25, "1" + "0" * 5000):
+        with pytest.raises(SpecError):
+            SparseVector.from_json_dict({"support": [[1, 0.5]], "squares": [sq]})
+    with pytest.raises(SpecError, match="^square 1/3 does not match support value 0.5$"):
+        SparseVector.from_json_dict({"support": [[1, 0.5]], "squares": ["2/6"]})
+    with pytest.raises(SpecError, match="align"):
+        SparseVector.from_json_dict({"support": [[1, 0.5]], "squares": ["1/4", "1/4"]})
+    # writing an exact square past the int-to-str digit limit is still refused
+    huge = SparseVector.from_exact([(1, F(1, 10**5000 + 1), 1)])
+    with pytest.raises(UnsupportedStructureError, match="5001 digits"):
+        huge.to_json_dict()
 
 
 def _toy_rep():

@@ -7,7 +7,8 @@ import pytest
 
 from carpenter.errors import ConstructionError, OutOfRangeError, SpecError
 from carpenter.feasibility import route
-from carpenter.seqcore import DiagonalSpec, ProjectionRep, SparseVector, TailRule
+from carpenter import tetris as tetris_module
+from carpenter.seqcore import DiagonalSpec, ProjectionRep, SparseVector, SqrtTail, TailRule, fmt_rat
 from carpenter.tetris import (
     block_sort,
     coupling,
@@ -247,6 +248,173 @@ def test_fill_zero_vectors_requested():
     out = tetris_vectors(spec(tail=TailRule.constant("2/5")), 0)
     assert out.vectors == ()
     assert out.settled_prefix == 0
+
+
+# ---------------------------------------------------------------------------
+# the fill against a Fraction reference
+
+
+def fill_reference(spec, m):
+    """The fill with every square, leftover and sigma a separate Fraction.
+
+    Returns (vectors, settled_prefix, min_s, sigma, a_coef) as TetrisOutput
+    holds them; it raises the fill's ConstructionErrors with the same text.
+    """
+    total = spec.total()
+    n_total = None if total == math.inf else total
+    if n_total is not None:
+        if n_total.denominator != 1:
+            raise ConstructionError(f"total mass {n_total} is not a natural number")
+        n_total = int(n_total)
+        if m > n_total:
+            raise ConstructionError(f"requested {m} vectors but total mass is {n_total}")
+    mins, vectors, sigmas, acoefs = {}, [], [], []
+    pending = []  # leftover squares for the next vector
+    cursor = 1  # first coordinate not fully consumed
+    for n in range(1, m + 1):
+        if n == n_total:  # the ultimate vector: leftovers plus everything else
+            p = len(spec.prefix)
+            entries = [(i, q, 1) for i, q in pending]
+            entries += [(i, spec.entry(i), 1) for i in range(cursor, max(p, cursor - 1) + 1)]
+            start = max(cursor, p + 1)
+            t = spec.tail
+            tail = SqrtTail(start, t.reindexed(start - p), 1) if t.sum_from(1) else None
+            vec = SparseVector.from_exact(entries, tail)
+            if vec.exact_norm_sq() != 1:
+                raise ConstructionError(f"internal: ultimate vector norm^2 {vec.exact_norm_sq()}")
+            vectors.append(vec)
+            break
+        mn = mins[n] = min_s(spec, n)
+        if mn < cursor:
+            raise ConstructionError(f"internal: minS({n}) = {mn} behind cursor {cursor}")
+        left = mn - 1
+        d2 = spec.entry(mn)
+        direct = [(i, q) for i, q in pending if i != left]
+        d1 = sum((q for i, q in pending if i == left), F(0))
+        sigma = 1 - sum((q for _, q in direct), F(0))
+        if left >= cursor:
+            d1 = spec.entry(left)
+            if d1 < d2:
+                raise ConstructionError(
+                    f"ordering hypothesis fails at step {n}: entry {left} = {fmt_rat(d1)}"
+                    f" < entry {mn} = {fmt_rat(d2)}"
+                )
+            direct += [(i, spec.entry(i)) for i in range(cursor, left)]
+            sigma -= spec.partial_sum(left - 1) - spec.partial_sum(cursor - 1)
+        try:
+            a = _coupling_reference(d1, d2, sigma)
+        except ConstructionError as e:
+            raise ConstructionError(f"step {n}: {e}") from None
+        if left < cursor and n >= 2:
+            l1 = next((q for i, q in direct if i == mn - 2), F(0))
+            if a != 0 or acoefs[-1] * l1 != 0:
+                raise ConstructionError(
+                    f"step {n}: adjacent boundary collision breaks orthogonality"
+                )
+        tail_leftover = d2 - sigma + a
+        entries = [(i, q, 1) for i, q in direct]
+        entries += [(left, a, 1), (mn, sigma - a, -1 if tail_leftover > 0 else 1)]
+        vec = SparseVector.from_exact(entries)
+        if vec.exact_norm_sq() != 1:
+            raise ConstructionError(f"internal: step {n} produced norm^2 {vec.exact_norm_sq()}")
+        vectors.append(vec)
+        sigmas.append(sigma)
+        acoefs.append(a)
+        pending = [(i, q) for i, q in ((left, d1 - a), (mn, tail_leftover)) if q != 0]
+        cursor = mn + 1
+    if m == n_total:
+        settled = None
+    else:
+        settled = max(mins[m] - 2, 0) if m > 0 else 0
+    return tuple(vectors), settled, mins, tuple(sigmas), tuple(acoefs)
+
+
+def assert_fill_matches_reference(s, m):
+    try:
+        want = fill_reference(s, m)
+    except ConstructionError as e:
+        with pytest.raises(ConstructionError) as got:
+            tetris_vectors(s, m)
+        assert str(got.value) == str(e), s
+        return False
+    out = tetris_vectors(s, m)
+    assert (out.settled_prefix, out.min_s, out.sigma, out.a_coef) == want[1:], s
+    assert len(out.vectors) == len(want[0]), s
+    for v, w in zip(out.vectors, want[0]):
+        assert [(i, x.hex()) for i, x in v.support] == [(i, x.hex()) for i, x in w.support], s
+        assert v.squares == w.squares and v.sqrt_tail == w.sqrt_tail, s
+        assert v == w, s
+    return True
+
+
+def _stream_shaped_spec(rng, den, k, complement):
+    """k entries > 1/2, then small ones over ``den``, and a constant tail."""
+    prefix = [F(rng.randint(den // 2 + 1, den - 1), den) for _ in range(k)]
+    prefix += [F(rng.randint(1, den // 2), den) for _ in range(rng.randint(8, 40))]
+    c = rng.choice((F(1, 3), F(2, 5)))
+    s = DiagonalSpec(tuple(prefix), TailRule.constant(c))
+    return s.complement() if complement else s
+
+
+def _one_large_geometric_spec(rng):
+    """One entry > 1/2 among small ones and a geometric tail that makes the total whole,
+    so the ultimate vector of the k = 1 fill has a sqrt tail."""
+    den = rng.choice((97, 2**20, 2**31 - 1))
+    prefix = [F(rng.randint(1, den // 2), den) for _ in range(rng.randint(0, 12))]
+    prefix.insert(rng.randint(0, len(prefix)), F(rng.randint(den // 2 + 1, den - 1), den))
+    gap = math.ceil(sum(prefix)) - sum(prefix)
+    mass = gap + rng.randint(0 if gap else 1, 2)
+    r = rng.choice([r for r in (F(1, 8), F(3, 8), F(3, 4), F(7, 8)) if mass * (1 - r) <= F(1, 2)])
+    return DiagonalSpec(tuple(prefix), TailRule.geometric(mass * (1 - r), r))
+
+
+def test_fill_matches_the_fraction_reference(monkeypatch):
+    # every fill the routes run, on stream-shaped and finite one-large specs
+    calls = []
+    fill = tetris_vectors
+
+    def recording(s, m):
+        calls.append((s, m))
+        return fill(s, m)
+
+    monkeypatch.setattr(tetris_module, "tetris_vectors", recording)
+    rng = random.Random(1729)
+    specs = [
+        _stream_shaped_spec(rng, den, k, complement)
+        for den in (97, 2**20, 2**31 - 1)
+        for k in (0, 1, 3)
+        for complement in (False, True)
+        for _ in range(3)
+    ]
+    specs += [_one_large_geometric_spec(rng) for _ in range(30)]
+    labels = set()
+    for s in specs:
+        r = route(s)
+        labels.add(str(r.label).split("/")[-1])
+        r.build(rng.randint(1, 24))
+    assert {"residue-split(k=3)", "tetris"} <= labels, labels
+    tails = 0
+    for s, m in calls:
+        assert_fill_matches_reference(s, m)
+        tails += m == s.total() and s.tail.sum_from(1) > 0
+    assert len(calls) >= 120 and tails > 20, (len(calls), tails)
+
+
+def test_fill_errors_match_the_fraction_reference():
+    # unsorted and sorted random blocks, every count up to 12: the same
+    # vectors, or the same ConstructionError (ordering, norm, count, total)
+    rng = random.Random(31)
+    built = 0
+    for _ in range(200):
+        s = _random_block_sort_spec(rng)
+        if rng.random() < 0.5:
+            try:
+                s, _ = block_sort(s)
+            except ConstructionError:
+                continue
+        for m in range(0, 13, 3):
+            built += assert_fill_matches_reference(s, m)
+    assert 300 < built < 900, built
 
 
 # ---------------------------------------------------------------------------
