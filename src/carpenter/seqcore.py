@@ -66,41 +66,29 @@ ONE_MINUS_GEOMETRIC = "one_minus_geometric"
 
 def rat(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact Fraction; SpecError otherwise.
+    A Fraction comes back as it is; anything else is read by :func:`_ratio`."""
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
-    Canonical ``"p"`` and ``"p/q"`` strings of ASCII digits are read with two
-    ``int`` calls; every other string goes to ``Fraction(str)``, which accepts
-    the same canonical ones to the same value.
-    """
-    if isinstance(x, Fraction):
-        return x
+
+def _ratio(x) -> tuple[int, int]:
+    """``(p, q)``, q > 0, p/q the exact rational that the int or string x names; else SpecError.
+
+    A canonical ``"p"`` or ``"p/q"`` of ASCII digits is split by ``int`` with no
+    gcd (p/q need not be in lowest terms); any other int or string goes to
+    ``Fraction``, which reads those alike."""
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             if type(x) is str:
                 num, slash, den = x.partition("/")
-                if num.isascii() and num.isdigit():
-                    if not slash:
-                        return Fraction(int(num))
-                    if den.isascii() and den.isdigit():
-                        return Fraction(int(num), int(den))
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
+                if x.isascii() and num.isdigit() and (den.isdigit() or not slash):
+                    if d := int(den) if slash else 1:  # "p/0" is refused below
+                        return int(num), d
+            q = Fraction(x)
+            return q.numerator, q.denominator
+        except (ValueError, ZeroDivisionError):  # a malformed string, or one past the digit limit
             pass
     hint = " (floats must be converted explicitly)" if isinstance(x, float) else ""
     raise SpecError(f"not an exact rational: {x!r}{hint}")
-
-
-def _ratio(x) -> tuple[int, int]:
-    """``(p, q)``, q > 0, p/q the rational :func:`rat` reads from x: a ``"p/q"`` string is
-    split with two ``int`` calls and no Fraction (nor gcd), anything else goes through rat."""
-    if type(x) is str:
-        num, _, den = x.partition("/")
-        try:
-            if num.isascii() and num.isdigit() and den.isascii() and den.isdigit() and (d := int(den)):
-                return int(num), d
-        except ValueError:  # past the digit limit: rat names the string
-            pass
-    q = rat(x)
-    return q.numerator, q.denominator
 
 
 def over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -340,16 +328,21 @@ class TailRule:
         return self._start * self.r ** (j - 1) / (1 - self.r)
 
     def reach(self, x) -> int | None:
-        """Smallest j >= 0 with partial_sum(j) >= x, or None when no j reaches x."""
+        """Smallest j >= 0 with partial_sum(j) >= x, or None when no j reaches x.
+
+        A decaying tail has partial_sum(j) >= x iff sum_from(j + 1) <= sum_from(1) - x: the
+        closed-form :meth:`sum_reach`.  One that tends to 1 (no route asks) is walked."""
         if x <= 0:
             return 0
         if self.sum_from(1) <= x:  # a finite limit is never attained
             return None
         if self.flat:
             return math.ceil(x / self._start)
-        j, s, g, u = 0, Fraction(0), self._start, self.u
+        if not self.u:
+            return self.sum_reach(self.sum_from(1) - x) - 1
+        j, s, g = 0, _ZERO, self._start
         while s < x:
-            j, s, g = j + 1, s + (1 - g if u else g), g * self.r
+            j, s, g = j + 1, s + (1 - g), g * self.r
         return j
 
     def sum_reach(self, x) -> int | None:
@@ -698,40 +691,37 @@ class SparseVector:
     ``support`` holds (index, value) pairs with strictly increasing 1-based
     indices.  ``exact``, when present, stores the exact |value|^2 of every
     support entry as ``(den, nums)``: integer numerators over one denominator
-    per vector, the least one, so equal squares are stored alike.
-    ``squares`` reads them as Fractions, built on first use, and the
-    constructor takes them as Fractions.  Tail entries are nonnegative square
-    roots of the rule values.
+    per vector.  The constructor takes these fields and reduces ``exact`` to
+    the least denominator, so equal squares are stored alike; rational squares
+    come in through :meth:`from_exact`, and ``squares`` reads them back as
+    Fractions.  Tail entries are nonnegative square roots of the rule values.
     """
 
     support: tuple[tuple[int, float], ...]
     sqrt_tail: SqrtTail | None
     exact: tuple[int, tuple[int, ...]] | None
 
-    def __init__(self, support=(), sqrt_tail=None, squares=None):
-        self._set(support, sqrt_tail, *(() if squares is None else over_lcm(squares)))
-
-    @classmethod
-    def _over(cls, support, sqrt_tail, den: int | None = None, nums=()) -> "SparseVector":
-        """The vector whose support squares are ``nums[k] / den`` (den None: floats only)."""
-        v = cls.__new__(cls)
-        v._set(support, sqrt_tail, den, nums)
-        return v
-
-    def _set(self, support, sqrt_tail, den=None, nums=()):
+    def __init__(self, support=(), sqrt_tail=None, exact=None):
         idx = [i for i, _ in support]
         if idx and (idx[0] < 1 or not all(map(operator.lt, idx, idx[1:]))):  # C-level comparisons
             raise SpecError("support indices must be strictly increasing and >= 1")
-        if den is not None and len(nums) != len(support):
-            raise SpecError("squares must align with support")
+        if exact is not None:  # one gcd: the least denominator, so equal squares are stored alike
+            try:
+                den, nums = exact
+                nums = tuple(nums)
+                g = math.gcd(den, *nums)  # a TypeError unless every one is an int
+            except (TypeError, ValueError):
+                den = 0
+            if den < 1:
+                raise SpecError("exact must be (den, nums): integer numerators over a den >= 1")
+            if len(nums) != len(support):
+                raise SpecError("squares must align with support")
+            exact = (den, nums) if g == 1 else (den // g, tuple(p // g for p in nums))
         if sqrt_tail is not None and idx and idx[-1] >= sqrt_tail.start:
             raise SpecError("support must end before the sqrt tail starts")
-        if den is not None:  # one gcd: the least denominator, so equal squares are stored alike
-            g = math.gcd(den, *nums)
-            den, nums = (den, tuple(nums)) if g == 1 else (den // g, tuple(p // g for p in nums))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "sqrt_tail", sqrt_tail)
-        object.__setattr__(self, "exact", None if den is None else (den, nums))
+        object.__setattr__(self, "exact", exact)
 
     @cached_property
     def squares(self) -> tuple[Fraction, ...] | None:
@@ -759,11 +749,11 @@ class SparseVector:
             den *= d
         keep = [(i, q, sign) for (i, _, sign), q in zip(rows, nums) if q]
         sup = tuple((i, sign * math.sqrt(q / den)) for i, q, sign in keep)
-        return cls._over(sup, sqrt_tail, den, [q for _, q, _ in keep])
+        return cls(sup, sqrt_tail, (den, [q for _, q, _ in keep]))
 
     @classmethod
     def basis(cls, i: int) -> "SparseVector":
-        return cls._over(((i, 1.0),), None, 1, (1,))
+        return cls(((i, 1.0),), None, (1, (1,)))
 
     @classmethod
     def from_dense(cls, values: Sequence[float]) -> "SparseVector":
@@ -774,16 +764,10 @@ class SparseVector:
 
     # -- finite views
 
-    def rows(self, n: int) -> Iterator[tuple[int, float, Fraction | None]]:
-        """``(index, value, exact square or None)`` for every entry at an index <= n.
-
-        Support rows come first, then the sqrt-tail rows.
-        """
-        return ((i, v, None if p is None else Fraction(p, q)) for i, v, p, q in self._rows(n))
-
-    def _rows(self, n: int) -> Iterator[tuple[int, float, int | None, int | None]]:
-        """:meth:`rows` with each exact square as ``p, q`` (p None when unknown): the walk
-        behind every finite view (dense rows, diagonals, tail materialization)."""
+    def rows(self, n: int) -> Iterator[tuple[int, float, int | None, int | None]]:
+        """``(index, value, p, q)`` for every entry at an index <= n, p/q its exact square (both
+        None when only the float is known): support rows, then sqrt-tail rows.  Every finite
+        view (dense rows, diagonals, tail materialization) is this walk."""
         q, nums = (None, repeat(None)) if self.exact is None else self.exact
         for (i, v), p in zip(self.support, nums):
             if i > n:
@@ -843,7 +827,7 @@ class SparseVector:
 
     def dense(self, m: int) -> np.ndarray:
         out = np.zeros(m)
-        for i, v, _, _ in self._rows(m):
+        for i, v, _, _ in self.rows(m):
             out[i - 1] = v
         return out
 
@@ -852,14 +836,13 @@ class SparseVector:
         t = self.sqrt_tail
         if t is None or t.start > m:
             return self
-        rows = list(self._rows(m))  # the whole support, then tail rows up to m
+        rows = list(self.rows(m))  # the whole support, then tail rows up to m
         k = rows[-1][0] + t.stride
         den = None if self.exact is None else math.lcm(*(q for *_, q in rows))
-        return SparseVector._over(
+        return SparseVector(
             tuple((i, v) for i, v, _, _ in rows),
             SqrtTail(k, t.rule.reindexed(t.offset_of(k)), t.stride),
-            den,
-            () if den is None else [p * (den // q) for *_, p, q in rows],
+            None if den is None else (den, [p * (den // q) for *_, p, q in rows]),
         )
 
     def remap(self, emb: "IndexMap") -> "SparseVector":
@@ -876,11 +859,10 @@ class SparseVector:
         den, nums = (None, repeat(None)) if vec.exact is None else vec.exact
         rows = sorted((emb.map_index(i), v, p) for (i, v), p in zip(vec.support, nums))
         t = vec.sqrt_tail
-        return SparseVector._over(
+        return SparseVector(
             tuple((i, v) for i, v, _ in rows),
             None if t is None else SqrtTail(emb.map_index(t.start), t.rule, t.stride * emb.stride),
-            den,
-            [p for _, _, p in rows],
+            None if den is None else (den, [p for _, _, p in rows]),
         )
 
     # -- serialization
@@ -921,10 +903,10 @@ class SparseVector:
                 raise SpecError(f"support entry must be an [index, value] pair, got {e!r}")
             support.append((_json_int(e[0], "support index"), _json_number(e[1], "support value")))
         sqs = d.get("squares")
-        pairs = [] if sqs is None else [_ratio(q) for q in _json_list(sqs, "squares")]
-        den = None if sqs is None else math.lcm(*(q for _, q in pairs))
-        vec = cls._over(tuple(support), tail, den, [p * (den // q) for p, q in pairs])
-        for (_, v), (p, q) in zip(vec.support, pairs):
+        pqs = [] if sqs is None else [_ratio(q) for q in _json_list(sqs, "squares")]
+        L = math.lcm(*(q for _, q in pqs))  # the squares over their least denominator
+        vec = cls(tuple(support), tail, None if sqs is None else (L, [p * L // q for p, q in pqs]))
+        for (_, v), (p, q) in zip(vec.support, pqs):
             _check_square(v, p, q)
         return vec
 
@@ -1013,7 +995,7 @@ class ProjectionRep:
         """
         s = [0.0] * n
         for v in self.vectors:
-            for i, x, p, q in v._rows(n):
+            for i, x, p, q in v.rows(n):
                 s[i - 1] += x * x if p is None else p / q  # float(p/q), correctly rounded
         return s if self.form == "frame" else [1.0 - x for x in s]
 
@@ -1021,7 +1003,7 @@ class ProjectionRep:
         """Exact diagonal entries 1..n; None where a vector there has only a float."""
         s: list[Fraction | None] = [Fraction(0)] * n
         for v in self.vectors:
-            for i, _, p, q in v._rows(n):
+            for i, _, p, q in v.rows(n):
                 s[i - 1] = None if p is None or s[i - 1] is None else s[i - 1] + Fraction(p, q)
         return s if self.form == "frame" else [None if x is None else 1 - x for x in s]
 

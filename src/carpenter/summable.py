@@ -257,13 +257,13 @@ def summable_construct2(
     """Projection for an all-proper spec with infinitely many entries > 1/2
     and finitely many (>= 2) entries <= 1/2.
 
-    Lays the three decoupled groups on consecutive coordinate ranges, realizes
-    each one (integer-rank complement basis, rank-one complement basis, and a
-    terminal rank-one co-mass vector), rotates the three adjusted entries back
-    to their requested values, and permutes the coordinates into the original
-    order.  The result is complete: every diagonal entry is settled.  Its
-    vectors are then relabelled through ``emb`` (the proper entries' places in
-    a longer spec), each in the same one remap as the permutation.
+    Realizes the three decoupled groups (integer-rank complement basis,
+    rank-one complement basis, and a terminal rank-one co-mass vector), and
+    places each vector in one remap: its group's block shift, the permutation
+    into the original order, then ``emb`` (the proper entries' places in a
+    longer spec).  A 3x3 rotation on the placed adjusted entries moves them
+    back to their requested values.  The result is complete: every diagonal
+    entry is settled.
     """
     plan = decouple(spec)
     n1, l2 = len(plan.group1), len(plan.group2)
@@ -271,13 +271,17 @@ def summable_construct2(
     _, comp2 = _projection_rows(plan.group2, rng=False, ker=True)
     w = rank_one(plan.group3_comp).vectors[0]
 
-    vecs = list(ker1) + [v.remap(IndexMap((), 1, n1 + 1)) for v in comp2]
-    vecs.append(w.remap(IndexMap((), 1, n1 + l2 + 1)))
-    pre = ProjectionRep.coframe(tuple(vecs))
+    # group three: the small entry a_{i2}, then the large entries no group took
+    i2_src = spec.half_classes().nth(plan.i2, True)
+    beta = PermutationWindow.head_first(plan.group1_src + plan.group2_src + (i2_src,))
+    relabel = emb.after(beta.inverse())  # conjugating by beta, then embedding
+    # each group's block shift, composed into the relabel
+    places = [relabel.after(IndexMap((), 1, start)) for start in (1, n1 + 1, n1 + l2 + 1)]
+    vecs = [v.remap(places[0]) for v in ker1] + [v.remap(places[1]) for v in comp2]
+    vecs.append(w.remap(places[2]))
 
-    coords = (1, n1 + 1, n1 + l2 + 1)
-    at = [c - 1 for c in coords]
-    v3 = np.vstack([v.dense(coords[-1])[at] for v in vecs])  # one truncation, three columns
+    coords = [g.map_index(1) for g in places]  # each group's adjusted entry
+    v3 = np.array([[sup.get(c, 0.0) for c in coords] for sup in (dict(v.support) for v in vecs)])
     p3 = np.eye(3) - v3.T @ v3  # the coframe's block on those coordinates
     if np.abs(p3 - np.diag(np.diag(p3))).max() > 1e-10:
         raise ConstructionError("internal: decoupled groups are not orthogonal")
@@ -288,13 +292,7 @@ def summable_construct2(
     # group2_src[0] is the position of the large entry b_{i3}
     target = [a[plan.i1 - 1], spec.entry(plan.group2_src[0]), a[plan.i2 - 1]]
     u3 = schur_horn_unitary(current, target)
-    corr = conjugate_on_coords(pre, coords, u3)
-
-    # group three: the small entry a_{i2}, then the large entries no group took
-    i2_src = spec.half_classes().nth(plan.i2, True)
-    beta = PermutationWindow.head_first(plan.group1_src + plan.group2_src + (i2_src,))
-    relabel = emb.after(beta.inverse())  # conjugating by beta, then embedding
-    rep = ProjectionRep(corr.form, tuple(v.remap(relabel) for v in corr.vectors))
+    rep = conjugate_on_coords(ProjectionRep.coframe(vecs), coords, u3)
     if trace is not None:
         trace["plan"] = plan.to_json_dict()
         trace["beta"] = list(beta.window)

@@ -236,7 +236,7 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         norm = sum(nums)
         if norm != lq:
             raise ConstructionError(f"internal: step {n} produced norm^2 {Fraction(norm, lq)}")
-        vectors.append(SparseVector._over(tuple(sup), None, lq, nums))
+        vectors.append(SparseVector(tuple(sup), None, (lq, nums)))
         sigmas.append(Fraction(s, L))
         acoefs.append(Fraction(a, lq))
         pending = []
@@ -299,7 +299,7 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
     while (n_fin is None or len(bounds) < n_fin) and bounds[-1] < p:
         bounds.append(min_s(spec, len(bounds)))
     w = bounds[-1]
-    vals = [spec.entry(i) for i in range(1, w + 1)]
+    vals = spec.entries(w)
     _, nums = over_lcm(vals)
     keys = [(n, -nums[i]) for n in range(1, len(bounds)) for i in range(bounds[n - 1], bounds[n])]
     images = sorted(range(1, w + 1), key=lambda i: keys[i - 1])

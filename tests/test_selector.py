@@ -125,7 +125,7 @@ def test_verify_projection_respects_explicit_settled():
 def test_verify_projection_fails_on_nan_entries():
     # e1 e1^T with a NaN in place of 1: the diagonal error is NaN, not 0.0
     s = DiagonalSpec.of("1/2")
-    for sqs in (None, (F(1),)):
+    for sqs in (None, (1, (1,))):
         rep = ProjectionRep.frame((SparseVector(((1, math.nan),), None, sqs),))
         r = verify_projection(rep, s, 1)
         assert not r.passed

@@ -23,6 +23,7 @@ from carpenter.seqcore import (
     SqrtTail,
     TailRule,
     conjugate_by_permutation,
+    _ratio,
     dumps_canonical,
     rat,
 )
@@ -34,7 +35,7 @@ def support_indices(v):
 
 def squares_through(v, n):
     """Exact square (or None) of every entry of v at an index <= n, by index."""
-    return {i: q for i, _, q in v.rows(n)}
+    return {i: None if p is None else F(p, q) for i, _, p, q in v.rows(n)}
 
 
 def test_rat_accepts_exact_inputs_only():
@@ -50,21 +51,29 @@ RAT_STRINGS = (
     "\u0663/\u0664", "0.5", "1e-3", "",
     # int() alone would read these; Fraction(str) does not
     "1/-2", "1/+2", "1 /2", "1/ 2", "1_0/3",
+    # the fast path's own cases: no slash, a zero denominator, past the int-to-str digit limit
+    "7", "3/0",
+    pytest.param("1" * 5000, id="numerator-past-digit-limit"),
+    pytest.param("1/" + "3" * 5000, id="denominator-past-digit-limit"),
 )
 
 
 @pytest.mark.parametrize("text", RAT_STRINGS)
 def test_rat_string_parity_with_fraction(text):
-    """``rat`` reads a string to ``Fraction(text)``, or fails where it fails."""
+    """``rat`` reads a string to ``Fraction(text)``, or fails where it fails; so does
+    ``_ratio``, the one parser behind it, as a pair (p, q) with q > 0."""
     try:
         want = F(text)
     except (ValueError, ZeroDivisionError):
-        with pytest.raises(SpecError) as err:
-            rat(text)
-        assert str(err.value) == f"not an exact rational: {text!r}"
+        for parse in (rat, _ratio):
+            with pytest.raises(SpecError) as err:
+                parse(text)
+            assert str(err.value) == f"not an exact rational: {text!r}"
         return
     got = rat(text)
     assert type(got) is F and got == want
+    p, q = _ratio(text)
+    assert type(p) is int and type(q) is int and q > 0 and F(p, q) == want
 
 
 def test_spec_range_check_is_exact():
@@ -265,7 +274,7 @@ def test_sparse_vector_tail_mass():
     v = SparseVector.from_exact([(1, F(1, 2), 1), (2, F(1, 4), 1)], sqrt_tail=tail)
     assert v.exact_norm_sq() == 1
     # support rows first, then the tail; squares along the tail are c r^{j-1}
-    assert [i for i, _, _ in v.rows(6)] == [1, 2, 4, 5, 6]
+    assert [i for i, *_ in v.rows(6)] == [1, 2, 4, 5, 6]
     assert squares_through(v, 6)[4] == F(1, 8)
     assert squares_through(v, 6)[6] == F(1, 32)
     assert ProjectionRep.frame((v,)).diag(6)[5] == pytest.approx(1 / 32)
@@ -439,7 +448,7 @@ def test_sparse_vector_squares_codec_is_exact_and_canonical():
     assert v.to_json_dict()["squares"] == ["1/2"]
     mixed = decode("6/8", "1/4")
     assert mixed.exact == (4, (3, 1)) and mixed.to_json_dict()["squares"] == ["3/4", "1/4"]
-    assert mixed == SparseVector(mixed.support, None, (F(3, 4), F(1, 4)))
+    assert mixed == SparseVector(mixed.support, None, (4, (3, 1)))
     # every refusal stays: a square that does not match its value, a negative
     # or malformed one, one past the digit limit, squares that do not align
     for sq in ("1/3", "-1/4", "1/0", "x", 0.25, "1" + "0" * 5000):
@@ -453,6 +462,20 @@ def test_sparse_vector_squares_codec_is_exact_and_canonical():
     huge = SparseVector.from_exact([(1, F(1, 10**5000 + 1), 1)])
     with pytest.raises(UnsupportedStructureError, match="5001 digits"):
         huge.to_json_dict()
+
+
+def test_sparse_vector_takes_its_stored_layout():
+    sup = ((1, math.sqrt(0.75)), (2, 0.5))
+    v = SparseVector(sup, None, (8, (6, 2)))
+    assert v == SparseVector(sup, None, (4, (3, 1))) and v.exact == (4, (3, 1))
+    assert v.squares == (F(3, 4), F(1, 4)) and hash(v) == hash(SparseVector(sup, None, (4, [3, 1])))
+    with pytest.raises(SpecError, match="^squares must align with support$"):
+        SparseVector(sup, None, (4, (3,)))
+    # Fractions where (den, nums) belongs are refused by name, not with a bare TypeError
+    fractions = ((F(3, 4), F(1, 4)), (4, (F(3), F(1))), (F(3, 4), F(1, 4), F(0)))
+    for bad in fractions + ((4, (3.0, 1)), (0, (3, 1))):
+        with pytest.raises(SpecError, match="^exact must be"):
+            SparseVector(sup, None, bad)
 
 
 def _toy_rep():

@@ -210,8 +210,8 @@ def test_sqrt_tail_rows_walk_the_rule():
             n = start + 300 * stride
             tail_rows = [row for row in vec.rows(n) if row[0] >= start]
             expected = [(start + (j - 1) * stride, rule.value(j)) for j in range(1, 302)]
-            assert [(k, q) for k, _, q in tail_rows] == expected, (rule, start, stride)
-            assert [v for _, v, _ in tail_rows] == [math.sqrt(q) for _, q in expected]
+            assert [(k, F(p, q)) for k, _, p, q in tail_rows] == expected, (rule, start, stride)
+            assert [v for _, v, _, _ in tail_rows] == [math.sqrt(q) for _, q in expected]
 
 
 class _Oracle:
@@ -363,6 +363,23 @@ def test_half_exceptions_near_one_are_found_without_a_walk():
         TailRule.geometric(1, "999999999/1000000000").half_exceptions()
     with pytest.raises(UnsupportedStructureError, match="threshold crossing"):
         TailRule.geometric(1, F(2**70 - 1, 2**70)).half_exceptions()
+
+
+def test_reach_on_slowly_decaying_tails_is_found_without_a_walk():
+    for rule, xs in (
+        (TailRule.geometric("1/2", "999/1000"), (F(1, 3), 1, F(7, 2), 250, 499, F(4999, 10))),
+        (TailRule("geometric", 1, "999/1000", 5), (F(1, 2), 100, 990)),
+        (TailRule.geometric("1/2", "9999/10000"), (1, 2500, 4990)),
+    ):
+        for x in xs:
+            j = rule.reach(x)
+            assert rule.partial_sum(j) >= x > rule.partial_sum(j - 1), (rule, x, j)
+    assert TailRule.geometric("1/2", "9999/10000").reach(2500) == 6932
+    # a crossing whose exact power would pass the bit budget is refused, not walked
+    rule = TailRule.geometric("1/2", "999999999/1000000000")  # total 5 * 10**8
+    assert rule.reach(2500) == 5001
+    with pytest.raises(UnsupportedStructureError, match="threshold crossing"):
+        rule.reach(5 * 10**8 - 1)
 
 
 def test_every_rule_round_trips_through_json():
