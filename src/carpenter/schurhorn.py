@@ -68,16 +68,11 @@ def schur_horn_unitary(lam, f) -> np.ndarray:
     exact values (integers over one common denominator); only the rotation
     entries involve square roots.
     """
-    return _unitary_rows(lam, f, range(len(lam)))
-
-
-def _unitary_rows(lam, f, keep: range) -> np.ndarray:
-    """Rows ``keep`` of :func:`schur_horn_unitary`'s U, building no other row."""
     n = len(lam)
     if len(f) != n:
         raise SpecError(f"length mismatch: {len(f)} vs {n}")
     _, ints = over_lcm([rat(x) for x in lam] + [rat(x) for x in f])
-    return np.ascontiguousarray(_pinned_columns(ints[:n], ints[n:], keep).T)
+    return np.ascontiguousarray(_pinned_columns(ints[:n], ints[n:], range(n)).T)
 
 
 def _pinned_columns(d: list[int], fi: list[int], keep: range) -> np.ndarray:

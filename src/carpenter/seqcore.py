@@ -248,6 +248,12 @@ class TailRule:
         """Bits of the larger of r**e's numerator and denominator."""
         return e * max(self.r.numerator.bit_length(), self.r.denominator.bit_length())
 
+    def _check_power(self, e) -> None:
+        """Refuse a power r**e past ``_POWER_BITS`` bits: an UnsupportedStructureError."""
+        if self._power_bits(e) > _POWER_BITS:
+            msg = f"ratio {fmt_rat(self.r)}: r**{e:.3g} is past the {_POWER_BITS}-bit budget"
+            raise UnsupportedStructureError(f"tail threshold crossing at {msg}")
+
     @cached_property
     def _start(self) -> Fraction:
         """c * r**k, the first entry's geometric part, computed once (k > 0)."""
@@ -331,7 +337,8 @@ class TailRule:
         """Smallest j >= 0 with partial_sum(j) >= x, or None when no j reaches x.
 
         A decaying tail has partial_sum(j) >= x iff sum_from(j + 1) <= sum_from(1) - x: the
-        closed-form :meth:`sum_reach`.  One that tends to 1 (no route asks) is walked."""
+        closed-form :meth:`sum_reach`.  One that tends to 1 has j - G <= partial_sum(j) <= j,
+        G = c * r**k / (1 - r): j is bisected in [ceil(x), ceil(x + G)] on exact sums."""
         if x <= 0:
             return 0
         if self.sum_from(1) <= x:  # a finite limit is never attained
@@ -340,10 +347,9 @@ class TailRule:
             return math.ceil(x / self._start)
         if not self.u:
             return self.sum_reach(self.sum_from(1) - x) - 1
-        j, s, g = 0, _ZERO, self._start
-        while s < x:
-            j, s, g = j + 1, s + (1 - g), g * self.r
-        return j
+        lo, hi = math.ceil(x), math.ceil(x + self._start / (1 - self.r))
+        self._check_power(hi)
+        return lo + bisect_left(range(lo, hi), x, key=self.partial_sum)
 
     def sum_reach(self, x) -> int | None:
         """Smallest j >= 1 with sum_from(j) <= x, or None when no j gets there.
@@ -370,9 +376,7 @@ class TailRule:
 
         lr = log(self.r)
         e = log(q) / lr if lr else INF  # r**e = q; an r that rounds to 1 is past any budget
-        if self._power_bits(e) > _POWER_BITS:
-            msg = f"ratio {fmt_rat(self.r)}: r**{e:.3g} is past the {_POWER_BITS}-bit budget"
-            raise UnsupportedStructureError(f"tail threshold crossing at {msg}")
+        self._check_power(e)
         j = max(2, 1 + math.ceil(e))
         while j > 2 and self.r ** (j - 2) <= q:
             j -= 1
@@ -459,10 +463,10 @@ class DiagonalSpec:
     exact; sums that diverge come back as ``INF``.
 
     Threshold tests run on integers.  ``_cumsums`` holds the prefix partial
-    sums over one common denominator d, ``_floor_sums`` their floors, and for
-    an integer n, S_i >= n holds exactly when floor(S_i) >= n.  Range and 1/2
-    tests compare numerator and denominator (a Fraction's denominator is
-    positive).
+    sums over one common denominator d, so S_i >= x is d*S_i >= d*x: one
+    bisection serves :func:`carpenter.tetris.min_s` and :meth:`sum_reach`.
+    Range and 1/2 tests compare numerator and denominator (a Fraction's
+    denominator is positive).
     """
 
     prefix: tuple[Fraction, ...] = ()
@@ -491,12 +495,6 @@ class DiagonalSpec:
         """``(d, (d*S_0, ..., d*S_p))``: the prefix sums over the same d."""
         d, nums = self._prefix_nums
         return d, tuple(accumulate(nums, initial=0))
-
-    @cached_property
-    def _floor_sums(self) -> tuple[int, ...]:
-        """floor(S_0), ..., floor(S_p): nondecreasing, like the sums themselves."""
-        d, sums = self._cumsums
-        return tuple(s // d for s in sums)
 
     # -- evaluation
 
@@ -647,6 +645,11 @@ class TwoClassIndex:
     def rest_start(self) -> int:
         """First global index from which the tail has no exceptions left."""
         return self.p + self.n_exc + 1
+
+    def head(self, a: bool = True) -> tuple[int, ...]:
+        """The members of class A (or B) below :meth:`rest_start`, in order."""
+        exc = () if a == self.rest_a else range(self.p + 1, self.rest_start())
+        return (*(self._a_prefix if a else self._b_prefix), *exc)
 
 
 # ---------------------------------------------------------------------------
@@ -1181,10 +1184,7 @@ class PermutationWindow(IndexMap):
     def size(self) -> int:
         return len(self.head)
 
-    def apply(self, i: int) -> int:
-        if i < 1:
-            raise OutOfRangeError(f"index {i} < 1")
-        return self.head[i - 1] if i <= len(self.head) else i
+    apply = IndexMap.map_index  # the window, then the identity
 
     def inverse(self) -> "PermutationWindow":
         inv = [0] * len(self.head)

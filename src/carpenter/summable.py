@@ -18,7 +18,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import ConstructionError, UnsupportedStructureError
+from .errors import ConstructionError
 from .feasibility import route
 from .seqcore import (
     INF,
@@ -44,30 +44,18 @@ __all__ = [
 ]
 
 
-def rank_one(spec: DiagonalSpec) -> ProjectionRep:
-    """The rank-one projection onto the vector with squares f_i (needs sum f = 1)."""
-    if spec.total() != 1:
-        raise ConstructionError(f"total mass {fmt_rat(spec.total())} != 1")
-    return ProjectionRep.frame(tetris_vectors(spec, 1).vectors)  # one vector takes all
-
-
 def proper_subspec(spec: DiagonalSpec):
     """Strip the 0/1 entries: returns (proper subsequence, embedding, improper).
 
-    The embedding maps index i of the subsequence to the position of the i-th
-    proper entry of the original; ``improper`` lists (position, value) for the
-    finitely many 0/1 entries.  Raises when there are infinitely many.
+    The embedding's head is the proper positions below ``rest_start``; a proper
+    tail, if any, follows from ``rest_start`` on.  ``improper`` lists (position,
+    value) for the 0/1 entries below ``rest_start``: all of them, unless a
+    constant 0 or 1 tail makes them infinitely many.
     """
     cls = spec.proper_classes()
-    t = cls.count(False)
-    if t == INF:
-        raise UnsupportedStructureError("infinitely many 0/1 entries")
-    improper = tuple((cls.nth(n, False), int(spec.entry(cls.nth(n, False)))) for n in range(1, t + 1))
-    sub = spec.subsequence(cls, True)
-    rest = cls.rest_start()
-    j0 = rest - 1 - t  # proper entries strictly before the exception-free tail
-    head = tuple(cls.nth(i, True) for i in range(1, j0 + 1))
-    return sub, IndexMap(head, 1, t + 1), improper
+    head = cls.head(True)
+    improper = tuple((i, int(spec.entry(i))) for i in cls.head(False))
+    return spec.subsequence(cls, True), IndexMap(head, 1, cls.rest_start() - len(head)), improper
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +257,7 @@ def summable_construct2(
     n1, l2 = len(plan.group1), len(plan.group2)
     _, ker1 = _projection_rows(plan.group1, rng=False, ker=True)
     _, comp2 = _projection_rows(plan.group2, rng=False, ker=True)
-    w = rank_one(plan.group3_comp).vectors[0]
+    w = tetris_vectors(plan.group3_comp, 1).vectors[0]  # co-mass one: one vector takes all
 
     # group three: the small entry a_{i2}, then the large entries no group took
     i2_src = spec.half_classes().nth(plan.i2, True)
@@ -326,19 +314,11 @@ def summable_construct(spec: DiagonalSpec, trace: dict | None = None) -> Project
 
 
 def _finite_schur_horn(spec: DiagonalSpec) -> ProjectionRep:
-    """Finitely many proper entries: a finite projection on them, basis
-    vectors for the 0/1 entries."""
-    if spec.tail == TailRule.constant(1):  # infinitely many ones: build I - P on 1 - f
+    """Finitely many proper entries (a zero, constant-0 or constant-1 tail): a
+    finite projection on them, placed by :func:`proper_subspec`, and basis vectors
+    for the ones; a constant-1 tail is built as I - P on 1 - f."""
+    if spec.tail == TailRule.constant(1):
         return _finite_schur_horn(spec.complement()).complementary()
-    prop = spec.proper_classes()
-    # when the improper class is the infinite tail class, all its tail entries
-    # share one value, so the ones are finitely many only if it is 0
-    if prop.count(False) == INF and spec.tail.value(prop.n_exc + 1) == 1:
-        raise ConstructionError("infinitely many entries equal 1")
-    n_proper = prop.count(True)
-    proper_idx = [prop.nth(i, True) for i in range(1, n_proper + 1)]
-    emb = IndexMap(tuple(proper_idx), 1, max(proper_idx, default=0) - n_proper + 1)
-    rng, _ = _projection_rows([spec.entry(i) for i in proper_idx], rng=True, ker=False)
-    # past rest_start every entry is proper or 0
-    ones = [(i, 1) for i in range(1, prop.rest_start()) if spec.entry(i) == 1]
-    return embed_with_improper(ProjectionRep.frame(v.remap(emb) for v in rng), ones)
+    sub, emb, improper = proper_subspec(spec)
+    rng, _ = _projection_rows(sub.prefix, rng=True, ker=False)
+    return embed_with_improper(ProjectionRep.frame(v.remap(emb) for v in rng), improper)

@@ -53,19 +53,20 @@ __all__ = [
 def min_s(spec: DiagonalSpec, n: int) -> int:
     """Smallest index i with S_i = f_1 + ... + f_i >= n (and 0 for n = 0).
 
-    Inside the prefix the search bisects the integer floors of the partial
-    sums: n is an integer, so S_i >= n exactly when floor(S_i) >= n.
+    Inside the prefix the search bisects the integer prefix sums d*S_i for
+    d*n, the sums :meth:`DiagonalSpec.sum_reach` bisects; past it
+    :meth:`TailRule.reach` finds the tail offset.
     """
     if n < 0:
         raise OutOfRangeError(f"n = {n} < 0")
-    floors = spec._floor_sums  # floor(S_0) .. floor(S_p), nondecreasing
-    i = bisect_left(floors, n)
-    if i < len(floors):
+    d, sums = spec._cumsums  # d*S_0 .. d*S_p, nondecreasing
+    i = bisect_left(sums, n * d)
+    if i < len(sums):
         return i
     sp = spec.partial_sum(len(spec.prefix))
     j = spec.tail.reach(n - sp)
     if j is not None:
-        return len(floors) - 1 + j
+        return len(sums) - 1 + j
     limit = spec.total()
     if limit == sp:
         raise ConstructionError(f"partial sums stall at {fmt_rat(sp)} and never reach {n}")
@@ -303,14 +304,12 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
     _, nums = over_lcm(vals)
     keys = [(n, -nums[i]) for n in range(1, len(bounds)) for i in range(bounds[n - 1], bounds[n])]
     images = sorted(range(1, w + 1), key=lambda i: keys[i - 1])
-    sorted_vals = [vals[i - 1] for i in images]
-    perm = PermutationWindow(tuple(images))
-    if w <= p:
-        g = DiagonalSpec(tuple(sorted_vals) + spec.prefix[w:], spec.tail)
-    else:
-        g = DiagonalSpec(tuple(sorted_vals), spec.tail.reindexed(w - p + 1))
+    # the window, then the prefix it left (none when it reached into the tail)
+    g = DiagonalSpec(
+        tuple(vals[i - 1] for i in images) + spec.prefix[w:], spec.tail.reindexed(max(w - p, 0) + 1)
+    )
     _check_block_order(g, bounds)
-    return g, perm
+    return g, PermutationWindow(tuple(images))
 
 
 def _check_block_order(g: DiagonalSpec, bounds: list[int]):

@@ -8,16 +8,23 @@ from carpenter.errors import ConstructionError, SpecError
 from carpenter.schurhorn import majorizes
 from carpenter.feasibility import kadison_ab, route
 from carpenter.selector import carpenter, carpenter_field, verify_projection
-from carpenter.seqcore import INF, CellField, DiagonalSpec, PermutationWindow, TailRule
+from carpenter.seqcore import (
+    INF,
+    CellField,
+    DiagonalSpec,
+    PermutationWindow,
+    ProjectionRep,
+    TailRule,
+)
 from carpenter.summable import (
     DecouplingPlan,
     decouple,
     conjugate_on_coords,
     proper_subspec,
-    rank_one,
     summable_construct,
     summable_construct2,
 )
+from carpenter.tetris import tetris_vectors
 
 
 def spec(*values, tail=None):
@@ -59,17 +66,32 @@ def test_proper_subspec_strips_zeros_and_ones():
     assert kinds == {1: 0, 3: 1}
 
 
+@pytest.mark.parametrize("tail", [TailRule.zero(), TailRule.constant(0), TailRule.constant(1)])
+def test_proper_subspec_on_a_finite_proper_class(tail):
+    """With finitely many proper entries the subsequence is finite, the embedding's head is
+    their positions, and the 0/1 entries below rest_start are listed; the tail's own
+    constant 0s or 1s are not."""
+    s = spec("1", "1/3", "0", "0", "2/3", "1", "1/2", tail=tail)
+    sub, emb, improper = proper_subspec(s)
+    assert sub == spec("1/3", "2/3", "1/2")
+    assert emb.head == (2, 5, 7) and emb.map_index(4) == s.proper_classes().rest_start() == 8
+    assert improper == ((1, 1), (3, 0), (4, 0), (6, 1))
+    sub, emb, improper = proper_subspec(spec("0", "1", tail=tail))  # no proper entry at all
+    assert (sub, emb.head, improper) == (spec(), (), ((1, 0), (2, 1)))
+
+
 def test_rank_one_unit_mass():
-    rep = rank_one(spec("1/2", tail=TailRule.geometric("1/4", "1/2")))
+    s = spec("1/2", tail=TailRule.geometric("1/4", "1/2"))
+    rep = ProjectionRep.frame(tetris_vectors(s, 1).vectors)
     assert len(rep.vectors) == 1
     v = rep.vectors[0]
     assert v.exact_norm_sq() == 1
-    check_against_spec(rep, spec("1/2", tail=TailRule.geometric("1/4", "1/2")), 9, atol=1e-12)
+    check_against_spec(rep, s, 9, atol=1e-12)
 
 
 def test_rank_one_requires_unit_mass():
     with pytest.raises(ConstructionError):
-        rank_one(spec("1/2", "1/4"))
+        tetris_vectors(spec("1/2", "1/4"), 1)
 
 
 def test_decouple_worked_example_plan():

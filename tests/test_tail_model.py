@@ -93,6 +93,25 @@ def _check_index(s, cls, member):
         assert [cls.nth(k, a) for k in range(1, len(members[a]) + 1)] == members[a]
 
 
+def test_class_head_is_the_nth_enumeration_below_rest_start():
+    seen = Counter()
+    for s in _specs():
+        for cls in (s.half_classes(), s.proper_classes()):
+            for a in (True, False):
+                below = []
+                while len(below) < SCAN:  # a class may end before rest_start
+                    try:
+                        pos = cls.nth(len(below) + 1, a)
+                    except OutOfRangeError:
+                        break
+                    if pos >= cls.rest_start():
+                        break
+                    below.append(pos)
+                assert cls.head(a) == tuple(below), (s, a)
+                seen[cls.rest_a, a == cls.rest_a, bool(below)] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 20, seen
+
+
 def test_class_indices_match_brute_force():
     exceptions = Counter()
     for s in _specs():
@@ -380,6 +399,40 @@ def test_reach_on_slowly_decaying_tails_is_found_without_a_walk():
     assert rule.reach(2500) == 5001
     with pytest.raises(UnsupportedStructureError, match="threshold crossing"):
         rule.reach(5 * 10**8 - 1)
+
+
+def _walked_reach(rule, x):
+    """Reference: add the tail entries one at a time until their sum reaches x."""
+    j, s = 0, F(0)
+    while s < x:
+        j += 1
+        s += rule.value(j)
+    return j
+
+
+def test_reach_on_tails_near_one_bisects_an_exact_bracket():
+    """partial_sum(j) lies in [j - G, j], G = c r^k / (1 - r), so reach bisects
+    [ceil(x), ceil(x + G)]; it is the first j whose exact sum reaches x."""
+    rng = random.Random(SEED)
+    walked = 0
+    for _ in range(200):
+        c, r = F(rng.randint(1, 8), 8), F(rng.randint(1, 999), 1000)
+        rule = TailRule("one_minus_geometric", c, r, rng.randrange(4))
+        x = F(rng.randint(1, rng.choice((60, 3000))), rng.randint(1, 7))
+        j = rule.reach(x)
+        assert rule.partial_sum(j) >= x > rule.partial_sum(j - 1), (rule, x, j)
+        if x <= 60:
+            assert j == _walked_reach(rule, x), (rule, x)
+            walked += 1
+    assert walked >= 60, walked
+    rule = TailRule.one_minus_geometric("1/2", "999/1000")
+    for x in (F(1, 3), 1, 7, 100, F(1001, 3)):
+        assert rule.reach(x) == _walked_reach(rule, x), x
+    assert rule.reach(10000) == 10500
+    assert rule.partial_sum(10500) >= 10000 > rule.partial_sum(10499)
+    # a bracket whose exact power would pass the bit budget is refused before it is taken
+    with pytest.raises(UnsupportedStructureError, match="threshold crossing"):
+        rule.reach(10**6)
 
 
 def test_every_rule_round_trips_through_json():

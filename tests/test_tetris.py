@@ -68,6 +68,26 @@ def test_min_s_zero_tail_unreachable():
         min_s(s, 2)
 
 
+def test_min_s_is_the_fraction_definition_at_exact_integer_hits():
+    """Inside the prefix min_s bisects the integer sums d*S_i for d*n; it must agree with the
+    smallest i whose Fraction partial sum reaches n, also where S_i lands exactly on n."""
+    rng = random.Random(41)
+    hits = 0
+    for _ in range(300):
+        d = rng.choice((2, 3, 4, 6, 12, 2**31 - 1))
+        prefix = [F(rng.randint(0, d), d) for _ in range(rng.randint(1, 25))]
+        if rng.random() < 0.5:  # a denominator coprime to d, so the common one is a product
+            prefix.append(F(rng.randint(1, 96), 97))
+        s = DiagonalSpec(tuple(prefix), TailRule.constant("1/3"))
+        sums = [s.partial_sum(i) for i in range(len(prefix) + 1)]
+        for n in range(0, math.ceil(sums[-1]) + 1):
+            want = next((i for i, x in enumerate(sums) if x >= n), None)
+            if want is not None:
+                assert min_s(s, n) == want, (s, n)
+                hits += sums[want] == n and n > 0
+    assert hits > 300, hits
+
+
 # ---------------------------------------------------------------------------
 # the two-coordinate coupling
 
@@ -225,11 +245,12 @@ def test_fill_norm_check_does_not_trust_the_prefix_sums():
     clean = tetris_vectors(spec(*prefix, tail=TailRule.constant("1/4")), 3)
     s = spec(*prefix, tail=TailRule.constant("1/4"))
     d, sums = s._cumsums
-    assert s._floor_sums  # cached from the true sums, so every boundary stays put
     j = clean.min_s[2] - 2  # last whole entry of the second vector
     bad = list(sums)
     bad[j] += 1  # S_j off by 1/d
     s.__dict__["_cumsums"] = (d, tuple(bad))
+    # the corrupted sum stays below 2, so every boundary stays put
+    assert [min_s(s, n) for n in (1, 2, 3)] == [clean.min_s[n] for n in (1, 2, 3)]
     with pytest.raises(ConstructionError, match="step 2 produced norm"):
         tetris_vectors(s, 3)
 
@@ -500,6 +521,24 @@ def test_block_sort_sorted_input_is_fixed():
     assert rho.window == tuple(range(1, rho.size + 1))
     for i in range(1, 8):
         assert g.entry(i) == s.entry(i)
+
+
+def test_block_sort_window_ends_inside_the_prefix_or_reaches_into_the_tail():
+    """The sorted spec is the window's sorted entries, the prefix it left, and the tail
+    from the window's end on: one construction for a window ending inside the prefix (a
+    finite total reached there) and for one reaching into the tail."""
+    inside = spec("1/4", "1/2", "1/2", "1/4", "1/2", "1/2", "1/2")  # total 3
+    into = spec("1/4", "1/3", tail=TailRule.constant("2/5"))  # S_3 < 1 <= S_4
+    for f, w in ((inside, 5), (into, 4)):
+        g, pi = block_sort(f)
+        p = len(f.prefix)
+        assert pi.size == w and (w < p if f is inside else w > p), (f, pi)
+        assert g.prefix[w:] == f.prefix[w:] and len(g.prefix) == max(w, p)
+        assert g.tail == f.tail.reindexed(max(w - p, 0) + 1)
+        for j in range(1, w + 12):
+            assert g.entry(j) == f.entry(pi.apply(j)), (f, j)
+    g, _ = block_sort(inside)
+    assert list(g.prefix[:5]) == [F(1, 2), F(1, 2), F(1, 4), F(1, 2), F(1, 4)]
 
 
 def test_block_sort_reorders_within_blocks():
