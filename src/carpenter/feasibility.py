@@ -35,7 +35,7 @@ def kadison_ab(spec: DiagonalSpec):
     The prefix part adds integers: each entry x is scaled to n = d*x over the
     common denominator d of the prefix, and a large entry adds d - n to b.
     """
-    d, nums = spec._prefix_nums
+    d, nums = spec.den, spec.nums
     a = sum(n for n in nums if 2 * n <= d)  # d * (prefix part of a)
     b = sum(d - n for n in nums if 2 * n > d)  # d * (prefix part of b)
     a, b = Fraction(a, d), Fraction(b, d)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -130,23 +131,23 @@ def _pinned_columns(d: list[int], fi: list[int], keep: range) -> np.ndarray:
 
 
 def _projection_rows(f, *, rng: bool, ker: bool) -> tuple[list[SparseVector], list[SparseVector]]:
-    """:func:`finite_projection_pair`, building only the range rows (``rng``)
-    and the complement rows (``ker``) asked for; the other list is empty.
+    """:func:`finite_projection_pair`, building only the range rows (``rng``) and the
+    complement rows (``ker``) asked for (the other list is empty): :func:`_rows_over` of f."""
+    return _rows_over(*over_lcm([rat(x) for x in f]), rng=rng, ker=ker)
 
-    f is put over one denominator once, and the pinning runs on those integers.
-    """
-    fv = [rat(x) for x in f]
-    n = len(fv)
-    den, nums = over_lcm(fv)
-    for x, m in zip(fv, nums):
+
+def _rows_over(den: int, nums: Sequence[int], *, rng: bool, ker: bool) -> tuple[list, list]:
+    """:func:`_projection_rows` of the diagonal nums/den; the pinning runs on the integers."""
+    n = len(nums)
+    for m in nums:
         if not 0 <= m <= den:
-            raise SpecError(f"diagonal entry {x} outside [0,1]")
+            raise SpecError(f"diagonal entry {Fraction(m, den)} outside [0,1]")
     k, rest = divmod(sum(nums), den)
     if rest:
         raise MajorizationError(f"diagonal sum {Fraction(sum(nums), den)} is not an integer")
     if den == 1:  # every entry is 0 or 1
-        ones = [SparseVector.basis(i + 1) for i, x in enumerate(fv) if x == 1] if rng else []
-        zeros = [SparseVector.basis(i + 1) for i, x in enumerate(fv) if x == 0] if ker else []
+        ones = [SparseVector.basis(i + 1) for i, x in enumerate(nums) if x == 1] if rng else []
+        zeros = [SparseVector.basis(i + 1) for i, x in enumerate(nums) if x == 0] if ker else []
         return ones, zeros
     keep = range(0 if rng else k, n if ker else k)
     ut = _pinned_columns([den] * k + [0] * (n - k), nums, keep)

@@ -71,7 +71,7 @@ def rat(x) -> Fraction:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """``(p, q)``, q > 0, p/q the exact rational that the int or string x names; else SpecError.
+    """``(p, q)``, q > 0, p/q the rational that the int, str or Fraction x names; else SpecError.
 
     A canonical ``"p"`` or ``"p/q"`` of ASCII digits is split by ``int`` with no
     gcd (p/q need not be in lowest terms); any other int or string goes to
@@ -87,6 +87,8 @@ def _ratio(x) -> tuple[int, int]:
             return q.numerator, q.denominator
         except (ValueError, ZeroDivisionError):  # a malformed string, or one past the digit limit
             pass
+    elif isinstance(x, Fraction):
+        return x.numerator, x.denominator
     hint = " (floats must be converted explicitly)" if isinstance(x, float) else ""
     raise SpecError(f"not an exact rational: {x!r}{hint}")
 
@@ -174,6 +176,12 @@ def _fmt_ratio(p: int, q: int) -> str:
         ) from None
 
 
+def _log(f: Fraction) -> float:
+    """ln f for a Fraction f > 0: accurate near 1, and the ints' own logs never overflow."""
+    n, d = f.numerator, f.denominator
+    return math.log1p((n - d) / d) if 2 * n > d else math.log(n) - math.log(d)
+
+
 # ---------------------------------------------------------------------------
 # tail rules
 
@@ -259,6 +267,15 @@ class TailRule:
         """c * r**k, the first entry's geometric part, computed once (k > 0)."""
         return self.c * self.r**self.k
 
+    @cached_property
+    def _float_cuts(self) -> tuple[int | float, int | float]:
+        """``(cut, zero)``: from offset ``zero`` on a decaying tail has c * r**(k+j-1) < 2**-1075
+        (a log bound with a margin), so its float is 0.0; from ``cut`` on no power is taken."""
+        lr = 0.0 if self.u or self.flat else -_log(self.r)  # 0.0 also for an r that rounds to 1
+        e = (_log(self._start) + 1075 * math.log(2)) / lr if lr else INF
+        zero = 2 + math.ceil(e + 1e-9 * abs(e) + 1) if lr else INF
+        return INF if self.flat else min(zero, _POWER_BITS // self._power_bits(1) + 2), zero
+
     # -- constructors
 
     @classmethod
@@ -286,15 +303,23 @@ class TailRule:
         g = self._start if self.flat else self._start * self.r ** (j - 1)
         return 1 - g if self.u else g
 
-    def values(self, n: int | None = None) -> Iterator[Fraction]:
-        """``value(1), ..., value(n)`` (with no n, every value in turn), one exact
-        multiply per step in place of a power."""
-        steps = () if n is None else (n,)
+    def _float_value(self, j: int) -> float:
+        """``float(value(j))``, bit for bit: 0.0 from ``_float_cuts``' zero on, and before it an
+        UnsupportedStructureError for a power past ``_POWER_BITS``."""
+        cut, zero = self._float_cuts
+        if j >= cut:
+            if j >= zero:
+                return 0.0
+            self._check_power(j - 1)
+        return float(self.value(j))
+
+    def values(self, n: int) -> Iterator[Fraction]:
+        """``value(1), ..., value(n)``, one exact multiply per step in place of a power."""
         if self.flat:
-            yield from repeat(self.value(1), *steps)
+            yield from repeat(self.value(1), n)
             return
         g, r, u = self._start, self.r, self.u
-        for _ in repeat(None, *steps):
+        for _ in range(n):
             yield 1 - g if u else g
             g *= r
 
@@ -369,13 +394,8 @@ class TailRule:
         power passes ``_POWER_BITS`` is an UnsupportedStructureError."""
         if q >= 1:
             return 1
-
-        def log(f: Fraction) -> float:  # accurate near 1; the ints' own logs never overflow
-            n, d = f.numerator, f.denominator
-            return math.log1p((n - d) / d) if 2 * n > d else math.log(n) - math.log(d)
-
-        lr = log(self.r)
-        e = log(q) / lr if lr else INF  # r**e = q; an r that rounds to 1 is past any budget
+        lr = _log(self.r)
+        e = _log(q) / lr if lr else INF  # r**e = q; an r that rounds to 1 is past any budget
         self._check_power(e)
         j = max(2, 1 + math.ceil(e))
         while j > 2 and self.r ** (j - 2) <= q:
@@ -455,79 +475,88 @@ class TailRule:
 # prescribed diagonals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiagonalSpec:
     """A candidate diagonal: rational prefix plus closed-form tail.
 
     Entries are 1-based.  ``entry``, ``partial_sum`` and ``tail_sum`` are
     exact; sums that diverge come back as ``INF``.
 
-    Threshold tests run on integers.  ``_cumsums`` holds the prefix partial
-    sums over one common denominator d, so S_i >= x is d*S_i >= d*x: one
+    The prefix is integer numerators ``nums`` over ``den``, their least common
+    denominator (0 <= n <= den), read from ints, Fractions and ``"p/q"`` strings
+    by :func:`_ratio`; ``prefix`` is a read-only Fraction view built on first
+    use.  Tests run on the integers: ``_cumsums`` holds the sums d*S_i, so one
     bisection serves :func:`carpenter.tetris.min_s` and :meth:`sum_reach`.
-    Range and 1/2 tests compare numerator and denominator (a Fraction's
-    denominator is positive).
     """
 
-    prefix: tuple[Fraction, ...] = ()
-    tail: TailRule = field(default_factory=TailRule.zero)
+    den: int
+    nums: tuple[int, ...]
+    tail: TailRule
 
-    def __post_init__(self):
-        pfx = tuple(rat(x) for x in self.prefix)
-        object.__setattr__(self, "prefix", pfx)
-        for i, x in enumerate(pfx, start=1):
-            if not 0 <= x.numerator <= x.denominator:
-                raise SpecError(f"entry {i} = {x} outside [0,1]")
+    def __init__(self, prefix: Iterable = (), tail: TailRule | None = None):
+        pqs = [_ratio(x) for x in prefix]
+        den = math.lcm(*(q for _, q in pqs))
+        nums = [p * (den // q) for p, q in pqs]
+        if nums and (min(nums) < 0 or max(nums) > den):
+            i = next(i for i, n in enumerate(nums) if not 0 <= n <= den)
+            raise SpecError(f"entry {i + 1} = {Fraction(*pqs[i])} outside [0,1]")
+        self._store(den, nums, tail or TailRule.zero())
+
+    @classmethod
+    def _over(cls, den: int, nums: list[int], tail: TailRule) -> "DiagonalSpec":
+        """The spec of the prefix nums/den, 0 <= n <= den unchecked: the internal builder."""
+        return object.__new__(cls)._store(den, nums, tail)
+
+    def _store(self, den: int, nums: list[int], tail: TailRule) -> "DiagonalSpec":
+        g = math.gcd(den, *nums)  # one gcd: the least denominator, so equal specs are stored alike
+        nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
+        for name, value in (("den", den // g), ("nums", nums), ("tail", tail)):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def of(cls, *values, tail: TailRule | None = None) -> "DiagonalSpec":
         """Convenience constructor: DiagonalSpec.of('2/5', '2/5', tail=...)."""
-        return cls(values, tail or TailRule.zero())
+        return cls(values, tail)
 
     @cached_property
-    def _prefix_nums(self) -> tuple[int, tuple[int, ...]]:
-        """``(d, (d*f_1, ..., d*f_p))``: the prefix entries over one common denominator d."""
-        d, nums = over_lcm(self.prefix)
-        return d, tuple(nums)
+    def prefix(self) -> tuple[Fraction, ...]:
+        """The prefix entries as Fractions, in order."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @cached_property
     def _cumsums(self) -> tuple[int, tuple[int, ...]]:
-        """``(d, (d*S_0, ..., d*S_p))``: the prefix sums over the same d."""
-        d, nums = self._prefix_nums
-        return d, tuple(accumulate(nums, initial=0))
+        """``(d, (d*S_0, ..., d*S_p))``: the prefix sums over d = ``den``."""
+        return self.den, tuple(accumulate(self.nums, initial=0))
 
     # -- evaluation
 
     def entry(self, i: int) -> Fraction:
         if i < 1:
             raise OutOfRangeError(f"index {i} < 1")
-        if i <= len(self.prefix):
-            return self.prefix[i - 1]
-        return self.tail.value(i - len(self.prefix))
+        p = len(self.nums)
+        return Fraction(self.nums[i - 1], self.den) if i <= p else self.tail.value(i - p)
 
     def entries(self, n: int) -> list[Fraction]:
         """``entry(k)`` for k = 1..n, in one walk of the tail (one multiply per step)."""
-        pfx = list(self.prefix[: max(n, 0)])
+        pfx = [Fraction(x, self.den) for x in self.nums[: max(n, 0)]]
         return pfx + list(self.tail.values(n - len(pfx)))
 
     def float_entries(self, n: int) -> list[float]:
         """``float(entry(k))`` for k = 1..n, bit for bit, in one walk of the tail."""
-        pfx = self.prefix[: max(n, 0)]
-        return [q.numerator / q.denominator for q in pfx] + self.tail.float_values(n - len(pfx))
+        pfx = self.nums[: max(n, 0)]
+        return [x / self.den for x in pfx] + self.tail.float_values(n - len(pfx))
 
     def partial_sum(self, i: int) -> Fraction:
         """S_i = f_1 + ... + f_i, exact; S_i = 0 for i <= 0."""
-        p = len(self.prefix)
-        if i <= 0:
-            return Fraction(0)
         d, sums = self._cumsums
-        if i <= p:
-            return Fraction(sums[i], d)
-        return Fraction(sums[p], d) + self.tail.partial_sum(i - p)
+        p = len(sums) - 1
+        s = Fraction(sums[min(max(i, 0), p)], d)
+        return s if i <= p else s + self.tail.partial_sum(i - p)
 
     def tail_sum(self, i: int):
         """Sum of entries from index i on: Fraction or INF."""
-        p = len(self.prefix)
+        p = len(self.nums)
         if i < 1:
             raise OutOfRangeError(f"index {i} < 1")
         if i <= p:
@@ -544,7 +573,7 @@ class DiagonalSpec:
         In the prefix this is one bisection of the integer prefix sums, past it
         :meth:`TailRule.sum_reach`.
         """
-        p = len(self.prefix)
+        p = len(self.nums)
         rest = x - self.tail.sum_from(1)  # what the prefix entries from i on may add up to
         if rest < 0:  # also when the tail diverges
             j = self.tail.sum_reach(x)
@@ -556,7 +585,8 @@ class DiagonalSpec:
     # -- transforms
 
     def complement(self) -> "DiagonalSpec":
-        return DiagonalSpec(tuple(1 - x for x in self.prefix), self.tail.complement())
+        d = self.den
+        return DiagonalSpec._over(d, [d - x for x in self.nums], self.tail.complement())
 
     def subsequence(
         self, classes: "TwoClassIndex", a_flag: bool, o0: int = 1, step: int = 1
@@ -566,45 +596,44 @@ class DiagonalSpec:
         Finite classes are padded with a zero tail.  For infinite classes the
         eventual arithmetic structure of the positions turns the source tail
         into a closed tail of the subsequence (:meth:`TailRule.reindexed`).
+        The numerators are picked by position, over one lcm with the tail
+        entries a finite class reaches.
         """
-        rest = classes.rest_start()
-        vals: list[Fraction] = []
-        o = o0
-        while True:
-            try:
-                pos = classes.nth(o, a_flag)
-            except OutOfRangeError:
-                return DiagonalSpec(tuple(vals), TailRule.zero())
-            if pos >= rest and a_flag == classes.rest_a:
-                break
-            vals.append(self.entry(pos))
-            o += step
-        # from pos on, the class walks the tail in steps of ``step`` offsets
-        return DiagonalSpec(tuple(vals), self.tail.reindexed(pos - len(self.prefix), step))
+        p = len(self.nums)
+        picked = classes.head(a_flag)[o0 - 1 :: step]  # every member below rest_start
+        tail = TailRule.zero()
+        if a_flag == classes.rest_a:  # from the next member on, the class walks the tail
+            tail = self.tail.reindexed(classes.nth(o0 + step * len(picked), a_flag) - p, step)
+        ts = [self.tail.value(i - p) for i in picked if i > p]
+        L = math.lcm(self.den, *(t.denominator for t in ts))
+        f = L // self.den
+        nums = [self.nums[i - 1] * f for i in picked if i <= p]
+        return DiagonalSpec._over(L, nums + [t.numerator * (L // t.denominator) for t in ts], tail)
 
     # -- classification plumbing
 
     def half_classes(self) -> "TwoClassIndex":
         """Index classes against the 1/2 threshold (small: entry <= 1/2)."""
-        return TwoClassIndex(
-            tuple(2 * x.numerator <= x.denominator for x in self.prefix),
-            *self.tail.half_exceptions(),
-        )
+        d = self.den
+        return TwoClassIndex(tuple(2 * x <= d for x in self.nums), *self.tail.half_exceptions())
 
     def proper_classes(self) -> "TwoClassIndex":
         """Index classes proper-vs-improper (proper: entry in (0,1))."""
-        return TwoClassIndex(tuple(0 < x < 1 for x in self.prefix), *self.tail.proper_exceptions())
+        d = self.den
+        return TwoClassIndex(tuple(0 < x < d for x in self.nums), *self.tail.proper_exceptions())
 
     # -- serialization
 
     def to_json_dict(self) -> dict:
-        return {"prefix": [fmt_rat(x) for x in self.prefix], "tail": self.tail.to_json_dict()}
+        d = self.den  # each entry in lowest terms, one gcd each
+        pfx = [_fmt_ratio(x // g, d // g) for x in self.nums for g in (math.gcd(x, d),)]
+        return {"prefix": pfx, "tail": self.tail.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "DiagonalSpec":
         d = _json_object(d, "diagonal spec")
         tail = TailRule.from_json_dict(d.get("tail", {"kind": ZERO_KIND}))
-        return cls(tuple(_json_list(d.get("prefix", ()), "prefix")), tail)
+        return cls(_json_list(d.get("prefix", ()), "prefix"), tail)
 
 
 class TwoClassIndex:
@@ -810,7 +839,7 @@ class SparseVector:
         if self.sqrt_tail is None:
             return 0.0
         j = self.sqrt_tail.offset_of(k)
-        return 0.0 if j is None else math.sqrt(self.sqrt_tail.rule.value(j))
+        return 0.0 if j is None else math.sqrt(self.sqrt_tail.rule._float_value(j))
 
     def _tail_tail_inner(self, other: "SparseVector") -> float:
         t1, t2 = self.sqrt_tail, other.sqrt_tail
@@ -822,7 +851,7 @@ class SparseVector:
             return 0.0  # interleaved, never meet
         k0 = max(t1.start, t2.start)
         j1, j2 = t1.offset_of(k0), t2.offset_of(k0)
-        head = math.sqrt(float(t1.rule.value(j1)) * float(t2.rule.value(j2)))
+        head = math.sqrt(t1.rule._float_value(j1) * t2.rule._float_value(j2))
         ratio = math.sqrt(float(t1.rule.r * t2.rule.r))
         return head / (1.0 - ratio)
 

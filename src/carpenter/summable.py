@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .seqcore import (
     fmt_rat,
     over_lcm,
 )
-from .schurhorn import _projection_rows, majorizes, schur_horn_unitary
+from .schurhorn import _projection_rows, _rows_over, majorizes, schur_horn_unitary
 from .tetris import tetris_vectors
 
 __all__ = [
@@ -112,14 +112,14 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     entries <= 1/2.  All scans and identities are exact; violations of the
     invariants raise ConstructionError rather than returning a bad plan.
 
-    Each exact quantity is found once.  i4 is the first cut whose suffix sum
-    of small entries (integers over their common denominator, summed once
-    from the end) fits beside b_{i3}.  i5 is the first ordinal from which the
-    large entries' co-mass, b_{i3}'s left out, is at most a_{i2}: that co-mass
-    is nonincreasing, so :meth:`DiagonalSpec.sum_reach` finds it from an
-    estimate confirmed by exact closed-form sums, without a walk over the
-    ordinals.  The entries are read in one walk each (one multiply per tail
-    step), and group 1's integer mass comes from closed-form partial sums.
+    Each exact quantity is found once.  i3 is the first large entry >= 1 - a_{i1}:
+    a scan of the large prefix's numerators, else the tail's closed-form crossing.
+    i4 is the first cut whose suffix sum of small entries (integers over one
+    denominator, summed once from the end) fits beside b_{i3}.  i5 is the first
+    ordinal from which the large entries' co-mass, b_{i3}'s left out, is at most
+    a_{i2}: that co-mass is nonincreasing, so :meth:`DiagonalSpec.sum_reach` finds
+    it from closed-form sums, without a walk over the ordinals.  The entries are
+    read in one walk each, and group 1's integer mass comes from closed-form sums.
     """
     prop = spec.proper_classes()
     if prop.count(False) != 0:
@@ -139,10 +139,14 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
 
     i1 = 1 if a[0] >= a[1] else 2
     i2 = 3 - i1
-    # the first large entry >= 1 - a_{i1}, in one walk; the large entries tend to 1
-    low = 1 - a[i1 - 1]
-    walk = enumerate(chain(large.prefix, large.tail.values()), start=1)
-    i3, b3 = next((i, b) for i, b in walk if b >= low)
+    low, t = 1 - a[i1 - 1], large.tail
+    lp, lq = low.numerator * large.den, low.denominator
+    i3 = next((i for i, x in enumerate(large.nums, start=1) if x * lq >= lp), None)
+    if i3 is None:
+        if not t.u:  # a constant tail of large entries leaves b infinite
+            raise ConstructionError("decoupling needs the large entries to tend to 1")
+        i3 = len(large.nums) + t._first_power_at_most(a[i1 - 1] / t._start)  # r**(j-1) <= q
+    b3 = large.entry(i3)
     den, nums = over_lcm(a)
     # suffix[k - 1] = den * (a_k + ... + a_n), for k = 1..n+1
     suffix = list(accumulate(reversed(nums), initial=0))[::-1]
@@ -194,7 +198,7 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     if sum(group2, Fraction(0)) != 1:
         raise ConstructionError("second group mass != 1")
 
-    p_l = len(large.prefix)
+    p_l = len(large.nums)
     cut = max(p_l + 1, i3 + 1, i5)
     head_ords = [o for o in range(i5, cut) if o != i3]
     g3c = DiagonalSpec(
@@ -320,5 +324,5 @@ def _finite_schur_horn(spec: DiagonalSpec) -> ProjectionRep:
     if spec.tail == TailRule.constant(1):
         return _finite_schur_horn(spec.complement()).complementary()
     sub, emb, improper = proper_subspec(spec)
-    rng, _ = _projection_rows(sub.prefix, rng=True, ker=False)
+    rng, _ = _rows_over(sub.den, sub.nums, rng=True, ker=False)
     return embed_with_improper(ProjectionRep.frame(v.remap(emb) for v in rng), improper)

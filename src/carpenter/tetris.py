@@ -63,7 +63,7 @@ def min_s(spec: DiagonalSpec, n: int) -> int:
     i = bisect_left(sums, n * d)
     if i < len(sums):
         return i
-    sp = spec.partial_sum(len(spec.prefix))
+    sp = Fraction(sums[-1], d)
     j = spec.tail.reach(n - sp)
     if j is not None:
         return len(sums) - 1 + j
@@ -153,7 +153,7 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     if n_total is not None and m > n_total:
         raise ConstructionError(f"requested {m} vectors but total mass is {n_total}")
 
-    pd, pnums = spec._prefix_nums
+    pd, pnums = spec.den, spec.nums
     _, sums = spec._cumsums
     p = len(pnums)
     mins: dict[int, int] = {}
@@ -256,7 +256,7 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
 
 def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
     """Final vector of a finite-mass construction: leftovers plus everything else."""
-    pd, pnums = spec._prefix_nums
+    pd, pnums = spec.den, spec.nums
     p = len(pnums)
     L = math.lcm(pd, *(d for _, _, d in pending))
     entries = [(i, num * (L // d), 1) for i, num, d in pending]
@@ -293,34 +293,36 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
         raise ConstructionError("blockwise sorting needs every entry beyond the first <= 1/2")
     n_fin = _natural_total(spec)
 
-    p = len(spec.prefix)
+    p = len(spec.nums)
     bounds = [0]  # bounds[n] = min_s(spec, n)
     # the ultimate block is never sorted, nor the blocks inside the weakly
     # decreasing tail
     while (n_fin is None or len(bounds) < n_fin) and bounds[-1] < p:
         bounds.append(min_s(spec, len(bounds)))
     w = bounds[-1]
-    vals = spec.entries(w)
-    _, nums = over_lcm(vals)
+    ts = list(spec.tail.values(w - p))  # the tail entries the window reaches, if any
+    L = math.lcm(spec.den, *(t.denominator for t in ts))
+    f = L // spec.den
+    nums = [x * f for x in spec.nums] + [t.numerator * (L // t.denominator) for t in ts]
     keys = [(n, -nums[i]) for n in range(1, len(bounds)) for i in range(bounds[n - 1], bounds[n])]
     images = sorted(range(1, w + 1), key=lambda i: keys[i - 1])
     # the window, then the prefix it left (none when it reached into the tail)
-    g = DiagonalSpec(
-        tuple(vals[i - 1] for i in images) + spec.prefix[w:], spec.tail.reindexed(max(w - p, 0) + 1)
-    )
+    nums[:w] = [nums[i - 1] for i in images]
+    g = DiagonalSpec._over(L, nums, spec.tail.reindexed(max(w - p, 0) + 1))
     _check_block_order(g, bounds)
     return g, PermutationWindow(tuple(images))
 
 
 def _check_block_order(g: DiagonalSpec, bounds: list[int]):
-    """Check g's boundaries against the original's, ``bounds[n]`` = min_s(f, n)."""
+    """Check g's boundaries against the original's, ``bounds[n]`` = min_s(f, n), on integers."""
+    d, sums = g._cumsums
     for n in range(1, len(bounds)):
         mg = min_s(g, n)
-        if mg >= 2 and g.entry(mg - 1) < g.entry(mg):
-            raise ConstructionError(f"sorted output breaks the boundary order at step {n}")
         if not mg <= bounds[n]:
             raise ConstructionError(f"sorted boundary {mg} passed the original at step {n}")
-        if mg < bounds[n - 1] + 2 and g.partial_sum(mg) != n:  # too early unless an exact hit
+        if mg >= 2 and g.nums[mg - 2] < g.nums[mg - 1]:  # mg <= bounds[n] lies in g's prefix
+            raise ConstructionError(f"sorted output breaks the boundary order at step {n}")
+        if mg < bounds[n - 1] + 2 and sums[mg] != n * d:  # too early unless an exact hit
             raise ConstructionError(f"sorted boundary {mg} too early at step {n}")
 
 
@@ -349,8 +351,10 @@ def interleave_split_fin(
     large = tuple(cls.nth(m, False) for m in range(1, k + 1))
     subs = []
     for m, pos in enumerate(large, start=1):
-        sub = spec.subsequence(cls, True, m, k)
-        subs.append(DiagonalSpec((spec.entry(pos),) + sub.prefix, sub.tail))
+        sub, x = spec.subsequence(cls, True, m, k), spec.entry(pos)
+        d = math.lcm(sub.den, x.denominator)  # the large entry, then the picked numerators
+        nums = [x.numerator * (d // x.denominator)] + [n * (d // sub.den) for n in sub.nums]
+        subs.append(DiagonalSpec._over(d, nums, sub.tail))
     return subs, PermutationWindow.head_first(large)
 
 

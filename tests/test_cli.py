@@ -420,3 +420,14 @@ def test_bad_input_files(tmp_path, capsys):
         code, _, err = run(capsys, [cmd] + argv)
         assert code == 2 and err.startswith("error:") and "Traceback" not in err, (doc, err)
         assert repr(field) in err and "KeyError" not in err, (doc, err)
+
+
+@pytest.mark.parametrize("index", [2**70, 1e308], ids=["2^70", "1e308"])
+def test_verify_ends_on_a_support_row_far_down_a_sqrt_tail(tmp_path, capsys, index):
+    from test_selector import deep_frame
+
+    rep = write_json(tmp_path / "rep.json", deep_frame(index))
+    spec = write_json(tmp_path / "s.json", {
+        "prefix": ["1", "0", "0", "0"], "tail": {"kind": "geometric", "c": "1/2", "r": "1/2"}})
+    code, out, err = run(capsys, ["verify", "--rep", rep, "--spec", spec])
+    assert code == 0 and err == "" and json.loads(out)["passed"] is True

@@ -1,16 +1,18 @@
+import json
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from carpenter.errors import InfeasibleDiagonalError, SpecError
+from carpenter.errors import InfeasibleDiagonalError, SpecError, UnsupportedStructureError
 from carpenter.feasibility import classify
 from carpenter.seqcore import (
     CellField,
     DiagonalSpec,
     ProjectionRep,
     SparseVector,
+    SqrtTail,
     TailRule,
     dumps_canonical,
 )
@@ -201,3 +203,33 @@ def test_necessity_oracle_is_deterministic():
     a = necessity_oracle(3, 100, seed=5).to_json_dict()
     b = necessity_oracle(3, 100, seed=5).to_json_dict()
     assert a == b
+
+
+def deep_frame(index):
+    """e_1, the sqrt tail geometric(1/2, 1/2) from index 5, and e_index: a projection."""
+    tail = {"start": 5, "stride": 1, "rule": {"kind": "geometric", "c": "1/2", "r": "1/2"}}
+    return {"form": "frame", "vectors": [
+        {"support": [[1, 1.0]], "sqrtTail": None, "squares": ["1"]},
+        {"support": [], "sqrtTail": tail},
+        {"support": [[index, 1.0]], "sqrtTail": None},
+    ]}
+
+
+@pytest.mark.parametrize("index", [2**70, 1e308], ids=["2^70", "1e308"])
+def test_verify_projection_meets_a_support_row_far_down_a_sqrt_tail(index):
+    # the tail's entry at that index is far below the least float: it reads as 0.0
+    # without its power being taken
+    rep = ProjectionRep.from_json_dict(json.loads(json.dumps(deep_frame(index))))
+    s = spec(1, 0, 0, 0, tail=TailRule.geometric("1/2", "1/2"))
+    report = verify_projection(rep, s, 16)
+    assert report.passed and report.gram_max_err == 0.0, report
+
+
+def test_verify_projection_refuses_a_tail_power_past_the_budget():
+    # r = 999/1000: offset 500,000 is past the power budget and still above the least float
+    rep = ProjectionRep.frame((
+        SparseVector((), SqrtTail(1, TailRule.geometric("1/2", "999/1000")), None),
+        SparseVector.basis(500_000),
+    ))
+    with pytest.raises(UnsupportedStructureError, match="bit budget"):
+        verify_projection(rep, spec(tail=TailRule.geometric("1/2", "999/1000")), 8)

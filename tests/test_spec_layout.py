@@ -1,0 +1,210 @@
+"""The spec's stored layout: one least denominator and integer numerators.
+
+``DiagonalSpec`` reads ints, Fractions and ``"p/q"`` strings (in lowest terms
+or not) into ``(den, nums)``; every transform picks or rescales those
+integers.  Here each transform is checked against a reference that builds its
+spec from Fractions, the way the layout's readers once did, and the stream's
+construction is checked never to build the Fraction view of a prefix.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from carpenter.errors import CarpenterError, SpecError
+from carpenter.selector import carpenter
+from carpenter.seqcore import DiagonalSpec, PermutationWindow, TailRule, over_lcm
+from carpenter.tetris import block_sort, interleave_split_fin, min_s
+from test_route_corpus import COUNT, SEED, _random_spec
+
+DENS = (97, 2**20, 2**31 - 1)
+
+
+def _forms(rng, x):
+    """x written as a canonical string, a string not in lowest terms, a Fraction, and
+    (when x is 0 or 1) an int; one of them drawn at random."""
+    k = rng.randint(2, 9)
+    forms = [str(x), f"{x.numerator * k}/{x.denominator * k}", x]
+    if x.denominator == 1:
+        forms.append(int(x))
+    return rng.choice(forms)
+
+
+def _random_prefix(rng):
+    n = rng.randint(0, 12)
+    out = []
+    for _ in range(n):
+        d = rng.choice((1, 2, 3, 8, 97, 2**20, 2**31 - 1))
+        out.append(F(rng.randint(0, d), d))
+    return out
+
+
+def test_spec_layout_is_one_least_denominator_whatever_the_entries_are_written_as():
+    rng = random.Random(SEED)
+    tails = (TailRule.zero(), TailRule.constant("2/5"), TailRule.geometric("1/2", "1/3"))
+    for _ in range(300):
+        vals = _random_prefix(rng)
+        tail = rng.choice(tails)
+        ref = DiagonalSpec(tuple(vals), tail)
+        spec = DiagonalSpec([_forms(rng, x) for x in vals], tail)
+        assert spec == ref and hash(spec) == hash(ref)
+        assert math.gcd(spec.den, *spec.nums) == 1
+        if vals:
+            d, nums = over_lcm(vals)
+            assert (spec.den, list(spec.nums)) == (d, nums)
+        else:
+            assert (spec.den, spec.nums) == (1, ())
+        assert spec.prefix == tuple(vals)
+        assert all(type(x) is F for x in spec.prefix)
+        assert spec.to_json_dict() == ref.to_json_dict()
+        assert spec.to_json_dict()["prefix"] == [str(x) for x in vals]
+        n = len(vals) + 3
+        assert [x.hex() for x in spec.float_entries(n)] == [float(x).hex() for x in ref.entries(n)]
+        d, sums = spec._cumsums
+        assert [F(s, d) for s in sums] == [ref.partial_sum(i) for i in range(len(vals) + 1)]
+        assert DiagonalSpec.from_json_dict(spec.to_json_dict()) == spec
+
+
+def test_spec_layout_view_is_read_only():
+    s = DiagonalSpec.of("1/2", "2/4", 1)
+    assert (s.den, s.nums) == (2, (1, 1, 2))
+    with pytest.raises(AttributeError):
+        s.prefix = ()
+    with pytest.raises(AttributeError):
+        s.nums = (0,)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (["1/2", "6/4"], "entry 2 = 3/2 outside [0,1]"),
+        ([F(1, 3), -1], "entry 2 = -1 outside [0,1]"),
+        (["-2/4"], "entry 1 = -1/2 outside [0,1]"),
+        ([2], "entry 1 = 2 outside [0,1]"),
+        (["1/2", 0.5], "not an exact rational: 0.5 (floats must be converted explicitly)"),
+        (["3/2", "x"], "not an exact rational: 'x'"),  # every entry is read before the range test
+        ([True], "not an exact rational: True"),
+        ([None], "not an exact rational: None"),
+        (["1/0"], "not an exact rational: '1/0'"),
+    ],
+)
+def test_spec_layout_refusals_keep_their_messages(entries, message):
+    with pytest.raises(SpecError) as err:
+        DiagonalSpec(entries)
+    assert str(err.value) == message
+
+
+# -- references built from Fractions
+
+
+def _ref_subsequence(spec, classes, a_flag, o0=1, step=1):
+    vals, o = [], o0
+    while True:
+        try:
+            pos = classes.nth(o, a_flag)
+        except CarpenterError:
+            return DiagonalSpec(tuple(vals), TailRule.zero())
+        if pos >= classes.rest_start() and a_flag == classes.rest_a:
+            break
+        vals.append(spec.entry(pos))
+        o += step
+    return DiagonalSpec(tuple(vals), spec.tail.reindexed(pos - len(spec.prefix), step))
+
+
+def _ref_interleave(spec, k):
+    cls = spec.half_classes()
+    large = tuple(cls.nth(m, False) for m in range(1, k + 1))
+    subs = []
+    for m, pos in enumerate(large, start=1):
+        sub = _ref_subsequence(spec, cls, True, m, k)
+        subs.append(DiagonalSpec((spec.entry(pos),) + sub.prefix, sub.tail))
+    return subs, PermutationWindow.head_first(large)
+
+
+def _ref_block_sort(spec):
+    p, bounds = len(spec.prefix), [0]
+    n_fin = spec.total()
+    while (n_fin == math.inf or len(bounds) < n_fin) and bounds[-1] < p:
+        bounds.append(min_s(spec, len(bounds)))
+    w = bounds[-1]
+    vals = spec.entries(w)
+    _, nums = over_lcm(vals)
+    keys = [(n, -nums[i]) for n in range(1, len(bounds)) for i in range(bounds[n - 1], bounds[n])]
+    images = sorted(range(1, w + 1), key=lambda i: keys[i - 1])
+    g = DiagonalSpec(
+        tuple(vals[i - 1] for i in images) + spec.prefix[w:], spec.tail.reindexed(max(w - p, 0) + 1)
+    )
+    return g, PermutationWindow(tuple(images))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CarpenterError as e:
+        return type(e).__name__
+
+
+def _stream_spec(rng, den, k, p, complement=False):
+    """A stream-shaped spec: k entries > 1/2, then p entries <= 1/2 over den, a constant tail."""
+    vals = [F(rng.randint(den // 2 + 1, den - 1), den) for _ in range(k)]
+    vals += [F(rng.randint(1, den // 2), den) for _ in range(p)]
+    c = F(rng.randint(1, 9), 20)
+    if complement:
+        return DiagonalSpec(tuple(1 - x for x in vals), TailRule.constant(1 - c))
+    return DiagonalSpec(tuple(vals), TailRule.constant(c))
+
+
+def _layout_corpus():
+    rng = random.Random(SEED)
+    for _ in range(COUNT):
+        yield _random_spec(rng)
+    rng = random.Random(1729)
+    for den in DENS:
+        for k in (0, 1, 3):
+            yield _stream_spec(rng, den, k, 60)
+
+
+def test_spec_transforms_match_a_fraction_built_reference():
+    blocks = splits = 0
+    for spec in _layout_corpus():
+        comp = spec.complement()
+        assert comp == DiagonalSpec(tuple(1 - x for x in spec.prefix), spec.tail.complement())
+        for classes in (spec.half_classes(), spec.proper_classes()):
+            for a_flag in (True, False):
+                for o0, step in ((1, 1), (2, 1), (1, 2), (3, 3)):
+                    got = _outcome(spec.subsequence, classes, a_flag, o0, step)
+                    assert got == _outcome(_ref_subsequence, spec, classes, a_flag, o0, step)
+        k = spec.half_classes().count(False)
+        if 1 <= k < math.inf:
+            got = _outcome(interleave_split_fin, spec, k)
+            assert got == _outcome(_ref_interleave, spec, k)
+            splits += not isinstance(got, str)
+        got = _outcome(block_sort, spec)
+        if not isinstance(got, str):
+            assert got == _ref_block_sort(spec)
+            blocks += 1
+    assert blocks > 50 and splits > 20
+
+
+@pytest.mark.parametrize("den", DENS)
+def test_stream_construct_never_builds_the_prefix_view(den, monkeypatch):
+    """``carpenter`` on stream-shaped specs reads every spec's integers, never its
+    Fraction view: the input's, the complement's, the sorted blocks' and the residue parts'."""
+    made = []
+    store = DiagonalSpec._store
+
+    def recorded(self, *args):
+        made.append(self)
+        return store(self, *args)
+
+    monkeypatch.setattr(DiagonalSpec, "_store", recorded)
+    rng = random.Random(den)
+    for k in (0, 1, 3):
+        for complement in (False, True):
+            spec = _stream_spec(rng, den, k, 150, complement)
+            carpenter(spec, 12)
+            carpenter(spec, 12, {})
+    assert len(made) > 6 * 4  # every input, and specs derived from it
+    assert not [s for s in made if "prefix" in s.__dict__]

@@ -392,3 +392,16 @@ def test_summable_random_balanced_specs():
         p = rep.dense(n + 2)
         assert np.allclose(p @ p, p, atol=1e-9)
         done += 1
+
+
+def test_decouple_finds_i3_by_a_crossing_search():
+    # the proper entries of one_minus_geometric(1, 999/1000): the first large entry
+    # >= 1 - a_{i1} is the 5,521st, found from a logarithm estimate, not a walk
+    d = proper_subspec(DiagonalSpec((), TailRule.one_minus_geometric(1, "999/1000")))[0]
+    plan = decouple(d)
+    assert plan.i3 == 5521
+    large = d.subsequence(d.half_classes(), False)
+    assert large.entry(5521) >= 1 - plan.small[plan.i1 - 1] > large.entry(5520)
+    # a constant tail of large entries never gets there
+    with pytest.raises(ConstructionError, match="tend to 1"):
+        decouple(spec("1/5", "1/5", tail=TailRule.constant("3/4")))

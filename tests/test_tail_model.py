@@ -14,6 +14,7 @@ must match the four-branch closed forms of :class:`_Oracle` on c folded to
 c * r**k, and every rule must round-trip through its JSON.
 """
 
+import bisect
 import json
 import math
 import random
@@ -456,3 +457,29 @@ def test_every_rule_round_trips_through_json():
 def test_bad_exponents_are_refused(tail):
     with pytest.raises(SpecError, match="'k'"):
         TailRule.from_json_dict(tail)
+
+
+@pytest.mark.parametrize("c, r, k", [
+    ("1/2", "1/2", 0), ("1", "3/4", 0), ("3/8", "39/40", 0), ("1/2", "1/2", 40), ("1", "1/3", 7),
+])
+def test_float_value_is_the_float_of_the_exact_value_with_no_deep_power(c, r, k):
+    """``_float_value(j)`` is ``float(value(j))`` bit for bit; from the proven zero offset on it
+    is 0.0 without the power, and that offset is at most three past the first zero."""
+    rule = TailRule("geometric", c, r, k)
+    cut, zero = rule._float_cuts
+    assert cut == zero  # these powers stay inside the budget up to the zero offset
+    is_zero = lambda j: float(rule.value(j)) == 0.0
+    first = 1 + bisect.bisect_left(range(1, zero + 1), True, key=is_zero)
+    assert 0 <= zero - first <= 3, (first, zero)
+    for j in [*range(1, 20), *range(max(first - 3, 1), zero + 3), 10**6, 2**70, int(1e308)]:
+        assert rule._float_value(j).hex() == float(rule.value(j) if j < zero + 3 else 0).hex(), j
+
+
+def test_float_value_refuses_a_power_past_the_budget_before_the_zero_offset():
+    rule = TailRule.geometric("1/2", "999/1000")  # 10 bits a step: the budget ends near 419,000
+    cut, zero = rule._float_cuts
+    assert cut < 500_000 < zero
+    assert rule._float_value(1000) == float(rule.value(1000))
+    with pytest.raises(UnsupportedStructureError, match="bit budget"):
+        rule._float_value(500_000)
+    assert rule._float_value(zero) == 0.0 and rule._float_value(2**70) == 0.0
