@@ -256,11 +256,12 @@ class TailRule:
         """Bits of the larger of r**e's numerator and denominator."""
         return e * max(self.r.numerator.bit_length(), self.r.denominator.bit_length())
 
-    def _check_power(self, e) -> None:
-        """Refuse a power r**e past ``_POWER_BITS`` bits: an UnsupportedStructureError."""
+    def _check_power(self, e, what: str = "tail threshold crossing at") -> None:
+        """Refuse a power r**e past ``_POWER_BITS`` bits: an UnsupportedStructureError
+        that names what needed the power."""
         if self._power_bits(e) > _POWER_BITS:
             msg = f"ratio {fmt_rat(self.r)}: r**{e:.3g} is past the {_POWER_BITS}-bit budget"
-            raise UnsupportedStructureError(f"tail threshold crossing at {msg}")
+            raise UnsupportedStructureError(f"{what} {msg}")
 
     @cached_property
     def _start(self) -> Fraction:
@@ -310,7 +311,7 @@ class TailRule:
         if j >= cut:
             if j >= zero:
                 return 0.0
-            self._check_power(j - 1)
+            self._check_power(j - 1, f"sqrt tail offset {j} of")
         return float(self.value(j))
 
     def values(self, n: int) -> Iterator[Fraction]:
@@ -529,6 +530,23 @@ class DiagonalSpec:
         """``(d, (d*S_0, ..., d*S_p))``: the prefix sums over d = ``den``."""
         return self.den, tuple(accumulate(self.nums, initial=0))
 
+    def over(self, positions: Sequence[int]) -> tuple[int, list[int]]:
+        """``(L, [L * entry(i) for i in positions])``, positions in any order, repeats allowed:
+        prefix numerators read by position, tail values in one walk over the offsets the
+        positions span, L the lcm of ``den`` and the tail denominators read.  Every window
+        of entries that runs on integers is read here; inside the prefix it costs no scaling."""
+        nums, p = self.nums, len(self.nums)
+        try:  # one read when every position lies in the prefix
+            return self.den, [nums[i - 1] for i in positions]
+        except IndexError:  # a position past the prefix
+            pass
+        j0 = min(i for i in positions if i > p) - p  # the walk covers offsets j0 .. max - p
+        ts = list(self.tail.reindexed(j0).values(max(positions) - p + 1 - j0))
+        L = math.lcm(self.den, *{ts[i - p - j0].denominator for i in positions if i > p})
+        f = L // self.den
+        ts = [t.numerator * (L // t.denominator) for t in ts]
+        return L, [nums[i - 1] * f if i <= p else ts[i - p - j0] for i in positions]
+
     # -- evaluation
 
     def entry(self, i: int) -> Fraction:
@@ -589,26 +607,22 @@ class DiagonalSpec:
         return DiagonalSpec._over(d, [d - x for x in self.nums], self.tail.complement())
 
     def subsequence(
-        self, classes: "TwoClassIndex", a_flag: bool, o0: int = 1, step: int = 1
+        self, classes: "TwoClassIndex", a_flag: bool, o0: int = 1, step: int = 1, lead: tuple = ()
     ) -> "DiagonalSpec":
-        """Spec of the entries at class positions with ordinals o0, o0+step, ...
+        """Spec of the entries at positions ``lead``, then at the class positions with
+        ordinals o0, o0+step, ...
 
         Finite classes are padded with a zero tail.  For infinite classes the
         eventual arithmetic structure of the positions turns the source tail
         into a closed tail of the subsequence (:meth:`TailRule.reindexed`).
-        The numerators are picked by position, over one lcm with the tail
-        entries a finite class reaches.
+        Its prefix, the entries at ``lead`` and the picked positions, is read by :meth:`over`.
         """
         p = len(self.nums)
         picked = classes.head(a_flag)[o0 - 1 :: step]  # every member below rest_start
         tail = TailRule.zero()
         if a_flag == classes.rest_a:  # from the next member on, the class walks the tail
             tail = self.tail.reindexed(classes.nth(o0 + step * len(picked), a_flag) - p, step)
-        ts = [self.tail.value(i - p) for i in picked if i > p]
-        L = math.lcm(self.den, *(t.denominator for t in ts))
-        f = L // self.den
-        nums = [self.nums[i - 1] * f for i in picked if i <= p]
-        return DiagonalSpec._over(L, nums + [t.numerator * (L // t.denominator) for t in ts], tail)
+        return DiagonalSpec._over(*self.over(lead + picked), tail)
 
     # -- classification plumbing
 

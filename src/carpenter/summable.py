@@ -29,7 +29,6 @@ from .seqcore import (
     SparseVector,
     TailRule,
     fmt_rat,
-    over_lcm,
 )
 from .schurhorn import _projection_rows, _rows_over, majorizes, schur_horn_unitary
 from .tetris import tetris_vectors
@@ -131,8 +130,8 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     if n == INF or n < 2:
         raise ConstructionError(f"decoupling needs 2 <= #small < inf, got {n}")
     small_src = [cls.nth(i, True) for i in range(1, n + 1)]
-    entries = spec.entries(small_src[-1])
-    a = [entries[i - 1] for i in small_src]
+    den, nums = spec.over(small_src)  # the small entries as integers over den
+    a = [Fraction(x, den) for x in nums]
 
     large = spec.subsequence(cls, False)  # b_i = large.entry(i)
     large_c = large.complement()  # entries 1 - b_i, geometric tail, summable
@@ -147,7 +146,6 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
             raise ConstructionError("decoupling needs the large entries to tend to 1")
         i3 = len(large.nums) + t._first_power_at_most(a[i1 - 1] / t._start)  # r**(j-1) <= q
     b3 = large.entry(i3)
-    den, nums = over_lcm(a)
     # suffix[k - 1] = den * (a_k + ... + a_n), for k = 1..n+1
     suffix = list(accumulate(reversed(nums), initial=0))[::-1]
     room = (1 - b3) * den

@@ -153,9 +153,8 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     if n_total is not None and m > n_total:
         raise ConstructionError(f"requested {m} vectors but total mass is {n_total}")
 
-    pd, pnums = spec.den, spec.nums
-    _, sums = spec._cumsums
-    p = len(pnums)
+    pd, sums = spec._cumsums
+    p = len(spec.nums)
     mins: dict[int, int] = {}
     vectors: list[SparseVector] = []
     sigmas: list[Fraction] = []
@@ -171,32 +170,23 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         if mn < cursor:
             raise ConstructionError(f"internal: minS({n}) = {mn} behind cursor {cursor}")
         left = mn - 1
-        # fresh tail entries t0..mn, as Fractions; prefix entries are numerators over pd
-        t0 = max(cursor, p + 1)
-        tail = list(spec.tail.reindexed(t0 - p).values(mn + 1 - t0)) if mn >= t0 else []
-        L = math.lcm(pd, *[d for _, _, d in pending], *[t.denominator for t in tail])
-        f = L // pd
-
-        def over_l(i: int) -> int:  # L * entry(i) for a fresh index i
-            if i <= p:
-                return pnums[i - 1] * f
-            t = tail[i - t0]
-            return t.numerator * (L // t.denominator)
-
-        y = over_l(mn)
+        wd, win = spec.over(range(cursor, mn + 1))  # the fresh entries cursor..mn over wd
+        L = math.lcm(wd, *[d for _, _, d in pending])
+        f = L // wd
+        y = win[-1] * f
         direct = [(i, num, d) for i, num, d in pending if i != left]  # leftovers off the pair
         x = sum(num * (L // d) for i, num, d in pending if i == left)
         s = L - sum(num * (L // d) for _, num, d in direct)
         if left >= cursor:
             # left boundary coordinate is untouched: ordering hypothesis applies
-            x = over_l(left)
+            x = win[-2] * f
             if x < y:
                 raise ConstructionError(
                     f"ordering hypothesis fails at step {n}: entry {left} ="
                     f" {fmt_rat(spec.entry(left))} < entry {mn} = {fmt_rat(spec.entry(mn))}"
                 )
             if left <= p + 1:
-                s -= (sums[left - 1] - sums[cursor - 1]) * f
+                s -= (sums[left - 1] - sums[cursor - 1]) * (L // pd)
             else:  # the run reaches into the tail, whose entries' denominators L holds
                 run = spec.partial_sum(left - 1) - spec.partial_sum(cursor - 1)
                 s -= run.numerator * (L // run.denominator)
@@ -214,17 +204,13 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
                 )
         lq, fq = L * q, f * q
         # a value is sqrt of its square's float; p/q is the correctly rounded
-        # float of the rational whatever its terms, so a whole entry divides
-        # its own small numerator and denominator rather than those over lq
+        # float of the rational whatever its terms, so a whole entry divides its
+        # numerator over the window's denominator wd rather than over lq
         sup = [(i, sqrt(num / d)) for i, num, d in direct]
         nums = [num * (lq // d) for i, num, d in direct]
-        ws = pnums[cursor - 1 : min(left - 1, p)] if left > cursor else ()  # whole prefix entries
-        sup += [(i, sqrt(w / pd)) for i, w in zip(range(cursor, left), ws) if w]
+        ws = win[:-2]  # the whole entries cursor..left-1
+        sup += [(i, sqrt(w / wd)) for i, w in zip(range(cursor, left), ws) if w]
         nums += [w * fq for w in ws if w]
-        if left > t0:  # whole tail entries t0..left-1
-            ts = tail[: left - t0]
-            sup += [(i, sqrt(t)) for i, t in zip(range(t0, left), ts) if t]
-            nums += [t.numerator * (lq // t.denominator) for t in ts if t]
         b = s * (s - x)  # sigma - a
         tail_leftover = (s - y) * (x + y - s)
         for i, num, neg in ((left, a, False), (mn, b, tail_leftover > 0)):
@@ -256,11 +242,11 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
 
 def _ultimate_vector(spec: DiagonalSpec, pending, cursor: int) -> SparseVector:
     """Final vector of a finite-mass construction: leftovers plus everything else."""
-    pd, pnums = spec.den, spec.nums
-    p = len(pnums)
-    L = math.lcm(pd, *(d for _, _, d in pending))
+    p = len(spec.nums)
+    wd, win = spec.over(range(cursor, p + 1))  # the prefix entries not yet touched
+    L = math.lcm(wd, *(d for _, _, d in pending))
     entries = [(i, num * (L // d), 1) for i, num, d in pending]
-    entries += [(i, pnums[i - 1] * (L // pd), 1) for i in range(cursor, p + 1)]
+    entries += [(i, w * (L // wd), 1) for i, w in zip(range(cursor, p + 1), win)]
     t = spec.tail  # a finite sum: only a natural total is ever completed
     start = max(cursor, p + 1)
     mass = t.sum_from(start - p)
@@ -300,10 +286,7 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
     while (n_fin is None or len(bounds) < n_fin) and bounds[-1] < p:
         bounds.append(min_s(spec, len(bounds)))
     w = bounds[-1]
-    ts = list(spec.tail.values(w - p))  # the tail entries the window reaches, if any
-    L = math.lcm(spec.den, *(t.denominator for t in ts))
-    f = L // spec.den
-    nums = [x * f for x in spec.nums] + [t.numerator * (L // t.denominator) for t in ts]
+    L, nums = spec.over(range(1, max(w, p) + 1))  # the prefix and the tail entries w reaches
     keys = [(n, -nums[i]) for n in range(1, len(bounds)) for i in range(bounds[n - 1], bounds[n])]
     images = sorted(range(1, w + 1), key=lambda i: keys[i - 1])
     # the window, then the prefix it left (none when it reached into the tail)
@@ -349,12 +332,7 @@ def interleave_split_fin(
     if cls.count(True) != INF:
         raise ConstructionError("splitting needs infinitely many entries <= 1/2")
     large = tuple(cls.nth(m, False) for m in range(1, k + 1))
-    subs = []
-    for m, pos in enumerate(large, start=1):
-        sub, x = spec.subsequence(cls, True, m, k), spec.entry(pos)
-        d = math.lcm(sub.den, x.denominator)  # the large entry, then the picked numerators
-        nums = [x.numerator * (d // x.denominator)] + [n * (d // sub.den) for n in sub.nums]
-        subs.append(DiagonalSpec._over(d, nums, sub.tail))
+    subs = [spec.subsequence(cls, True, m, k, (pos,)) for m, pos in enumerate(large, start=1)]
     return subs, PermutationWindow.head_first(large)
 
 

@@ -431,3 +431,15 @@ def test_verify_ends_on_a_support_row_far_down_a_sqrt_tail(tmp_path, capsys, ind
         "prefix": ["1", "0", "0", "0"], "tail": {"kind": "geometric", "c": "1/2", "r": "1/2"}})
     code, out, err = run(capsys, ["verify", "--rep", rep, "--spec", spec])
     assert code == 0 and err == "" and json.loads(out)["passed"] is True
+
+
+def test_verify_refusal_past_the_budget_names_the_sqrt_tail_offset(tmp_path, capsys):
+    tail = {"start": 2, "stride": 1, "rule": {"kind": "geometric", "c": "1/2", "r": "999/1000"}}
+    rep = write_json(tmp_path / "rep.json", {"form": "frame", "vectors": [
+        {"support": [], "sqrtTail": tail},
+        {"support": [[500_000, 1.0]], "sqrtTail": None},
+    ]})
+    spec = write_json(tmp_path / "s.json", {"prefix": ["0"], "tail": tail["rule"]})
+    code, out, err = run(capsys, ["verify", "--rep", rep, "--spec", spec])
+    assert code == 1 and out == "" and err.startswith("error: sqrt tail offset 499999 "), err
+    assert "bit budget" in err and "threshold crossing" not in err and "Traceback" not in err

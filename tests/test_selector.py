@@ -233,3 +233,15 @@ def test_verify_projection_refuses_a_tail_power_past_the_budget():
     ))
     with pytest.raises(UnsupportedStructureError, match="bit budget"):
         verify_projection(rep, spec(tail=TailRule.geometric("1/2", "999/1000")), 8)
+
+
+def test_verify_projection_refusal_names_the_sqrt_tail_offset_not_a_crossing():
+    # no threshold crossing is searched when a verify reads a sqrt tail's entry
+    rep = ProjectionRep.frame((
+        SparseVector((), SqrtTail(2, TailRule.geometric("1/2", "999/1000")), None),
+        SparseVector.basis(500_000),
+    ))
+    with pytest.raises(UnsupportedStructureError) as err:
+        verify_projection(rep, spec(0, tail=TailRule.geometric("1/2", "999/1000")), 8)
+    assert str(err.value).startswith("sqrt tail offset 499999 of ratio 999/1000:"), err.value
+    assert "bit budget" in str(err.value) and "threshold crossing" not in str(err.value)

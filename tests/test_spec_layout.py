@@ -96,6 +96,49 @@ def test_spec_layout_refusals_keep_their_messages(entries, message):
     assert str(err.value) == message
 
 
+def _over_tails(rng):
+    """One tail of each kind, the geometric kinds with an exponent k > 0."""
+    c, r, k = F(rng.randint(1, 9), 10), F(rng.randint(1, 12), 13), rng.randint(1, 40)
+    return (
+        TailRule.zero(),
+        TailRule.constant(F(rng.randint(0, 7), 7)),
+        TailRule("geometric", c, r, k),
+        TailRule("one_minus_geometric", c, r, k),
+    )
+
+
+def _over_windows(rng, p):
+    """Windows inside the prefix, inside the tail and straddling the two: each in increasing
+    order, shuffled, and with repeats."""
+    windows = [range(1, p + 1), range(p + 1, p + rng.randint(1, 9)), range(max(p - 2, 1), p + 5)]
+    windows.append(sorted(rng.sample(range(p + 1, p + 30), 4)))  # a tail window with gaps
+    for w in windows:
+        w = list(w)
+        yield w
+        yield rng.sample(w, len(w))
+        yield [rng.choice(w) for _ in range(2 * len(w))]
+
+
+def test_over_reads_every_window_as_integers_over_one_least_denominator():
+    """``over`` gives L * entry(i) for every position, in the order given, over the lcm of den and
+    the tail denominators it reads, and never builds the prefix view."""
+    rng = random.Random(SEED)
+    windows = 0
+    for _ in range(40):
+        vals = [F(rng.randint(0, d), d) for d in rng.choices((1, 3, 8, 97, 2**31 - 1), k=6)]
+        for tail in _over_tails(rng):
+            spec = DiagonalSpec(tuple(str(x) for x in vals), tail)
+            p = len(spec.nums)
+            for w in _over_windows(rng, p):
+                L, nums = spec.over(w)
+                assert [F(n, L) for n in nums] == [spec.entry(i) for i in w], (spec, w)
+                tail_dens = [spec.entry(i).denominator for i in w if i > p]
+                assert L == math.lcm(spec.den, *tail_dens), (spec, w)
+                windows += 1
+            assert "prefix" not in spec.__dict__
+    assert windows == 40 * 4 * 12
+
+
 # -- references built from Fractions
 
 
