@@ -97,26 +97,61 @@ def verify_projection(
 
     ``settled`` limits the diagonal comparison to entries no later vector can
     change (None = all of 1..m are settled, as for complete constructions);
-    a negative ``m`` or ``settled`` is a SpecError.  The idempotency bound lays out
-    densely only the vectors with a nonzero row of E = G - I, cut to the
-    indices <= m they touch.
+    a negative ``m`` or ``settled`` is a SpecError.
+
+    Everything is read from the Gram's stored entries
+    (:meth:`ProjectionRep.gram_entries`), which are the pairwise ``inner``
+    values bit for bit, so no n x n array is made: ``gram_max_err`` is the
+    largest |E| = |G - I| among them, and S is the vectors with a nonzero
+    entry of E.  The rows of S are laid out once, over the indices <= m they
+    touch.  The bound's two products, W = |E_S||V| and then max |V|^T W, are
+    summed over E's nonzeros and V's stored entries when the fixed cost rule
+    in ``_sparse_bound`` prices that below the dense products, and densely
+    otherwise.  Either way each entry sums at most n terms, so the factor
+    1 + 8n * 2^-53 keeps the bound at or above the dense float value.  The
+    memory follows the stored entries, the Gram's dense tiles and the sparse
+    side's products; only the dense side, when it is priced lower, adds
+    |S|^2 + |S||C| + |C|^2 floats for the |C| touched indices.
     """
     for name, size in (("m", m), ("settled", settled)):
         if size is not None and size < 0:
             raise SpecError(f"{name} must be non-negative, got {size}")
     vs = rep.vectors
     n = len(vs)
-    e = rep.gram()  # becomes |E| = |G - I| in place: one n x n array
-    e.flat[:: n + 1] -= 1.0
-    np.abs(e, out=e)
-    gram_err = float(e.max()) if n else 0.0
-    s = np.flatnonzero(e.any(axis=1))  # the vectors S with a nonzero row of E
+    i, j, x = rep.gram_entries()
+    e = np.abs(x - (i == j))  # |E| at the stored entries, i <= j; the rest of E is 0.0
+    gram_err = float(e.max(initial=0.0))
+    nz = e != 0  # a NaN is nonzero
+    i, j, e = i[nz], j[nz], e[nz]
+    in_s = np.zeros(n, dtype=bool)
+    in_s[i] = in_s[j] = True  # the vectors S with a nonzero row of E
     idem_err = 0.0
-    if len(s):
-        v = np.abs(np.vstack([vs[a].dense(m) for a in s]))
-        v = v[:, v.any(axis=0)]  # the indices C <= m that S touches
-        e_s = e if len(s) == n else e[s[:, None], s]
-        idem_err = float((v.T @ (e_s @ v)).max(initial=0.0)) * (1 + 8 * n * 2.0**-53)
+    if len(e):
+        s = np.flatnonzero(in_s)
+        if len(s) < n:  # number S's rows 0, 1, ...
+            row_of = np.cumsum(in_s) - 1
+            i, j = row_of[i], row_of[j]
+        # S's rows of |V|, laid out once over the indices C they touch, numbered as first met
+        r, c, v, cols = [], [], [], {}
+        for a, b in enumerate(s.tolist()):
+            w = vs[b]
+            rows = w.support  # all of its rows <= m, unless it has a tail or goes past m
+            if w.sqrt_tail is not None or (rows and rows[-1][0] > m):
+                rows = [(q, y) for q, y, _, _ in w.rows(m)]
+            for q, y in rows:
+                r.append(a)
+                c.append(cols.setdefault(q, len(cols)))
+                v.append(y)
+        r, c = np.fromiter(r, np.intp, len(r)), np.fromiter(c, np.intp, len(c))
+        v = np.abs(np.fromiter(v, float, len(v)))
+        bound = _sparse_bound(i, j, e, r, c, v, len(s), len(cols))
+        if bound is None:
+            es = np.zeros((len(s), len(s)))
+            es[i, j] = es[j, i] = e
+            vd = np.zeros((len(s), len(cols)))
+            vd[r, c] = v
+            bound = float((vd.T @ (es @ vd)).max(initial=0.0))
+        idem_err = bound * (1 + 8 * n * 2.0**-53)
     upto = m if settled is None else min(settled, m)
     diag_err = 0.0
     for d, f in zip(rep.diag(upto), spec.float_entries(upto)):
@@ -126,6 +161,60 @@ def verify_projection(
             if math.isnan(err):
                 break
     return VerificationReport(m, tol, upto, gram_err, diag_err, idem_err)
+
+
+# Cost rule of ``_sparse_bound``, in units of one multiply-add of the dense
+# matrix products: each product of the sparse evaluation costs about
+# _SPARSE_TERM_COST units (its gather, multiply and sort-and-sum), and its
+# fifty-odd numpy calls cost _SPARSE_COST units more than the dense side's few,
+# whatever the size.
+_SPARSE_TERM_COST = 600
+_SPARSE_COST = 1_250_000
+
+
+def _sparse_bound(i, j, e, r, col, v, ns: int, nc: int) -> float | None:
+    """max |V|^T (|E| |V|) from the stored entries, or None when the dense products cost less.
+
+    |E| is the symmetric ns x ns matrix with entries ``e`` at ``(i, j)``,
+    i <= j, and |V| the ns x nc matrix with entries ``v`` at ``(r, col)``,
+    ``r`` nondecreasing.  W = |E||V| takes, for each entry of |E| at (a, b),
+    that entry times row b of |V| into row a; then each entry of W at (a, c)
+    times row a of |V| goes to (c', c).  Equal positions are summed (each
+    sum has at most ns terms), and the largest sum is returned.  The cost
+    rule prices the dense products at ns^2 nc + ns nc^2 multiply-adds and
+    this evaluation at its products, from the mean row length of |V|: W's
+    before equal positions are summed, then at most min(nc, W's per row)
+    per entry of |V|.
+    """
+    dense = ns * nc * (ns + nc)
+    w = 2 * len(e) * len(v) / ns  # W's products, from the mean row length of |V|
+    if _SPARSE_COST + _SPARSE_TERM_COST * (w + len(v) * min(nc, w / ns)) >= dense:
+        return None
+    off = i != j
+    i, j, e = np.concatenate((i, j[off])), np.concatenate((j, i[off])), np.concatenate((e, e[off]))
+    lens = np.bincount(r, minlength=ns)
+    starts = np.cumsum(lens) - lens
+    wa, wc, wx = _spread(i, e, j, lens, starts, col, v)
+    keys, wx = _summed(wa * nc + wc, wx)
+    wa, wc = np.divmod(keys, nc)
+    pc, pk, px = _spread(wc, wx, wa, lens, starts, col, v)
+    return float(_summed(pc * nc + pk, px)[1].max(initial=0.0))
+
+
+def _summed(keys, x):
+    """The distinct keys, increasing, and the sum of ``x`` over each, added in the given order."""
+    order = np.argsort(keys, kind="stable")
+    keys, x = keys[order], x[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    return keys[first], np.add.reduceat(x, first)
+
+
+def _spread(tag, scale, row, lens, starts, col, v):
+    """``(tag, col, scale * v)`` for each entry t and each stored entry of |V| in row ``row[t]``."""
+    cnt = lens[row]
+    end = np.cumsum(cnt)
+    pos = np.arange(end[-1] if len(end) else 0) + np.repeat(starts[row] - (end - cnt), cnt)
+    return np.repeat(tag, cnt), col[pos], np.repeat(scale, cnt) * v[pos]
 
 
 # ---------------------------------------------------------------------------

@@ -1056,6 +1056,22 @@ class ProjectionRep:
     def gram(self) -> np.ndarray:
         """The n x n matrix of the vectors' inner products, bit for bit ``inner``'s.
 
+        It is :meth:`gram_entries` written into a dense array of zeros.
+        """
+        n = len(self.vectors)
+        i, j, x = self.gram_entries()
+        g = np.zeros((n, n))
+        g[i, j] = g[j, i] = x
+        return g
+
+    def gram_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(i, j, x)``: the Gram entries G[i, j] = x, i <= j, that are stored; the rest are 0.0.
+
+        Stored are every diagonal entry, every pair of vectors that share a
+        support index, and every pair with a tailed vector.  Each value is
+        bit for bit ``inner``'s, and the memory follows the shared entries
+        and the tiles, not the n^2 pairs.
+
         Vectors without a sqrt tail meet only at shared support indices, so
         their entries are bucketed by index, and the vectors linked through
         shared indices form a component.  Each component is built one of two
@@ -1070,8 +1086,13 @@ class ProjectionRep:
         A component holding a non-finite value is swept, since inf * 0.0 is
         NaN.  When no bucket is large enough for a tile to pay, no component
         is looked for, and the work follows the shared entries, not the n^2
-        pairs.  Pairs with a tailed vector go through ``inner``, which owns
-        the closed-form tail-tail term and the different-strides error.
+        pairs.
+
+        A tailed vector is read once into a map of its values at every
+        support index of the vectors (its own support values, the rest from
+        its tail), and each pair with it adds its products in the order
+        ``inner`` does, the tail-tail term last from ``_tail_tail_inner``,
+        which owns the closed form and the different-strides error.
         """
         vs = self.vectors
         n = len(vs)
@@ -1080,14 +1101,14 @@ class ProjectionRep:
             if v.sqrt_tail is None:
                 for k, x in v.support:
                     at.setdefault(k, []).append((a, x))
-        g = np.zeros((n, n))
+        tiles: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         keys = sorted(at)
         big = max(map(len, at.values()), default=0)
         # with at most ``big`` vectors per bucket, an index saves at most
         # big(big+1)/2 pair products and its tile row costs at least big^2
         if _SWEEP_PAIR_COST * big * (big + 1) // 2 > _TILE_INDEX_COST + big * big:
             comps = _linked_indices(at, keys, n)
-            keys = [k for members, ks in comps if not _gram_tile(g, at, members, ks) for k in ks]
+            keys = [k for mem, ks in comps if not _gram_tile(tiles, at, mem, ks) for k in ks]
         rows: list[dict[int, float]] = [{} for _ in vs]  # row a: b -> <v_a, v_b>, b >= a
         for k in keys:
             col = at[k]
@@ -1095,16 +1116,36 @@ class ProjectionRep:
                 r = rows[a]
                 for b, y in col[p:]:
                     r[b] = r.get(b, 0.0) + x * y
-        i = [a for a, r in enumerate(rows) for _ in r]
-        j = [b for r in rows for b in r]
-        g[i, j] = g[j, i] = [x for r in rows for x in r.values()]
-        for b, v in enumerate(vs):
-            if v.sqrt_tail is not None:
+        tailed = [b for b, v in enumerate(vs) if v.sqrt_tail is not None]
+        if tailed:
+            sup = [dict(v.support) for v in vs]
+            touched = set().union(*sup)
+            val = sup[:]  # a vector's value at an index: its support, else its tail (or 0.0)
+            for b in tailed:
+                own, v = sup[b], vs[b]
+                val[b] = {k: own[k] if k in own else v._tail_value(k) for k in touched}
+            for b in tailed:
                 for c in range(n):
                     if c >= b or vs[c].sqrt_tail is None:  # each pair once
                         lo, hi = min(b, c), max(b, c)
-                        g[lo, hi] = g[hi, lo] = vs[lo].inner(vs[hi])
-        return g
+                        acc, w = 0.0, val[hi]
+                        for k, x in vs[lo].support:
+                            acc += x * w.get(k, 0.0)
+                        mine, w = sup[lo], val[lo]
+                        for k, x in vs[hi].support:
+                            if k not in mine:
+                                acc += x * w.get(k, 0.0)
+                        rows[lo][hi] = acc + vs[lo]._tail_tail_inner(vs[hi])
+        for a, v in enumerate(vs):
+            if not v.support and v.sqrt_tail is None:  # the zero vector: G[a, a] = 0.0, stored
+                rows[a][a] = 0.0
+        i, j, x = [], [], []
+        for a, r in enumerate(rows):
+            i += [a] * len(r)
+            j += r
+            x += r.values()
+        swept = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(x, dtype=float)
+        return tuple(map(np.concatenate, zip(swept, *tiles))) if tiles else swept
 
     def dense(self, m: int) -> np.ndarray:
         v = np.vstack([w.dense(m) for w in self.vectors]) if self.vectors else np.zeros((0, m))
@@ -1168,9 +1209,13 @@ def _linked_indices(
 
 
 def _gram_tile(
-    g: np.ndarray, at: dict[int, list[tuple[int, float]]], members: list[int], keys: list[int]
+    tiles: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    at: dict[int, list[tuple[int, float]]],
+    members: list[int],
+    keys: list[int],
 ) -> bool:
-    """Write one component's Gram block into ``g`` as a dense tile, or return False.
+    """Build one component's Gram block as a dense tile and append its upper triangle to
+    ``tiles`` as ``(i, j, x)``, or return False.
 
     ``members`` are the component's vectors and ``keys`` its indices, both in
     increasing order.  The tile adds the outer product of the component's
@@ -1199,7 +1244,10 @@ def _gram_tile(
         block = vals[i : i + step]
         for p in block[:, :, None] * block[:, None, :]:  # one outer product per index
             t += p
-    g[np.ix_(members, members)] = t
+    ids = np.array(members)
+    upper = ids[:, None] <= ids  # t is symmetric bit for bit: x * y == y * x
+    ti, tj = np.nonzero(upper)
+    tiles.append((ids[ti], ids[tj], t[upper]))
     return True
 
 

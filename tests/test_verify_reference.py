@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_diag_reference import _random_vector
+from test_diag_reference import _random_vector, reference_diag
 from test_route_corpus import COUNT, SEED, _random_spec
 
 from carpenter import selector, seqcore
@@ -242,3 +242,120 @@ def test_long_stream_skips_the_component_search(monkeypatch):
     seen = _spied_tiles(monkeypatch)
     assert verify_projection(rep, spec, 600).passed
     assert seen == {"tiles": [], "searches": 0}
+
+
+def test_verify_lays_out_only_the_touched_indices():
+    # 32 stream vectors touch 80 indices; verified at dim 200,000, S's rows
+    # are laid out over those indices, not as one 200,000-float row each
+    spec = DiagonalSpec((), TailRule.constant("2/5"))
+    rep = carpenter(spec, 32)
+    tracemalloc.start()
+    try:
+        report = verify_projection(rep, spec, 200_000, settled=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2 * 2**20, peak / 2**20
+
+
+def test_verify_of_a_long_stream_holds_no_n_by_n_array():
+    # 2000 stream vectors, 7,000 stored entries and 1,000 nonzero entries of
+    # G - I: a 2000 x 2000 array alone would be 30.5 MiB
+    spec = DiagonalSpec((), TailRule.constant("2/5"))
+    rep = carpenter(spec, 2000)
+    tracemalloc.start()
+    try:
+        report = verify_projection(rep, spec, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 8 * 2**20, peak / 2**20
+
+
+def dense_abs_bound(rep, m):
+    """max |V|^T |G - I| |V|, V the n x m matrix of every vector: what the bound rounds."""
+    n = len(rep.vectors)
+    if not (n and m):
+        return 0.0
+    v = np.abs(np.vstack([w.dense(m) for w in rep.vectors]))
+    return float((v.T @ (np.abs(reference_gram(rep) - np.eye(n)) @ v)).max())
+
+
+def reference_diag_err(rep, spec, upto):
+    pairs = zip(reference_diag(rep, upto), spec.entries(upto))
+    return max((abs(d - float(q)) for d, q in pairs), default=0.0)
+
+
+def _both_sides_of_the_bound(rng):
+    """``(rep, spec, m, settled)``: seeded frames and coframes with sparse and with dense E."""
+    unit_tail = TailRule.geometric("1/2", "1/2")  # squares sum to 1
+    out = []
+
+    def streamed(spec, m, tailed):
+        trace = {}
+        rep = route(spec).build(m, trace)
+        settled = trace["settled_prefix"]
+        if tailed:  # a tail over the last indices the stream settles puts its row into S
+            start = settled - rng.randint(2, 12)
+            tail = SparseVector((), SqrtTail(start, unit_tail))
+            rep = ProjectionRep(rep.form, rep.vectors + (tail,))
+        out.append((rep, spec, settled, settled))
+        out.append((rep.complementary(), spec.complement(), settled, settled))
+
+    for tailed in (False, True):
+        for m in (48, 160):  # tetris streams
+            streamed(DiagonalSpec((), TailRule.constant(F(rng.randint(20, 48), 97))), m, tailed)
+        for m in (32, 96):  # k = 3 residue splits
+            large = [F(rng.randint(49, 96), 97) for _ in range(3)]
+            small = [F(rng.randint(1, 48), 97) for _ in range(rng.randint(20, 60))]
+            c = F(rng.randint(20, 48), 97)
+            streamed(DiagonalSpec(large + small, TailRule.constant(c)), m, tailed)
+    for _ in range(4):  # rows of random orthogonal matrices
+        width = rng.randint(8, 40)
+        gauss = np.random.default_rng(rng.randrange(2**32)).standard_normal((width, width))
+        q, _ = np.linalg.qr(gauss)
+        frame = [SparseVector.from_dense(q[a]) for a in range(rng.randint(4, width))]
+        for tail in ((), (SparseVector((), SqrtTail(width - 2, unit_tail)),)):
+            for form in (ProjectionRep.frame, ProjectionRep.coframe):
+                rep = form(frame + list(tail))
+                out.append((rep, _exact_spec(rep, width + 4), width + 4, None))
+    for n in (32, 64):  # Schur-Horn pinnings
+        half = [F(rng.randint(1, 96), 97) for _ in range(n // 2)]
+        spec = DiagonalSpec(half + [1 - x for x in half])
+        out.append((carpenter(spec), spec, n + 1, None))
+    for r in ("9/10", "39/40"):  # decoupled pinnings with one sqrt-tail vector
+        spec = DiagonalSpec((), TailRule.one_minus_geometric(1, r))
+        rep = carpenter(spec)
+        last = max(v.sqrt_tail.start if v.sqrt_tail else v.support[-1][0] for v in rep.vectors)
+        out.append((rep, spec, last + 1, None))
+    basis = ProjectionRep.frame(SparseVector.basis(i) for i in range(1, 9))  # G = I: S is empty
+    out.append((basis, DiagonalSpec([F(1)] * 8), 12, None))
+    out.append((basis.complementary(), DiagonalSpec([F(0)] * 8, TailRule.constant(1)), 12, None))
+    return out
+
+
+def test_bound_on_both_sides_of_the_dense_sparse_choice(monkeypatch):
+    # the bound is summed over E's nonzeros (sparse E: streams and residue
+    # splits) or densely (dense E: orthogonal rows and pinnings); either way G
+    # is the pairwise inner matrix bit for bit, gramMaxErr and diagMaxErr are
+    # the reference values bit for bit, and the bound lies between the dense
+    # float value and the rounded |V|^T |E| |V| it bounds
+    sides = []
+    sparse_bound = selector._sparse_bound
+
+    def spy(*args):
+        out = sparse_bound(*args)
+        sides.append(out is not None)
+        return out
+
+    monkeypatch.setattr(selector, "_sparse_bound", spy)
+    for rep, spec, m, settled in _both_sides_of_the_bound(random.Random(2828)):
+        assert_matches_reference(rep, spec, m, settled=settled)
+        report = verify_projection(rep, spec, m, settled=settled)
+        upto = m if settled is None else min(settled, m)
+        assert report.diag_max_err == reference_diag_err(rep, spec, upto)
+        n = len(rep.vectors)
+        assert report.idempotency_err <= dense_abs_bound(rep, m) * (1 + 16 * n * 2.0**-53), rep
+    assert True in sides and False in sides
