@@ -866,7 +866,8 @@ class SparseVector:
         k0 = max(t1.start, t2.start)
         j1, j2 = t1.offset_of(k0), t2.offset_of(k0)
         head = math.sqrt(t1.rule._float_value(j1) * t2.rule._float_value(j2))
-        ratio = math.sqrt(float(t1.rule.r * t2.rule.r))
+        r1, r2 = t1.rule.r, t2.rule.r  # one int true division: the correctly rounded float
+        ratio = math.sqrt(r1.numerator * r2.numerator / (r1.denominator * r2.denominator))
         return head / (1.0 - ratio)
 
     # -- reshaping
@@ -903,11 +904,20 @@ class SparseVector:
             return self
         vec = self.materialized_through(len(emb.head))
         den, nums = (None, repeat(None)) if vec.exact is None else vec.exact
-        rows = sorted((emb.map_index(i), v, p) for (i, v), p in zip(vec.support, nums))
-        t = vec.sqrt_tail
-        return SparseVector(
-            tuple((i, v) for i, v, _ in rows),
-            None if t is None else SqrtTail(emb.map_index(t.start), t.rule, t.stride * emb.stride),
+        return SparseVector.placed(emb, vec.support, nums, den, vec.sqrt_tail)
+
+    @classmethod
+    def placed(cls, emb: "IndexMap", support, nums, den: int | None, sqrt_tail=None):
+        """The vector with entry i at ``emb.map_index(i)``, built once, from (i, value) pairs, their
+        squares' numerators over ``den`` (None: floats only) and a sqrt tail past ``emb``'s head.
+        :meth:`remap` and the spectral-tetris fill both place their vectors here."""
+        h, s, o, n = emb.head, emb.stride, emb.offset, len(emb.head)
+        rows = sorted([(h[i - 1] if i <= n else (i - 1) * s + o, v, p)
+                       for (i, v), p in zip(support, nums)])
+        t = sqrt_tail
+        return cls(
+            tuple([(i, v) for i, v, _ in rows]),
+            None if t is None else SqrtTail(emb.map_index(t.start), t.rule, t.stride * s),
             None if den is None else (den, [p for _, _, p in rows]),
         )
 
@@ -1001,9 +1011,13 @@ class IndexMap:
         Its head ends where ``inner`` has passed this map's head, so the one
         relabel materializes the tail entries that the two would.
         """
-        n = max(len(inner.head), (len(self.head) - inner.offset) // inner.stride + 1)
-        return IndexMap(tuple(self.map_index(inner.map_index(i)) for i in range(1, n + 1)),
-                        inner.stride * self.stride, (inner.offset - 1) * self.stride + self.offset)
+        h, s, o = inner.head, inner.stride, inner.offset
+        n = max(len(h), (len(self.head) - o) // s + 1)
+        mid = h + tuple(range(len(h) * s + o, (n - 1) * s + o + 1, s))  # inner's images of 1..n
+        # this map's images of 1..max(mid) after an unused 0, so each is one tuple lookup
+        top, S, O = max(mid, default=0), self.stride, self.offset
+        images = (0,) + self.head + tuple(range(len(self.head) * S + O, (top - 1) * S + O + 1, S))
+        return IndexMap(tuple(map(images.__getitem__, mid)), s * S, (o - 1) * S + O)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .seqcore import (
     ProjectionRep,
     SparseVector,
     SqrtTail,
+    _fmt_ratio,
     fmt_rat,
     over_lcm,
     rat,
@@ -121,20 +122,30 @@ class TetrisOutput:
     """Result of streaming the fill construction.
 
     ``settled_prefix`` is the largest index whose diagonal entry no later
-    vector can change (None once the construction is complete).  ``sigma`` and
-    ``a_coef`` record the boundary mass and coupling coefficient of every
-    coupled step, ``min_s`` the boundary indices actually used.
+    vector can change (None once the construction is complete), ``min_s`` the
+    boundary indices actually used.  ``sigma_ratios`` and ``a_ratios`` record
+    the boundary mass and coupling coefficient of every coupled step as the
+    integers the step ran on, ``(s, L)`` and ``(a, L*q)``, not in lowest terms;
+    ``sigma`` and ``a_coef`` read them as Fractions.
     """
 
     vectors: tuple[SparseVector, ...]
     settled_prefix: int | None
     min_s: dict[int, int]
-    sigma: tuple[Fraction, ...]
-    a_coef: tuple[Fraction, ...]
+    sigma_ratios: tuple[tuple[int, int], ...]
+    a_ratios: tuple[tuple[int, int], ...]
+
+    @property
+    def sigma(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(s, d) for s, d in self.sigma_ratios)
+
+    @property
+    def a_coef(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, d) for a, d in self.a_ratios)
 
 
-def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
-    """Stream the first m fill vectors for the given diagonal.
+def tetris_vectors(spec: DiagonalSpec, m: int, emb: IndexMap = IndexMap()) -> TetrisOutput:
+    """Stream the first m fill vectors for the given diagonal, each placed by ``emb``.
 
     The sequence must have total mass in {1, 2, ...} or infinity, and must be
     blockwise ordered (see :func:`block_sort`): at every coupled step the left
@@ -146,6 +157,8 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     meets, and its vector's squares are integers over L*q (:func:`_coupling_q`).
     Only sigma is read from the prefix sums, so the norm check
     ``sum(nums) == L*q``, over entries read from the prefix itself, checks them.
+    Each vector is built once, entry i at ``emb.map_index(i)`` (:meth:`SparseVector.placed`);
+    a complete fill's ultimate vector, which may hold a sqrt tail, is built locally and remapped.
     """
     if m < 0:
         raise OutOfRangeError(f"vector count {m} < 0")
@@ -157,14 +170,14 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
     p = len(spec.nums)
     mins: dict[int, int] = {}
     vectors: list[SparseVector] = []
-    sigmas: list[Fraction] = []
-    acoefs: list[Fraction] = []
+    sigmas: list[tuple[int, int]] = []
+    acoefs: list[tuple[int, int]] = []
     pending: list[tuple[int, int, int]] = []  # leftover squares (index, num, den), lowest terms
     cursor = 1  # first coordinate not fully consumed
 
     for n in range(1, m + 1):
         if n == n_total:  # the last vector of a complete fill
-            vectors.append(_ultimate_vector(spec, pending, cursor))
+            vectors.append(_ultimate_vector(spec, pending, cursor).remap(emb))
             break
         mn = mins[n] = min_s(spec, n)
         if mn < cursor:
@@ -198,7 +211,7 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         if left < cursor and n >= 2:
             # adjacent boundaries: the previous vector shares both pair
             # coordinates, so the cross terms must vanish individually
-            if a or acoefs[-1] and any(i == mn - 2 for i, _, _ in direct):
+            if a or acoefs[-1][0] and any(i == mn - 2 for i, _, _ in direct):
                 raise ConstructionError(
                     f"step {n}: adjacent boundary collision breaks orthogonality"
                 )
@@ -223,9 +236,9 @@ def tetris_vectors(spec: DiagonalSpec, m: int) -> TetrisOutput:
         norm = sum(nums)
         if norm != lq:
             raise ConstructionError(f"internal: step {n} produced norm^2 {Fraction(norm, lq)}")
-        vectors.append(SparseVector(tuple(sup), None, (lq, nums)))
-        sigmas.append(Fraction(s, L))
-        acoefs.append(Fraction(a, lq))
+        vectors.append(SparseVector.placed(emb, sup, nums, lq))
+        sigmas.append((s, L))
+        acoefs.append((a, lq))
         pending = []
         for i, num in ((left, x * q - a), (mn, tail_leftover)):
             if num:
@@ -344,10 +357,9 @@ def _settled_through(settled: int | None, perm: PermutationWindow) -> int | None
     """Largest prefix that stays inside a settled slot-prefix after conjugation."""
     if settled is None:
         return None
-    j = 0
-    while perm.apply(j + 1) <= settled:
-        j += 1
-    return j
+    # past the window i maps to i, so there the first image past settled is max(size, settled) + 1
+    w = perm.window
+    return next((j for j, img in enumerate(w) if img > settled), max(len(w), settled))
 
 
 def nonsummable_construct(spec: DiagonalSpec, m: int, trace: dict | None = None) -> ProjectionRep:
@@ -368,24 +380,27 @@ def nonsummable_construct(spec: DiagonalSpec, m: int, trace: dict | None = None)
 def _sorted_fill(
     spec: DiagonalSpec, m: int, emb: IndexMap, parts: list | None, label
 ) -> tuple[list[SparseVector], int | None]:
-    """Sort blockwise, stream m fill vectors, and relabel each once, through
+    """Sort blockwise and stream m fill vectors, each placed once, through
     ``emb`` after the unsort.  Returns the vectors and the settled prefix in
     the spec's indices (None = complete); ``parts`` gets the bookkeeping.
     """
     g, perm = block_sort(spec)
-    out = tetris_vectors(g, m)
-    relabel = emb.after(perm)
+    out = tetris_vectors(g, m, emb.after(perm))
     if parts is not None:
         parts.append({
             "part": label,
             "block_permutation": list(perm.window),
             "min_s": {str(n): v for n, v in out.min_s.items()},
-            "sigma": [fmt_rat(s) for s in out.sigma],
-            "a": [fmt_rat(a) for a in out.a_coef],
+            "sigma": _fmt_ratios(out.sigma_ratios),
+            "a": _fmt_ratios(out.a_ratios),
             "settled_prefix": out.settled_prefix,
         })
-    vectors = [v.remap(relabel) for v in out.vectors]
-    return vectors, _settled_through(out.settled_prefix, perm.inverse())
+    return list(out.vectors), _settled_through(out.settled_prefix, perm.inverse())
+
+
+def _fmt_ratios(pairs) -> list[str]:
+    """Each (p, q), q > 0, as :func:`fmt_rat` writes p/q: one gcd each."""
+    return [_fmt_ratio(p // g, q // g) for p, q in pairs for g in (math.gcd(p, q),)]
 
 
 def tetris(

@@ -394,9 +394,9 @@ def test_fill_matches_the_fraction_reference(monkeypatch):
     calls = []
     fill = tetris_vectors
 
-    def recording(s, m):
+    def recording(s, m, emb):
         calls.append((s, m))
-        return fill(s, m)
+        return fill(s, m, emb)
 
     monkeypatch.setattr(tetris_module, "tetris_vectors", recording)
     rng = random.Random(1729)
@@ -667,18 +667,16 @@ def test_nonsummable_rejects_summable_input():
 )
 def test_every_tetris_leaf_relabels_each_vector_once(monkeypatch, s, leaf):
     # the block unsort, the residue slot, beta and the proper-entry embedding
-    # compose into one index map, so remap builds at most one new vector per
-    # emitted vector
+    # compose into one index map, so placement builds at most one new vector
+    # per emitted vector
     built = []
-    remap = SparseVector.remap
+    placed = SparseVector.placed
 
-    def counting(self, emb):
-        out = remap(self, emb)
-        if out is not self:
-            built.append(out)
-        return out
+    def counting(*args):
+        built.append(placed(*args))
+        return built[-1]
 
-    monkeypatch.setattr(SparseVector, "remap", counting)
+    monkeypatch.setattr(SparseVector, "placed", counting)
     r = route(s)
     assert leaf in str(r.label)
     n = len(r.build(6).vectors)
