@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstructionError, MajorizationError, SpecError
-from .seqcore import ProjectionRep, SparseVector, over_lcm, rat
+from .seqcore import ProjectionRep, SparseVector, over_lcm
 
 __all__ = [
     "majorizes",
@@ -72,7 +72,7 @@ def schur_horn_unitary(lam, f) -> np.ndarray:
     n = len(lam)
     if len(f) != n:
         raise SpecError(f"length mismatch: {len(f)} vs {n}")
-    _, ints = over_lcm([rat(x) for x in lam] + [rat(x) for x in f])
+    _, ints = over_lcm([*lam, *f])
     return np.ascontiguousarray(_pinned_columns(ints[:n], ints[n:], range(n)).T)
 
 
@@ -130,14 +130,10 @@ def _pinned_columns(d: list[int], fi: list[int], keep: range) -> np.ndarray:
     return ut
 
 
-def _projection_rows(f, *, rng: bool, ker: bool) -> tuple[list[SparseVector], list[SparseVector]]:
-    """:func:`finite_projection_pair`, building only the range rows (``rng``) and the
-    complement rows (``ker``) asked for (the other list is empty): :func:`_rows_over` of f."""
-    return _rows_over(*over_lcm([rat(x) for x in f]), rng=rng, ker=ker)
-
-
 def _rows_over(den: int, nums: Sequence[int], *, rng: bool, ker: bool) -> tuple[list, list]:
-    """:func:`_projection_rows` of the diagonal nums/den; the pinning runs on the integers."""
+    """:func:`finite_projection_pair` of nums/den in the least layout of ``over_lcm`` (den is 1
+    iff every entry is 0 or 1), only the range (``rng``) and complement (``ker``) rows asked
+    for, the other list empty.  The pinning runs on the integers."""
     n = len(nums)
     for m in nums:
         if not 0 <= m <= den:
@@ -163,10 +159,10 @@ def finite_projection_pair(f) -> tuple[list[SparseVector], list[SparseVector]]:
     spans a rank-k projection with diagonal f, the second its orthogonal
     complement inside the same coordinates.
     """
-    return _projection_rows(f, rng=True, ker=True)
+    return _rows_over(*over_lcm(f), rng=True, ker=True)
 
 
 def finite_projection(f) -> ProjectionRep:
     """Rank-sum(f) projection on len(f) coordinates with diagonal exactly f."""
-    rng, _ = _projection_rows(f, rng=True, ker=False)
+    rng, _ = _rows_over(*over_lcm(f), rng=True, ker=False)
     return ProjectionRep.frame(tuple(rng))

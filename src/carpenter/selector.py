@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InfeasibleDiagonalError, SpecError
-from .feasibility import BranchLabel, route
+from .feasibility import BranchLabel, Route, route
 from .seqcore import CellField, DiagonalSpec, ProjectionRep
 
 __all__ = [
@@ -253,6 +253,15 @@ class ProjectionField:
         return {"cells": [c.to_json_dict() for c in self.cells]}
 
 
+def _route_named(spec: DiagonalSpec, name: str) -> Route:
+    """:func:`route` of a field's cell or a fiber: an InfeasibleDiagonalError is raised again
+    as ``name: message``, with its report.  Shared by carpenter_field and synthesize_range."""
+    try:
+        return route(spec)
+    except InfeasibleDiagonalError as e:
+        raise InfeasibleDiagonalError(f"{name}: {e}", e.report) from None
+
+
 def carpenter_field(field: CellField, m: int = 16) -> ProjectionField:
     """Run the selector on every cell, in order, deterministically.
 
@@ -260,10 +269,7 @@ def carpenter_field(field: CellField, m: int = 16) -> ProjectionField:
     """
     out = []
     for cell_id, spec in field.cells:
-        try:
-            r = route(spec)
-        except InfeasibleDiagonalError as e:
-            raise InfeasibleDiagonalError(f"cell {cell_id!r}: {e}", e.report) from None
+        r = _route_named(spec, f"cell {cell_id!r}")
         rep, settled = r.build_settled(m)
         out.append(FieldCell(cell_id, r.label, rep, settled))
     return ProjectionField(tuple(out))

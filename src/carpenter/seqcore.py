@@ -93,14 +93,17 @@ def _ratio(x) -> tuple[int, int]:
     raise SpecError(f"not an exact rational: {x!r}{hint}")
 
 
-def over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``(d, [x*d for x in xs])``: the Fractions as integers over their least common denominator d.
-
-    Every exact threshold that runs on integers (prefix sums, defect sums,
-    coupling brackets, sort keys, norms) scales its Fractions here.
+def over_lcm(xs: Iterable) -> tuple[int, list[int]]:
+    """``(d, [x*d for x in xs])``: ints, Fractions and ``"p/q"`` strings (read by :func:`_ratio`,
+    so a float or bool is its SpecError) as integers over their least common denominator d,
+    found by one lcm and one gcd whatever terms the strings are in.  Every exact layout is
+    read here: spec prefixes, vector squares, coupling brackets and Schur-Horn diagonals.
     """
-    d = math.lcm(*{x.denominator for x in xs})
-    return d, [x.numerator * (d // x.denominator) for x in xs]
+    pqs = [_ratio(x) for x in xs]
+    d = math.lcm(*{q for _, q in pqs})
+    nums = [p * (d // q) for p, q in pqs]
+    g = math.gcd(d, *nums)
+    return (d, nums) if g == 1 else (d // g, [n // g for n in nums])
 
 
 def _json_field(d: Mapping, key: str, what: str):
@@ -159,6 +162,12 @@ def fmt_rat(q: Fraction) -> str:
     if not isinstance(q, Fraction):
         q = Fraction(q)
     return _fmt_ratio(q.numerator, q.denominator)
+
+
+def _fmt_ratios(pairs: Iterable[tuple[int, int]]) -> list[str]:
+    """Each (p, q), q > 0, as :func:`fmt_rat` writes p/q: one gcd each.  The one writer of
+    exact values held as integers: spec prefixes, vector squares and the fill's trace."""
+    return [_fmt_ratio(p // g, q // g) for p, q in pairs for g in (math.gcd(p, q),)]
 
 
 def _fmt_ratio(p: int, q: int) -> str:
@@ -387,12 +396,14 @@ class TailRule:
             return 1
         if self.u or self.flat or x <= 0:  # a constant or growing tail's sums never fall
             return None
-        return self._first_power_at_most(x * (1 - self.r) / self._start)
+        return self.first_at_most(x * (1 - self.r))
 
-    def _first_power_at_most(self, q: Fraction) -> int:
-        """Smallest j >= 1 with r**(j-1) <= q, for r < 1 and q > 0: a logarithm
-        estimate confirmed by exact evaluations at j and j - 1.  A crossing whose
-        power passes ``_POWER_BITS`` is an UnsupportedStructureError."""
+    def first_at_most(self, x) -> int:
+        """Smallest j >= 1 with c * r**(k + j - 1) <= x, for a decaying tail (r < 1) and x > 0:
+        the first r**(j-1) <= x / (c * r**k), a logarithm estimate confirmed by exact evaluations
+        at j and j - 1; a power past ``_POWER_BITS`` is an UnsupportedStructureError.  The one
+        tail search behind half_exceptions, sum_reach and decouple's i3."""
+        q = x / self._start
         if q >= 1:
             return 1
         lr = _log(self.r)
@@ -434,9 +445,8 @@ class TailRule:
         """
         if self.flat:
             return 0, self.value(1) <= HALF
-        q = HALF / self._start
-        j = self._first_power_at_most(q)
-        if self.u and self.r ** (j - 1) == q:  # 1 - g = 1/2 is small: g >= 1/2 are exceptions
+        j = self.first_at_most(HALF)
+        if self.u and self.value(j) == HALF:  # 1 - g = 1/2 is small: g >= 1/2 are exceptions
             j += 1
         return j - 1, not self.u
 
@@ -495,12 +505,10 @@ class DiagonalSpec:
     tail: TailRule
 
     def __init__(self, prefix: Iterable = (), tail: TailRule | None = None):
-        pqs = [_ratio(x) for x in prefix]
-        den = math.lcm(*(q for _, q in pqs))
-        nums = [p * (den // q) for p, q in pqs]
+        den, nums = over_lcm(prefix)
         if nums and (min(nums) < 0 or max(nums) > den):
             i = next(i for i, n in enumerate(nums) if not 0 <= n <= den)
-            raise SpecError(f"entry {i + 1} = {Fraction(*pqs[i])} outside [0,1]")
+            raise SpecError(f"entry {i + 1} = {Fraction(nums[i], den)} outside [0,1]")
         self._store(den, nums, tail or TailRule.zero())
 
     @classmethod
@@ -639,8 +647,7 @@ class DiagonalSpec:
     # -- serialization
 
     def to_json_dict(self) -> dict:
-        d = self.den  # each entry in lowest terms, one gcd each
-        pfx = [_fmt_ratio(x // g, d // g) for x in self.nums for g in (math.gcd(x, d),)]
+        pfx = _fmt_ratios(zip(self.nums, repeat(self.den)))  # each entry in lowest terms
         return {"prefix": pfx, "tail": self.tail.to_json_dict()}
 
     @classmethod
@@ -791,7 +798,7 @@ class SparseVector:
         rows = sorted(entries)
         nums = [q for _, q, _ in rows]
         if not all(type(q) is int for q in nums):
-            d, nums = over_lcm([rat(q) for q in nums])
+            d, nums = over_lcm(nums)
             den *= d
         keep = [(i, q, sign) for (i, _, sign), q in zip(rows, nums) if q]
         sup = tuple((i, sign * math.sqrt(q / den)) for i, q, sign in keep)
@@ -933,7 +940,7 @@ class SparseVector:
             d["sqrtTail"] = None
         if self.exact is not None:
             den, nums = self.exact
-            d["squares"] = [_fmt_ratio(p // g, den // g) for p in nums for g in (math.gcd(p, den),)]
+            d["squares"] = _fmt_ratios(zip(nums, repeat(den)))
         return d
 
     @classmethod
@@ -958,12 +965,11 @@ class SparseVector:
             if len(_json_list(e, "support entry")) != 2:
                 raise SpecError(f"support entry must be an [index, value] pair, got {e!r}")
             support.append((_json_int(e[0], "support index"), _json_number(e[1], "support value")))
-        sqs = d.get("squares")
-        pqs = [] if sqs is None else [_ratio(q) for q in _json_list(sqs, "squares")]
-        L = math.lcm(*(q for _, q in pqs))  # the squares over their least denominator
-        vec = cls(tuple(support), tail, None if sqs is None else (L, [p * L // q for p, q in pqs]))
-        for (_, v), (p, q) in zip(vec.support, pqs):
-            _check_square(v, p, q)
+        exact = None if d.get("squares") is None else over_lcm(_json_list(d["squares"], "squares"))
+        vec = cls(tuple(support), tail, exact)
+        L, nums = vec.exact or (1, ())  # each square as its numerator over the least denominator
+        for (_, v), p in zip(vec.support, nums):
+            _check_square(v, p, L)
         return vec
 
 
@@ -1288,8 +1294,6 @@ class PermutationWindow(IndexMap):
     @property
     def size(self) -> int:
         return len(self.head)
-
-    apply = IndexMap.map_index  # the window, then the identity
 
     def inverse(self) -> "PermutationWindow":
         inv = [0] * len(self.head)

@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InfeasibleDiagonalError, SpecError
-from .feasibility import FeasibilityReport, classify, route
+from .feasibility import FeasibilityReport, classify
 from .seqcore import DiagonalSpec, ProjectionRep, TailRule, fmt_rat, rat
 from .seqcore import _json_field, _json_int, _json_list, _json_number, _json_object
-from .selector import verify_projection
+from .selector import _route_named, verify_projection
 
 __all__ = [
     "SpectralFiber",
@@ -189,10 +189,7 @@ def synthesize_range(samples: SpectralSamples, m: int = 16, tol: float = 1e-9) -
     out = []
     for f in samples.fibers:
         spec = f.spec()
-        try:
-            r = route(spec)
-        except InfeasibleDiagonalError as e:
-            raise InfeasibleDiagonalError(f"fiber xi = {f.label()}: {e}", e.report) from None
+        r = _route_named(spec, f"fiber xi = {f.label()}")
         rep, settled = r.build_settled(m)
         dim = max(m, len(samples.window))
         ver = verify_projection(rep, spec, dim, tol, settled)

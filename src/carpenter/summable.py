@@ -29,8 +29,9 @@ from .seqcore import (
     SparseVector,
     TailRule,
     fmt_rat,
+    over_lcm,
 )
-from .schurhorn import _projection_rows, _rows_over, majorizes, schur_horn_unitary
+from .schurhorn import _rows_over, majorizes, schur_horn_unitary
 from .tetris import tetris_vectors
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "decouple",
     "summable_construct2",
     "summable_construct",
-    "embed_with_improper",
 ]
 
 
@@ -144,7 +144,7 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     if i3 is None:
         if not t.u:  # a constant tail of large entries leaves b infinite
             raise ConstructionError("decoupling needs the large entries to tend to 1")
-        i3 = len(large.nums) + t._first_power_at_most(a[i1 - 1] / t._start)  # r**(j-1) <= q
+        i3 = len(large.nums) + t.first_at_most(a[i1 - 1])  # the first 1 - g_j >= 1 - a_i1
     b3 = large.entry(i3)
     # suffix[k - 1] = den * (a_k + ... + a_n), for k = 1..n+1
     suffix = list(accumulate(reversed(nums), initial=0))[::-1]
@@ -257,8 +257,8 @@ def summable_construct2(
     """
     plan = decouple(spec)
     n1, l2 = len(plan.group1), len(plan.group2)
-    _, ker1 = _projection_rows(plan.group1, rng=False, ker=True)
-    _, comp2 = _projection_rows(plan.group2, rng=False, ker=True)
+    _, ker1 = _rows_over(*over_lcm(plan.group1), rng=False, ker=True)
+    _, comp2 = _rows_over(*over_lcm(plan.group2), rng=False, ker=True)
     w = tetris_vectors(plan.group3_comp, 1).vectors[0]  # co-mass one: one vector takes all
 
     # group three: the small entry a_{i2}, then the large entries no group took

@@ -35,10 +35,9 @@ from .seqcore import (
     ProjectionRep,
     SparseVector,
     SqrtTail,
-    _fmt_ratio,
+    _fmt_ratios,
     fmt_rat,
     over_lcm,
-    rat,
 )
 
 __all__ = [
@@ -94,7 +93,7 @@ def coupling(d1, d2, sigma) -> Fraction:
     is a SpecError); the tests run on their numerators over one common
     denominator, in the integer core the fill calls.
     """
-    den, (x, y, s) = over_lcm((rat(d1), rat(d2), rat(sigma)))
+    den, (x, y, s) = over_lcm((d1, d2, sigma))
     return Fraction(s * (s - y), den * _coupling_q(x, y, s, den))
 
 
@@ -396,11 +395,6 @@ def _sorted_fill(
             "settled_prefix": out.settled_prefix,
         })
     return list(out.vectors), _settled_through(out.settled_prefix, perm.inverse())
-
-
-def _fmt_ratios(pairs) -> list[str]:
-    """Each (p, q), q > 0, as :func:`fmt_rat` writes p/q: one gcd each."""
-    return [_fmt_ratio(p // g, q // g) for p, q in pairs for g in (math.gcd(p, q),)]
 
 
 def tetris(

@@ -296,5 +296,5 @@ def test_criterion_10_permutations_move_the_diagonal():
         out = conjugate_by_permutation(rep, perm)
         d_out, d_rep = out.diag(n + 2), rep.diag(n + 2)
         for i in range(1, n + 3):
-            assert abs(d_out[i - 1] - d_rep[perm.apply(i) - 1]) <= 1e-12
+            assert abs(d_out[i - 1] - d_rep[perm.map_index(i) - 1]) <= 1e-12
     ok(10, "100 permutation conjugations relocate every diagonal entry at 1e-12")

@@ -170,7 +170,7 @@ def _settled_walk(settled, perm):
     if settled is None:
         return None
     j = 0
-    while perm.apply(j + 1) <= settled:
+    while perm.map_index(j + 1) <= settled:
         j += 1
     return j
 

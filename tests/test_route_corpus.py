@@ -235,7 +235,7 @@ def test_finite_mass_leaves_fill_completely_with_the_large_entry_first():
                 if large is None:
                     assert "beta" not in trace and trace["parts"][0]["part"] is None
                 else:
-                    assert PermutationWindow(tuple(trace["beta"])).apply(large) == 1
+                    assert PermutationWindow(tuple(trace["beta"])).map_index(large) == 1
                     assert trace["parts"][0]["part"] == 1
                 if where in (None, 1, 2):
                     doc = {"branch": trace["branch"], "projection": rep.to_json_dict()}

@@ -7,7 +7,7 @@ import pytest
 from carpenter.errors import MajorizationError, SpecError
 from carpenter.schurhorn import (
     _pinned_columns,
-    _projection_rows,
+    _rows_over,
     finite_projection,
     finite_projection_pair,
     majorizes,
@@ -218,8 +218,8 @@ def test_kept_rows_are_rows_of_the_full_unitary():
             kept = _pinned_columns(ints[:n], ints[n:], range(lo, hi))
             assert kept.T.tobytes() == u[lo:hi].tobytes()
             rows, comp = finite_projection_pair(f)
-            assert _projection_rows(f, rng=True, ker=False) == (rows, [])
-            assert _projection_rows(f, rng=False, ker=True) == ([], comp)
+            assert _rows_over(*over_lcm(f), rng=True, ker=False) == (rows, [])
+            assert _rows_over(*over_lcm(f), rng=False, ker=True) == ([], comp)
             if not all(x in (0, 1) for x in f):  # else the basis vectors, not U's rows
                 assert rows + comp == [SparseVector.from_dense(r) for r in u]
 
@@ -234,6 +234,6 @@ def test_pinning_a_decoupled_group_of_three_hundred_matches_the_reference():
     n, k = len(f), int(sum(f))
     assert (n, k) == (299, 260)
     assert max(x.denominator for x in f).bit_length() > 1500
-    rows, comp = _projection_rows(f, rng=False, ker=True)
+    rows, comp = _rows_over(*over_lcm(f), rng=False, ker=True)
     u = dense_product_unitary([1] * k + [0] * (n - k), f)
     assert rows == [] and comp == [SparseVector.from_dense(r) for r in u[k:]]

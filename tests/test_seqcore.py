@@ -395,8 +395,7 @@ def test_index_map_after_a_permutation_is_the_composition():
     p = PermutationWindow((3, 1, 2))
     assert isinstance(p, IndexMap) and (p.head, p.stride, p.offset) == ((3, 1, 2), 1, 1)
     assert p.window == (3, 1, 2) and p.size == 3
-    assert [p.apply(i) for i in range(1, 7)] == [p.map_index(i) for i in range(1, 7)]
-    assert [p.apply(i) for i in range(1, 7)] == [3, 1, 2, 4, 5, 6]
+    assert [p.map_index(i) for i in range(1, 7)] == [3, 1, 2, 4, 5, 6]
     assert p.inverse() == PermutationWindow((2, 3, 1)) and type(p.inverse()) is PermutationWindow
     assert v.remap(p) == v.remap(IndexMap(p.window))
 
@@ -530,10 +529,10 @@ def test_projection_rep_json_round_trip():
 
 def test_permutation_window_apply_and_inverse():
     p = PermutationWindow((3, 1, 2))
-    assert [p.apply(i) for i in (1, 2, 3, 4, 9)] == [3, 1, 2, 4, 9]
+    assert [p.map_index(i) for i in (1, 2, 3, 4, 9)] == [3, 1, 2, 4, 9]
     q = p.inverse()
     for i in range(1, 12):
-        assert q.apply(p.apply(i)) == i
+        assert q.map_index(p.map_index(i)) == i
     with pytest.raises(SpecError):
         PermutationWindow((2, 2, 1))
 
@@ -562,7 +561,7 @@ def test_permutation_window_head_first():
         head = tuple(int(i) for i in rng.permutation(n)[: rng.integers(0, n + 1)] + 1)
         perm = PermutationWindow.head_first(head)
         assert perm.window == _head_then_rest(head, n + 3), head
-        assert [perm.apply(i) for i in head] == list(range(1, len(head) + 1))
+        assert [perm.map_index(i) for i in head] == list(range(1, len(head) + 1))
 
 
 def test_conjugate_by_permutation_moves_diagonal():
@@ -571,7 +570,7 @@ def test_conjugate_by_permutation_moves_diagonal():
     out = conjugate_by_permutation(rep, perm)
     d_out, d_rep = out.diag(6), rep.diag(6)
     for i in range(1, 7):
-        assert d_out[i - 1] == pytest.approx(d_rep[perm.apply(i) - 1], abs=1e-15)
+        assert d_out[i - 1] == pytest.approx(d_rep[perm.map_index(i) - 1], abs=1e-15)
 
 
 def test_conjugate_by_permutation_random_frames():
@@ -585,7 +584,7 @@ def test_conjugate_by_permutation_random_frames():
         perm = PermutationWindow(tuple(int(x) for x in rng.permutation(n) + 1))
         out = conjugate_by_permutation(rep, perm)
         d_out = np.array(out.diag(n))
-        expect = np.array([rep.diag(n)[perm.apply(i) - 1] for i in range(1, n + 1)])
+        expect = np.array([rep.diag(n)[perm.map_index(i) - 1] for i in range(1, n + 1)])
         assert np.allclose(d_out, expect, atol=1e-12)
         # conjugation preserves the projection property
         p = out.dense(n)
@@ -601,8 +600,8 @@ def test_conjugate_materializes_tails_inside_window():
     d_out, d_rep = out.diag(8), rep.diag(8)
     e_out, e_rep = out.exact_diag(8), rep.exact_diag(8)
     for i in range(1, 9):
-        assert d_out[i - 1] == pytest.approx(d_rep[perm.apply(i) - 1], abs=1e-14)
-        assert e_out[i - 1] == e_rep[perm.apply(i) - 1]
+        assert d_out[i - 1] == pytest.approx(d_rep[perm.map_index(i) - 1], abs=1e-14)
+        assert e_out[i - 1] == e_rep[perm.map_index(i) - 1]
 
 
 def test_cell_field_rejects_duplicate_ids():

@@ -13,10 +13,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from carpenter.errors import CarpenterError, SpecError
+from carpenter.errors import CarpenterError, SpecError, UnsupportedStructureError
+from carpenter.schurhorn import finite_projection, finite_projection_pair, schur_horn_unitary
 from carpenter.selector import carpenter
-from carpenter.seqcore import DiagonalSpec, PermutationWindow, TailRule, over_lcm
-from carpenter.tetris import block_sort, interleave_split_fin, min_s
+from carpenter.seqcore import (
+    DiagonalSpec,
+    PermutationWindow,
+    SparseVector,
+    TailRule,
+    _fmt_ratios,
+    dumps_canonical,
+    fmt_rat,
+    over_lcm,
+    rat,
+)
+from carpenter.tetris import block_sort, coupling, interleave_split_fin, min_s
 from test_route_corpus import COUNT, SEED, _random_spec
 
 DENS = (97, 2**20, 2**31 - 1)
@@ -251,3 +262,91 @@ def test_stream_construct_never_builds_the_prefix_view(den, monkeypatch):
             carpenter(spec, 12, {})
     assert len(made) > 6 * 4  # every input, and specs derived from it
     assert not [s for s in made if "prefix" in s.__dict__]
+
+
+# -- the one reader and the one writer
+
+
+def _least_layout(vals):
+    """The Fraction-built least layout: the lcm of the reduced denominators, and each numerator
+    scaled to it."""
+    d = math.lcm(*(x.denominator for x in vals))
+    return d, [x.numerator * (d // x.denominator) for x in vals]
+
+
+def test_over_lcm_reads_every_written_form_into_the_least_layout():
+    """ints, Fractions, canonical and unreduced ``"p/q"`` strings, mixed, give the layout that
+    the reduced Fractions give, through ``over_lcm`` and through the squares of a decoded
+    vector; floats and bools are refused with ``rat``'s message."""
+    rng = random.Random(SEED)
+    unreduced = 0
+    for _ in range(300):
+        vals = _random_prefix(rng)
+        written = [_forms(rng, x) for x in vals]
+        unreduced += any(isinstance(w, str) and w != str(x) for w, x in zip(written, vals))
+        d, nums = _least_layout(vals)
+        assert over_lcm(written) == (d, nums), written
+        support = [[i, math.sqrt(float(x))] for i, x in enumerate(vals, start=1)]
+        vec = SparseVector.from_json_dict({"support": support, "squares": written})
+        ref = SparseVector.from_json_dict({"support": support, "squares": [str(x) for x in vals]})
+        assert vec.exact == ref.exact == (d, tuple(nums)), written
+        assert dumps_canonical(vec.to_json_dict()) == dumps_canonical(ref.to_json_dict())
+    assert unreduced > 100
+    assert over_lcm([]) == (1, [])
+    for bad in (0.5, True, False, None, "1/0", "x"):
+        with pytest.raises(SpecError) as want:
+            rat(bad)
+        for read in (
+            lambda: over_lcm(["1/2", bad]),
+            lambda: SparseVector.from_json_dict({"support": [[1, 0.5]], "squares": [bad]}),
+            lambda: finite_projection_pair(["1/2", bad]),
+            lambda: coupling("1/2", bad, "3/4"),
+            lambda: schur_horn_unitary([1, bad], ["1/2", "1/2"]),
+        ):
+            with pytest.raises(SpecError) as got:
+                read()
+            assert str(got.value) == str(want.value), bad
+
+
+def test_finite_projection_reads_unreduced_entries_through_the_one_reader():
+    """Entries of 0 and 1 written unreduced ("2/2", "0/3", "3/3") still take the basis-vector
+    path, and any written form of a diagonal gives the rows its reduced Fractions give."""
+    rng = random.Random(SEED)
+    basis = SparseVector.basis
+    assert finite_projection_pair(["2/2", "0/3", "3/3"]) == ([basis(1), basis(3)], [basis(2)])
+    for _ in range(60):
+        bits = [rng.randint(0, 1) for _ in range(rng.randint(1, 9))]
+        ks = [rng.randint(2, 9) for _ in bits]
+        written = [rng.choice((f"{b * k}/{k}", b, F(b), str(b))) for b, k in zip(bits, ks)]
+        ones = [basis(i) for i, b in enumerate(bits, start=1) if b]
+        zeros = [basis(i) for i, b in enumerate(bits, start=1) if not b]
+        assert finite_projection_pair(written) == (ones, zeros), written
+        assert finite_projection(written).vectors == tuple(ones)
+    for _ in range(40):
+        xs = _random_prefix(rng)
+        vals = xs + [1 - x for x in xs]  # an integer sum, every entry in [0,1]
+        written = [_forms(rng, x) for x in vals]
+        assert finite_projection_pair(written) == finite_projection_pair(vals), written
+
+
+def test_fmt_ratios_writes_what_fmt_rat_writes():
+    """The one writer of integer layouts: each (p, q) as ``fmt_rat(Fraction(p, q))``, in lowest
+    terms, p = 0 and q = 1 included; past the digit limit the same error text."""
+    rng = random.Random(SEED)
+    pairs = [(0, 1), (0, 7), (5, 1), (6, 4), (2**64, 2**32)]
+    for _ in range(500):
+        q = rng.choice((1, 2, 3, 97, 2**31 - 1, rng.randint(1, 2**80)))
+        p, k = rng.randint(0, 2 * q), rng.choice((1, 1, rng.randint(2, 10**6)))
+        pairs.append((p * k, q * k))
+    assert _fmt_ratios(pairs) == [fmt_rat(F(p, q)) for p, q in pairs]
+    assert _fmt_ratios(iter(pairs)) == _fmt_ratios(pairs)
+    big = 10**5000 + 1
+    for p, q in ((big, 3), (3 * big, 9), (7, big), (0 * big, big)):
+        try:
+            want = fmt_rat(F(p, q))
+        except UnsupportedStructureError as e:
+            with pytest.raises(UnsupportedStructureError) as got:
+                _fmt_ratios([(p, q)])
+            assert str(got.value) == str(e)
+        else:
+            assert _fmt_ratios([(p, q)]) == [want]

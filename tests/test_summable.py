@@ -110,7 +110,7 @@ def test_decouple_worked_example_plan():
     trace = {}
     summable_construct2(WORKED, trace)
     beta = PermutationWindow(tuple(trace["beta"]))
-    assert [beta.apply(i) for i in (2, 5, 6, 7)] == [4, 5, 6, 7]
+    assert [beta.map_index(i) for i in (2, 5, 6, 7)] == [4, 5, 6, 7]
 
 
 def test_decouple_identities():

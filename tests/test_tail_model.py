@@ -483,3 +483,49 @@ def test_float_value_refuses_a_power_past_the_budget_before_the_zero_offset():
     with pytest.raises(UnsupportedStructureError, match="bit budget"):
         rule._float_value(500_000)
     assert rule._float_value(zero) == 0.0 and rule._float_value(2**70) == 0.0
+
+
+def _brute_first_at_most(rule, x):
+    """The first offset j whose geometric part c * r**(k + j - 1) is <= x, walked."""
+    j, g = 1, rule.c * rule.r**rule.k
+    while g > x:
+        j, g = j + 1, g * rule.r
+    return j
+
+
+def test_first_at_most_matches_a_walk_at_and_beside_every_entry():
+    """``first_at_most(x)`` on geometric and one_minus_geometric rules with k >= 0, for x equal
+    to an entry's geometric part, just above it and just below it."""
+    rng = random.Random(SEED)
+    checked = 0
+    for _ in range(60):
+        c, r = F(rng.randint(1, 10), 10), F(rng.randint(1, 39), 40)
+        k = rng.choice((0, 0, 1, 3, rng.randint(4, 60)))
+        for kind in ("geometric", "one_minus_geometric"):
+            rule = TailRule(kind, c, r, k)
+            for j in (1, 2, 3, rng.randint(4, 30)):
+                g = c * r ** (k + j - 1)
+                for x in (g, g + g / 10**12, g - g / 10**12, 2 * c, F(1, 10**9)):
+                    assert rule.first_at_most(x) == _brute_first_at_most(rule, x), (rule, x)
+                    checked += 1
+                assert rule.first_at_most(g) == j  # the entry itself is the first at most it
+                assert rule.first_at_most(g - g / 10**12) == j + 1
+    assert checked == 60 * 2 * 4 * 5
+
+
+def test_half_exceptions_count_an_entry_of_exactly_one_half_as_small():
+    """A one_minus_geometric entry of exactly 1/2 is small, so it is an exception to the large
+    rest; a geometric one is small like the rest.  Each matches the walk over the entries."""
+    for rule, want in (
+        (TailRule.one_minus_geometric(1, "1/2"), (2, False)),  # 0, 1/2 | 3/4, 7/8, ...
+        (TailRule.one_minus_geometric("1/2", "1/3"), (1, False)),  # 1/2 | 5/6, ...
+        (TailRule("one_minus_geometric", 1, F(1, 2), 1), (1, False)),  # 1/2 | 3/4, ...
+        (TailRule("one_minus_geometric", 1, F(1, 2), 2), (0, False)),  # 3/4, ...
+        (TailRule.one_minus_geometric("3/4", "2/3"), (2, False)),  # 1/4, 1/2 | 2/3, ...
+        (TailRule.geometric(1, "1/2"), (1, True)),  # 1 | 1/2, 1/4, ...
+        (TailRule.geometric("1/2", "1/3"), (0, True)),  # 1/2, 1/6, ...
+    ):
+        assert rule.half_exceptions() == want, rule
+        e, rest_small = want
+        walk = [rule.value(j) <= HALF for j in range(1, 40)]
+        assert walk == [not rest_small] * e + [rest_small] * (39 - e), rule

@@ -484,7 +484,7 @@ def test_block_sort_is_one_stable_sort_by_block_then_value():
         want = sorted(range(1, w + 1), key=lambda i: (block(i), -f.entry(i), i))
         assert pi.window == tuple(want), f
         for j in range(1, w + 6):
-            assert g.entry(j) == f.entry(pi.apply(j)), (f, j)
+            assert g.entry(j) == f.entry(pi.map_index(j)), (f, j)
     assert past_prefix > 100
 
 
@@ -536,7 +536,7 @@ def test_block_sort_window_ends_inside_the_prefix_or_reaches_into_the_tail():
         assert g.prefix[w:] == f.prefix[w:] and len(g.prefix) == max(w, p)
         assert g.tail == f.tail.reindexed(max(w - p, 0) + 1)
         for j in range(1, w + 12):
-            assert g.entry(j) == f.entry(pi.apply(j)), (f, j)
+            assert g.entry(j) == f.entry(pi.map_index(j)), (f, j)
     g, _ = block_sort(inside)
     assert list(g.prefix[:5]) == [F(1, 2), F(1, 2), F(1, 4), F(1, 2), F(1, 4)]
 
@@ -547,7 +547,7 @@ def test_block_sort_reorders_within_blocks():
     # first block is indices 1..3, sorted to 2/5, 2/5, 1/5
     assert [g.entry(i) for i in (1, 2, 3)] == [F(2, 5), F(2, 5), F(1, 5)]
     for j in range(1, 12):
-        assert g.entry(j) == s.entry(rho.apply(j))
+        assert g.entry(j) == s.entry(rho.map_index(j))
     # the sorted spec streams cleanly
     out = tetris_vectors(g, 3)
     assert np.allclose(gram_of(out.vectors, 10), np.eye(3), atol=1e-14)
@@ -558,7 +558,7 @@ def test_block_sort_first_entry_may_be_large():
     g, rho = block_sort(s)
     assert g.entry(1) == F(9, 10)
     for j in range(1, 10):
-        assert g.entry(j) == s.entry(rho.apply(j))
+        assert g.entry(j) == s.entry(rho.map_index(j))
 
 
 def test_block_sort_rejects_large_interior_entries():
@@ -591,7 +591,7 @@ def test_interleave_split_scattered_larges():
     assert [parts[0].entry(i) for i in (1, 2)] == [F(4, 5), F(1, 10)]
     assert [parts[1].entry(i) for i in (1, 2)] == [F(9, 10), F(1, 10)]
     # original -> slot: f2 leads part 1, f4 leads part 2, smalls interleave
-    assert [beta.apply(i) for i in (1, 2, 3, 4, 5, 6)] == [3, 1, 4, 2, 5, 6]
+    assert [beta.map_index(i) for i in (1, 2, 3, 4, 5, 6)] == [3, 1, 4, 2, 5, 6]
 
 
 def test_interleave_split_covers_value_multiset():
@@ -599,7 +599,7 @@ def test_interleave_split_covers_value_multiset():
     parts, beta = interleave_split_fin(s, 2)
     k = len(parts)
     for orig in range(1, 30):
-        slot = beta.apply(orig)
+        slot = beta.map_index(orig)
         m = (slot - 1) % k + 1
         i = (slot - 1) // k + 1
         assert parts[m - 1].entry(i) == s.entry(orig)
