@@ -23,7 +23,6 @@ __all__ = [
     "majorizes",
     "schur_horn_unitary",
     "finite_projection",
-    "finite_projection_pair",
 ]
 
 

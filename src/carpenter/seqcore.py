@@ -35,7 +35,6 @@ from .errors import (
 
 __all__ = [
     "INF",
-    "HALF",
     "rat",
     "fmt_rat",
     "TailRule",
@@ -495,9 +494,9 @@ class DiagonalSpec:
 
     The prefix is integer numerators ``nums`` over ``den``, their least common
     denominator (0 <= n <= den), read from ints, Fractions and ``"p/q"`` strings
-    by :func:`_ratio`; ``prefix`` is a read-only Fraction view built on first
-    use.  Tests run on the integers: ``_cumsums`` holds the sums d*S_i, so one
-    bisection serves :func:`carpenter.tetris.min_s` and :meth:`sum_reach`.
+    by :func:`_ratio`; :meth:`entries` gives them as Fractions.  Tests run on
+    the integers: ``_cumsums`` holds the sums d*S_i, so one bisection serves
+    :func:`carpenter.tetris.min_s` and :meth:`sum_reach`.
     """
 
     den: int
@@ -527,11 +526,6 @@ class DiagonalSpec:
     def of(cls, *values, tail: TailRule | None = None) -> "DiagonalSpec":
         """Convenience constructor: DiagonalSpec.of('2/5', '2/5', tail=...)."""
         return cls(values, tail)
-
-    @cached_property
-    def prefix(self) -> tuple[Fraction, ...]:
-        """The prefix entries as Fractions, in order."""
-        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @cached_property
     def _cumsums(self) -> tuple[int, tuple[int, ...]]:
@@ -833,7 +827,10 @@ class SparseVector:
                 yield k, math.sqrt(f), f.numerator, f.denominator
 
     def exact_norm_sq(self) -> Fraction:
-        """The exact squares, added as integers over the vector's denominator, plus tail mass."""
+        """The exact squares, added as integers over the vector's denominator, plus tail mass.
+
+        No construction calls it: it is the exact norm check of the tests' Fraction
+        fill reference (``fill_reference`` in test_tetris)."""
         if self.exact is None and self.support:
             raise ExactnessError("vector has float-only support entries")
         den, nums = self.exact or (1, ())
@@ -845,6 +842,8 @@ class SparseVector:
     # -- products
 
     def inner(self, other: "SparseVector") -> float:
+        """The inner product, one pair at a time: test_verify_reference and the finite64
+        step of the tier-1 workflow check :meth:`ProjectionRep.gram` against it bit for bit."""
         acc = 0.0
         mine = dict(self.support)
         theirs = dict(other.support)
@@ -1278,18 +1277,14 @@ def _gram_tile(
 class PermutationWindow(IndexMap):
     """A permutation of the positive integers that is the identity beyond a window.
 
-    ``window[i-1]`` is the image of i for 1 <= i <= M; larger indices map to
-    themselves.  It is the index map whose head is the window.
+    The window is the index map's head: ``head[i-1]`` is the image of i for
+    1 <= i <= M, and larger indices map to themselves.
     """
 
     def __post_init__(self):  # a bijection passes every index map check
         n = len(self.head)
         if sorted(self.head) != list(range(1, n + 1)) or (self.stride, self.offset) != (1, 1):
             raise SpecError(f"window is not a bijection of 1..{n}")
-
-    @property
-    def window(self) -> tuple[int, ...]:
-        return self.head
 
     @property
     def size(self) -> int:

@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .errors import InfeasibleDiagonalError, SpecError
 from .feasibility import FeasibilityReport, classify
-from .seqcore import DiagonalSpec, ProjectionRep, TailRule, fmt_rat, rat
+from .seqcore import DiagonalSpec, ProjectionRep, TailRule, rat
 from .seqcore import _json_field, _json_int, _json_list, _json_number, _json_object
 from .selector import _route_named, verify_projection
 
@@ -33,10 +33,6 @@ __all__ = [
 def _coords(x, parse, what: str) -> tuple:
     """A JSON scalar or list of scalars as a tuple, each read by ``parse``."""
     return tuple(parse(v, what) for v in (x if isinstance(x, (list, tuple)) else (x,)))
-
-
-def _window_to_json(d: int, window) -> dict:
-    return {"d": d, "window": [list(k) for k in window]}
 
 
 def _window_from_json(doc: Mapping, what: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -101,16 +97,6 @@ class SpectralSamples:
                     f"window of {len(self.window)}"
                 )
 
-    def to_json_dict(self) -> dict:
-        out = _window_to_json(self.d, self.window)
-        out["fibers"] = []
-        for f in self.fibers:
-            fd: dict = {"xi": list(f.xi), "values": [fmt_rat(v) for v in f.values]}
-            if f.tail != TailRule.zero():
-                fd["tail"] = f.tail.to_json_dict()
-            out["fibers"].append(fd)
-        return out
-
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SpectralSamples":
         d, window = _window_from_json(doc, "spectral samples")
@@ -145,8 +131,7 @@ class RangeFunctionFile:
         _check_dims(self.d, self.window, (f.xi for f in self.fibers))
 
     def to_json_dict(self) -> dict:
-        out = _window_to_json(self.d, self.window)
-        out["fibers"] = [
+        fibers = [
             {
                 "xi": list(f.xi),
                 "branch": list(f.branch),
@@ -155,7 +140,7 @@ class RangeFunctionFile:
             }
             for f in self.fibers
         ]
-        return out
+        return {"d": self.d, "window": [list(k) for k in self.window], "fibers": fibers}
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RangeFunctionFile":

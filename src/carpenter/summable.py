@@ -39,7 +39,6 @@ __all__ = [
     "DecouplingPlan",
     "decouple",
     "summable_construct2",
-    "summable_construct",
 ]
 
 
@@ -285,7 +284,7 @@ def summable_construct2(
     rep = conjugate_on_coords(ProjectionRep.coframe(vecs), coords, u3)
     if trace is not None:
         trace["plan"] = plan.to_json_dict()
-        trace["beta"] = list(beta.window)
+        trace["beta"] = list(beta.head)
     return rep
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "TetrisOutput",
     "tetris_vectors",
     "block_sort",
-    "nonsummable_construct",
 ]
 
 
@@ -357,7 +356,7 @@ def _settled_through(settled: int | None, perm: PermutationWindow) -> int | None
     if settled is None:
         return None
     # past the window i maps to i, so there the first image past settled is max(size, settled) + 1
-    w = perm.window
+    w = perm.head
     return next((j for j, img in enumerate(w) if img > settled), max(len(w), settled))
 
 
@@ -388,7 +387,7 @@ def _sorted_fill(
     if parts is not None:
         parts.append({
             "part": label,
-            "block_permutation": list(perm.window),
+            "block_permutation": list(perm.head),
             "min_s": {str(n): v for n, v in out.min_s.items()},
             "sigma": _fmt_ratios(out.sigma_ratios),
             "a": _fmt_ratios(out.a_ratios),
@@ -426,6 +425,6 @@ def tetris(
     if trace is not None:
         trace["parts"] = parts
         if k:
-            trace["beta"] = list(beta.window)
+            trace["beta"] = list(beta.head)
     settled = _settled_through(min(slot_settled) - 1, beta) if slot_settled else None
     return ProjectionRep.frame(vectors), settled

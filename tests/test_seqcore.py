@@ -79,7 +79,7 @@ def test_rat_string_parity_with_fraction(text):
 def test_spec_range_check_is_exact():
     big = 2**31 - 1
     s = DiagonalSpec.of("0", "1", f"{big}/{big}", f"1/{big}")
-    assert s.prefix == (0, 1, 1, F(1, big))
+    assert s.entries(len(s.nums)) == [0, 1, 1, F(1, big)]
     for i, bad in ((2, f"{big + 1}/{big}"), (3, f"-1/{2**20}")):
         vals = ["1/2"] * (i - 1) + [bad]
         with pytest.raises(SpecError, match=f"entry {i} = {bad} outside"):
@@ -394,10 +394,10 @@ def test_index_map_after_a_permutation_is_the_composition():
     # a permutation window is the index map whose head is its window
     p = PermutationWindow((3, 1, 2))
     assert isinstance(p, IndexMap) and (p.head, p.stride, p.offset) == ((3, 1, 2), 1, 1)
-    assert p.window == (3, 1, 2) and p.size == 3
+    assert p.head == (3, 1, 2) and p.size == 3
     assert [p.map_index(i) for i in range(1, 7)] == [3, 1, 2, 4, 5, 6]
     assert p.inverse() == PermutationWindow((2, 3, 1)) and type(p.inverse()) is PermutationWindow
-    assert v.remap(p) == v.remap(IndexMap(p.window))
+    assert v.remap(p) == v.remap(IndexMap(p.head))
 
 
 def test_index_map_refuses_indices_below_one():
@@ -549,9 +549,9 @@ def _head_then_rest(head, n):
 
 
 def test_permutation_window_head_first():
-    assert PermutationWindow.head_first(()).window == ()
-    assert PermutationWindow.head_first((1, 2, 3)).window == ()
-    assert PermutationWindow.head_first((2, 1, 3)).window == (2, 1)
+    assert PermutationWindow.head_first(()).head == ()
+    assert PermutationWindow.head_first((1, 2, 3)).head == ()
+    assert PermutationWindow.head_first((2, 1, 3)).head == (2, 1)
     for bad in ((2, 2), (3, 1, 3), (0,), (1, -4)):
         with pytest.raises(ConstructionError, match="internal"):
             PermutationWindow.head_first(bad)
@@ -560,7 +560,7 @@ def test_permutation_window_head_first():
         n = int(rng.integers(1, 13))
         head = tuple(int(i) for i in rng.permutation(n)[: rng.integers(0, n + 1)] + 1)
         perm = PermutationWindow.head_first(head)
-        assert perm.window == _head_then_rest(head, n + 3), head
+        assert perm.head == _head_then_rest(head, n + 3), head
         assert [perm.map_index(i) for i in head] == list(range(1, len(head) + 1))
 
 

@@ -104,7 +104,8 @@ def test_decouple_worked_example_plan():
     assert plan.group1_src == (1, 4)
     assert plan.group2 == (F(1),)
     assert plan.group2_src == (3,)
-    assert plan.group3_comp.prefix == (F(7, 8),)
+    g3c = plan.group3_comp
+    assert g3c.entries(len(g3c.nums)) == [F(7, 8)]
     # group three fills slots 4, 5, 6, ... from the small entry a_2 and then
     # the large entries the first two groups did not take
     trace = {}
@@ -207,7 +208,7 @@ def walk_decouple(spec):
     assert sum(group1, F(0)).denominator == 1
     group2 = (b_t,) + tuple(spec.entry(i) for i in g2_src[1:])
     assert sum(group2, F(0)) == 1
-    p_l = len(large.prefix)
+    p_l = len(large.nums)
     cut = max(p_l + 1, i3 + 1, i5)
     g3c = DiagonalSpec(
         (1 - a2_t,) + tuple(large_c.entry(o) for o in range(i5, cut) if o != i3),
@@ -262,7 +263,7 @@ def test_decouple_matches_the_walk_reference():
         d = decouple_input(s)
         plan = decouple(d)
         assert plan.to_json_dict() == walk_decouple(d).to_json_dict(), s.to_json_dict()
-        large_prefix = len(d.subsequence(d.half_classes(), False).prefix)
+        large_prefix = len(d.subsequence(d.half_classes(), False).nums)
         seen |= {k for k, hit in (("i3 > 1", plan.i3 > 1), ("i5 = i3", plan.i5 == plan.i3),
                                   ("i5 in the prefix", 1 < plan.i5 <= large_prefix)) if hit}
     assert seen == {"i3 > 1", "i5 = i3", "i5 in the prefix"}

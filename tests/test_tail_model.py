@@ -66,7 +66,7 @@ def test_min_s_is_the_first_index_reaching_n():
             # never reached: the partial sums tend to a finite limit <= n
             limit = s.total()
             assert limit != INF and limit <= n, (s, n)
-            stalls = limit == s.partial_sum(len(s.prefix))
+            stalls = limit == s.partial_sum(len(s.nums))
             msg = "stall at" if stalls else f"stay below {n} \\(limit"
             with pytest.raises(ConstructionError, match=msg):
                 min_s(s, n)
@@ -80,9 +80,9 @@ def _check_index(s, cls, member):
     """Compare a class index with the membership of the first SCAN entries."""
     members = {a: [i for i in range(1, SCAN) if member(s.entry(i)) == a] for a in (True, False)}
     rest = cls.rest_start()
-    assert len(s.prefix) < rest < SCAN // 2
+    assert len(s.nums) < rest < SCAN // 2
     # the tail's exceptions are a leading run, and past them every entry is in the rest class
-    for i in range(len(s.prefix) + 1, SCAN):
+    for i in range(len(s.nums) + 1, SCAN):
         assert member(s.entry(i)) == (cls.rest_a if i >= rest else not cls.rest_a), (s, i)
     for a in (True, False):
         if a == cls.rest_a:
@@ -164,7 +164,7 @@ def test_min_s_on_large_and_mixed_denominators():
     for t in range(160):
         dens = (DENS[t % 3],) if t % 4 < 3 else DENS
         s = _mixed_spec(rng, dens, close=t % 2 == 0)
-        p = len(s.prefix)
+        p = len(s.nums)
         sums = _running_sums(s, p + 400)  # a reachable target lands inside
         total = sums[p]
         assert min_s(s, 0) == 0

@@ -294,7 +294,7 @@ def fill_reference(spec, m):
     cursor = 1  # first coordinate not fully consumed
     for n in range(1, m + 1):
         if n == n_total:  # the ultimate vector: leftovers plus everything else
-            p = len(spec.prefix)
+            p = len(spec.nums)
             entries = [(i, q, 1) for i, q in pending]
             entries += [(i, spec.entry(i), 1) for i in range(cursor, max(p, cursor - 1) + 1)]
             start = max(cursor, p + 1)
@@ -471,7 +471,7 @@ def test_block_sort_is_one_stable_sort_by_block_then_value():
     for _ in range(2000):
         f = _random_block_sort_spec(rng)
         g, pi = block_sort(f)
-        total, p = f.total(), len(f.prefix)
+        total, p = f.total(), len(f.nums)
         n, w, s = 0, 0, F(0)  # blocks sorted so far, the window's end, S_w
         # blocks are sorted while they start inside the prefix, except the ultimate one
         while w < p and (total == math.inf or n + 1 < total):
@@ -482,7 +482,7 @@ def test_block_sort_is_one_stable_sort_by_block_then_value():
         past_prefix += w > p
         block = lambda i: math.floor(f.partial_sum(i - 1)) + 1
         want = sorted(range(1, w + 1), key=lambda i: (block(i), -f.entry(i), i))
-        assert pi.window == tuple(want), f
+        assert pi.head == tuple(want), f
         for j in range(1, w + 6):
             assert g.entry(j) == f.entry(pi.map_index(j)), (f, j)
     assert past_prefix > 100
@@ -492,18 +492,18 @@ def test_sort_desc_window_orders_and_tracks():
     # one block, 1..4, sorted in decreasing order; pi records where each entry came from
     g, pi = block_sort(spec("1/5", "2/5", "3/10", "1/10", tail=TailRule.constant("2/5")))
     assert [g.entry(i) for i in range(1, 5)] == [F(2, 5), F(3, 10), F(1, 5), F(1, 10)]
-    assert pi.window == (2, 3, 1, 4)
+    assert pi.head == (2, 3, 1, 4)
     # ties keep original order
     g2, pi2 = block_sort(spec("2/5", "2/5", "1/5", tail=TailRule.constant("2/5")))
     assert [g2.entry(i) for i in range(1, 4)] == [F(2, 5), F(2, 5), F(1, 5)]
-    assert pi2.window == (1, 2, 3)
+    assert pi2.head == (1, 2, 3)
 
 
 def test_sort_desc_window_ties_keep_the_smaller_index():
     # blocks 1..4 and 5..7, each with repeated values
     f = spec("1/5", "2/5", "1/5", "2/5", "2/5", "3/10", "1/5", tail=TailRule.constant("2/5"))
     g, pi = block_sort(f)
-    assert pi.window == (2, 4, 1, 3, 5, 6, 7)
+    assert pi.head == (2, 4, 1, 3, 5, 6, 7)
     assert [g.entry(i) for i in range(1, 8)] == [F(2, 5)] * 2 + [F(1, 5)] * 2 + [F(2, 5), F(3, 10), F(1, 5)]
     rng = random.Random(3)
     for _ in range(200):  # few distinct values, so most blocks hold repeats
@@ -511,14 +511,14 @@ def test_sort_desc_window_ties_keep_the_smaller_index():
         g, pi = block_sort(f)
         block = lambda i: math.floor(f.partial_sum(i - 1)) + 1
         want = sorted(range(1, pi.size + 1), key=lambda i: (block(i), -f.entry(i), i))
-        assert pi.window == tuple(want), f
+        assert pi.head == tuple(want), f
         assert all(g.entry(j) == f.entry(i) for j, i in enumerate(want, 1)), f
 
 
 def test_block_sort_sorted_input_is_fixed():
     s = spec(tail=TailRule.constant("2/5"))
     g, rho = block_sort(s)
-    assert rho.window == tuple(range(1, rho.size + 1))
+    assert rho.head == tuple(range(1, rho.size + 1))
     for i in range(1, 8):
         assert g.entry(i) == s.entry(i)
 
@@ -531,14 +531,14 @@ def test_block_sort_window_ends_inside_the_prefix_or_reaches_into_the_tail():
     into = spec("1/4", "1/3", tail=TailRule.constant("2/5"))  # S_3 < 1 <= S_4
     for f, w in ((inside, 5), (into, 4)):
         g, pi = block_sort(f)
-        p = len(f.prefix)
+        p = len(f.nums)
         assert pi.size == w and (w < p if f is inside else w > p), (f, pi)
-        assert g.prefix[w:] == f.prefix[w:] and len(g.prefix) == max(w, p)
+        assert g.entries(len(g.nums))[w:] == f.entries(p)[w:] and len(g.nums) == max(w, p)
         assert g.tail == f.tail.reindexed(max(w - p, 0) + 1)
         for j in range(1, w + 12):
             assert g.entry(j) == f.entry(pi.map_index(j)), (f, j)
     g, _ = block_sort(inside)
-    assert list(g.prefix[:5]) == [F(1, 2), F(1, 2), F(1, 4), F(1, 2), F(1, 4)]
+    assert g.entries(5) == [F(1, 2), F(1, 2), F(1, 4), F(1, 2), F(1, 4)]
 
 
 def test_block_sort_reorders_within_blocks():
@@ -582,7 +582,7 @@ def test_interleave_split_front_larges():
     assert [parts[0].entry(i) for i in (1, 2, 3)] == [F(4, 5), F(1, 10), F(1, 10)]
     assert [parts[1].entry(i) for i in (1, 2, 3)] == [F(9, 10), F(1, 10), F(1, 10)]
     # larges already occupy the first two slots, so the relabelling is trivial
-    assert beta.window == tuple(range(1, beta.size + 1))
+    assert beta.head == tuple(range(1, beta.size + 1))
 
 
 def test_interleave_split_scattered_larges():
