@@ -6,6 +6,8 @@ mass, one carry mass exactly one, and one carry co-mass exactly one; a single
 3x3 rotation then restores the shaved entries in place.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from carpenter.seqcore import DiagonalSpec, TailRule
@@ -17,12 +19,13 @@ print("diagonal:", [str(spec.entry(i)) for i in range(1, 7)], "...")
 plan = decouple(spec)
 print("chosen indices i1..i5:", (plan.i1, plan.i2, plan.i3, plan.i4, plan.i5))
 print("adjusted entries     :", str(plan.a1_tilde), str(plan.a2_tilde), str(plan.b_tilde))
-print("block 1 (whole mass) :", [str(x) for x in plan.group1], "fed by", plan.group1_src)
-print("block 2 (mass one)   :", [str(x) for x in plan.group2], "fed by", plan.group2_src)
+doc = plan.to_json_dict()  # the groups are held as lowest-terms (p, q) pairs
+print("block 1 (whole mass) :", doc["group1"], "fed by", plan.group1_src)
+print("block 2 (mass one)   :", doc["group2"], "fed by", plan.group2_src)
 print("block 3 co-diagonal  :", plan.group3_comp.to_json_dict())
 
-assert sum(plan.group1).denominator == 1
-assert sum(plan.group2) == 1
+assert sum(Fraction(p, q) for p, q in plan.group1).denominator == 1
+assert sum(Fraction(p, q) for p, q in plan.group2) == 1
 assert plan.group3_comp.total() == 1
 
 rep = summable_construct2(spec)

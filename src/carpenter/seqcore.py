@@ -322,15 +322,49 @@ class TailRule:
             self._check_power(j - 1, f"sqrt tail offset {j} of")
         return float(self.value(j))
 
-    def values(self, n: int) -> Iterator[Fraction]:
-        """``value(1), ..., value(n)``, one exact multiply per step in place of a power."""
+    def values(self, n: int) -> Iterator[tuple[int, int]]:
+        """``value(1), ..., value(n)`` as lowest-terms pairs ``(p, q)``, q > 0.
+
+        Each step multiplies the geometric part by r as ``Fraction`` does, with no object
+        built: two gcds against r's small terms, then two big-by-small multiplies.  Once the
+        numerator is prime to r_den and the denominator to r_num they stay so, since r is in
+        lowest terms, and every later step is the two multiplies alone."""
         if self.flat:
-            yield from repeat(self.value(1), n)
+            v = self.value(1)
+            yield from repeat((v.numerator, v.denominator), n)
             return
-        g, r, u = self._start, self.r, self.u
+        gn, gd, u = self._start.numerator, self._start.denominator, self.u
+        rn, rd = self.r.numerator, self.r.denominator
+        coprime = False
         for _ in range(n):
-            yield 1 - g if u else g
-            g *= r
+            yield (gd - gn, gd) if u else (gn, gd)
+            if coprime:
+                gn, gd = gn * rn, gd * rd
+                continue
+            a, b = math.gcd(gn, rd), math.gcd(gd, rn)
+            gn, gd = gn // a * (rn // b), gd // b * (rd // a)
+            coprime = a == b == 1
+
+    def _over(self, j0: int, j1: int) -> tuple[int, list[int]]:
+        """``(d, [d * value(j) for j = j0..j1])``, d the least common denominator of the window.
+
+        The walk runs over one common multiple, D = c_den * r_den**(k + j1 - 1): each numerator
+        of c * r**(k + j - 1) is the one before it ``// r_den * r_num``, two big-by-small
+        operations with no gcd.  Each prime's exponent in the entries' reduced denominators is
+        monotone in j, so the two ends fix d, and D / d, which divides c_num * c_den, is one
+        gcd over both ends started from that small product."""
+        c, r, u = self.c, self.r, self.u
+        if self.flat:
+            return c.denominator, [c.numerator] * (j1 - j0 + 1)
+        rn, rd = r.numerator, r.denominator
+        d = c.denominator * rd ** (self.k + j1 - 1)
+        x = c.numerator * rn ** (self.k + j0 - 1) * rd ** (j1 - j0)
+        out = [d - x if u else x]
+        for _ in range(j1 - j0):
+            x = x // rd * rn
+            out.append(d - x if u else x)
+        g = math.gcd(c.numerator * c.denominator, d, out[-1], out[0])
+        return (d, out) if g == 1 else (d // g, [x // g for x in out])
 
     def float_values(self, n: int) -> list[float]:
         """``float(value(j))`` for j = 1..n, bit for bit.
@@ -494,7 +528,7 @@ class DiagonalSpec:
 
     The prefix is integer numerators ``nums`` over ``den``, their least common
     denominator (0 <= n <= den), read from ints, Fractions and ``"p/q"`` strings
-    by :func:`_ratio`; :meth:`entries` gives them as Fractions.  Tests run on
+    by :func:`_ratio`; :meth:`entry` and :meth:`over` read them.  Tests run on
     the integers: ``_cumsums`` holds the sums d*S_i, so one bisection serves
     :func:`carpenter.tetris.min_s` and :meth:`sum_reach`.
     """
@@ -508,17 +542,18 @@ class DiagonalSpec:
         if nums and (min(nums) < 0 or max(nums) > den):
             i = next(i for i, n in enumerate(nums) if not 0 <= n <= den)
             raise SpecError(f"entry {i + 1} = {Fraction(nums[i], den)} outside [0,1]")
-        self._store(den, nums, tail or TailRule.zero())
+        self._store(den, tuple(nums), tail or TailRule.zero())  # over_lcm's layout is the least
 
     @classmethod
     def _over(cls, den: int, nums: list[int], tail: TailRule) -> "DiagonalSpec":
-        """The spec of the prefix nums/den, 0 <= n <= den unchecked: the internal builder."""
-        return object.__new__(cls)._store(den, nums, tail)
-
-    def _store(self, den: int, nums: list[int], tail: TailRule) -> "DiagonalSpec":
-        g = math.gcd(den, *nums)  # one gcd: the least denominator, so equal specs are stored alike
+        """The spec of the prefix nums/den, 0 <= n <= den unchecked, for internal callers.
+        One gcd puts it in the least layout, so equal specs are stored alike."""
+        g = math.gcd(den, *nums)
         nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
-        for name, value in (("den", den // g), ("nums", nums), ("tail", tail)):
+        return object.__new__(cls)._store(den // g, nums, tail)
+
+    def _store(self, den: int, nums: tuple[int, ...], tail: TailRule) -> "DiagonalSpec":
+        for name, value in (("den", den), ("nums", nums), ("tail", tail)):
             object.__setattr__(self, name, value)
         return self
 
@@ -533,20 +568,24 @@ class DiagonalSpec:
         return self.den, tuple(accumulate(self.nums, initial=0))
 
     def over(self, positions: Sequence[int]) -> tuple[int, list[int]]:
-        """``(L, [L * entry(i) for i in positions])``, positions in any order, repeats allowed:
-        prefix numerators read by position, tail values in one walk over the offsets the
-        positions span, L the lcm of ``den`` and the tail denominators read.  Every window
-        of entries that runs on integers is read here; inside the prefix it costs no scaling."""
+        """``(L, [L * entry(i) for i in positions])``, positions in any order, repeats allowed,
+        L the lcm of ``den`` and the reduced denominators of the tail entries read.  Prefix
+        numerators are read by position; the tail offsets the positions span are walked on
+        integers over their least common denominator (:meth:`TailRule._over`: small
+        multipliers only, no Fraction, no lcm over the window), and L is one lcm of that and
+        ``den``.  Every window of entries that runs on integers is read here; inside the
+        prefix it costs no scaling."""
         nums, p = self.nums, len(self.nums)
         try:  # one read when every position lies in the prefix
             return self.den, [nums[i - 1] for i in positions]
         except IndexError:  # a position past the prefix
             pass
         j0 = min(i for i in positions if i > p) - p  # the walk covers offsets j0 .. max - p
-        ts = list(self.tail.reindexed(j0).values(max(positions) - p + 1 - j0))
-        L = math.lcm(self.den, *{ts[i - p - j0].denominator for i in positions if i > p})
-        f = L // self.den
-        ts = [t.numerator * (L // t.denominator) for t in ts]
+        d, ts = self.tail._over(j0, max(positions) - p)
+        L = math.lcm(self.den, d)
+        f, h = L // self.den, L // d
+        if h != 1:
+            ts = [t * h for t in ts]
         return L, [nums[i - 1] * f if i <= p else ts[i - p - j0] for i in positions]
 
     # -- evaluation
@@ -556,11 +595,6 @@ class DiagonalSpec:
             raise OutOfRangeError(f"index {i} < 1")
         p = len(self.nums)
         return Fraction(self.nums[i - 1], self.den) if i <= p else self.tail.value(i - p)
-
-    def entries(self, n: int) -> list[Fraction]:
-        """``entry(k)`` for k = 1..n, in one walk of the tail (one multiply per step)."""
-        pfx = [Fraction(x, self.den) for x in self.nums[: max(n, 0)]]
-        return pfx + list(self.tail.values(n - len(pfx)))
 
     def float_entries(self, n: int) -> list[float]:
         """``float(entry(k))`` for k = 1..n, bit for bit, in one walk of the tail."""
@@ -749,9 +783,6 @@ class SparseVector:
     exact: tuple[int, tuple[int, ...]] | None
 
     def __init__(self, support=(), sqrt_tail=None, exact=None):
-        idx = [i for i, _ in support]
-        if idx and (idx[0] < 1 or not all(map(operator.lt, idx, idx[1:]))):  # C-level comparisons
-            raise SpecError("support indices must be strictly increasing and >= 1")
         if exact is not None:  # one gcd: the least denominator, so equal squares are stored alike
             try:
                 den, nums = exact
@@ -761,14 +792,22 @@ class SparseVector:
                 den = 0
             if den < 1:
                 raise SpecError("exact must be (den, nums): integer numerators over a den >= 1")
-            if len(nums) != len(support):
-                raise SpecError("squares must align with support")
             exact = (den, nums) if g == 1 else (den // g, tuple(p // g for p in nums))
+        self._store(support, sqrt_tail, exact)
+
+    def _store(self, support, sqrt_tail, exact) -> "SparseVector":
+        """Check and store the fields; ``exact`` is None or already least, ``(den, int tuple)``."""
+        idx = [i for i, _ in support]
+        if idx and (idx[0] < 1 or not all(map(operator.lt, idx, idx[1:]))):  # C-level comparisons
+            raise SpecError("support indices must be strictly increasing and >= 1")
+        if exact is not None and len(exact[1]) != len(support):
+            raise SpecError("squares must align with support")
         if sqrt_tail is not None and idx and idx[-1] >= sqrt_tail.start:
             raise SpecError("support must end before the sqrt tail starts")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "sqrt_tail", sqrt_tail)
         object.__setattr__(self, "exact", exact)
+        return self
 
     @cached_property
     def squares(self) -> tuple[Fraction, ...] | None:
@@ -823,8 +862,8 @@ class SparseVector:
         t = self.sqrt_tail
         if t is not None:
             ks = range(t.start, n + 1, t.stride)
-            for k, f in zip(ks, t.rule.values(len(ks))):
-                yield k, math.sqrt(f), f.numerator, f.denominator
+            for k, (p, q) in zip(ks, t.rule.values(len(ks))):
+                yield k, math.sqrt(p / q), p, q
 
     def exact_norm_sq(self) -> Fraction:
         """The exact squares, added as integers over the vector's denominator, plus tail mass.
@@ -964,8 +1003,11 @@ class SparseVector:
             if len(_json_list(e, "support entry")) != 2:
                 raise SpecError(f"support entry must be an [index, value] pair, got {e!r}")
             support.append((_json_int(e[0], "support index"), _json_number(e[1], "support value")))
-        exact = None if d.get("squares") is None else over_lcm(_json_list(d["squares"], "squares"))
-        vec = cls(tuple(support), tail, exact)
+        exact = None
+        if d.get("squares") is not None:  # over_lcm's layout is the least: no second gcd
+            den, nums = over_lcm(_json_list(d["squares"], "squares"))
+            exact = den, tuple(nums)
+        vec = object.__new__(cls)._store(tuple(support), tail, exact)
         L, nums = vec.exact or (1, ())  # each square as its numerator over the least denominator
         for (_, v), p in zip(vec.support, nums):
             _check_square(v, p, L)

@@ -12,6 +12,7 @@ the adjusted entries back to their requested values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -28,8 +29,8 @@ from .seqcore import (
     ProjectionRep,
     SparseVector,
     TailRule,
+    _fmt_ratio,
     fmt_rat,
-    over_lcm,
 )
 from .schurhorn import _rows_over, majorizes, schur_horn_unitary
 from .tetris import tetris_vectors
@@ -68,7 +69,9 @@ class DecouplingPlan:
     ordinals of the two largest of the first two of them, ``i3`` the large
     entry used for the mass-one group, ``i4``/``i5`` the cut ordinals.  The
     adjusted values replace a_{i1}, a_{i2}, b_{i3}; the groups then carry
-    integer mass, mass one, and co-mass one respectively.
+    integer mass, mass one, and co-mass one respectively.  ``group1`` and ``group2`` hold each
+    group's entries as lowest-terms pairs ``(p, q)``, its adjusted entry first and then the
+    entries at ``group1_src[1:]`` / ``group2_src[1:]``: no Fraction is built for them.
     """
 
     i1: int
@@ -80,8 +83,8 @@ class DecouplingPlan:
     b_tilde: Fraction
     a1_tilde: Fraction
     a2_tilde: Fraction
-    group1: tuple[Fraction, ...]
-    group2: tuple[Fraction, ...]
+    group1: tuple[tuple[int, int], ...]
+    group2: tuple[tuple[int, int], ...]
     group3_comp: DiagonalSpec
     group1_src: tuple[int, ...]
     group2_src: tuple[int, ...]
@@ -95,8 +98,8 @@ class DecouplingPlan:
                 "a2": fmt_rat(self.a2_tilde),
                 "b": fmt_rat(self.b_tilde),
             },
-            "group1": [fmt_rat(x) for x in self.group1],
-            "group2": [fmt_rat(x) for x in self.group2],
+            "group1": [_fmt_ratio(p, q) for p, q in self.group1],
+            "group2": [_fmt_ratio(p, q) for p, q in self.group2],
             "group3_complement": self.group3_comp.to_json_dict(),
             "group1_src": list(self.group1_src),
             "group2_src": list(self.group2_src),
@@ -116,8 +119,9 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     denominator, summed once from the end) fits beside b_{i3}.  i5 is the first
     ordinal from which the large entries' co-mass, b_{i3}'s left out, is at most
     a_{i2}: that co-mass is nonincreasing, so :meth:`DiagonalSpec.sum_reach` finds
-    it from closed-form sums, without a walk over the ordinals.  The entries are
-    read in one walk each, and group 1's integer mass comes from closed-form sums.
+    it from closed-form sums, without a walk over the ordinals.  Group 1's large
+    entries are read in one walk of :meth:`TailRule.values`, as lowest-terms integer
+    pairs, and its integer mass comes from closed-form sums.
     """
     prop = spec.proper_classes()
     if prop.count(False) != 0:
@@ -147,7 +151,7 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     b3 = large.entry(i3)
     # suffix[k - 1] = den * (a_k + ... + a_n), for k = 1..n+1
     suffix = list(accumulate(reversed(nums), initial=0))[::-1]
-    room = (1 - b3) * den
+    room = math.floor((1 - b3) * den)  # an integer sum fits under x iff it fits under floor(x)
     i4 = next(k for k in range(3, n + 2) if suffix[k - 1] <= room)
 
     # the co-mass of the large entries from ordinal k on, b_{i3}'s left out, is
@@ -181,8 +185,12 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
         (small_src[i1 - 1],) + tuple(small_src[2 : i4 - 1]) + tuple(cls.nth(o, False) for o in kept)
     )
     g2_src = (cls.nth(i3, False),) + tuple(small_src[i4 - 1 :])
-    b = large.entries(i5 - 1)
-    group1 = (a1_t,) + tuple(a[2 : i4 - 1]) + tuple(b[o - 1] for o in kept)
+    pairs = [(x.numerator, x.denominator) for x in a]
+    ld = large.den  # the large entries b_1 .. b_{i5-1} in lowest terms, the tail's in one walk
+    b = [(x // g, ld // g) for x in large.nums[: i5 - 1] for g in (math.gcd(x, ld),)]
+    b += large.tail.values(i5 - 1 - len(b))
+    group1 = ((a1_t.numerator, a1_t.denominator),) + tuple(pairs[2 : i4 - 1])
+    group1 += tuple(b[o - 1] for o in kept)
     k1 = (
         a1_t
         + Fraction(suffix[2] - suffix[i4 - 1], den)
@@ -191,8 +199,8 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     )
     if k1.denominator != 1:
         raise ConstructionError(f"first group mass {fmt_rat(k1)} is not an integer")
-    group2 = (b_t,) + tuple(a[i4 - 1 :])
-    if sum(group2, Fraction(0)) != 1:
+    group2 = ((b_t.numerator, b_t.denominator),) + tuple(pairs[i4 - 1 :])
+    if b_t + sum(a[i4 - 1 :]) != 1:
         raise ConstructionError("second group mass != 1")
 
     p_l = len(large.nums)
@@ -240,6 +248,21 @@ def conjugate_on_coords(rep: ProjectionRep, coords, u: np.ndarray) -> Projection
     return ProjectionRep(rep.form, tuple(out))
 
 
+def _group_layout(spec: DiagonalSpec, group, src) -> tuple[int, list[int]]:
+    """A decoupled group's pinning layout, the least one: its adjusted entry ``group[0]`` (a
+    lowest-terms pair), then the entries at ``src[1:]``, read once by :meth:`DiagonalSpec.over`.
+    Only ``spec.den`` can put factors into that read's denominator that no entry of the group
+    needs, so the one gcd starts from it."""
+    L, nums = spec.over(src[1:])
+    p, q = group[0]
+    d = math.lcm(L, q)
+    if d != L:
+        nums = [x * (d // L) for x in nums]
+    nums.insert(0, p * (d // q))
+    g = math.gcd(spec.den, d, *nums)
+    return (d, nums) if g == 1 else (d // g, [x // g for x in nums])
+
+
 def summable_construct2(
     spec: DiagonalSpec, trace: dict | None = None, emb: IndexMap = IndexMap()
 ) -> ProjectionRep:
@@ -256,8 +279,8 @@ def summable_construct2(
     """
     plan = decouple(spec)
     n1, l2 = len(plan.group1), len(plan.group2)
-    _, ker1 = _rows_over(*over_lcm(plan.group1), rng=False, ker=True)
-    _, comp2 = _rows_over(*over_lcm(plan.group2), rng=False, ker=True)
+    _, ker1 = _rows_over(*_group_layout(spec, plan.group1, plan.group1_src), rng=False, ker=True)
+    _, comp2 = _rows_over(*_group_layout(spec, plan.group2, plan.group2_src), rng=False, ker=True)
     w = tetris_vectors(plan.group3_comp, 1).vectors[0]  # co-mass one: one vector takes all
 
     # group three: the small entry a_{i2}, then the large entries no group took

@@ -230,7 +230,7 @@ def test_pinning_a_decoupled_group_of_three_hundred_matches_the_reference():
     the integers put over that denominator once, are the rows of the dense-product
     loop bit for bit."""
     spec = DiagonalSpec.of("2/97", "95/97", tail=TailRule.one_minus_geometric("1", "39/40"))
-    f = decouple(proper_subspec(spec)[0]).group1
+    f = [F(p, q) for p, q in decouple(proper_subspec(spec)[0]).group1]
     n, k = len(f), int(sum(f))
     assert (n, k) == (299, 260)
     assert max(x.denominator for x in f).bit_length() > 1500

@@ -79,7 +79,7 @@ def test_rat_string_parity_with_fraction(text):
 def test_spec_range_check_is_exact():
     big = 2**31 - 1
     s = DiagonalSpec.of("0", "1", f"{big}/{big}", f"1/{big}")
-    assert s.entries(len(s.nums)) == [0, 1, 1, F(1, big)]
+    assert [s.entry(i) for i in range(1, 5)] == [0, 1, 1, F(1, big)]
     for i, bad in ((2, f"{big + 1}/{big}"), (3, f"-1/{2**20}")):
         vals = ["1/2"] * (i - 1) + [bad]
         with pytest.raises(SpecError, match=f"entry {i} = {bad} outside"):
@@ -171,7 +171,8 @@ def test_spec_entries_walk_matches_entry():
                  TailRule.one_minus_geometric("1", "39/40")):
         s = DiagonalSpec.of("1/3", "3/4", tail=tail)
         for n in (0, 1, 2, 3, 40):
-            assert s.entries(n) == [s.entry(k) for k in range(1, n + 1)]
+            L, nums = s.over(range(1, n + 1))
+            assert [F(x, L) for x in nums] == [s.entry(k) for k in range(1, n + 1)]
 
 
 def test_tail_reindexed():

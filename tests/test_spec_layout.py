@@ -33,6 +33,11 @@ from test_route_corpus import COUNT, SEED, _random_spec
 DENS = (97, 2**20, 2**31 - 1)
 
 
+def _entries(spec, n):
+    """``entry(i)`` for i = 1..n, as Fractions: the reference the integer readers match."""
+    return [spec.entry(i) for i in range(1, n + 1)]
+
+
 def _forms(rng, x):
     """x written as a canonical string, a string not in lowest terms, a Fraction, and
     (when x is 0 or 1) an int; one of them drawn at random."""
@@ -67,12 +72,13 @@ def test_spec_layout_is_one_least_denominator_whatever_the_entries_are_written_a
             assert (spec.den, list(spec.nums)) == (d, nums)
         else:
             assert (spec.den, spec.nums) == (1, ())
-        assert spec.entries(len(spec.nums)) == list(vals)
-        assert all(type(x) is F for x in spec.entries(len(spec.nums)))
+        assert _entries(spec, len(spec.nums)) == list(vals)
+        assert all(type(x) is F for x in _entries(spec, len(spec.nums)))
         assert spec.to_json_dict() == ref.to_json_dict()
         assert spec.to_json_dict()["prefix"] == [str(x) for x in vals]
         n = len(vals) + 3
-        assert [x.hex() for x in spec.float_entries(n)] == [float(x).hex() for x in ref.entries(n)]
+        want = [float(x).hex() for x in _entries(ref, n)]
+        assert [x.hex() for x in spec.float_entries(n)] == want
         d, sums = spec._cumsums
         assert [F(s, d) for s in sums] == [ref.partial_sum(i) for i in range(len(vals) + 1)]
         assert DiagonalSpec.from_json_dict(spec.to_json_dict()) == spec
@@ -150,6 +156,43 @@ def test_over_reads_every_window_as_integers_over_one_least_denominator():
     assert windows == 40 * 4 * 12
 
 
+def _overlap_tails(rng):
+    """Tails whose c and r share primes (c = 3/8 with r = 2/3, c = 1/4 with r = 4/9), others
+    drawn at random, both decaying kinds with k = 0 and k > 0, and the flat kinds."""
+    pairs = [("3/8", "2/3"), ("1/4", "4/9"), ("1", "39/40"), ("9/16", "8/27")]
+    pairs.append((F(rng.randint(1, 12), 12), F(rng.randint(1, 17), 18)))
+    tails = [TailRule.zero(), TailRule.constant("2/5"), TailRule.constant(0), TailRule.constant(1)]
+    for c, r in pairs:
+        for kind in ("geometric", "one_minus_geometric"):
+            tails += [TailRule(kind, c, r, k) for k in (0, 1, rng.randint(2, 30))]
+    return tails
+
+
+def test_integer_tail_reader_matches_the_fraction_reference():
+    """``over`` walks a tail window on integers over one common multiple and reduces it once;
+    it must give the Fraction reference (L, [L * entry(i)]), L the lcm of den and the reduced
+    denominators of the tail entries read, for positions in any order, repeated, spanning the
+    prefix or starting past it.  ``values`` walks the same rule as lowest-terms pairs."""
+    rng = random.Random(SEED)
+    windows = 0
+    for prefix in ((), ("1/6",), ("1/2", "5/12", "3/4"), ("2/97", "95/97", "1/2")):
+        for tail in _overlap_tails(rng):
+            spec = DiagonalSpec(prefix, tail)
+            p = len(spec.nums)
+            for _ in range(12):
+                lo = rng.randint(1, p + 5)
+                span = range(lo, lo + rng.randint(1, 40))
+                pos = [rng.choice(span) for _ in range(rng.randint(1, 12))]
+                ents = _entries(spec, max(pos))
+                L = math.lcm(spec.den, *(ents[i - 1].denominator for i in pos if i > p))
+                assert spec.over(pos) == (L, [ents[i - 1] * L for i in pos]), (spec, pos)
+                windows += 1
+            n = 60
+            want = [tail.value(j) for j in range(1, n + 1)]
+            assert list(tail.values(n)) == [(f.numerator, f.denominator) for f in want], tail
+    assert windows == 4 * 34 * 12
+
+
 # -- references built from Fractions
 
 
@@ -173,7 +216,7 @@ def _ref_interleave(spec, k):
     subs = []
     for m, pos in enumerate(large, start=1):
         sub = _ref_subsequence(spec, cls, True, m, k)
-        subs.append(DiagonalSpec((spec.entry(pos), *sub.entries(len(sub.nums))), sub.tail))
+        subs.append(DiagonalSpec((spec.entry(pos), *_entries(sub, len(sub.nums))), sub.tail))
     return subs, PermutationWindow.head_first(large)
 
 
@@ -183,12 +226,12 @@ def _ref_block_sort(spec):
     while (n_fin == math.inf or len(bounds) < n_fin) and bounds[-1] < p:
         bounds.append(min_s(spec, len(bounds)))
     w = bounds[-1]
-    vals = spec.entries(w)
+    vals = _entries(spec, w)
     _, nums = over_lcm(vals)
     keys = [(n, -nums[i]) for n in range(1, len(bounds)) for i in range(bounds[n - 1], bounds[n])]
     images = sorted(range(1, w + 1), key=lambda i: keys[i - 1])
     g = DiagonalSpec(
-        tuple(vals[i - 1] for i in images) + tuple(spec.entries(p)[w:]), spec.tail.reindexed(max(w - p, 0) + 1)
+        tuple(vals[i - 1] for i in images) + tuple(_entries(spec, p)[w:]), spec.tail.reindexed(max(w - p, 0) + 1)
     )
     return g, PermutationWindow(tuple(images))
 
@@ -224,7 +267,7 @@ def test_spec_transforms_match_a_fraction_built_reference():
     blocks = splits = 0
     for spec in _layout_corpus():
         comp = spec.complement()
-        assert comp == DiagonalSpec(tuple(1 - x for x in spec.entries(len(spec.nums))), spec.tail.complement())
+        assert comp == DiagonalSpec(tuple(1 - x for x in _entries(spec, len(spec.nums))), spec.tail.complement())
         for classes in (spec.half_classes(), spec.proper_classes()):
             for a_flag in (True, False):
                 for o0, step in ((1, 1), (2, 1), (1, 2), (3, 3)):

@@ -15,9 +15,11 @@ from carpenter.seqcore import (
     PermutationWindow,
     ProjectionRep,
     TailRule,
+    over_lcm,
 )
 from carpenter.summable import (
     DecouplingPlan,
+    _group_layout,
     decouple,
     conjugate_on_coords,
     proper_subspec,
@@ -100,12 +102,12 @@ def test_decouple_worked_example_plan():
     assert plan.a1_tilde == F(1, 8)
     assert plan.a2_tilde == F(1, 8)
     assert plan.b_tilde == F(1)
-    assert plan.group1 == (F(1, 8), F(7, 8))
+    assert plan.group1 == ((1, 8), (7, 8))  # lowest-terms pairs
     assert plan.group1_src == (1, 4)
-    assert plan.group2 == (F(1),)
+    assert plan.group2 == ((1, 1),)
     assert plan.group2_src == (3,)
     g3c = plan.group3_comp
-    assert g3c.entries(len(g3c.nums)) == [F(7, 8)]
+    assert [g3c.entry(i) for i in range(1, len(g3c.nums) + 1)] == [F(7, 8)]
     # group three fills slots 4, 5, 6, ... from the small entry a_2 and then
     # the large entries the first two groups did not take
     trace = {}
@@ -117,9 +119,9 @@ def test_decouple_worked_example_plan():
 def test_decouple_identities():
     plan = decouple(WORKED)
     # group sums: an integer, exactly one, and a unit complement mass
-    g1 = sum(plan.group1)
+    g1 = sum(F(p, q) for p, q in plan.group1)
     assert g1.denominator == 1
-    assert sum(plan.group2) == 1
+    assert sum(F(p, q) for p, q in plan.group2) == 1
     assert plan.group3_comp.total() == 1
     # the adjusted triple redistributes the original one
     cls = WORKED.half_classes()
@@ -175,7 +177,8 @@ def test_decouple_layout_of_a_long_prefix(monkeypatch):
 def walk_decouple(spec):
     """The decoupling written as plain walks: every cut is found by stepping one
     ordinal at a time, and every entry and group mass is read and added as a
-    Fraction.  The reference the closed-form decouple must match exactly."""
+    Fraction.  The reference the closed-form decouple must match exactly; only the
+    plan's groups are handed over as the pairs it stores."""
     cls = spec.half_classes()
     n = cls.count(True)
     a = [spec.entry(cls.nth(i, True)) for i in range(1, n + 1)]
@@ -214,8 +217,9 @@ def walk_decouple(spec):
         (1 - a2_t,) + tuple(large_c.entry(o) for o in range(i5, cut) if o != i3),
         large_c.tail.reindexed(cut - p_l),
     )
+    pairs = [tuple((x.numerator, x.denominator) for x in g) for g in (group1, group2)]
     return DecouplingPlan(
-        i1, i2, i3, i4, i5, tuple(a), b_t, a1_t, a2_t, group1, group2, g3c, g1_src, g2_src
+        i1, i2, i3, i4, i5, tuple(a), b_t, a1_t, a2_t, *pairs, g3c, g1_src, g2_src
     )
 
 
@@ -263,6 +267,11 @@ def test_decouple_matches_the_walk_reference():
         d = decouple_input(s)
         plan = decouple(d)
         assert plan.to_json_dict() == walk_decouple(d).to_json_dict(), s.to_json_dict()
+        # each group's pinning layout, read once from the spec, is the least layout of
+        # the group's Fractions
+        for g, src in ((plan.group1, plan.group1_src), (plan.group2, plan.group2_src)):
+            want = over_lcm(F(p, q) for p, q in g)
+            assert _group_layout(d, g, src) == want, s.to_json_dict()
         large_prefix = len(d.subsequence(d.half_classes(), False).nums)
         seen |= {k for k, hit in (("i3 > 1", plan.i3 > 1), ("i5 = i3", plan.i5 == plan.i3),
                                   ("i5 in the prefix", 1 < plan.i5 <= large_prefix)) if hit}

@@ -284,7 +284,7 @@ def dense_abs_bound(rep, m):
 
 
 def reference_diag_err(rep, spec, upto):
-    pairs = zip(reference_diag(rep, upto), spec.entries(upto))
+    pairs = zip(reference_diag(rep, upto), (spec.entry(i) for i in range(1, upto + 1)))
     return max((abs(d - float(q)) for d, q in pairs), default=0.0)
 
 
