@@ -366,24 +366,6 @@ class TailRule:
         g = math.gcd(c.numerator * c.denominator, d, out[-1], out[0])
         return (d, out) if g == 1 else (d // g, [x // g for x in out])
 
-    def float_values(self, n: int) -> list[float]:
-        """``float(value(j))`` for j = 1..n, bit for bit.
-
-        Numerator and denominator are walked as integers, and each entry is
-        one int true division: the correctly rounded quotient of the same
-        rational that ``float`` rounds.
-        """
-        if self.flat:
-            return [float(self.value(1))] * n
-        num, den = self._start.numerator, self._start.denominator
-        rn, rd = self.r.numerator, self.r.denominator
-        u = self.u
-        out = []
-        for _ in range(n):
-            out.append((den - num) / den if u else num / den)
-            num, den = num * rn, den * rd
-        return out
-
     def partial_sum(self, j: int) -> Fraction:
         """Sum of the first j tail entries (j >= 0), exact."""
         if j < 0:
@@ -597,9 +579,10 @@ class DiagonalSpec:
         return Fraction(self.nums[i - 1], self.den) if i <= p else self.tail.value(i - p)
 
     def float_entries(self, n: int) -> list[float]:
-        """``float(entry(k))`` for k = 1..n, bit for bit, in one walk of the tail."""
+        """``float(entry(k))`` for k = 1..n, bit for bit: the tail is one ``TailRule.values`` walk,
+        and each ``p / q`` is the correctly rounded quotient that ``float`` takes."""
         pfx = self.nums[: max(n, 0)]
-        return [x / self.den for x in pfx] + self.tail.float_values(n - len(pfx))
+        return [x / self.den for x in pfx] + [p / q for p, q in self.tail.values(n - len(pfx))]
 
     def partial_sum(self, i: int) -> Fraction:
         """S_i = f_1 + ... + f_i, exact; S_i = 0 for i <= 0."""
@@ -881,8 +864,9 @@ class SparseVector:
     # -- products
 
     def inner(self, other: "SparseVector") -> float:
-        """The inner product, one pair at a time: test_verify_reference and the finite64
-        step of the tier-1 workflow check :meth:`ProjectionRep.gram` against it bit for bit."""
+        """The inner product, one pair at a time.  :meth:`ProjectionRep.gram_entries` stores it
+        for each pair with a sqrt-tail vector, and test_verify_reference and the finite64 step
+        of the tier-1 workflow check the tailless sweep and tile against it bit for bit."""
         acc = 0.0
         mine = dict(self.support)
         theirs = dict(other.support)
@@ -1149,11 +1133,7 @@ class ProjectionRep:
         is looked for, and the work follows the shared entries, not the n^2
         pairs.
 
-        A tailed vector is read once into a map of its values at every
-        support index of the vectors (its own support values, the rest from
-        its tail), and each pair with it adds its products in the order
-        ``inner`` does, the tail-tail term last from ``_tail_tail_inner``,
-        which owns the closed form and the different-strides error.
+        Each pair with a sqrt-tail vector is ``inner``'s return value.
         """
         vs = self.vectors
         n = len(vs)
@@ -1177,26 +1157,12 @@ class ProjectionRep:
                 r = rows[a]
                 for b, y in col[p:]:
                     r[b] = r.get(b, 0.0) + x * y
-        tailed = [b for b, v in enumerate(vs) if v.sqrt_tail is not None]
-        if tailed:
-            sup = [dict(v.support) for v in vs]
-            touched = set().union(*sup)
-            val = sup[:]  # a vector's value at an index: its support, else its tail (or 0.0)
-            for b in tailed:
-                own, v = sup[b], vs[b]
-                val[b] = {k: own[k] if k in own else v._tail_value(k) for k in touched}
-            for b in tailed:
+        for b, v in enumerate(vs):
+            if v.sqrt_tail is not None:
                 for c in range(n):
                     if c >= b or vs[c].sqrt_tail is None:  # each pair once
                         lo, hi = min(b, c), max(b, c)
-                        acc, w = 0.0, val[hi]
-                        for k, x in vs[lo].support:
-                            acc += x * w.get(k, 0.0)
-                        mine, w = sup[lo], val[lo]
-                        for k, x in vs[hi].support:
-                            if k not in mine:
-                                acc += x * w.get(k, 0.0)
-                        rows[lo][hi] = acc + vs[lo]._tail_tail_inner(vs[hi])
+                        rows[lo][hi] = vs[lo].inner(vs[hi])
         for a, v in enumerate(vs):
             if not v.support and v.sqrt_tail is None:  # the zero vector: G[a, a] = 0.0, stored
                 rows[a][a] = 0.0

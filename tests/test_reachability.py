@@ -53,9 +53,6 @@ ALLOWED = {
     "seqcore.SparseVector.squares": "bench/worker.py reads the squares' denominator bits",
     "tetris.coupling": "acceptance criterion 02 checks the coupling identity and brackets",
     "tetris.TetrisOutput.a_coef": "acceptance criterion 01 reads the fill's a coefficients",
-    "seqcore.SparseVector.inner":
-        "exact reference: test_verify_reference and the tier-1 workflow's finite64 step "
-        "check gram() against it bit for bit",
     "seqcore.SparseVector.exact_norm_sq":
         "exact reference: the norm check of test_tetris's Fraction fill reference",
 }

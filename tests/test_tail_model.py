@@ -7,17 +7,18 @@ raise when the partial sums never get there; ``half_classes()`` and
 one.  The generator leans on the edge cases: c = 1 geometric tails (whose
 first entry is improper), entries of exactly 0, 1/2 and 1, partial sums
 that hit an integer exactly, and limits at or below the target.  The tail
-walks (``TailRule.values``, ``TailRule.float_values``,
-``DiagonalSpec.float_entries`` and the sqrt-tail rows) must give
-``value(j)`` and ``float(entry(k))`` bit for bit.  Every ``TailRule`` method
-must match the four-branch closed forms of :class:`_Oracle` on c folded to
-c * r**k, and every rule must round-trip through its JSON.
+walks (``TailRule.values``, ``DiagonalSpec.float_entries`` and the
+sqrt-tail rows) must give ``value(j)`` and ``float(entry(k))`` bit for bit.
+Every ``TailRule`` method must match the four-branch closed forms of
+:class:`_Oracle` on c folded to c * r**k, and every rule must round-trip
+through its JSON.
 """
 
 import bisect
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -211,7 +212,7 @@ def test_exact_tail_walk_matches_value():
 def test_float_tail_walk_matches_float_of_entry():
     rng = random.Random(SEED)
     for rule in _walk_rules():
-        assert [x.hex() for x in rule.float_values(300)] == [
+        assert [(p / q).hex() for p, q in rule.values(300)] == [
             float(rule.value(j)).hex() for j in range(1, 301)
         ], rule
         prefix = tuple(F(rng.randint(0, d), d) for d in rng.choices((3, 7, 97, 2**31 - 1), k=5))
@@ -220,6 +221,28 @@ def test_float_tail_walk_matches_float_of_entry():
             for n in (-1, 0, 1, p - 1, p, p + 1, p + 300):  # n <= 0, n < p, the prefix/tail boundary
                 got = [x.hex() for x in spec.float_entries(n)]
                 assert got == [float(spec.entry(k)).hex() for k in range(1, n + 1)], (spec, n)
+
+
+@pytest.mark.parametrize("kind", ("geometric", "one_minus_geometric"))
+def test_float_entries_match_float_of_entry_past_underflow(kind):
+    """Bit for bit over the subnormal floats down to past ``_float_cuts``' zero offset, under
+    short prefixes over 97 and over 2**31 - 1, and for 2,000 entries of a slow decay."""
+    rng = random.Random(SEED)
+    for r in ("1/2", "3/4"):
+        for k in (0, 40):
+            for c in ("1", "3/8"):
+                rule = TailRule(kind, c, r, k)
+                n = 3 + TailRule("geometric", c, r, k)._float_cuts[1] + 5
+                for d in (97, 2**31 - 1):
+                    spec = DiagonalSpec(tuple(F(rng.randint(0, d), d) for _ in range(3)), rule)
+                    got = spec.float_entries(n)
+                    want = [float(spec.entry(i)) for i in range(1, n + 1)]
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (rule, d)
+                    if kind == "geometric":  # the walk crosses the subnormals down to 0.0
+                        assert any(0 < x < sys.float_info.min for x in got) and got[-1] == 0.0
+    slow = DiagonalSpec((F(1, 97), F(5, 2**31 - 1)), TailRule(kind, "1/2", "999/1000", 3))
+    got = [x.hex() for x in slow.float_entries(2000)]
+    assert got == [float(slow.entry(i)).hex() for i in range(1, 2001)]
 
 
 def test_sqrt_tail_rows_walk_the_rule():
@@ -344,7 +367,7 @@ def test_every_method_matches_the_four_branch_oracle():
         o = _Oracle.of(rule)
         _same_rule(rule, o)
         assert [F(p, q) for p, q in rule.values(300)] == [o.value(j) for j in range(1, 301)], rule
-        assert rule.float_values(300) == [float(o.value(j)) for j in range(1, 301)], rule
+        assert [p / q for p, q in rule.values(300)] == [float(o.value(j)) for j in range(1, 301)], rule
         for j in (0, 1, 2, 39, 300):
             assert rule.partial_sum(j) == o.partial_sum(j), (rule, j)
             if j:

@@ -158,6 +158,101 @@ def test_verify_of_a_long_stream_calls_no_pairwise_inner(monkeypatch):
     assert peak < 52 * 2**20, peak / 2**20
 
 
+def _tailed_frame(rng, tails, stride, interleaved):
+    """A zero vector, ``tails`` sqrt-tailed vectors and a few tailless ones, shuffled.
+
+    The tails share ``stride``; with ``interleaved`` their starts alternate residues mod 2,
+    else they share one.  Tailless supports reach into the tails."""
+    rule = TailRule.geometric(F(1, rng.randint(2, 8)), rng.choice((F(1, 2), F(3, 4))))
+    vectors = [SparseVector()]
+    for b in range(tails):
+        start = 9 + 2 * rng.randint(0, 2) + (b % 2 if interleaved else 0)
+        idx = sorted(rng.sample(range(1, 9), rng.randint(0, 3)))
+        entries = [(i, F(rng.randint(1, 9), 97), rng.choice((-1, 1))) for i in idx]
+        vectors.append(SparseVector.from_exact(entries, SqrtTail(start, rule, stride)))
+    for _ in range(rng.randint(2, 5)):
+        idx = sorted(rng.sample(range(1, 20), rng.randint(1, 4)))
+        entries = [(i, F(rng.randint(1, 9), 16), rng.choice((-1, 1))) for i in idx]
+        vectors.append(SparseVector.from_exact(entries))
+    rng.shuffle(vectors)
+    return vectors
+
+
+@pytest.mark.parametrize("tails", (0, 1, 3))
+@pytest.mark.parametrize("stride, interleaved", ((1, False), (2, False), (2, True)))
+def test_each_tailed_gram_pair_is_one_inner_call(monkeypatch, tails, stride, interleaved):
+    # t tailed vectors of n: each of the t n - t(t-1)/2 pairs with one is stored
+    # once, as ``inner``'s return value, and a tailless frame calls it never
+    rng = random.Random(4040 + 10 * tails + stride + interleaved)
+    inner = seqcore.SparseVector.inner
+    for _ in range(20):
+        vs = _tailed_frame(rng, tails, stride, interleaved)
+        pos = {id(v): a for a, v in enumerate(vs)}
+        calls = []
+
+        def counted(self, other):
+            calls.append((pos[id(self)], pos[id(other)], inner(self, other)))
+            return calls[-1][2]
+
+        for form in (ProjectionRep.frame, ProjectionRep.coframe):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(seqcore.SparseVector, "inner", counted)
+                i, j, x = form(vs).gram_entries()
+            n, t = len(vs), tails
+            assert len(calls) == t * n - t * (t - 1) // 2
+            tailed = {a for a, v in enumerate(vs) if v.sqrt_tail is not None}
+            want = {(a, b) for a in range(n) for b in range(a, n) if {a, b} & tailed}
+            assert {(a, b) for a, b, _ in calls} == want
+            stored = {(a, b): y for a, b, y in zip(i.tolist(), j.tolist(), x.tolist())}
+            assert all(stored[a, b].hex() == y.hex() for a, b, y in calls)
+
+
+def _tail_mass_vector(rng, rule, start, stride, unit=False):
+    """Support rows before ``start`` and the sqrt tail of ``rule``; with ``unit`` the squares
+    add up to 1 - the tail's mass, else they are random."""
+    idx = sorted(rng.sample(range(1, start), rng.randint(1, 3)))
+    if unit:
+        cuts = sorted(F(rng.randint(1, 99), 100) for _ in idx[1:])
+        parts = [b - a for a, b in zip([F(0)] + cuts, cuts + [F(1)])]
+        squares = [(1 - rule.sum_from(1)) * w for w in parts]
+    else:
+        squares = [F(rng.randint(1, 9), 97) for _ in idx]
+    entries = [(i, q, rng.choice((-1, 1))) for i, q in zip(idx, squares)]
+    return SparseVector.from_exact(entries, SqrtTail(start, rule, stride))
+
+
+@pytest.mark.parametrize("stride", (1, 2))
+def test_tailed_gram_entries_match_an_fsum_of_the_rows(stride):
+    # independent of ``inner``: two tails with one stride and an aligned start
+    # against math.fsum over both vectors' rows(N), N far enough down the tails
+    # that the tail terms left out of each entry are below 2^-60 of its first
+    rng = random.Random(6060 + stride)
+    rules = [
+        TailRule("geometric", (1 - F(r)) / 2, r, k) for r in ("1/2", "9/10", "39/40") for k in (0, 5)
+    ]
+    for ra in rules:
+        for rb in rules:
+            sa = rng.randint(4, 8)
+            sb = sa + stride * rng.randint(0, 3)
+            a = _tail_mass_vector(rng, ra, sa, stride)
+            b = _tail_mass_vector(rng, rb, sb, stride)
+            rho = float(max(ra.r, rb.r))  # each entry's tail-tail terms decay at most so slowly
+            drop = math.ceil((60 * math.log(2) - math.log(1 - rho)) / -math.log(rho))
+            big_n = sb + stride * drop
+            va = {i: v for i, v, _, _ in a.rows(big_n)}
+            vb = {i: v for i, v, _, _ in b.rows(big_n)}
+            products = [x * vb[i] for i, x in va.items() if i in vb]
+            g = ProjectionRep.frame((a, b)).gram()
+            scale = math.fsum(map(abs, products))
+            assert abs(g[0, 1] - math.fsum(products)) <= 1e-12 * scale, (ra, rb, sa, sb)
+            for v, d in ((a, va), (b, vb)):
+                want = math.fsum(x * x for x in d.values())
+                assert g[(0, 0) if v is a else (1, 1)] == pytest.approx(want, rel=1e-12)
+            unit = _tail_mass_vector(rng, ra, sa, stride, unit=True)
+            assert abs(ProjectionRep.frame((unit,)).gram()[0, 0] - 1) <= 1e-12, ra
+
+
 def _spied_tiles(monkeypatch):
     """What each ``_gram_tile`` call returns (True: tiled), and how often components were searched."""
     seen = {"tiles": [], "searches": 0}
