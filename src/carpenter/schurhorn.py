@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstructionError, MajorizationError, SpecError
-from .seqcore import ProjectionRep, SparseVector, over_lcm
+from .seqcore import IndexMap, ProjectionRep, SparseVector, over_lcm
 
 __all__ = [
     "majorizes",
@@ -129,10 +129,10 @@ def _pinned_columns(d: list[int], fi: list[int], keep: range) -> np.ndarray:
     return ut
 
 
-def _rows_over(den: int, nums: Sequence[int], *, rng: bool, ker: bool) -> tuple[list, list]:
-    """:func:`finite_projection_pair` of nums/den in the least layout of ``over_lcm`` (den is 1
-    iff every entry is 0 or 1), only the range (``rng``) and complement (``ker``) rows asked
-    for, the other list empty.  The pinning runs on the integers."""
+def _rows_over(den: int, nums: Sequence[int], emb: IndexMap = IndexMap(), *, ker: bool) -> list:
+    """The range rows of the projection with diagonal nums/den (its complement rows when ``ker``),
+    each built once, entry i at ``emb.map_index(i)``.  nums/den is ``over_lcm``'s least layout
+    (den is 1 iff every entry is 0 or 1: basis vectors); the pinning runs on the integers."""
     n = len(nums)
     for m in nums:
         if not 0 <= m <= den:
@@ -140,15 +140,15 @@ def _rows_over(den: int, nums: Sequence[int], *, rng: bool, ker: bool) -> tuple[
     k, rest = divmod(sum(nums), den)
     if rest:
         raise MajorizationError(f"diagonal sum {Fraction(sum(nums), den)} is not an integer")
-    if den == 1:  # every entry is 0 or 1
-        ones = [SparseVector.basis(i + 1) for i, x in enumerate(nums) if x == 1] if rng else []
-        zeros = [SparseVector.basis(i + 1) for i, x in enumerate(nums) if x == 0] if ker else []
-        return ones, zeros
-    keep = range(0 if rng else k, n if ker else k)
-    ut = _pinned_columns([den] * k + [0] * (n - k), nums, keep)
-    rows = [SparseVector.from_dense(row) for row in ut.T]
-    cut = k - keep.start
-    return rows[:cut], rows[cut:]
+    if den == 1:  # every entry is 0 or 1: basis vectors at the ones, or at the zeros when ker
+        keep = 0 if ker else 1
+        return [SparseVector.basis(emb.map_index(i)) for i, x in enumerate(nums, 1) if x == keep]
+    ut = _pinned_columns([den] * k + [0] * (n - k), nums, range(k, n) if ker else range(k))
+    images = [emb.map_index(i) for i in range(1, n + 1)]
+    order = np.argsort(images)
+    images.sort()  # one list of int objects, shared by every row's indices
+    return [SparseVector(tuple(zip(map(images.__getitem__, nz), row[nz].tolist())))
+            for row in ut[order].T for nz in (np.flatnonzero(np.abs(row) > 0).tolist(),)]
 
 
 def finite_projection_pair(f) -> tuple[list[SparseVector], list[SparseVector]]:
@@ -156,12 +156,12 @@ def finite_projection_pair(f) -> tuple[list[SparseVector], list[SparseVector]]:
 
     The entries of f must lie in [0,1] and sum to an integer k; the first list
     spans a rank-k projection with diagonal f, the second its orthogonal
-    complement inside the same coordinates.
+    complement inside the same coordinates.  Each side is pinned on its own.
     """
-    return _rows_over(*over_lcm(f), rng=True, ker=True)
+    den, nums = over_lcm(f)
+    return _rows_over(den, nums, ker=False), _rows_over(den, nums, ker=True)
 
 
 def finite_projection(f) -> ProjectionRep:
     """Rank-sum(f) projection on len(f) coordinates with diagonal exactly f."""
-    rng, _ = _rows_over(*over_lcm(f), rng=True, ker=False)
-    return ProjectionRep.frame(tuple(rng))
+    return ProjectionRep.frame(_rows_over(*over_lcm(f), ker=False))

@@ -489,9 +489,11 @@ class TailRule:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "TailRule":
-        """Decode a tail; a ``"k"`` whose c * r**k passes ``_POWER_BITS`` is a SpecError."""
+        """Decode a tail; ``"k"`` is an integral JSON number (``_json_int``), and one whose
+        c * r**k passes ``_POWER_BITS`` is a SpecError."""
         d = _json_object(d, "tail")
-        rule = cls(_json_field(d, "kind", "tail"), **{f: d[f] for f in ("c", "r", "k") if f in d})
+        rule = cls(_json_field(d, "kind", "tail"), **{f: d[f] for f in ("c", "r") if f in d},
+                   k=_json_int(d.get("k", 0), "tail field 'k'"))
         if rule.k and rule._power_bits(rule.k) > _POWER_BITS:
             raise SpecError(f"tail field 'k': c * r**k is past the {_POWER_BITS}-bit budget")
         return rule

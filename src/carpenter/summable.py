@@ -270,27 +270,24 @@ def summable_construct2(
     and finitely many (>= 2) entries <= 1/2.
 
     Realizes the three decoupled groups (integer-rank complement basis,
-    rank-one complement basis, and a terminal rank-one co-mass vector), and
-    places each vector in one remap: its group's block shift, the permutation
-    into the original order, then ``emb`` (the proper entries' places in a
-    longer spec).  A 3x3 rotation on the placed adjusted entries moves them
-    back to their requested values.  The result is complete: every diagonal
-    entry is settled.
+    rank-one complement basis, and a terminal rank-one co-mass vector), each
+    vector built once at its final index: one map per group composes its block
+    shift, the permutation into the original order and ``emb`` (the proper
+    entries' places in a longer spec).  A 3x3 rotation on the placed adjusted
+    entries moves them back to their requested values.  The result is
+    complete: every diagonal entry is settled.
     """
     plan = decouple(spec)
     n1, l2 = len(plan.group1), len(plan.group2)
-    _, ker1 = _rows_over(*_group_layout(spec, plan.group1, plan.group1_src), rng=False, ker=True)
-    _, comp2 = _rows_over(*_group_layout(spec, plan.group2, plan.group2_src), rng=False, ker=True)
-    w = tetris_vectors(plan.group3_comp, 1).vectors[0]  # co-mass one: one vector takes all
-
     # group three: the small entry a_{i2}, then the large entries no group took
     i2_src = spec.half_classes().nth(plan.i2, True)
     beta = PermutationWindow.head_first(plan.group1_src + plan.group2_src + (i2_src,))
     relabel = emb.after(beta.inverse())  # conjugating by beta, then embedding
     # each group's block shift, composed into the relabel
     places = [relabel.after(IndexMap((), 1, start)) for start in (1, n1 + 1, n1 + l2 + 1)]
-    vecs = [v.remap(places[0]) for v in ker1] + [v.remap(places[1]) for v in comp2]
-    vecs.append(w.remap(places[2]))
+    vecs = _rows_over(*_group_layout(spec, plan.group1, plan.group1_src), places[0], ker=True)
+    vecs += _rows_over(*_group_layout(spec, plan.group2, plan.group2_src), places[1], ker=True)
+    vecs += tetris_vectors(plan.group3_comp, 1, places[2]).vectors  # co-mass one: one vector
 
     coords = [g.map_index(1) for g in places]  # each group's adjusted entry
     v3 = np.array([[sup.get(c, 0.0) for c in coords] for sup in (dict(v.support) for v in vecs)])
@@ -344,5 +341,5 @@ def _finite_schur_horn(spec: DiagonalSpec) -> ProjectionRep:
     if spec.tail == TailRule.constant(1):
         return _finite_schur_horn(spec.complement()).complementary()
     sub, emb, improper = proper_subspec(spec)
-    rng, _ = _rows_over(sub.den, sub.nums, rng=True, ker=False)
-    return embed_with_improper(ProjectionRep.frame(v.remap(emb) for v in rng), improper)
+    rng = _rows_over(sub.den, sub.nums, emb, ker=False)
+    return embed_with_improper(ProjectionRep.frame(rng), improper)

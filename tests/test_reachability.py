@@ -55,6 +55,8 @@ ALLOWED = {
     "tetris.TetrisOutput.a_coef": "acceptance criterion 01 reads the fill's a coefficients",
     "seqcore.SparseVector.exact_norm_sq":
         "exact reference: the norm check of test_tetris's Fraction fill reference",
+    "seqcore.SparseVector.from_dense":
+        "acceptance criterion 10 and the verify reference tests build frames with it",
 }
 
 

@@ -20,7 +20,14 @@ from fractions import Fraction as F
 from carpenter.errors import InfeasibleDiagonalError
 from carpenter.feasibility import kadison_ab, route
 from carpenter.selector import verify_projection
-from carpenter.seqcore import INF, DiagonalSpec, PermutationWindow, TailRule, dumps_canonical
+from carpenter.seqcore import (
+    INF,
+    DiagonalSpec,
+    PermutationWindow,
+    SparseVector,
+    TailRule,
+    dumps_canonical,
+)
 
 SEED = 20261018
 COUNT = 400
@@ -180,6 +187,29 @@ def test_route_corpus_decouple_plans():
         leaves += 1
     assert leaves == 129
     assert digest.hexdigest() == PLAN_DIGEST
+
+
+def test_pinning_leaves_build_each_row_at_its_final_index(monkeypatch):
+    """The Schur-Horn rows of the finite leaf and of the decoupling's groups 1 and 2 are built
+    where they end, so no leaf remaps one: the finite leaf makes no ``remap`` call and the
+    decouple leaf makes one, for group three's one-vector fill."""
+    calls = []
+    remap = SparseVector.remap
+    monkeypatch.setattr(SparseVector, "remap", lambda v, emb: calls.append(emb) or remap(v, emb))
+    leaves = Counter()
+    for s, m in _corpus():
+        try:
+            r = route(s)
+        except InfeasibleDiagonalError:
+            continue
+        leaf = r.label.path[-1]
+        if leaf not in ("finite-schur-horn", "decouple"):
+            continue
+        calls.clear()
+        r.build(m)
+        assert len(calls) == (leaf == "decouple"), (leaf, s.to_json_dict(), len(calls))
+        leaves[leaf] += 1
+    assert leaves == {"finite-schur-horn": 57, "decouple": 129}
 
 
 # ---------------------------------------------------------------------------

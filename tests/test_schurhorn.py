@@ -13,7 +13,14 @@ from carpenter.schurhorn import (
     majorizes,
     schur_horn_unitary,
 )
-from carpenter.seqcore import DiagonalSpec, SparseVector, TailRule, over_lcm
+from carpenter.seqcore import (
+    DiagonalSpec,
+    IndexMap,
+    PermutationWindow,
+    SparseVector,
+    TailRule,
+    over_lcm,
+)
 from carpenter.summable import decouple, proper_subspec
 
 
@@ -218,8 +225,8 @@ def test_kept_rows_are_rows_of_the_full_unitary():
             kept = _pinned_columns(ints[:n], ints[n:], range(lo, hi))
             assert kept.T.tobytes() == u[lo:hi].tobytes()
             rows, comp = finite_projection_pair(f)
-            assert _rows_over(*over_lcm(f), rng=True, ker=False) == (rows, [])
-            assert _rows_over(*over_lcm(f), rng=False, ker=True) == ([], comp)
+            assert _rows_over(*over_lcm(f), ker=False) == rows
+            assert _rows_over(*over_lcm(f), ker=True) == comp
             if not all(x in (0, 1) for x in f):  # else the basis vectors, not U's rows
                 assert rows + comp == [SparseVector.from_dense(r) for r in u]
 
@@ -234,6 +241,50 @@ def test_pinning_a_decoupled_group_of_three_hundred_matches_the_reference():
     n, k = len(f), int(sum(f))
     assert (n, k) == (299, 260)
     assert max(x.denominator for x in f).bit_length() > 1500
-    rows, comp = _rows_over(*over_lcm(f), rng=False, ker=True)
+    comp = _rows_over(*over_lcm(f), ker=True)
     u = dense_product_unitary([1] * k + [0] * (n - k), f)
-    assert rows == [] and comp == [SparseVector.from_dense(r) for r in u[k:]]
+    assert comp == [SparseVector.from_dense(r) for r in u[k:]]
+
+
+def placement_maps(rng, n):
+    """Index maps for rows of length n: the identity, a residue class, proper-entry heads
+    (explicit, then from a spec's 0/1 entries) and a decoupling-style relabel whose head is
+    not monotone (a block shift, a permutation's inverse, then an embedding)."""
+    k, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    head = sorted(int(x) for x in rng.choice(np.arange(1, 3 * n + 2), n // 2, replace=False))
+    proper = IndexMap(tuple(head), 1, max(head, default=0) + 1 - len(head))
+    values = [str(F(1, 2))] * n + ["0", "1"] * int(rng.integers(1, 4))
+    _, from_spec, _ = proper_subspec(DiagonalSpec.of(*[values[i] for i in rng.permutation(len(values))]))
+    window = [int(x) for x in rng.permutation(n + 3) + 1]
+    beta = PermutationWindow.head_first(window)
+    shift = int(rng.integers(1, 6))
+    scrambled = proper.after(beta.inverse()).after(IndexMap((), 1, shift))
+    return [IndexMap(), IndexMap((), k, m), proper, from_spec, scrambled]
+
+
+def test_rows_over_builds_each_row_where_remap_puts_it():
+    """``_rows_over(den, nums, emb, ker=s)`` is the whole U's rows (basis vectors when den is
+    1), built locally by ``from_dense`` and then moved by ``remap(emb)``: both sides, 0/1 and
+    mixed layouts, k = 0 and k = n, and maps with and without a monotone head."""
+    rng = np.random.default_rng(34)
+    cases = [[F(0)] * 4, [F(1)] * 4, [F(1), F(0), F(1)], [F(1, 3), F(1, 3), F(1, 3)]]
+    for n in (2, 5, 9, 17, 30):
+        for _ in range(3):
+            lam, f = tied_zero_one_case(rng, n)
+            cases += [f, random_t_transforms(rng, f, n)]
+    assert any(sum(f) == 0 for f in cases) and any(sum(f) == len(f) for f in cases)
+    for f in cases:
+        den, nums = over_lcm(f)
+        n, k = len(f), int(sum(f))
+        if den == 1:
+            ones = [SparseVector.basis(i) for i, x in enumerate(nums, 1) if x == 1]
+            zeros = [SparseVector.basis(i) for i, x in enumerate(nums, 1) if x == 0]
+        else:
+            u = schur_horn_unitary([1] * k + [0] * (n - k), f)
+            ones = [SparseVector.from_dense(r) for r in u[:k]]
+            zeros = [SparseVector.from_dense(r) for r in u[k:]]
+        for emb in placement_maps(rng, n):
+            for ker, rows in ((False, ones), (True, zeros)):
+                got = _rows_over(den, nums, emb, ker=ker)
+                assert got == [v.remap(emb) for v in rows], (f, emb, ker)
+

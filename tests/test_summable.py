@@ -14,6 +14,8 @@ from carpenter.seqcore import (
     DiagonalSpec,
     PermutationWindow,
     ProjectionRep,
+    SparseVector,
+    SqrtTail,
     TailRule,
     over_lcm,
 )
@@ -318,6 +320,29 @@ def test_conjugate_on_coords_redistributes_diagonal():
     assert d[2] == pytest.approx(1.0, abs=1e-12)
     p = out.dense(4)
     assert np.allclose(p @ p, p, atol=1e-12)
+
+
+def test_conjugate_on_coords_materializes_a_tail_that_meets_the_coordinates():
+    """A coframe vector whose sqrt tail starts at or before the last rotated coordinate has
+    its tail entries through that coordinate made support first; the result is the rotation
+    applied to the dense projection on those coordinates, and its tails start past them."""
+    rng = np.random.default_rng(37)
+    rule = TailRule.geometric("1/4", "1/2")
+    vecs = (
+        SparseVector(((1, 0.5),), SqrtTail(2, rule, 1)),  # tail through every coordinate
+        SparseVector.from_exact([(3, F(1, 9), -1)], SqrtTail(6, rule, 2), 1),  # starts at cmax
+        SparseVector.from_exact([(4, F(1, 4), 1)], SqrtTail(9, rule, 1), 1),  # starts past it
+    )
+    rep = ProjectionRep.coframe(vecs)
+    coords, n = (2, 3, 6), 16
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    out = conjugate_on_coords(rep, coords, u)
+    rot = np.eye(n)
+    rot[np.ix_([c - 1 for c in coords], [c - 1 for c in coords])] = u.T  # each vector's map
+    assert np.allclose(out.dense(n), rot @ rep.dense(n) @ rot.T, atol=1e-12)
+    assert [v.sqrt_tail.start for v in out.vectors] == [7, 8, 9]
+    assert out.vectors[2] is vecs[2]  # it meets no coordinate
+    assert out.form == "coframe" and [v.exact for v in out.vectors[:2]] == [None, None]
 
 
 def test_summable_construct2_worked_example():

@@ -27,7 +27,15 @@ import pytest
 from carpenter.errors import (
     ConstructionError, OutOfRangeError, SpecError, UnsupportedStructureError,
 )
-from carpenter.seqcore import HALF, INF, DiagonalSpec, SparseVector, SqrtTail, TailRule
+from carpenter.seqcore import (
+    HALF,
+    INF,
+    DiagonalSpec,
+    SparseVector,
+    SqrtTail,
+    TailRule,
+    dumps_canonical,
+)
 from carpenter.tetris import min_s
 
 SEED = 5
@@ -471,7 +479,7 @@ def test_every_rule_round_trips_through_json():
 @pytest.mark.parametrize("tail", [
     {"kind": "geometric", "c": "1", "r": "1/2", "k": -1},
     {"kind": "geometric", "c": "1", "r": "1/2", "k": True},
-    {"kind": "geometric", "c": "1", "r": "1/2", "k": 3.0},
+    {"kind": "geometric", "c": "1", "r": "1/2", "k": 2.5},
     {"kind": "geometric", "c": "1", "r": "1/2", "k": "3"},
     {"kind": "constant", "c": "1/2", "k": 3},
     {"kind": "zero", "k": 1},
@@ -481,6 +489,22 @@ def test_every_rule_round_trips_through_json():
 def test_bad_exponents_are_refused(tail):
     with pytest.raises(SpecError, match="'k'"):
         TailRule.from_json_dict(tail)
+
+
+@pytest.mark.parametrize("kind", ["geometric", "one_minus_geometric"])
+def test_an_integral_json_number_is_an_exponent(kind):
+    """``"k": 2.0`` decodes to the rule and bytes of ``"k": 2``, as every other integer field of
+    a document reads an integral JSON number (a bool, a fraction, a negative number and a
+    string are refused by ``test_bad_exponents_are_refused``)."""
+    base = {"kind": kind, "c": "3/8", "r": "1/2"}
+    want = TailRule.from_json_dict({**base, "k": 2})
+    got = TailRule.from_json_dict(json.loads(json.dumps({**base, "k": 2.0})))
+    assert got == want and type(got.k) is int
+    assert dumps_canonical(got.to_json_dict()) == dumps_canonical(want.to_json_dict())
+    doc = {"prefix": ["1/3"], "tail": {**base, "k": 2.0}}
+    assert dumps_canonical(DiagonalSpec.from_json_dict(doc).to_json_dict()) == dumps_canonical(
+        DiagonalSpec((F(1, 3),), want).to_json_dict()
+    )
 
 
 @pytest.mark.parametrize("c, r, k", [
