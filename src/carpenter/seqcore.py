@@ -551,6 +551,18 @@ class DiagonalSpec:
         """``(d, (d*S_0, ..., d*S_p))``: the prefix sums over d = ``den``."""
         return self.den, tuple(accumulate(self.nums, initial=0))
 
+    def _unfolded(self, w: int) -> "DiagonalSpec":
+        """Entries 1..w (w > p, the tail constant) as the prefix, over their least denominator L,
+        the tail ones one shared int; ``_cumsums`` carries this spec's own sums over to L and on."""
+        p = len(self.nums)
+        L, (*nums, t) = self.over(range(1, p + 2))  # the prefix and one tail entry
+        g = object.__new__(DiagonalSpec)._store(L, (*nums, *repeat(t, w - p)), self.tail)
+        d, sums = self._cumsums
+        f = L // d
+        run = accumulate(repeat(t, w - p), initial=sums[-1] * f)  # S_p .. S_w over L
+        g.__dict__["_cumsums"] = L, (*(s * f for s in sums[:-1]), *run)
+        return g
+
     def over(self, positions: Sequence[int]) -> tuple[int, list[int]]:
         """``(L, [L * entry(i) for i in positions])``, positions in any order, repeats allowed,
         L the lcm of ``den`` and the reduced denominators of the tail entries read.  Prefix

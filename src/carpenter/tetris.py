@@ -151,10 +151,11 @@ def tetris_vectors(spec: DiagonalSpec, m: int, emb: IndexMap = IndexMap()) -> Te
     is finite, m may be at most N and m = N finishes the construction with the
     ultimate vector that absorbs the whole remaining sequence.
 
-    Each step runs on integers over one L, the lcm of the denominators it
-    meets, and its vector's squares are integers over L*q (:func:`_coupling_q`).
-    Only sigma is read from the prefix sums, so the norm check
-    ``sum(nums) == L*q``, over entries read from the prefix itself, checks them.
+    Each step runs on integers over one L, the lcm of the denominators it meets, and its
+    vector's squares are integers over L*q (:func:`_coupling_q`).  Only sigma is read from the
+    prefix sums ``_cumsums``; when the total diverges, the m steps' window of the constant tail
+    joins the prefix once (:meth:`DiagonalSpec._unfolded`, which carries those sums into it).
+    The norm check ``sum(nums) == L*q``, over entries read from the window itself, checks them.
     Each vector is built once, entry i at ``emb.map_index(i)`` (:meth:`SparseVector.placed`);
     a complete fill's ultimate vector, which may hold a sqrt tail, is built locally and remapped.
     """
@@ -164,6 +165,8 @@ def tetris_vectors(spec: DiagonalSpec, m: int, emb: IndexMap = IndexMap()) -> Te
     if n_total is not None and m > n_total:
         raise ConstructionError(f"requested {m} vectors but total mass is {n_total}")
 
+    if n_total is None and spec.tail.flat and (w := min_s(spec, m)) > len(spec.nums):
+        spec = spec._unfolded(w)  # a constant tail: the m steps' window is read once
     pd, sums = spec._cumsums
     p = len(spec.nums)
     mins: dict[int, int] = {}

@@ -211,9 +211,11 @@ def test_pinning_matches_the_dense_product_reference():
 
 
 def test_kept_rows_are_rows_of_the_full_unitary():
-    """Building only some rows gives exactly those rows of U, and the range and complement
-    rows asked for alone are the rows of finite_projection_pair."""
+    """Building only some rows gives exactly those rows of U; the range and complement rows
+    of finite_projection_pair are U's rows, or for an all-0/1 f the basis vectors at the 1
+    entries and at the 0 entries, in index order."""
     rng = np.random.default_rng(29)
+    zero_one = 0
     for n in (2, 7, 16, 40):
         for _ in range(4):
             lam, f = tied_zero_one_case(rng, n)
@@ -225,10 +227,16 @@ def test_kept_rows_are_rows_of_the_full_unitary():
             kept = _pinned_columns(ints[:n], ints[n:], range(lo, hi))
             assert kept.T.tobytes() == u[lo:hi].tobytes()
             rows, comp = finite_projection_pair(f)
-            assert _rows_over(*over_lcm(f), ker=False) == rows
-            assert _rows_over(*over_lcm(f), ker=True) == comp
-            if not all(x in (0, 1) for x in f):  # else the basis vectors, not U's rows
+            if all(x in (0, 1) for x in f):
+                assert rows == [SparseVector.basis(i) for i, x in enumerate(f, 1) if x == 1]
+                assert comp == [SparseVector.basis(i) for i, x in enumerate(f, 1) if x == 0]
+                zero_one += 1
+            else:
                 assert rows + comp == [SparseVector.from_dense(r) for r in u]
+    rows, comp = finite_projection_pair([1, 0, 0, 1, 1])
+    assert rows == [SparseVector.basis(i) for i in (1, 4, 5)]
+    assert comp == [SparseVector.basis(i) for i in (2, 3)]
+    assert zero_one, zero_one
 
 
 def test_pinning_a_decoupled_group_of_three_hundred_matches_the_reference():

@@ -255,6 +255,44 @@ def test_fill_norm_check_does_not_trust_the_prefix_sums():
         tetris_vectors(s, 3)
 
 
+def test_fill_norm_check_does_not_trust_the_prefix_sums_carried_into_the_tail():
+    # step 2's run starts in the prefix and ends in the constant tail, so its sums are the
+    # spec's own, carried past the prefix with the tail entries the fill reads
+    prefix = ["1/2", "1/3", "1/3", "250/1009"]
+    clean = tetris_vectors(spec(*prefix, tail=TailRule.constant("1/4")), 3)
+    s = spec(*prefix, tail=TailRule.constant("1/4"))
+    p = len(s.nums)
+    cursor, left = clean.min_s[1] + 1, clean.min_s[2] - 1
+    assert cursor - 1 < p and left - 1 > p  # S_{cursor-1} in the prefix, S_{left-1} past it
+    d, sums = s._cumsums
+    bad = list(sums)
+    bad[cursor - 1] += 1
+    s.__dict__["_cumsums"] = (d, tuple(bad))
+    assert [min_s(s, n) for n in (1, 2, 3)] == [clean.min_s[n] for n in (1, 2, 3)]
+    with pytest.raises(ConstructionError, match="step 2 produced norm"):
+        tetris_vectors(s, 3)
+
+
+def test_streamed_fill_reads_no_tail_sum_per_step(monkeypatch):
+    # a constant tail's window is read once: one tail search for min_s(g, m), then every
+    # step bisects integer sums and reads its entries inside the prefix
+    g, _ = block_sort(spec("1/2", "1/3", "1/5", "1/8", tail=TailRule.constant("2/5")))
+    m = 24
+    calls = {"reach": 0, "partial_sum": 0}
+    for cls, name in ((TailRule, "reach"), (DiagonalSpec, "partial_sum")):
+        def counting(*args, _f=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(cls, name, counting)
+    out = tetris_vectors(g, m)
+    monkeypatch.undo()
+    assert sum(mn > len(g.nums) + 1 for mn in out.min_s.values()) > 20  # tail steps
+    assert calls["partial_sum"] == 0 and calls["reach"] <= 1, calls
+    want = tetris_vectors(spec(*[g.entry(i) for i in range(1, out.min_s[m] + 1)], tail=g.tail), m)
+    assert _fill_record(out) == _fill_record(want)
+
+
 def test_fill_count_limits():
     s = spec(*["2/5"] * 5)  # total mass 2
     with pytest.raises(ConstructionError):
@@ -419,6 +457,50 @@ def test_fill_matches_the_fraction_reference(monkeypatch):
         assert_fill_matches_reference(s, m)
         tails += m == s.total() and s.tail.sum_from(1) > 0
     assert len(calls) >= 120 and tails > 20, (len(calls), tails)
+
+
+def _fill_record(out):
+    """A fill's output: each vector's float bits, exact squares and sqrt tail, then min_s, the
+    settled prefix, and sigma and a as Fractions (their raw integers may share a factor)."""
+    vs = [([(i, x.hex()) for i, x in v.support], v.exact, v.sqrt_tail) for v in out.vectors]
+    return vs, out.min_s, out.settled_prefix, out.sigma, out.a_coef
+
+
+def test_constant_tail_entries_moved_into_the_prefix_change_no_fill(monkeypatch):
+    """Every fill the stream routes run (the k = 0 fill, each residue part of the k = 1 and
+    k = 3 splits, and complements), with j = 0 .. reach + 3 of its constant tail entries
+    written into its prefix by hand, where reach is how far past the prefix the fill reads."""
+    calls = []
+    fill = tetris_vectors
+
+    def recording(s, m, emb):
+        calls.append((s, m))
+        return fill(s, m, emb)
+
+    monkeypatch.setattr(tetris_module, "tetris_vectors", recording)
+    rng = random.Random(35)
+    labels = set()
+    for den in (97, 2**20, 2**31 - 1):
+        for k in (0, 1, 3):
+            for complement in (False, True, False, True):
+                r = route(_stream_shaped_spec(rng, den, k, complement))
+                labels.add(r.label.path[-1] + ("/complement" if complement else ""))
+                r.build(rng.randint(1, 24))
+    monkeypatch.undo()
+    want = {f"{leaf}{c}" for leaf in ("tetris", "residue-split(k=1)", "residue-split(k=3)")
+            for c in ("", "/complement")}
+    assert labels == want, labels
+    deep = 0
+    for g, m in calls:
+        assert g.tail.flat and g.tail.c > 0, g
+        out = _fill_record(fill(g, m))
+        reach = max(out[1][m] - len(g.nums), 0)
+        deep += reach > 8
+        entries = [g.entry(i) for i in range(1, len(g.nums) + 1)]
+        for j in range(reach + 4):
+            moved = DiagonalSpec((*entries, *[g.tail.c] * j), g.tail)
+            assert _fill_record(fill(moved, m)) == out, (g, m, j)
+    assert len(calls) == 60 and deep > 20, (len(calls), deep)
 
 
 def test_fill_errors_match_the_fraction_reference():
