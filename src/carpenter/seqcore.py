@@ -354,8 +354,6 @@ class TailRule:
         monotone in j, so the two ends fix d, and D / d, which divides c_num * c_den, is one
         gcd over both ends started from that small product."""
         c, r, u = self.c, self.r, self.u
-        if self.flat:
-            return c.denominator, [c.numerator] * (j1 - j0 + 1)
         rn, rd = r.numerator, r.denominator
         d = c.denominator * rd ** (self.k + j1 - 1)
         x = c.numerator * rn ** (self.k + j0 - 1) * rd ** (j1 - j0)
@@ -513,8 +511,8 @@ class DiagonalSpec:
     The prefix is integer numerators ``nums`` over ``den``, their least common
     denominator (0 <= n <= den), read from ints, Fractions and ``"p/q"`` strings
     by :func:`_ratio`; :meth:`entry` and :meth:`over` read them.  Tests run on
-    the integers: ``_cumsums`` holds the sums d*S_i, so one bisection serves
-    :func:`carpenter.tetris.min_s` and :meth:`sum_reach`.
+    the integers: ``_cumsums`` holds the sums d*S_i, which :func:`carpenter.tetris.min_s`
+    and :meth:`sum_reach` bisect, and :meth:`_sum` reads every S_i as an integer pair.
     """
 
     den: int
@@ -551,33 +549,42 @@ class DiagonalSpec:
         """``(d, (d*S_0, ..., d*S_p))``: the prefix sums over d = ``den``."""
         return self.den, tuple(accumulate(self.nums, initial=0))
 
-    def _unfolded(self, w: int) -> "DiagonalSpec":
-        """Entries 1..w (w > p, the tail constant) as the prefix, over their least denominator L,
-        the tail ones one shared int; ``_cumsums`` carries this spec's own sums over to L and on."""
-        p = len(self.nums)
-        L, (*nums, t) = self.over(range(1, p + 2))  # the prefix and one tail entry
-        g = object.__new__(DiagonalSpec)._store(L, (*nums, *repeat(t, w - p)), self.tail)
+    @cached_property
+    def _flat_layout(self) -> tuple[int, int, int]:
+        """``(L, L // den, L*c)`` for a constant tail c, L = lcm(den, c's denominator)."""
+        c = self.tail.c
+        L = math.lcm(self.den, c.denominator)
+        return L, L // self.den, c.numerator * (L // c.denominator)
+
+    def _sum(self, i: int) -> tuple[int, int]:
+        """S_i = x/q as ``(x, q)``, i >= 0, the one reader of running sums: ``_cumsums`` over den in
+        the prefix; past it S_p + (i - p)*c over ``_flat_layout``'s L, or a geometric tail's sum."""
         d, sums = self._cumsums
-        f = L // d
-        run = accumulate(repeat(t, w - p), initial=sums[-1] * f)  # S_p .. S_w over L
-        g.__dict__["_cumsums"] = L, (*(s * f for s in sums[:-1]), *run)
-        return g
+        p = len(sums) - 1
+        if i <= p:
+            return sums[i], d
+        if self.tail.flat:
+            L, f, t = self._flat_layout
+            return sums[p] * f + (i - p) * t, L
+        return (Fraction(sums[p], d) + self.tail.partial_sum(i - p)).as_integer_ratio()
 
     def over(self, positions: Sequence[int]) -> tuple[int, list[int]]:
         """``(L, [L * entry(i) for i in positions])``, positions in any order, repeats allowed,
         L the lcm of ``den`` and the reduced denominators of the tail entries read.  Prefix
-        numerators are read by position; the tail offsets the positions span are walked on
+        numerators are read by position.  A constant tail's entries are one numerator over
+        ``_flat_layout``'s L; a geometric tail's offsets the positions span are walked on
         integers over their least common denominator (:meth:`TailRule._over`: small
         multipliers only, no Fraction, no lcm over the window), and L is one lcm of that and
         ``den``.  Every window of entries that runs on integers is read here; inside the
         prefix it costs no scaling."""
         nums, p = self.nums, len(self.nums)
-        try:  # one read when every position lies in the prefix
+        if not positions or (hi := max(positions)) <= p:  # every position lies in the prefix
             return self.den, [nums[i - 1] for i in positions]
-        except IndexError:  # a position past the prefix
-            pass
-        j0 = min(i for i in positions if i > p) - p  # the walk covers offsets j0 .. max - p
-        d, ts = self.tail._over(j0, max(positions) - p)
+        if self.tail.flat:
+            L, f, t = self._flat_layout
+            return L, [nums[i - 1] * f if i <= p else t for i in positions]
+        j0 = min(i for i in positions if i > p) - p  # the walk covers offsets j0 .. hi - p
+        d, ts = self.tail._over(j0, hi - p)
         L = math.lcm(self.den, d)
         f, h = L // self.den, L // d
         if h != 1:
@@ -600,10 +607,7 @@ class DiagonalSpec:
 
     def partial_sum(self, i: int) -> Fraction:
         """S_i = f_1 + ... + f_i, exact; S_i = 0 for i <= 0."""
-        d, sums = self._cumsums
-        p = len(sums) - 1
-        s = Fraction(sums[min(max(i, 0), p)], d)
-        return s if i <= p else s + self.tail.partial_sum(i - p)
+        return Fraction(*self._sum(max(i, 0)))
 
     def tail_sum(self, i: int):
         """Sum of entries from index i on: Fraction or INF."""

@@ -52,9 +52,9 @@ __all__ = [
 def min_s(spec: DiagonalSpec, n: int) -> int:
     """Smallest index i with S_i = f_1 + ... + f_i >= n (and 0 for n = 0).
 
-    Inside the prefix the search bisects the integer prefix sums d*S_i for
-    d*n, the sums :meth:`DiagonalSpec.sum_reach` bisects; past it
-    :meth:`TailRule.reach` finds the tail offset.
+    Inside the prefix it bisects the integer sums d*S_i for d*n, as :meth:`DiagonalSpec.sum_reach`
+    does; past it a constant tail's S_p + j*c >= n is one integer ceiling division over the layout
+    of :meth:`DiagonalSpec._sum`, and :meth:`TailRule.reach` finds a geometric tail's offset.
     """
     if n < 0:
         raise OutOfRangeError(f"n = {n} < 0")
@@ -62,10 +62,13 @@ def min_s(spec: DiagonalSpec, n: int) -> int:
     i = bisect_left(sums, n * d)
     if i < len(sums):
         return i
-    sp = Fraction(sums[-1], d)
-    j = spec.tail.reach(n - sp)
-    if j is not None:
-        return len(sums) - 1 + j
+    p, t = len(sums) - 1, spec.tail
+    if t.flat and t.c:
+        L, f, c = spec._flat_layout
+        return p - (sums[p] * f - n * L) // c
+    sp = Fraction(sums[p], d)
+    if (j := t.reach(n - sp)) is not None:
+        return p + j
     limit = spec.total()
     if limit == sp:
         raise ConstructionError(f"partial sums stall at {fmt_rat(sp)} and never reach {n}")
@@ -152,10 +155,9 @@ def tetris_vectors(spec: DiagonalSpec, m: int, emb: IndexMap = IndexMap()) -> Te
     ultimate vector that absorbs the whole remaining sequence.
 
     Each step runs on integers over one L, the lcm of the denominators it meets, and its
-    vector's squares are integers over L*q (:func:`_coupling_q`).  Only sigma is read from the
-    prefix sums ``_cumsums``; when the total diverges, the m steps' window of the constant tail
-    joins the prefix once (:meth:`DiagonalSpec._unfolded`, which carries those sums into it).
-    The norm check ``sum(nums) == L*q``, over entries read from the window itself, checks them.
+    vector's squares are integers over L*q (:func:`_coupling_q`).  Only sigma reads the running
+    sums (:meth:`DiagonalSpec._sum`; a geometric sum's denominator divides den times that of the
+    entry after it, so L holds it); ``sum(nums) == L*q``, over the window's entries, checks them.
     Each vector is built once, entry i at ``emb.map_index(i)`` (:meth:`SparseVector.placed`);
     a complete fill's ultimate vector, which may hold a sqrt tail, is built locally and remapped.
     """
@@ -165,10 +167,6 @@ def tetris_vectors(spec: DiagonalSpec, m: int, emb: IndexMap = IndexMap()) -> Te
     if n_total is not None and m > n_total:
         raise ConstructionError(f"requested {m} vectors but total mass is {n_total}")
 
-    if n_total is None and spec.tail.flat and (w := min_s(spec, m)) > len(spec.nums):
-        spec = spec._unfolded(w)  # a constant tail: the m steps' window is read once
-    pd, sums = spec._cumsums
-    p = len(spec.nums)
     mins: dict[int, int] = {}
     vectors: list[SparseVector] = []
     sigmas: list[tuple[int, int]] = []
@@ -199,11 +197,8 @@ def tetris_vectors(spec: DiagonalSpec, m: int, emb: IndexMap = IndexMap()) -> Te
                     f"ordering hypothesis fails at step {n}: entry {left} ="
                     f" {fmt_rat(spec.entry(left))} < entry {mn} = {fmt_rat(spec.entry(mn))}"
                 )
-            if left <= p + 1:
-                s -= (sums[left - 1] - sums[cursor - 1]) * (L // pd)
-            else:  # the run reaches into the tail, whose entries' denominators L holds
-                run = spec.partial_sum(left - 1) - spec.partial_sum(cursor - 1)
-                s -= run.numerator * (L // run.denominator)
+            (x1, q1), (x0, q0) = spec._sum(left - 1), spec._sum(cursor - 1)
+            s -= x1 * (L // q1) - x0 * (L // q0)
         try:
             q = _coupling_q(x, y, s, L)
         except ConstructionError as e:
@@ -312,14 +307,13 @@ def block_sort(spec: DiagonalSpec) -> tuple[DiagonalSpec, PermutationWindow]:
 
 def _check_block_order(g: DiagonalSpec, bounds: list[int]):
     """Check g's boundaries against the original's, ``bounds[n]`` = min_s(f, n), on integers."""
-    d, sums = g._cumsums
     for n in range(1, len(bounds)):
         mg = min_s(g, n)
         if not mg <= bounds[n]:
             raise ConstructionError(f"sorted boundary {mg} passed the original at step {n}")
         if mg >= 2 and g.nums[mg - 2] < g.nums[mg - 1]:  # mg <= bounds[n] lies in g's prefix
             raise ConstructionError(f"sorted output breaks the boundary order at step {n}")
-        if mg < bounds[n - 1] + 2 and sums[mg] != n * d:  # too early unless an exact hit
+        if mg < bounds[n - 1] + 2 and g._sum(mg)[0] != n * g.den:  # too early unless an exact hit
             raise ConstructionError(f"sorted boundary {mg} too early at step {n}")
 
 

@@ -1,13 +1,13 @@
 """Every function in ``src/carpenter`` is reached from an entry point, or is listed in ALLOWED.
 
 The entry points are the API (``carpenter``, ``verify_projection`` and the
-canonical codec on one spec per route leaf, a long stream, ``carpenter_field``
-and ``synthesize_range``/``extract_spectral``), each CLI subcommand and every
-demo.  The test lists every ``def`` under ``src/carpenter`` with ``ast``, runs
-the entry points under ``sys.setprofile`` and asserts that the functions no call
-reached are exactly ALLOWED's names.  A new function that nothing reaches fails
-it, and so does an allowed name that is now reached or deleted: the list only
-gets shorter.
+canonical codec on one spec per route leaf, a long stream, a geometric fill,
+``carpenter_field`` and ``synthesize_range``/``extract_spectral``), each CLI
+subcommand and every demo.  The test lists every ``def`` under ``src/carpenter``
+with ``ast``, runs the entry points under ``sys.setprofile`` and asserts that
+the functions no call reached are exactly ALLOWED's names.  A new function that
+nothing reaches fails it, and so does an allowed name that is now reached or
+deleted: the list only gets shorter.
 """
 
 import ast
@@ -115,6 +115,12 @@ def _api(specs):
     trace = {}
     rep = carpenter(stream, 128, trace)
     assert verify_projection(rep, stream, trace["settled_prefix"]).passed
+    # a fill boundary past the prefix on a geometric tail: the one caller of TailRule.reach
+    geometric = DiagonalSpec((), TailRule.geometric("1/2", "3/4"))  # total 2
+    trace = {}
+    rep = carpenter(geometric, 2, trace)
+    assert "/".join(trace["branch"]).endswith("X\\X'/X_N(N=0)/tetris"), trace["branch"]
+    assert verify_projection(rep, geometric, 6, settled=trace["settled_prefix"]).passed
     feasible = [spec for spec, _ in specs if spec not in infeasible][:6]
     field = CellField(tuple((f"c{i}", spec) for i, spec in enumerate(feasible)))
     for cell in carpenter_field(field, 4).cells:

@@ -69,23 +69,28 @@ def test_min_s_zero_tail_unreachable():
 
 
 def test_min_s_is_the_fraction_definition_at_exact_integer_hits():
-    """Inside the prefix min_s bisects the integer sums d*S_i for d*n; it must agree with the
-    smallest i whose Fraction partial sum reaches n, also where S_i lands exactly on n."""
+    """Inside the prefix min_s bisects the integer sums d*S_i for d*n, and past it divides once
+    on the constant tail's progression; it must agree with the smallest i whose running Fraction
+    sum of entries reaches n, also where S_i lands exactly on n, in the prefix or at
+    S_p + j*c = n past it."""
     rng = random.Random(41)
-    hits = 0
-    for _ in range(300):
+    hits = tail_hits = 0
+    for trial in range(300):
         d = rng.choice((2, 3, 4, 6, 12, 2**31 - 1))
         prefix = [F(rng.randint(0, d), d) for _ in range(rng.randint(1, 25))]
         if rng.random() < 0.5:  # a denominator coprime to d, so the common one is a product
             prefix.append(F(rng.randint(1, 96), 97))
-        s = DiagonalSpec(tuple(prefix), TailRule.constant("1/3"))
-        sums = [s.partial_sum(i) for i in range(len(prefix) + 1)]
-        for n in range(0, math.ceil(sums[-1]) + 1):
-            want = next((i for i, x in enumerate(sums) if x >= n), None)
-            if want is not None:
-                assert min_s(s, n) == want, (s, n)
-                hits += sums[want] == n and n > 0
-    assert hits > 300, hits
+        p = len(prefix)
+        s = DiagonalSpec(tuple(prefix), TailRule.constant(("1/3", "1/4", "5/6")[trial % 3]))
+        sums = [F(0)]
+        for i in range(1, p + 25):  # the prefix and at least 6 more units of tail mass
+            sums.append(sums[-1] + s.entry(i))
+        for n in range(0, math.floor(sums[-1]) + 1):
+            want = next(i for i, x in enumerate(sums) if x >= n)
+            assert min_s(s, n) == want, (s, n)
+            hits += sums[want] == n and 0 < want <= p
+            tail_hits += sums[want] == n and want > p
+    assert hits > 300 and tail_hits > 300, (hits, tail_hits)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +279,8 @@ def test_fill_norm_check_does_not_trust_the_prefix_sums_carried_into_the_tail():
 
 
 def test_streamed_fill_reads_no_tail_sum_per_step(monkeypatch):
-    # a constant tail's window is read once: one tail search for min_s(g, m), then every
-    # step bisects integer sums and reads its entries inside the prefix
+    # past the prefix a constant tail's boundary is one ceiling division and a run's mass is
+    # S_p plus the tail's progression, both on integers: no tail search and no Fraction sum
     g, _ = block_sort(spec("1/2", "1/3", "1/5", "1/8", tail=TailRule.constant("2/5")))
     m = 24
     calls = {"reach": 0, "partial_sum": 0}
@@ -518,6 +523,36 @@ def test_fill_errors_match_the_fraction_reference():
         for m in range(0, 13, 3):
             built += assert_fill_matches_reference(s, m)
     assert 300 < built < 900, built
+
+
+@pytest.mark.parametrize(
+    "prefix, c, r",
+    [
+        (("1/2",), "1/2", "4/5"),  # total 3
+        (("1/2",), "1/2", "8/9"),  # total 5
+        (("1/2",), "1/2", "14/15"),  # total 8
+        (("2/3",), "1/3", "9/10"),  # total 4
+        (("5/6",), "1/6", "12/13"),  # total 3, its one large entry first
+    ],
+)
+def test_geometric_runs_whose_tail_sums_keep_a_prime_the_entries_drop(prefix, c, r):
+    """c's denominator shares a prime with r's numerator: from offset 2 on the tail entries drop
+    it, but the tail's own sums keep it.  The spec's sums S_{p+j} = N - c*r^j/(1 - r) do not:
+    their denominators divide den times that of entry p + j + 1, so every run's mass reads over
+    its step's denominator.  Every fill, unsorted and block-sorted, matches the reference."""
+    s = DiagonalSpec(prefix, TailRule.geometric(c, r))
+    n, p, t = int(s.total()), len(s.nums), s.tail
+    assert s.total() == n
+    prime = math.gcd(t.c.denominator, t.r.numerator)
+    for j in range(1, 12):
+        assert t.value(j + 1).denominator % prime and not t.partial_sum(j).denominator % prime
+        assert math.lcm(s.den, s.entry(p + j + 1).denominator) % s.partial_sum(p + j).denominator == 0
+    deep = 0
+    for g in (s, block_sort(s)[0]):
+        for m in range(n + 1):
+            assert assert_fill_matches_reference(g, m), (g, m)
+        deep += sum(mn > len(g.nums) + 1 for mn in tetris_vectors(g, n).min_s.values())
+    assert deep, deep
 
 
 # ---------------------------------------------------------------------------
