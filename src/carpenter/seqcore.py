@@ -381,41 +381,11 @@ class TailRule:
             return INF if self.c else _ZERO
         return self._start * self.r ** (j - 1) / (1 - self.r)
 
-    def reach(self, x) -> int | None:
-        """Smallest j >= 0 with partial_sum(j) >= x, or None when no j reaches x.
-
-        A decaying tail has partial_sum(j) >= x iff sum_from(j + 1) <= sum_from(1) - x: the
-        closed-form :meth:`sum_reach`.  One that tends to 1 has j - G <= partial_sum(j) <= j,
-        G = c * r**k / (1 - r): j is bisected in [ceil(x), ceil(x + G)] on exact sums."""
-        if x <= 0:
-            return 0
-        if self.sum_from(1) <= x:  # a finite limit is never attained
-            return None
-        if self.flat:
-            return math.ceil(x / self._start)
-        if not self.u:
-            return self.sum_reach(self.sum_from(1) - x) - 1
-        lo, hi = math.ceil(x), math.ceil(x + self._start / (1 - self.r))
-        self._check_power(hi)
-        return lo + bisect_left(range(lo, hi), x, key=self.partial_sum)
-
-    def sum_reach(self, x) -> int | None:
-        """Smallest j >= 1 with sum_from(j) <= x, or None when no j gets there.
-
-        sum_from is nonincreasing in j, and for a decaying tail sum_from(j) <= x
-        iff r**(j-1) <= x * (1 - r) / (c * r**k): O(1) closed forms, not one per offset.
-        """
-        if self.sum_from(1) <= x:
-            return 1
-        if self.u or self.flat or x <= 0:  # a constant or growing tail's sums never fall
-            return None
-        return self.first_at_most(x * (1 - self.r))
-
     def first_at_most(self, x) -> int:
         """Smallest j >= 1 with c * r**(k + j - 1) <= x, for a decaying tail (r < 1) and x > 0:
         the first r**(j-1) <= x / (c * r**k), a logarithm estimate confirmed by exact evaluations
         at j and j - 1; a power past ``_POWER_BITS`` is an UnsupportedStructureError.  The one
-        tail search behind half_exceptions, sum_reach and decouple's i3."""
+        tail search behind half_exceptions, DiagonalSpec.reach and decouple's i3."""
         q = x / self._start
         if q >= 1:
             return 1
@@ -505,14 +475,14 @@ class TailRule:
 class DiagonalSpec:
     """A candidate diagonal: rational prefix plus closed-form tail.
 
-    Entries are 1-based.  ``entry``, ``partial_sum`` and ``tail_sum`` are
-    exact; sums that diverge come back as ``INF``.
+    Entries are 1-based.  ``entry``, ``partial_sum`` and ``total`` are
+    exact; a sum that diverges comes back as ``INF``.
 
     The prefix is integer numerators ``nums`` over ``den``, their least common
     denominator (0 <= n <= den), read from ints, Fractions and ``"p/q"`` strings
     by :func:`_ratio`; :meth:`entry` and :meth:`over` read them.  Tests run on
-    the integers: ``_cumsums`` holds the sums d*S_i, which :func:`carpenter.tetris.min_s`
-    and :meth:`sum_reach` bisect, and :meth:`_sum` reads every S_i as an integer pair.
+    the integers: ``_cumsums`` holds the sums d*S_i, which :meth:`reach`, the one search for
+    the first S_i >= x, bisects, and :meth:`_sum` reads every S_i as an integer pair.
     """
 
     den: int
@@ -609,33 +579,34 @@ class DiagonalSpec:
         """S_i = f_1 + ... + f_i, exact; S_i = 0 for i <= 0."""
         return Fraction(*self._sum(max(i, 0)))
 
-    def tail_sum(self, i: int):
-        """Sum of entries from index i on: Fraction or INF."""
-        p = len(self.nums)
-        if i < 1:
-            raise OutOfRangeError(f"index {i} < 1")
-        if i <= p:
-            d, sums = self._cumsums
-            return Fraction(sums[p] - sums[i - 1], d) + self.tail.sum_from(1)
-        return self.tail.sum_from(i - p)
-
     def total(self):
-        return self.tail_sum(1)
-
-    def sum_reach(self, x) -> int | None:
-        """Smallest i >= 1 with tail_sum(i) <= x, or None when no i gets there; exact.
-
-        In the prefix this is one bisection of the integer prefix sums, past it
-        :meth:`TailRule.sum_reach`.
-        """
-        p = len(self.nums)
-        rest = x - self.tail.sum_from(1)  # what the prefix entries from i on may add up to
-        if rest < 0:  # also when the tail diverges
-            j = self.tail.sum_reach(x)
-            return None if j is None else p + j
+        """S_p + the tail's sum: a Fraction, or INF."""
         d, sums = self._cumsums
-        # tail_sum(i) <= x  iff  sums[i-1] >= sums[p] - d*rest, an integer bound
-        return bisect_left(sums, math.ceil(sums[p] - d * rest)) + 1
+        return Fraction(sums[-1], d) + self.tail.sum_from(1)
+
+    def reach(self, x) -> int | None:
+        """Smallest i >= 0 with S_i >= x, or None when no i gets there; exact, the one search
+        over the running sums.  Inside the prefix it bisects the integer sums d*S_i for
+        d*x; past it a constant tail is one integer ceiling division over
+        ``_flat_layout``'s L, a decaying tail has S_i >= x iff the tail from offset i - p + 1
+        sums to at most total - x (:meth:`TailRule.first_at_most`; a finite limit is never
+        attained), and one that tends to 1 bisects j in [ceil(y), ceil(y + G)], y = x - S_p,
+        G = c * r**k / (1 - r), on the tail's exact sums."""
+        d, sums = self._cumsums
+        i = bisect_left(sums, d * x)  # exact for a Fraction x too
+        if i < len(sums):
+            return i
+        p, t = i - 1, self.tail
+        if t.flat:
+            L, f, c = self._flat_layout
+            return p - (sums[p] * f - x * L) // c if c else None
+        if not t.u:
+            rest = self.total() - x
+            return p + t.first_at_most(rest * (1 - t.r)) - 1 if rest > 0 else None
+        y = x - Fraction(sums[p], d)
+        lo, hi = math.ceil(y), math.ceil(y + t._start / (1 - t.r))
+        t._check_power(hi)
+        return p + lo + bisect_left(range(lo, hi), y, key=t.partial_sum)
 
     # -- transforms
 

@@ -118,10 +118,11 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     i4 is the first cut whose suffix sum of small entries (integers over one
     denominator, summed once from the end) fits beside b_{i3}.  i5 is the first
     ordinal from which the large entries' co-mass, b_{i3}'s left out, is at most
-    a_{i2}: that co-mass is nonincreasing, so :meth:`DiagonalSpec.sum_reach` finds
-    it from closed-form sums, without a walk over the ordinals.  Group 1's large
-    entries are read in one walk of :meth:`TailRule.values`, as lowest-terms integer
-    pairs, and its integer mass comes from closed-form sums.
+    a_{i2}: that co-mass is the complements' total less one of their running sums,
+    so :meth:`DiagonalSpec.reach` finds it from closed-form sums, without a walk over
+    the ordinals.  Group 1's large entries are read in one walk of
+    :meth:`TailRule.values`, as lowest-terms integer pairs, and its integer mass comes
+    from closed-form sums.
     """
     prop = spec.proper_classes()
     if prop.count(False) != 0:
@@ -155,16 +156,18 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     i4 = next(k for k in range(3, n + 2) if suffix[k - 1] <= room)
 
     # the co-mass of the large entries from ordinal k on, b_{i3}'s left out, is
-    # large_c.tail_sum(k) - (1 - b3) up to k = i3 and large_c.tail_sum(k)
-    # after it; both pieces are nonincreasing, and they agree at i3 and i3 + 1
-    i5 = large_c.sum_reach(a[i2 - 1] + (1 - b3))
-    if i5 is not None and i5 > i3:
-        i5 = large_c.sum_reach(a[i2 - 1])
-    if i5 is None:
+    # T - S_{k-1} - (1 - b3) up to k = i3 and T - S_{k-1} after it, S and T large_c's
+    # running sums and total; both pieces are nonincreasing, and they agree at i3 and i3 + 1
+    T = large_c.total()  # INF when the large entries keep off 1: then no co-mass falls
+    j = None if T == INF else large_c.reach(T - a[i2 - 1] - (1 - b3))
+    if j is not None and j >= i3:
+        j = large_c.reach(T - a[i2 - 1])
+    if j is None:
         raise ConstructionError("internal: the large entries' co-mass never falls to a small entry")
+    i5 = j + 1
 
     b_t = 1 - Fraction(suffix[i4 - 1], den)
-    a2_t = large_c.tail_sum(i5) - (1 - b3 if i3 >= i5 else 0)
+    a2_t = T - large_c.partial_sum(j) - (1 - b3 if i3 >= i5 else 0)
     a1_t = a[i1 - 1] + a[i2 - 1] + b3 - a2_t - b_t
 
     if not (a2_t <= a[i2 - 1] <= a[i1 - 1]):

@@ -20,7 +20,6 @@ many large entries, so no split for that case is needed.)
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from math import sqrt
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,26 +49,13 @@ __all__ = [
 
 
 def min_s(spec: DiagonalSpec, n: int) -> int:
-    """Smallest index i with S_i = f_1 + ... + f_i >= n (and 0 for n = 0).
-
-    Inside the prefix it bisects the integer sums d*S_i for d*n, as :meth:`DiagonalSpec.sum_reach`
-    does; past it a constant tail's S_p + j*c >= n is one integer ceiling division over the layout
-    of :meth:`DiagonalSpec._sum`, and :meth:`TailRule.reach` finds a geometric tail's offset.
-    """
+    """Smallest index i with S_i = f_1 + ... + f_i >= n (and 0 for n = 0), found by
+    :meth:`DiagonalSpec.reach`; a ConstructionError says why the sums never get there."""
     if n < 0:
         raise OutOfRangeError(f"n = {n} < 0")
-    d, sums = spec._cumsums  # d*S_0 .. d*S_p, nondecreasing
-    i = bisect_left(sums, n * d)
-    if i < len(sums):
+    if (i := spec.reach(n)) is not None:
         return i
-    p, t = len(sums) - 1, spec.tail
-    if t.flat and t.c:
-        L, f, c = spec._flat_layout
-        return p - (sums[p] * f - n * L) // c
-    sp = Fraction(sums[p], d)
-    if (j := t.reach(n - sp)) is not None:
-        return p + j
-    limit = spec.total()
+    sp, limit = spec.partial_sum(len(spec.nums)), spec.total()
     if limit == sp:
         raise ConstructionError(f"partial sums stall at {fmt_rat(sp)} and never reach {n}")
     raise ConstructionError(f"partial sums stay below {n} (limit {fmt_rat(limit)})")

@@ -115,7 +115,7 @@ def _api(specs):
     trace = {}
     rep = carpenter(stream, 128, trace)
     assert verify_projection(rep, stream, trace["settled_prefix"]).passed
-    # a fill boundary past the prefix on a geometric tail: the one caller of TailRule.reach
+    # a fill boundary past the prefix on a geometric tail: DiagonalSpec.reach's decaying branch
     geometric = DiagonalSpec((), TailRule.geometric("1/2", "3/4"))  # total 2
     trace = {}
     rep = carpenter(geometric, 2, trace)

@@ -148,9 +148,11 @@ def test_tail_sum_from_and_complement():
     assert TailRule.constant("1").complement().value(7) == 0
 
 
-def test_sum_reach_is_the_first_index_with_a_small_enough_tail():
-    """sum_reach(x) is the smallest i with tail_sum(i) <= x, by a walk over i, on
-    prefixes and tails of every kind and thresholds at, between and past the sums."""
+def test_reach_is_the_first_index_whose_sum_reaches_x():
+    """reach(x) is the smallest i with partial_sum(i) >= x, by a walk over i, on prefixes
+    and tails of every kind and thresholds at, between and past the sums: Fractions past
+    the prefix on a constant tail too, and a finite total, which no i reaches on a decaying
+    tail."""
     rng = random.Random(5)
     tails = [TailRule.zero(), TailRule.constant("0"), TailRule.constant("1/3"),
              TailRule.one_minus_geometric("1/2", "2/3")]
@@ -158,12 +160,14 @@ def test_sum_reach_is_the_first_index_with_a_small_enough_tail():
     for tail in tails:
         for p in (0, 1, 5):
             s = DiagonalSpec(tuple(F(rng.randint(0, 9), 9) for _ in range(p)), tail)
-            sums = [s.tail_sum(i) for i in range(1, p + 80)]
-            xs = {F(-1), F(0)} | {t for t in sums[:20] if t != INF}
-            xs |= {t * F(1, 2) + u * F(1, 2) for t, u in zip(sums, sums[1:]) if u != INF}
+            sums = [s.partial_sum(i) for i in range(p + 80)]
+            xs = {F(-1), F(0)} | set(sums[:20])
+            xs |= {t * F(1, 2) + u * F(1, 2) for t, u in zip(sums, sums[1:])}
+            if s.total() != INF:
+                xs |= {s.total(), s.total() + 1}
             for x in xs:
-                want = next((i for i, t in enumerate(sums, start=1) if t <= x), None)
-                assert s.sum_reach(x) == want, (s.to_json_dict(), x)
+                want = next((i for i, t in enumerate(sums) if t >= x), None)
+                assert s.reach(x) == want, (s.to_json_dict(), x)
 
 
 def test_spec_entries_walk_matches_entry():
@@ -192,8 +196,8 @@ def test_spec_entry_and_sums():
     assert s.entry(4) == F(1, 12)
     assert s.partial_sum(0) == 0
     assert s.partial_sum(4) == F(1, 2) + F(1, 3) + F(1, 6) + F(1, 12)
-    # tail_sum(i) sums from index i inclusive
-    assert s.tail_sum(3) == F(1, 3)
+    # the entries from index 3 on sum to the total less S_2
+    assert s.total() - s.partial_sum(2) == F(1, 3)
     assert s.total() == F(1, 2) + F(1, 3) + F(1, 3)
     with pytest.raises(OutOfRangeError):
         s.entry(0)

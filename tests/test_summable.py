@@ -195,7 +195,7 @@ def walk_decouple(spec):
     i4 = next(k for k in range(3, n + 2) if b3 + sum(a[k - 1 : n], F(0)) <= 1)
 
     def co_mass_from(k):
-        return large_c.tail_sum(k) - (1 - b3 if i3 >= k else 0)
+        return large_c.total() - large_c.partial_sum(k - 1) - (1 - b3 if i3 >= k else 0)
 
     i5 = 1
     while co_mass_from(i5) > a[i2 - 1]:
@@ -440,3 +440,6 @@ def test_decouple_finds_i3_by_a_crossing_search():
     # a constant tail of large entries never gets there
     with pytest.raises(ConstructionError, match="tend to 1"):
         decouple(spec("1/5", "1/5", tail=TailRule.constant("3/4")))
+    # and with i3 in the prefix their co-mass diverges, so no i5 is found
+    with pytest.raises(ConstructionError, match="co-mass never falls"):
+        decouple(spec("1/5", "1/5", "9/10", tail=TailRule.constant("3/4")))

@@ -9,9 +9,9 @@ first entry is improper), entries of exactly 0, 1/2 and 1, partial sums
 that hit an integer exactly, and limits at or below the target.  The tail
 walks (``TailRule.values``, ``DiagonalSpec.float_entries`` and the
 sqrt-tail rows) must give ``value(j)`` and ``float(entry(k))`` bit for bit.
-Every ``TailRule`` method must match the four-branch closed forms of
-:class:`_Oracle` on c folded to c * r**k, and every rule must round-trip
-through its JSON.
+Every ``TailRule`` method, and ``DiagonalSpec.reach`` on the tail alone (an
+empty prefix), must match the four-branch closed forms of :class:`_Oracle` on
+c folded to c * r**k, and every rule must round-trip through its JSON.
 """
 
 import bisect
@@ -321,16 +321,6 @@ class _Oracle:
             j, s, g = j + 1, s + (g if self.kind == "geometric" else 1 - g), g * self.r
         return j
 
-    def sum_reach(self, x):
-        if self.sum_from(1) <= x:
-            return 1
-        if self.kind != "geometric" or x <= 0:
-            return None
-        j = 1
-        while self.sum_from(j) > x:
-            j += 1
-        return j
-
     def complement(self):
         if self.kind == "zero":
             return _Oracle("constant", F(1))
@@ -381,8 +371,7 @@ def test_every_method_matches_the_four_branch_oracle():
             if j:
                 assert rule.sum_from(j) == o.sum_from(j), (rule, j)
         for x in TARGETS:
-            assert rule.reach(x) == o.reach(x), (rule, x)
-            assert rule.sum_reach(x) == o.sum_reach(x), (rule, x)
+            assert DiagonalSpec((), rule).reach(x) == o.reach(x), (rule, x)
         assert rule.half_exceptions() == o.half_exceptions(), rule
         assert rule.proper_exceptions() == o.proper_exceptions(), rule
         if rule.k:
@@ -424,14 +413,14 @@ def test_reach_on_slowly_decaying_tails_is_found_without_a_walk():
         (TailRule.geometric("1/2", "9999/10000"), (1, 2500, 4990)),
     ):
         for x in xs:
-            j = rule.reach(x)
+            j = DiagonalSpec((), rule).reach(x)
             assert rule.partial_sum(j) >= x > rule.partial_sum(j - 1), (rule, x, j)
-    assert TailRule.geometric("1/2", "9999/10000").reach(2500) == 6932
+    assert DiagonalSpec((), TailRule.geometric("1/2", "9999/10000")).reach(2500) == 6932
     # a crossing whose exact power would pass the bit budget is refused, not walked
     rule = TailRule.geometric("1/2", "999999999/1000000000")  # total 5 * 10**8
-    assert rule.reach(2500) == 5001
+    assert DiagonalSpec((), rule).reach(2500) == 5001
     with pytest.raises(UnsupportedStructureError, match="threshold crossing"):
-        rule.reach(5 * 10**8 - 1)
+        DiagonalSpec((), rule).reach(5 * 10**8 - 1)
 
 
 def _walked_reach(rule, x):
@@ -452,7 +441,7 @@ def test_reach_on_tails_near_one_bisects_an_exact_bracket():
         c, r = F(rng.randint(1, 8), 8), F(rng.randint(1, 999), 1000)
         rule = TailRule("one_minus_geometric", c, r, rng.randrange(4))
         x = F(rng.randint(1, rng.choice((60, 3000))), rng.randint(1, 7))
-        j = rule.reach(x)
+        j = DiagonalSpec((), rule).reach(x)
         assert rule.partial_sum(j) >= x > rule.partial_sum(j - 1), (rule, x, j)
         if x <= 60:
             assert j == _walked_reach(rule, x), (rule, x)
@@ -460,12 +449,12 @@ def test_reach_on_tails_near_one_bisects_an_exact_bracket():
     assert walked >= 60, walked
     rule = TailRule.one_minus_geometric("1/2", "999/1000")
     for x in (F(1, 3), 1, 7, 100, F(1001, 3)):
-        assert rule.reach(x) == _walked_reach(rule, x), x
-    assert rule.reach(10000) == 10500
+        assert DiagonalSpec((), rule).reach(x) == _walked_reach(rule, x), x
+    assert DiagonalSpec((), rule).reach(10000) == 10500
     assert rule.partial_sum(10500) >= 10000 > rule.partial_sum(10499)
     # a bracket whose exact power would pass the bit budget is refused before it is taken
     with pytest.raises(UnsupportedStructureError, match="threshold crossing"):
-        rule.reach(10**6)
+        DiagonalSpec((), rule).reach(10**6)
 
 
 def test_every_rule_round_trips_through_json():

@@ -283,17 +283,18 @@ def test_streamed_fill_reads_no_tail_sum_per_step(monkeypatch):
     # S_p plus the tail's progression, both on integers: no tail search and no Fraction sum
     g, _ = block_sort(spec("1/2", "1/3", "1/5", "1/8", tail=TailRule.constant("2/5")))
     m = 24
-    calls = {"reach": 0, "partial_sum": 0}
-    for cls, name in ((TailRule, "reach"), (DiagonalSpec, "partial_sum")):
-        def counting(*args, _f=getattr(cls, name), _name=name):
-            calls[_name] += 1
+    watched = ((TailRule, "first_at_most"), (TailRule, "partial_sum"), (DiagonalSpec, "partial_sum"))
+    calls = {(cls.__name__, name): 0 for cls, name in watched}
+    for cls, name in watched:
+        def counting(*args, _f=getattr(cls, name), _key=(cls.__name__, name)):
+            calls[_key] += 1
             return _f(*args)
 
         monkeypatch.setattr(cls, name, counting)
     out = tetris_vectors(g, m)
     monkeypatch.undo()
     assert sum(mn > len(g.nums) + 1 for mn in out.min_s.values()) > 20  # tail steps
-    assert calls["partial_sum"] == 0 and calls["reach"] <= 1, calls
+    assert not any(calls.values()), calls
     want = tetris_vectors(spec(*[g.entry(i) for i in range(1, out.min_s[m] + 1)], tail=g.tail), m)
     assert _fill_record(out) == _fill_record(want)
 
