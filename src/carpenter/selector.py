@@ -110,8 +110,8 @@ def verify_projection(
     otherwise.  Either way each entry sums at most n terms, so the factor
     1 + 8n * 2^-53 keeps the bound at or above the dense float value.  The
     memory follows the stored entries, the Gram's dense tiles and the sparse
-    side's products; only the dense side, when it is priced lower, adds
-    |S|^2 + |S||C| + |C|^2 floats for the |C| touched indices.
+    side's products; the dense side, when priced lower, adds |S|^2 + 2|S||C| floats
+    for the |C| touched indices and ``_DENSE_BLOCK`` floats of |V|^T W at a time.
     """
     for name, size in (("m", m), ("settled", settled)):
         if size is not None and size < 0:
@@ -146,11 +146,12 @@ def verify_projection(
         v = np.abs(np.fromiter(v, float, len(v)))
         bound = _sparse_bound(i, j, e, r, c, v, len(s), len(cols))
         if bound is None:
-            es = np.zeros((len(s), len(s)))
+            es, vd = np.zeros((len(s), len(s))), np.zeros((len(s), len(cols)))
             es[i, j] = es[j, i] = e
-            vd = np.zeros((len(s), len(cols)))
             vd[r, c] = v
-            bound = float((vd.T @ (es @ vd)).max(initial=0.0))
+            w, vt, step = es @ vd, vd.T, _DENSE_BLOCK // max(len(cols), 1) or 1
+            blocks = [(vt @ w[:, k : k + step]).max(initial=0.0) for k in range(0, len(cols), step)]
+            bound = float(np.max(blocks) if len(blocks) > 1 else blocks[0] if blocks else 0.0)
         idem_err = bound * (1 + 8 * n * 2.0**-53)
     upto = m if settled is None else min(settled, m)
     diag_err = 0.0
@@ -170,6 +171,7 @@ def verify_projection(
 # whatever the size.
 _SPARSE_TERM_COST = 600
 _SPARSE_COST = 1_250_000
+_DENSE_BLOCK = 1 << 22  # 32 MB; no bench verify has a |C|^2 past a fortieth of it
 
 
 def _sparse_bound(i, j, e, r, col, v, ns: int, nc: int) -> float | None:

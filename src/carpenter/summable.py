@@ -138,7 +138,10 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     a = [Fraction(x, den) for x in nums]
 
     large = spec.subsequence(cls, False)  # b_i = large.entry(i)
-    large_c = large.complement()  # entries 1 - b_i, geometric tail, summable
+    large_c = large.complement()  # entries 1 - b_i
+    T = large_c.total()
+    if T == INF:  # a constant tail of large entries keeps off 1, and no co-mass falls
+        raise ConstructionError("decoupling needs the large entries to tend to 1")
 
     i1 = 1 if a[0] >= a[1] else 2
     i2 = 3 - i1
@@ -146,8 +149,6 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     lp, lq = low.numerator * large.den, low.denominator
     i3 = next((i for i, x in enumerate(large.nums, start=1) if x * lq >= lp), None)
     if i3 is None:
-        if not t.u:  # a constant tail of large entries leaves b infinite
-            raise ConstructionError("decoupling needs the large entries to tend to 1")
         i3 = len(large.nums) + t.first_at_most(a[i1 - 1])  # the first 1 - g_j >= 1 - a_i1
     b3 = large.entry(i3)
     # suffix[k - 1] = den * (a_k + ... + a_n), for k = 1..n+1
@@ -155,15 +156,12 @@ def decouple(spec: DiagonalSpec) -> DecouplingPlan:
     room = math.floor((1 - b3) * den)  # an integer sum fits under x iff it fits under floor(x)
     i4 = next(k for k in range(3, n + 2) if suffix[k - 1] <= room)
 
-    # the co-mass of the large entries from ordinal k on, b_{i3}'s left out, is
-    # T - S_{k-1} - (1 - b3) up to k = i3 and T - S_{k-1} after it, S and T large_c's
-    # running sums and total; both pieces are nonincreasing, and they agree at i3 and i3 + 1
-    T = large_c.total()  # INF when the large entries keep off 1: then no co-mass falls
-    j = None if T == INF else large_c.reach(T - a[i2 - 1] - (1 - b3))
-    if j is not None and j >= i3:
+    # the co-mass of the large entries from ordinal k on, b_{i3}'s left out, is T - S_{k-1}
+    # - (1 - b3) up to k = i3 and T - S_{k-1} after it (S, T large_c's running sums and finite
+    # total): both are nonincreasing, agree at i3 and i3 + 1, and fall to a_{i2} > 0
+    j = large_c.reach(T - a[i2 - 1] - (1 - b3))
+    if j >= i3:
         j = large_c.reach(T - a[i2 - 1])
-    if j is None:
-        raise ConstructionError("internal: the large entries' co-mass never falls to a small entry")
     i5 = j + 1
 
     b_t = 1 - Fraction(suffix[i4 - 1], den)
